@@ -4,7 +4,8 @@
 [--check] [--workers N]` runs one of the registered experiments with seeded,
 reproducible inputs and writes a CSV or JSON report atomically. `qd list`
 prints the experiment table. Identical configuration and seed produce
-byte-identical reports, independent of the worker count.
+byte-identical reports. Every experiment runs single-threaded; `--workers`
+is validated and otherwise ignored.
 
 Exit codes: 0 success, 1 failed --check assertion, 2 configuration error,
 3 numerical precondition failure, 4 I/O failure.
@@ -20,8 +21,7 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import click
@@ -56,7 +56,7 @@ class Experiment:
     name: str
     summary: str
     defaults: dict
-    runner: object  # (params, seed, workers) -> (rows, summary_line)
+    runner: object  # (params, seed) -> (columns, rows, summary_line)
     checker: object  # (params, seed) -> list[(label, ok, detail)]
 
 
@@ -88,7 +88,7 @@ def _geometry_directions(params):
     raise ConfigError(f"unknown geometry {geometry!r}")
 
 
-def _run_superdense(params, seed, workers):
+def _run_superdense(params, seed):
     directions, cos_theta = _geometry_directions(params)
     result = discrimination.trine_discriminate(directions)
     row = {
@@ -107,7 +107,7 @@ def _run_superdense(params, seed, workers):
 
 
 def _check_superdense(params, seed):
-    _, rows, _ = _run_superdense(params, seed, 1)
+    _, rows, _ = _run_superdense(params, seed)
     row = rows[0]
     target = math.log2(row["n_directions"])
     return [
@@ -123,7 +123,7 @@ def _check_superdense(params, seed):
 # --- grover ----------------------------------------------------------------
 
 
-def _run_grover(params, seed, workers):
+def _run_grover(params, seed):
     sizes = [int(n) for n in params["sizes"]]
     energy = float(params["energy"])
     rows = []
@@ -138,7 +138,7 @@ def _run_grover(params, seed, workers):
 
 
 def _check_grover(params, seed):
-    _, rows, _ = _run_grover(params, seed, 1)
+    _, rows, _ = _run_grover(params, seed)
     ok_success = all(r["success_prob"] >= 1.0 - 1e-9 for r in rows)
     checks = [
         ("success certainty at the flop time", ok_success, f"min={min(r['success_prob'] for r in rows):.2e}")
@@ -161,7 +161,7 @@ def _two_ham_ensemble(omega: float, gamma: float):
     return discrimination.HypothesisEnsemble((trivial, driven))
 
 
-def _run_two_ham(params, seed, workers):
+def _run_two_ham(params, seed):
     omega, gamma = float(params["omega"]), float(params["gamma"])
     t_star = discrimination.optimal_time_qubit(omega, gamma)
     ensemble = _two_ham_ensemble(omega, gamma)
@@ -182,7 +182,7 @@ def _run_two_ham(params, seed, workers):
 
 
 def _check_two_ham(params, seed):
-    _, rows, _ = _run_two_ham(params, seed, 1)
+    _, rows, _ = _run_two_ham(params, seed)
     row = rows[0]
     return [
         (
@@ -196,7 +196,7 @@ def _check_two_ham(params, seed):
 # --- fixed-time ------------------------------------------------------------
 
 
-def _run_fixed_time(params, seed, workers):
+def _run_fixed_time(params, seed):
     dim = int(params["dim"])
     t = float(params["t"])
     samples = int(params["samples"])
@@ -224,7 +224,7 @@ def _run_fixed_time(params, seed, workers):
 
 
 def _check_fixed_time(params, seed):
-    _, rows, _ = _run_fixed_time(params, seed, 1)
+    _, rows, _ = _run_fixed_time(params, seed)
     worst = min(r["margin"] for r in rows)
     return [("driving never helps at fixed time", worst >= -1e-9, f"worst margin {worst:.3e}")]
 
@@ -232,10 +232,12 @@ def _check_fixed_time(params, seed):
 # --- eliminate -------------------------------------------------------------
 
 
-def _run_eliminate(params, seed, workers):
+def _run_eliminate(params, seed):
     n_hyp = int(params["n_hypotheses"])
     dim = int(params["dim"])
     trials = int(params["trials"])
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rows = []
     for idx, rng in enumerate(_spawned_rngs(seed, trials)):
         gens = [spectral_arc.random_hermitian(dim, 2.0, rng) for _ in range(n_hyp)]
@@ -261,7 +263,7 @@ def _run_eliminate(params, seed, workers):
 
 
 def _check_eliminate(params, seed):
-    _, rows, _ = _run_eliminate(params, seed, 1)
+    _, rows, _ = _run_eliminate(params, seed)
     n_hyp = int(params["n_hypotheses"])
     all_correct = all(r["correct"] for r in rows)
     bounded = all(r["measurements"] <= n_hyp - 1 for r in rows)
@@ -274,9 +276,11 @@ def _check_eliminate(params, seed):
 # --- phase-est -------------------------------------------------------------
 
 
-def _run_phase_est(params, seed, workers):
+def _run_phase_est(params, seed):
     cfg = phase_estimation.PhaseConfig(n=int(params["n"]), omega=float(params["omega"]))
     trials = int(params["trials"])
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     counts = np.zeros(2**cfg.n, dtype=int)
     for child in np.random.SeedSequence(seed).spawn(trials):
         rec = phase_estimation.sqft_estimate(cfg, int(child.generate_state(1)[0]))
@@ -299,7 +303,7 @@ def _run_phase_est(params, seed, workers):
 
 
 def _check_phase_est(params, seed):
-    _, rows, _ = _run_phase_est(params, seed, 1)
+    _, rows, _ = _run_phase_est(params, seed)
     trials = rows[0]["trials"]
     ok = True
     worst = 0.0
@@ -330,7 +334,7 @@ def _metrology_strategies(params):
     )
 
 
-def _run_metrology(params, seed, workers):
+def _run_metrology(params, seed):
     product, cat = _metrology_strategies(params)
     rows = []
     for strat in (product, cat):
@@ -355,7 +359,7 @@ def _run_metrology(params, seed, workers):
 
 
 def _check_metrology(params, seed):
-    _, rows, _ = _run_metrology(params, seed, 1)
+    _, rows, _ = _run_metrology(params, seed)
     checks = []
     if params["noise"] == NoiseKind.INDEPENDENT_DEPOLARIZING.value:
         a, b = rows[0]["delta_omega"], rows[1]["delta_omega"]
@@ -372,59 +376,22 @@ def _check_metrology(params, seed):
 # --- figure1 ---------------------------------------------------------------
 
 
-def _run_figure1(params, seed, workers):
-    ratio_min = float(params["ratio_min"])
-    ratio_max = float(params["ratio_max"])
-    points = int(params["points"])
-    grid = int(params["grid"])
-    refine = bool(params["refine_peak"])
-    ratios = np.logspace(math.log10(ratio_min), math.log10(ratio_max), points)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pts = list(pool.map(lambda r: metrology.figure1_point(float(r), grid), ratios))
-    else:
-        pts = [metrology.figure1_point(float(r), grid) for r in ratios]
-
-    if refine and len(pts) >= 3:
-        deltas = [p.delta_bits for p in pts]
-        i = int(np.argmax(deltas))
-        lo = pts[max(i - 1, 0)].ratio
-        hi = pts[min(i + 1, len(pts) - 1)].ratio
-        if lo < hi:
-            pts.append(metrology.refine_log_peak(lo, hi, grid))
-            pts.sort(key=lambda p: p.ratio)
-
-    rows = [
-        {
-            "ratio": p.ratio,
-            "t_star_ent": p.t_star_ent,
-            "t_star_prod": p.t_star_prod,
-            "info_ent": p.info_ent,
-            "info_prod": p.info_prod,
-            "delta_bits": p.delta_bits,
-            "info_ent_binary": p.info_ent_binary,
-            "info_prod_binary": p.info_prod_binary,
-            "delta_bits_binary": p.delta_bits_binary,
-            "p_err_ent": p.p_err_ent,
-            "p_err_prod": p.p_err_prod,
-            "delta_p_err": p.delta_p_err,
-        }
-        for p in pts
-    ]
-    best = max(pts, key=lambda p: p.delta_bits)
-    columns = [
-        "ratio", "t_star_ent", "t_star_prod", "info_ent", "info_prod", "delta_bits",
-        "info_ent_binary", "info_prod_binary", "delta_bits_binary",
-        "p_err_ent", "p_err_prod", "delta_p_err",
-    ]
+def _run_figure1(params, seed):
+    ratios = np.logspace(
+        math.log10(float(params["ratio_min"])),
+        math.log10(float(params["ratio_max"])),
+        int(params["points"]),
+    )
+    result = metrology.figure1_curve(ratios, int(params["grid"]), bool(params["refine_peak"]))
+    columns = [f.name for f in fields(metrology.Figure1Point)]
+    rows = [asdict(p) for p in result.points]
     return columns, rows, (
-        f"figure1: peak improvement {best.delta_bits:.6f} bits at ratio {best.ratio:.6f}"
+        f"figure1: peak improvement {result.peak_bits:.6f} bits at ratio {result.peak_ratio:.6f}"
     )
 
 
 def _check_figure1(params, seed):
-    _, rows, _ = _run_figure1(params, seed, 1)
+    _, rows, _ = _run_figure1(params, seed)
     best = max(rows, key=lambda r: r["delta_bits"])
     return [
         (
@@ -443,9 +410,11 @@ def _check_figure1(params, seed):
 # --- theorem-check ---------------------------------------------------------
 
 
-def _run_theorem_check(params, seed, workers):
+def _run_theorem_check(params, seed):
     dims = [int(d) for d in params["dims"]]
     trials = int(params["trials"])
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     mode = params["mode"]
     if mode == "search":
         rows = []
@@ -472,30 +441,25 @@ def _run_theorem_check(params, seed, workers):
     h_norm_max = float(params["h_norm_max"])
     k_norm_max = float(params["k_norm_max"])
 
-    def run_dim(args):
-        dim, dim_seed = args
+    rows = []
+    for i, dim in enumerate(dims):
         holds = 0
         worst = -math.inf
-        for rng in _spawned_rngs(dim_seed, trials):
+        for rng in _spawned_rngs(seed + 1000 * i, trials):
             H = spectral_arc.random_hermitian(dim, rng.uniform(0, h_norm_max), rng)
             K = spectral_arc.random_hermitian(dim, rng.uniform(0, k_norm_max), rng)
             case = spectral_arc.arc_bound_check(H, K)
             holds += int(case.holds)
             worst = max(worst, case.max_violation)
-        return {
-            "dim": dim,
-            "trials": trials,
-            "holds": holds,
-            "violations": trials - holds,
-            "worst_violation": worst,
-        }
-
-    jobs = [(dim, seed + 1000 * i) for i, dim in enumerate(dims)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_dim, jobs))
-    else:
-        rows = [run_dim(j) for j in jobs]
+        rows.append(
+            {
+                "dim": dim,
+                "trials": trials,
+                "holds": holds,
+                "violations": trials - holds,
+                "worst_violation": worst,
+            }
+        )
     total_viol = sum(r["violations"] for r in rows)
     columns = ["dim", "trials", "holds", "violations", "worst_violation"]
     return columns, rows, (
@@ -506,7 +470,7 @@ def _run_theorem_check(params, seed, workers):
 def _check_theorem_check(params, seed):
     params = dict(params)
     params["mode"] = "verify"
-    _, rows, _ = _run_theorem_check(params, seed, 1)
+    _, rows, _ = _run_theorem_check(params, seed)
     ok = all(r["violations"] == 0 for r in rows)
     worst = max(r["worst_violation"] for r in rows)
     return [("arc bound holds on every in-regime case", ok, f"worst slack {worst:.3e}")]
@@ -668,13 +632,21 @@ def list_experiments() -> str:
 @click.command(name="qd")
 @click.argument("experiment")
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
-@click.option("--seed", type=int, default=None, help="Root RNG seed (64-bit).")
+@click.option(
+    "--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="Root RNG seed (64-bit)."
+)
 @click.option("--out", "out_path", type=str, default=None, help="Report path.")
 @click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Report format."
 )
 @click.option("--check", is_flag=True, help="Run the experiment's acceptance assertions.")
-@click.option("--workers", type=int, default=None, help=f"Worker threads (or ${WORKERS_ENV}).")
+@click.option(
+    "--workers",
+    type=int,
+    default=None,
+    help=f"Accepted for compatibility (or ${WORKERS_ENV}); every experiment runs "
+    "single-threaded and reports do not depend on it.",
+)
 def main(experiment, config_path, seed, out_path, fmt, check, workers):
     """Run EXPERIMENT (or `qd list` to see all) and write a seeded report."""
     try:
@@ -698,6 +670,7 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
         target = out_path or config.get("output", {}).get("path")
         if target is None:
             target = os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{experiment}.{out_fmt}")
+        # The worker count is validated only: every experiment runs single-threaded.
         try:
             n_workers = (
                 workers if workers is not None else int(os.environ.get(WORKERS_ENV, "1"))
@@ -724,7 +697,7 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
 
     started = time.monotonic()
     try:
-        columns, rows, summary = exp.runner(params, run_seed, n_workers)
+        columns, rows, summary = exp.runner(params, run_seed)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

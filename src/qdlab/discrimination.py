@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import qmath, tolerances
-from .dynamics import FieldHamiltonian, NoiseKind, NoiseModel, apply_channel
+from .dynamics import EvolutionSpec, FieldHamiltonian, NoiseKind, NoiseModel, evolve
 from .errors import NoDiscriminationError, UnsupportedModelError
 
 
@@ -96,26 +96,11 @@ class DiscriminationResult:
 # ---------------------------------------------------------------------------
 
 
-def grid_golden_minimize(
-    fn, t_max: float, grid_points: int = 2048, rel_tol: float = 1e-9, vectorized: bool = False
-):
-    """Minimize a smooth scalar function on (0, t_max].
-
-    A dense grid pre-scan brackets the global minimum (guarding against
-    landing in the wrong lobe of an oscillatory objective); golden-section
-    then refines to `rel_tol` relative accuracy in t. Returns (t, fn(t)).
-    Pass vectorized=True when fn accepts ndarray input for the pre-scan.
-    """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    ts = np.linspace(t_max / grid_points, t_max, grid_points)
-    vals = np.asarray(fn(ts)) if vectorized else np.array([fn(t) for t in ts])
-    i = int(np.argmin(vals))
-    lo = ts[i - 1] if i > 0 else ts[0] / 2
-    hi = ts[i + 1] if i + 1 < len(ts) else t_max
-
+def golden_minimize(fn, a: float, b: float, rel_tol: float):
+    """Golden-section search for the minimum of a unimodal scalar function
+    on [a, b], stopping once the bracket is narrower than
+    rel_tol * max(1, |b|). Returns (x, fn(x)) at the bracket midpoint."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
@@ -128,8 +113,30 @@ def grid_golden_minimize(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    t = (a + b) / 2
-    return t, fn(t)
+    x = (a + b) / 2
+    return x, fn(x)
+
+
+def grid_golden_minimize(
+    fn, t_max: float, grid_points: int = 2048, rel_tol: float = 1e-9, vectorized: bool = False
+):
+    """Minimize a smooth scalar function on (0, t_max].
+
+    A dense grid pre-scan brackets the global minimum (guarding against
+    landing in the wrong lobe of an oscillatory objective); golden-section
+    then refines to `rel_tol` relative accuracy in t. Returns (t, fn(t)).
+    Pass vectorized=True when fn accepts ndarray input for the pre-scan.
+    """
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    if grid_points < 1:
+        raise ValueError("grid_points must be at least 1")
+    ts = np.linspace(t_max / grid_points, t_max, grid_points)
+    vals = np.asarray(fn(ts)) if vectorized else np.array([fn(t) for t in ts])
+    i = int(np.argmin(vals))
+    lo = ts[i - 1] if i > 0 else ts[0] / 2
+    hi = ts[i + 1] if i + 1 < len(ts) else t_max
+    return golden_minimize(fn, lo, hi, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +211,6 @@ def measurement_mutual_information(povm_elements, states, priors) -> float:
     return mutual_information(joint)
 
 
-def _hypothesis_state(hyp: Hypothesis, rho0: np.ndarray, t: float) -> np.ndarray:
-    from . import dynamics
-
-    if hyp.noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
-        if not isinstance(hyp.generator, FieldHamiltonian):
-            raise UnsupportedModelError(
-                "independent depolarizing hypotheses need a FieldHamiltonian"
-            )
-        return dynamics.evolve_independent_depolarizing(
-            rho0, hyp.noise.n_qubits, hyp.generator, hyp.noise.gamma, t
-        )
-    return apply_channel(rho0, hyp.generator_matrix(), hyp.noise, t)
-
-
 def discriminate_superops(ensemble: HypothesisEnsemble, psi0, t: float) -> DiscriminationResult:
     """Evolve one probe state under each of two candidate channels, then
     perform the minimum-error measurement on the outputs."""
@@ -226,8 +219,8 @@ def discriminate_superops(ensemble: HypothesisEnsemble, psi0, t: float) -> Discr
     psi0 = qmath.check_state(psi0)
     rho0 = np.outer(psi0, psi0.conj())
     h1, h2 = ensemble.hypotheses
-    out1 = _hypothesis_state(h1, rho0, t)
-    out2 = _hypothesis_state(h2, rho0, t)
+    out1 = evolve(EvolutionSpec(h1.generator, h1.noise, t), rho0)
+    out2 = evolve(EvolutionSpec(h2.generator, h2.noise, t), rho0)
     povm, p_error = helstrom(out1, out2, h1.prior, h2.prior)
     info = measurement_mutual_information(
         [povm.projector, povm.complement], [out1, out2], [h1.prior, h2.prior]

@@ -197,10 +197,6 @@ def apply_channel(rho0, H, noise: NoiseModel, t: float) -> np.ndarray:
         # On a qubit the uniform contraction and the Bloch closed form agree.
         return evolve_symmetric(rho0, H, noise.gamma, t)
     if noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
-        n = noise.n_qubits
-        # The generator must be a sum of identical local fields; recover the
-        # local field from H restricted to one qubit is error prone, so the
-        # caller passes a FieldHamiltonian through EvolutionSpec instead.
         raise UnsupportedModelError(
             "independent depolarizing needs evolve_independent_depolarizing "
             "with an explicit local field"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrimination import grid_golden_minimize
+from .discrimination import golden_minimize, grid_golden_minimize
 from .dynamics import NoiseKind, NoiseModel
 from .errors import UnsupportedModelError
 
@@ -353,26 +353,11 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
 
 def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
     """Golden-section maximization of delta_bits on the log-ratio interval."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    cache: dict[float, Figure1Point] = {}
+    points: dict[float, Figure1Point] = {}
 
-    def value(x: float) -> float:
-        if x not in cache:
-            cache[x] = figure1_point(math.exp(x), grid)
-        return cache[x].delta_bits
+    def neg_delta(x: float) -> float:
+        points[x] = figure1_point(math.exp(x), grid)
+        return -points[x].delta_bits
 
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    while (b - a) > 1e-7:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-    x = (a + b) / 2
-    return cache.get(x) or figure1_point(math.exp(x), grid)
+    x, _ = golden_minimize(neg_delta, math.log(lo), math.log(hi), rel_tol=1e-7)
+    return points[x]

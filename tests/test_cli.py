@@ -1,8 +1,13 @@
+import csv
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 RUN = [sys.executable, "-m", "qdlab.cli"]
@@ -63,6 +68,31 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"experiment": "grover"}))
         result = qd("superdense", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_seed_outside_schema_range_exits_2(self, tmp_path, seed):
+        out = tmp_path / "r.csv"
+        result = qd("superdense", "--seed", seed, "--out", str(out))
+        assert result.returncode == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [
+            ("figure1", {"grid": 0}),
+            ("eliminate", {"trials": 0}),
+            ("phase-est", {"trials": 0}),
+            ("theorem-check", {"trials": 0}),
+        ],
+    )
+    def test_zero_size_sweep_exits_3_without_traceback(self, tmp_path, experiment, parameters):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters}))
+        out = tmp_path / "r.csv"
+        result = qd(experiment, "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_numerical_precondition_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -171,6 +201,42 @@ class TestDeterminism:
             assert result.returncode == 0
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+
+class TestFigure1Report:
+    """The `qd figure1` report is `metrology.figure1_curve` written out."""
+
+    PARAMS = {"points": 6, "grid": 256, "ratio_min": 0.05, "ratio_max": 2.0}
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        from qdlab import metrology
+
+        p = self.PARAMS
+        ratios = np.logspace(math.log10(p["ratio_min"]), math.log10(p["ratio_max"]), p["points"])
+        return metrology.figure1_curve(ratios, grid=p["grid"], refine_peak=True)
+
+    def _run(self, tmp_path, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "figure1", "parameters": self.PARAMS}))
+        out = tmp_path / f"r.{fmt}"
+        result = qd("figure1", "--config", str(cfg), "--out", str(out), "--format", fmt)
+        assert result.returncode == 0
+        return out.read_text(encoding="utf-8")
+
+    def test_csv_rows_are_the_curve_points(self, tmp_path, curve):
+        from qdlab import metrology
+
+        reader = csv.reader(io.StringIO(self._run(tmp_path, "csv")))
+        header, *rows = list(reader)
+        assert header == [f.name for f in dataclasses.fields(metrology.Figure1Point)]
+        assert [[float(v) for v in row] for row in rows] == [
+            list(dataclasses.astuple(p)) for p in curve.points
+        ]
+
+    def test_json_rows_are_the_curve_points(self, tmp_path, curve):
+        doc = json.loads(self._run(tmp_path, "json"))
+        assert doc["rows"] == [dataclasses.asdict(p) for p in curve.points]
 
 
 class TestCheckFlag:

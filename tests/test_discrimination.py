@@ -131,6 +131,24 @@ class TestDiscriminateSuperops:
             )
             disc.discriminate_superops(disc.HypothesisEnsemble(hyps), qmath.KET_PLUS, 1.0)
 
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError):
+            disc.discriminate_superops(self._ensemble(1.0, 0.1), qmath.KET_PLUS, -0.5)
+
+
+class TestGoldenMinimize:
+    @pytest.mark.parametrize(
+        "fn, a, b, x_star, rel_tol",
+        [
+            (lambda x: abs(x - 1.3), 0.0, 4.0, 1.3, 1e-9),
+            (lambda x: (x + 2.5) ** 2, -4.0, -1.0, -2.5, 1e-7),
+        ],
+    )
+    def test_finds_minimizer_to_rel_tol(self, fn, a, b, x_star, rel_tol):
+        x, fx = disc.golden_minimize(fn, a, b, rel_tol)
+        assert abs(x - x_star) <= rel_tol * max(1.0, abs(b))
+        assert fx == fn(x)
+
 
 class TestOptimalTime:
     def test_undamped_limit(self):
