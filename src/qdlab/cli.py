@@ -60,11 +60,21 @@ class Experiment:
     checker: object  # (params, seed) -> list[(label, ok, detail)]
 
 
+# JSON types an override may have, by the type of the parameter's default.
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
 def _merge_params(defaults: dict, overrides: dict) -> dict:
     params = dict(defaults)
     for key, value in overrides.items():
         if key not in defaults:
             raise ConfigError(f"unknown parameter {key!r}; valid: {sorted(defaults)}")
+        kind = type(defaults[key])
+        # bool is an int subclass, but true/false is never a number here.
+        if not isinstance(value, _ACCEPTED_TYPES[kind]) or (
+            isinstance(value, bool) and kind is not bool
+        ):
+            raise ConfigError(f"parameter {key!r} must be a JSON {kind.__name__}, got {value!r}")
         params[key] = value
     return params
 
@@ -281,11 +291,12 @@ def _run_phase_est(params, seed):
     trials = int(params["trials"])
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    # First, so the qubit cap is checked before any array of size 2**n exists.
+    exact = phase_estimation.exact_distribution(cfg)
     counts = np.zeros(2**cfg.n, dtype=int)
     for child in np.random.SeedSequence(seed).spawn(trials):
         rec = phase_estimation.sqft_estimate(cfg, int(child.generate_state(1)[0]))
         counts[int(round(rec.estimate * 2**cfg.n))] += 1
-    exact = phase_estimation.exact_distribution(cfg)
     rows = [
         {
             "omega_tilde": j / 2**cfg.n,

@@ -92,51 +92,74 @@ class DiscriminationResult:
 
 
 # ---------------------------------------------------------------------------
-# Scalar optimization shared with the metrology module
+# Batched optimization shared with the metrology module
 # ---------------------------------------------------------------------------
 
+# Times per objective call in the grid pre-scan (one grid column at least).
+_SCAN_ELEMS = 4096
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-def golden_minimize(fn, a: float, b: float, rel_tol: float):
-    """Golden-section search for the minimum of a unimodal scalar function
-    on [a, b], stopping once the bracket is narrower than
-    rel_tol * max(1, |b|). Returns (x, fn(x)) at the bracket midpoint."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > rel_tol * max(1.0, abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
+
+def golden_minimize(fn, a, b, rel_tol: float):
+    """Golden-section search for the minimum of a unimodal function on
+    [a, b], for every row of a batch at once.
+
+    `a` and `b` are (B,) arrays of bracket ends, or scalars for a batch of
+    one; `fn` maps a (B,) array of abscissae to the (B,) function values.
+    A row stops once its bracket is narrower than rel_tol * max(1, |b|) and
+    is not updated after that, so it takes the path a search on that row
+    alone would take. Returns (x, fn(x)) at the bracket midpoints.
+    """
+    a, b = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = np.array(fn(c), dtype=float), np.array(fn(d), dtype=float)
+    while (active := (b - a) > rel_tol * np.maximum(1.0, np.abs(b))).any():
+        lower = active & (fc < fd)
+        upper = active & ~lower
+        b[lower], d[lower], fd[lower] = d[lower], c[lower], fc[lower]
+        c[lower] = b[lower] - _INVPHI * (b[lower] - a[lower])
+        a[upper], c[upper], fc[upper] = c[upper], d[upper], fd[upper]
+        d[upper] = a[upper] + _INVPHI * (b[upper] - a[upper])
+        f_new = fn(np.where(lower, c, d))
+        fc[lower] = f_new[lower]
+        fd[upper] = f_new[upper]
     x = (a + b) / 2
     return x, fn(x)
 
 
-def grid_golden_minimize(
-    fn, t_max: float, grid_points: int = 2048, rel_tol: float = 1e-9, vectorized: bool = False
-):
-    """Minimize a smooth scalar function on (0, t_max].
+def grid_golden_minimize(fn, t_max, grid_points: int = 2048, rel_tol: float = 1e-9):
+    """Minimize smooth functions of t on (0, t_max], for every row of a batch.
 
-    A dense grid pre-scan brackets the global minimum (guarding against
-    landing in the wrong lobe of an oscillatory objective); golden-section
-    then refines to `rel_tol` relative accuracy in t. Returns (t, fn(t)).
-    Pass vectorized=True when fn accepts ndarray input for the pre-scan.
+    `t_max` is a (B,) array, or a scalar for a batch of one; `fn` maps a
+    (B, m) array of times to the (B, m) values. A pre-scan of the grid
+    t_max * k / grid_points (k = 1..grid_points), in column blocks of about
+    _SCAN_ELEMS times, brackets each row's global minimum (guarding against
+    the wrong lobe of an oscillatory objective); golden-section on (B, 1)
+    times then refines every row to `rel_tol` relative accuracy in t.
+    Returns (t, fn(t)) as (B,) arrays.
     """
-    if t_max <= 0:
+    t_max = np.array(t_max, dtype=float, ndmin=1)
+    if np.any(t_max <= 0):
         raise ValueError("t_max must be positive")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
-    ts = np.linspace(t_max / grid_points, t_max, grid_points)
-    vals = np.asarray(fn(ts)) if vectorized else np.array([fn(t) for t in ts])
-    i = int(np.argmin(vals))
-    lo = ts[i - 1] if i > 0 else ts[0] / 2
-    hi = ts[i + 1] if i + 1 < len(ts) else t_max
-    return golden_minimize(fn, lo, hi, rel_tol)
+    rows = np.arange(len(t_max))
+    best = np.full(len(t_max), np.inf)
+    k_best = np.ones(len(t_max))
+    block = max(1, _SCAN_ELEMS // len(t_max))
+    for k0 in range(1, grid_points + 1, block):
+        ks = np.arange(k0, min(k0 + block, grid_points + 1), dtype=float)
+        vals = np.asarray(fn(t_max[:, None] * ks / grid_points))
+        j = np.argmin(vals, axis=1)
+        v = vals[rows, j]
+        improved = v < best
+        best[improved] = v[improved]
+        k_best[improved] = ks[j[improved]]
+    # Bracket by the grid neighbours; below the first point, by half of it.
+    lo = t_max * np.maximum(k_best - 1, 0.5) / grid_points
+    hi = t_max * np.minimum(k_best + 1, grid_points) / grid_points
+    return golden_minimize(lambda t: fn(t[:, None])[:, 0], lo, hi, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +367,9 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
         raise ValueError("pairwise inner products must be equal")
 
     if n == 2:
-        # Minimize |cos^2 t + cos_theta sin^2 t| over a quarter period.
-        t_star, _ = grid_golden_minimize(
-            lambda t: abs(superdense_overlap(dirs[0], dirs[1], t)), math.pi / 2
+        # Minimize the overlap |cos^2 t + cos_theta sin^2 t| over a quarter period.
+        (t_star,), _ = grid_golden_minimize(
+            lambda t: np.abs(np.cos(t) ** 2 + cos_theta * np.sin(t) ** 2), math.pi / 2
         )
         psi = [superdense_probe_state(d, t_star) for d in dirs]
         povm, p_error = helstrom(

@@ -170,65 +170,58 @@ def optimize_precision(s: Strategy) -> OptimizedPrecision:
 # arccos(cos^2(omega t / 2)) for the product probe; the minimum achievable
 # error is 1/2 - 1/2 e^{-gamma t} |sin theta|.
 
-ENTANGLED = "entangled"
-PRODUCT = "product"
+# Probe flags: each fig1 function takes one flag, or an array of them that
+# broadcasts against t, so both probes are optimized in one batch.
+ENTANGLED = True
+PRODUCT = False
 
 
-def fig1_sin_theta(strategy: str, omega_t):
+def fig1_sin_theta(entangled, omega_t):
     """|sin theta(t)| of the evolving-versus-static state pair."""
     omega_t = np.asarray(omega_t, dtype=float)
-    if strategy == ENTANGLED:
-        return np.abs(np.sin(omega_t))
-    if strategy == PRODUCT:
-        return np.sqrt(np.maximum(0.0, 1.0 - np.cos(omega_t / 2.0) ** 4))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return np.where(
+        entangled,
+        np.abs(np.sin(omega_t)),
+        np.sqrt(np.maximum(0.0, 1.0 - np.cos(omega_t / 2.0) ** 4)),
+    )
 
 
-def fig1_error_probability(strategy: str, gamma: float, omega: float, t):
+def fig1_error_probability(entangled, gamma, omega: float, t):
     """Minimum-error probability 1/2 - 1/2 e^{-gamma t} |sin theta|."""
     t = np.asarray(t, dtype=float)
-    return 0.5 - 0.5 * np.exp(-gamma * t) * fig1_sin_theta(strategy, omega * t)
+    return 0.5 - 0.5 * np.exp(-gamma * t) * fig1_sin_theta(entangled, omega * t)
 
 
-def _entropy_rows(*ps):
-    total = np.zeros_like(np.asarray(ps[0], dtype=float))
-    for p in ps:
-        q = np.clip(np.asarray(p, dtype=float), 1e-300, 1.0)
-        total = total - np.where(q > 1e-300, q * np.log2(q), 0.0)
-    return total
+def _xlog2x(p):
+    """p log2 p, with the limit 0 at p = 0."""
+    return p * np.log2(np.where(p > 0.0, p, 1.0))
 
 
-def fig1_measurement_info(strategy: str, gamma: float, omega: float, t):
+def fig1_measurement_info(entangled, gamma, omega: float, t):
     """Mutual information (bits) between the hypothesis and the outcome of
     the complete orthogonal measurement in the decision eigenbasis.
 
     In the four-dimensional probe space the two states are
     e^{-gamma t} |psi_i><psi_i| + (1 - e^{-gamma t}) I/4; the decision
     operator's eigenbasis consists of the two in-span vectors (outcome
-    probabilities e (1 +/- sin theta)/2 + (1-e)/4) and two null-space vectors
-    ((1-e)/4 each).
+    probabilities p_+/- = e (1 +/- sin theta)/2 + (1-e)/4, whose hypothesis
+    average is (1+e)/4) and two null-space vectors ((1-e)/4 each under both
+    hypotheses). By the swap symmetry of the hypotheses H(Y|X) is hypothesis
+    independent, and the null-space outcomes add the same terms to H(Y) and
+    H(Y|X), so I = H(Y) - H(Y|X) needs only the in-span terms.
     """
     t = np.asarray(t, dtype=float)
     e = np.exp(-gamma * t)
-    s = fig1_sin_theta(strategy, omega * t)
+    s = fig1_sin_theta(entangled, omega * t)
     p_plus = e * (1.0 + s) / 2.0 + (1.0 - e) / 4.0
     p_minus = e * (1.0 - s) / 2.0 + (1.0 - e) / 4.0
-    p_null = (1.0 - e) / 4.0 * np.ones_like(p_plus)
-    avg = 0.5 * (p_plus + p_minus)
-    h_y = _entropy_rows(avg, avg, p_null, p_null)
-    # By the swap symmetry of the two hypotheses, H(Y|X) is hypothesis
-    # independent.
-    h_y_given_x = _entropy_rows(p_plus, p_minus, p_null, p_null)
-    return h_y - h_y_given_x
+    return _xlog2x(p_plus) + _xlog2x(p_minus) - 2.0 * _xlog2x((1.0 + e) / 4.0)
 
 
-def fig1_binary_info(strategy: str, gamma: float, omega: float, t):
+def fig1_binary_info(entangled, gamma, omega: float, t):
     """1 - H2(p_error): the symmetric binary-channel reading of the gain."""
-    p = fig1_error_probability(strategy, gamma, omega, t)
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    q = np.clip(p, 1e-300, 1.0 - 1e-16)
-    h2 = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    return 1.0 - np.where((p > 0.0) & (p < 1.0), h2, 0.0)
+    p = fig1_error_probability(entangled, gamma, omega, t)
+    return 1.0 + _xlog2x(p) + _xlog2x(1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -254,76 +247,57 @@ class Figure1Result:
     peak_bits: float
 
 
-def _fig1_t_max(gamma: float, omega: float) -> float:
-    return max(4.0 * math.pi / omega, 10.0 / gamma)
-
-
-def _optimized_gain(strategy: str, gamma: float, omega: float, grid: int):
-    """Maximize the measurement information over t; also report the
-    quantities at the optimizing time. Returns (t_star, info, info_binary,
-    p_err)."""
-    t_max = _fig1_t_max(gamma, omega)
-    t_star, neg = grid_golden_minimize(
-        lambda t: -fig1_measurement_info(strategy, gamma, omega, t),
-        t_max,
-        grid_points=grid,
-        vectorized=True,
+def _fig1_optimize(objective, ratios: np.ndarray, grid: int, sign: float):
+    """Minimize sign * objective over t for both probes at every ratio, in
+    one batch. Frequencies are normalized to omega = 1 (the gains depend
+    only on the ratio). Returns (t_star, sign * minimum), each of shape
+    (2, len(ratios)) with the entangled probe in row 0."""
+    gamma = np.tile(ratios, 2)[:, None]
+    entangled = np.repeat([ENTANGLED, PRODUCT], len(ratios))[:, None]
+    t_max = np.maximum(4.0 * math.pi, 10.0 / gamma[:, 0])
+    t, value = grid_golden_minimize(
+        lambda t: sign * objective(entangled, gamma, 1.0, t), t_max, grid_points=grid
     )
-    info = -float(neg)
-    p_err = float(fig1_error_probability(strategy, gamma, omega, t_star))
-    info_binary = float(fig1_binary_info(strategy, gamma, omega, t_star))
-    return t_star, info, info_binary, p_err
+    return t.reshape(2, -1), sign * value.reshape(2, -1)
+
+
+def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
+    """Evaluate both strategies at every decoherence-to-frequency ratio.
+
+    The information and its optimal times come from maximizing the
+    measurement information over t; the binary-reading columns are evaluated
+    at their own optimal times, and the error columns at the
+    error-minimizing times. Each of the three is one batched search over all
+    ratios and both probes.
+    """
+    ratios = np.array(ratios, dtype=float, ndmin=1)
+    if ratios.size == 0 or np.any(ratios <= 0):
+        raise ValueError("ratios must be positive")
+    t_star, info = _fig1_optimize(fig1_measurement_info, ratios, grid, -1.0)
+    _, binary = _fig1_optimize(fig1_binary_info, ratios, grid, -1.0)
+    _, p_err = _fig1_optimize(fig1_error_probability, ratios, grid, 1.0)
+    return [
+        Figure1Point(
+            ratio=float(ratios[i]),
+            t_star_ent=float(t_star[0, i]),
+            t_star_prod=float(t_star[1, i]),
+            info_ent=float(info[0, i]),
+            info_prod=float(info[1, i]),
+            delta_bits=float(info[0, i] - info[1, i]),
+            info_ent_binary=float(binary[0, i]),
+            info_prod_binary=float(binary[1, i]),
+            delta_bits_binary=float(binary[0, i] - binary[1, i]),
+            p_err_ent=float(p_err[0, i]),
+            p_err_prod=float(p_err[1, i]),
+            delta_p_err=float(p_err[1, i] - p_err[0, i]),
+        )
+        for i in range(len(ratios))
+    ]
 
 
 def figure1_point(ratio: float, grid: int = 2048) -> Figure1Point:
-    """Evaluate both strategies at one decoherence-to-frequency ratio.
-
-    Frequencies are normalized to omega = 1 (the gains depend only on the
-    ratio). The binary-reading columns are evaluated at their own optimal
-    times, and the error columns at the error-minimizing times.
-    """
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    omega = 1.0
-    gamma = ratio
-    te, info_e, _, _ = _optimized_gain(ENTANGLED, gamma, omega, grid)
-    tp, info_p, _, _ = _optimized_gain(PRODUCT, gamma, omega, grid)
-    t_max = _fig1_t_max(gamma, omega)
-
-    def best_binary(strategy):
-        t, neg = grid_golden_minimize(
-            lambda t: -fig1_binary_info(strategy, gamma, omega, t),
-            t_max,
-            grid_points=grid,
-            vectorized=True,
-        )
-        return -float(neg)
-
-    def best_perr(strategy):
-        _, val = grid_golden_minimize(
-            lambda t: fig1_error_probability(strategy, gamma, omega, t),
-            t_max,
-            grid_points=grid,
-            vectorized=True,
-        )
-        return float(val)
-
-    be, bp = best_binary(ENTANGLED), best_binary(PRODUCT)
-    pe, pp = best_perr(ENTANGLED), best_perr(PRODUCT)
-    return Figure1Point(
-        ratio=float(ratio),
-        t_star_ent=float(te),
-        t_star_prod=float(tp),
-        info_ent=float(info_e),
-        info_prod=float(info_p),
-        delta_bits=float(info_e - info_p),
-        info_ent_binary=be,
-        info_prod_binary=bp,
-        delta_bits_binary=float(be - bp),
-        p_err_ent=pe,
-        p_err_prod=pp,
-        delta_p_err=float(pp - pe),
-    )
+    """figure1_points at a single ratio."""
+    return figure1_points([ratio], grid)[0]
 
 
 def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1Result:
@@ -333,10 +307,7 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
     improvement by golden section on the log-ratio axis, and returns the
     ratio-ordered points together with the located peak.
     """
-    ratios = [float(r) for r in ratios]
-    if not ratios or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be positive")
-    points = [figure1_point(r, grid) for r in ratios]
+    points = figure1_points(ratios, grid)
 
     if refine_peak and len(points) >= 3:
         deltas = [p.delta_bits for p in points]
@@ -352,12 +323,15 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
 
 
 def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
-    """Golden-section maximization of delta_bits on the log-ratio interval."""
-    points: dict[float, Figure1Point] = {}
+    """Golden-section maximization of delta_bits on the log-ratio interval.
 
-    def neg_delta(x: float) -> float:
-        points[x] = figure1_point(math.exp(x), grid)
-        return -points[x].delta_bits
+    Each step runs only the measurement-information search (two rows); the
+    full point is evaluated once, at the returned ratio.
+    """
+
+    def neg_delta(x):
+        _, info = _fig1_optimize(fig1_measurement_info, np.exp(x), grid, -1.0)
+        return info[1] - info[0]
 
     x, _ = golden_minimize(neg_delta, math.log(lo), math.log(hi), rel_tol=1e-7)
-    return points[x]
+    return figure1_point(math.exp(x[0]), grid)

@@ -95,8 +95,15 @@ def outcome_prob(omega: float, omega_tilde: float, n: int) -> float:
     return (math.sin(N * math.pi * delta) / (N * s)) ** 2
 
 
+def _check_qubits(cfg: PhaseConfig) -> None:
+    """Refuse n-qubit work whose 2^n-entry arrays exceed the desk-scale cap."""
+    if cfg.n > MAX_PREPARE_QUBITS:
+        raise ResourceLimitError(f"{cfg.n} qubits exceeds {MAX_PREPARE_QUBITS}")
+
+
 def exact_distribution(cfg: PhaseConfig) -> np.ndarray:
     """outcome_prob evaluated on every n-bit estimate j / 2^n."""
+    _check_qubits(cfg)
     N = 2**cfg.n
     return np.array([outcome_prob(cfg.omega, j / N, cfg.n) for j in range(N)])
 
@@ -122,8 +129,7 @@ def multi_qubit_prepare(cfg: PhaseConfig) -> np.ndarray:
     Qubit k (k = 0..n-1) is exposed for time 2 pi 2^k, giving the state
     2^{-n/2} sum_y e^{2 pi i omega y} |y>.
     """
-    if cfg.n > MAX_PREPARE_QUBITS:
-        raise ResourceLimitError(f"{cfg.n} qubits exceeds {MAX_PREPARE_QUBITS}")
+    _check_qubits(cfg)
     y = np.arange(2**cfg.n)
     return np.exp(2j * math.pi * cfg.omega * y) / math.sqrt(2**cfg.n)
 

@@ -94,6 +94,41 @@ class TestConfigHandling:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [
+            ("figure1", {"points": "abc"}),
+            ("figure1", {"points": 2.5}),
+            ("figure1", {"points": True}),
+            ("figure1", {"refine_peak": "no"}),
+            ("figure1", {"ratio_min": "0.1"}),
+            ("superdense", {"geometry": 4}),
+            ("grover", {"sizes": 16}),
+        ],
+    )
+    def test_mistyped_parameter_exits_2_without_traceback(self, tmp_path, experiment, parameters):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters}))
+        out = tmp_path / "r.csv"
+        result = qd(experiment, "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_phase_est_over_qubit_cap_exits_3(self, tmp_path):
+        from qdlab.phase_estimation import MAX_PREPARE_QUBITS
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"experiment": "phase-est", "parameters": {"n": MAX_PREPARE_QUBITS + 1}})
+        )
+        out = tmp_path / "r.csv"
+        result = qd("phase-est", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 3
+        assert "exceeds" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_numerical_precondition_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

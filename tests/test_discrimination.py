@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdlab import discrimination as disc
 from qdlab import qmath
@@ -149,6 +150,67 @@ class TestGoldenMinimize:
         assert abs(x - x_star) <= rel_tol * max(1.0, abs(b))
         assert fx == fn(x)
 
+    @staticmethod
+    def scalar_golden(fn, a, b, rel_tol):
+        """The one-row loop the batched search must reproduce row by row."""
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = fn(c), fn(d)
+        while (b - a) > rel_tol * max(1.0, abs(b)):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = fn(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = fn(d)
+        x = (a + b) / 2
+        return x, fn(x)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-50.0, 50.0),  # bracket start
+                st.floats(1e-3, 100.0),  # bracket width
+                st.floats(-0.2, 1.2),  # minimizer position, relative to the bracket
+                st.floats(0.0, 5.0),  # weight of the kink at the minimizer
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        rel_tol=st.sampled_from([1e-3, 1e-7, 1e-9]),
+    )
+    def test_batch_rows_follow_the_scalar_loop(self, rows, rel_tol):
+        a = np.array([r[0] for r in rows])
+        b = a + np.array([r[1] for r in rows])
+        m = a + (b - a) * np.array([r[2] for r in rows])
+        k = np.array([r[3] for r in rows])
+        x, fx = disc.golden_minimize(lambda x: (x - m) * (x - m) + k * np.abs(x - m), a, b, rel_tol)
+        for i in range(len(rows)):
+            mi, ki = float(m[i]), float(k[i])
+            ref = self.scalar_golden(
+                lambda x: (x - mi) * (x - mi) + ki * abs(x - mi), float(a[i]), float(b[i]), rel_tol
+            )
+            assert (x[i], fx[i]) == ref
+
+
+class TestGridGoldenMinimize:
+    def test_scan_never_exceeds_the_element_budget(self):
+        # 400 rows on a 2048-point grid would be 819,200 times in one array.
+        centers = np.linspace(0.5, 9.5, 400)
+        sizes = []
+
+        def fn(t):
+            sizes.append(t.size)
+            return (t - centers[:, None]) ** 2
+
+        t, _ = disc.grid_golden_minimize(fn, 10.0 * np.ones(400), grid_points=2048)
+        assert max(sizes) <= disc._SCAN_ELEMS
+        np.testing.assert_allclose(t, centers, rtol=1e-6)
+
 
 class TestOptimalTime:
     def test_undamped_limit(self):
@@ -166,9 +228,9 @@ class TestOptimalTime:
         assert t == pytest.approx(math.pi / (2 * omega), abs=1e-12)
         # Cross-check: it maximizes exp(-gamma t) sin(omega t / 2).
         t_num, _ = disc.grid_golden_minimize(
-            lambda s: -(math.exp(-gamma * s) * math.sin(omega * s / 2)), 2 * math.pi / omega
+            lambda s: -(np.exp(-gamma * s) * np.sin(omega * s / 2)), 2 * math.pi / omega
         )
-        assert t == pytest.approx(t_num, abs=1e-6)
+        assert t == pytest.approx(t_num[0], abs=1e-6)
 
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):

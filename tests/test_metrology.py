@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdlab import dynamics, metrology as met, qmath
 from qdlab.dynamics import FieldHamiltonian, NoiseKind, NoiseModel
@@ -232,3 +234,49 @@ class TestFigureOneCurve:
         direct = H(0.5 * (p1 + p2)) - 0.5 * (H(p1) + H(p2))
         closed = float(met.fig1_measurement_info(met.ENTANGLED, gamma, 1.0, t))
         assert closed == pytest.approx(direct, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(
+        ratios=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=5),
+        grid=st.sampled_from([64, 512, 2048]),
+    )
+    def test_batch_equals_batches_of_one(self, ratios, grid):
+        batch = met.figure1_points(ratios, grid)
+        for r, point in zip(ratios, batch):
+            single = met.figure1_point(r, grid)
+            for f in dataclasses.fields(met.Figure1Point):
+                assert getattr(point, f.name) == pytest.approx(getattr(single, f.name), abs=1e-12)
+
+    @staticmethod
+    def eight_term_measurement_info(entangled, gamma, t):
+        """H(Y) - H(Y|X) with all four outcomes of both entropies summed."""
+
+        def entropy_rows(*ps):
+            total = np.zeros_like(np.asarray(ps[0], dtype=float))
+            for p in ps:
+                q = np.clip(np.asarray(p, dtype=float), 1e-300, 1.0)
+                total = total - np.where(q > 1e-300, q * np.log2(q), 0.0)
+            return total
+
+        e = np.exp(-gamma * t)
+        s = met.fig1_sin_theta(entangled, t)
+        p_plus = e * (1.0 + s) / 2.0 + (1.0 - e) / 4.0
+        p_minus = e * (1.0 - s) / 2.0 + (1.0 - e) / 4.0
+        p_null = (1.0 - e) / 4.0 * np.ones_like(p_plus)
+        avg = 0.5 * (p_plus + p_minus)
+        return entropy_rows(avg, avg, p_null, p_null) - entropy_rows(p_plus, p_minus, p_null, p_null)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        entangled=st.booleans(),
+        gamma=st.floats(1e-3, 1e3),
+        t=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=16),
+    )
+    def test_measurement_info_matches_eight_term_entropies(self, entangled, gamma, t):
+        t = np.array(t)
+        np.testing.assert_allclose(
+            met.fig1_measurement_info(entangled, gamma, 1.0, t),
+            self.eight_term_measurement_info(entangled, gamma, t),
+            rtol=0.0,
+            atol=1e-12,
+        )
