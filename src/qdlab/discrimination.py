@@ -95,7 +95,7 @@ class DiscriminationResult:
 # Batched optimization shared with the metrology module
 # ---------------------------------------------------------------------------
 
-# Times per objective call in the grid pre-scan (one grid column at least).
+# Times per objective call in the grid pre-scan (one grid point at least).
 _SCAN_ELEMS = 4096
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -104,15 +104,15 @@ def golden_minimize(fn, a, b, rel_tol: float):
     """Golden-section search for the minimum of a unimodal function on
     [a, b], for every row of a batch at once.
 
-    `a` and `b` are (B,) arrays of bracket ends, or scalars for a batch of
-    one; `fn` maps a (B,) array of abscissae to the (B,) function values.
-    A row stops once its bracket is narrower than rel_tol * max(1, |b|) and
-    is not updated after that, so it takes the path a search on that row
-    alone would take. Returns (x, fn(x)) at the bracket midpoints.
+    The batch has the broadcast shape of `a` and `b` (scalars give 0-d
+    arrays); `fn` maps an array of that shape to its rows' values. A row
+    stops once its bracket is narrower than rel_tol * max(1, |b|) and is not
+    updated after that, so it takes the path a search on that row alone
+    would take. Returns (x, fn(x)) at the bracket midpoints.
     """
-    a, b = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
+    c = np.array(b - _INVPHI * (b - a))
+    d = np.array(a + _INVPHI * (b - a))
     fc, fd = np.array(fn(c), dtype=float), np.array(fn(d), dtype=float)
     while (active := (b - a) > rel_tol * np.maximum(1.0, np.abs(b))).any():
         lower = active & (fc < fd)
@@ -121,7 +121,7 @@ def golden_minimize(fn, a, b, rel_tol: float):
         c[lower] = b[lower] - _INVPHI * (b[lower] - a[lower])
         a[upper], c[upper], fc[upper] = c[upper], d[upper], fd[upper]
         d[upper] = a[upper] + _INVPHI * (b[upper] - a[upper])
-        f_new = fn(np.where(lower, c, d))
+        f_new = np.asarray(fn(np.where(lower, c, d)))
         fc[lower] = f_new[lower]
         fd[upper] = f_new[upper]
     x = (a + b) / 2
@@ -131,35 +131,32 @@ def golden_minimize(fn, a, b, rel_tol: float):
 def grid_golden_minimize(fn, t_max, grid_points: int = 2048, rel_tol: float = 1e-9):
     """Minimize smooth functions of t on (0, t_max], for every row of a batch.
 
-    `t_max` is a (B,) array, or a scalar for a batch of one; `fn` maps a
-    (B, m) array of times to the (B, m) values. A pre-scan of the grid
-    t_max * k / grid_points (k = 1..grid_points), in column blocks of about
-    _SCAN_ELEMS times, brackets each row's global minimum (guarding against
-    the wrong lobe of an oscillatory objective); golden-section on (B, 1)
-    times then refines every row to `rel_tol` relative accuracy in t.
-    Returns (t, fn(t)) as (B,) arrays.
+    The batch has the shape of `t_max`; `fn` maps times whose trailing axes
+    are the batch axes to values of the same shape, so per-row parameters
+    broadcast against them. A pre-scan of t_max * k / grid_points
+    (k = 1..grid_points), in (m,) + batch blocks of about _SCAN_ELEMS times,
+    brackets each row's global minimum (guarding against the wrong lobe of
+    an oscillatory objective); golden-section then refines every row to
+    `rel_tol` relative accuracy in t. Returns (t, fn(t)).
     """
-    t_max = np.array(t_max, dtype=float, ndmin=1)
+    t_max = np.asarray(t_max, dtype=float)
     if np.any(t_max <= 0):
         raise ValueError("t_max must be positive")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
-    rows = np.arange(len(t_max))
-    best = np.full(len(t_max), np.inf)
-    k_best = np.ones(len(t_max))
-    block = max(1, _SCAN_ELEMS // len(t_max))
+    best, k_best = np.full(t_max.shape, np.inf), np.ones(t_max.shape)
+    block = max(1, _SCAN_ELEMS // max(1, t_max.size))
     for k0 in range(1, grid_points + 1, block):
         ks = np.arange(k0, min(k0 + block, grid_points + 1), dtype=float)
-        vals = np.asarray(fn(t_max[:, None] * ks / grid_points))
-        j = np.argmin(vals, axis=1)
-        v = vals[rows, j]
+        vals = np.asarray(fn(t_max * ks.reshape((-1,) + (1,) * t_max.ndim) / grid_points))
+        j = np.argmin(vals, axis=0)
+        v = np.take_along_axis(vals, j[None], axis=0)[0]
         improved = v < best
-        best[improved] = v[improved]
-        k_best[improved] = ks[j[improved]]
+        best, k_best = np.where(improved, v, best), np.where(improved, ks[j], k_best)
     # Bracket by the grid neighbours; below the first point, by half of it.
     lo = t_max * np.maximum(k_best - 1, 0.5) / grid_points
     hi = t_max * np.minimum(k_best + 1, grid_points) / grid_points
-    return golden_minimize(lambda t: fn(t[:, None])[:, 0], lo, hi, rel_tol)
+    return golden_minimize(fn, lo, hi, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +289,16 @@ def superdense_probe_state(a_hat, t: float) -> np.ndarray:
     )
 
 
-def superdense_overlap(a_hat, b_hat, t: float) -> complex:
+def superdense_overlap(a_hat, b_hat, t):
     """Inner product of the probe states for two field axes:
-    cos^2 t + (a.b) sin^2 t. Vanishes iff a.b = -cot^2 t."""
+    cos^2 t + (a.b) sin^2 t, for a scalar or an array of times t (the
+    overlap is real). Vanishes iff a.b = -cot^2 t."""
     a = np.asarray(a_hat, dtype=float)
     b = np.asarray(b_hat, dtype=float)
     for v in (a, b):
         if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > tolerances.ALGEBRAIC:
             raise ValueError("field axes must be unit vectors")
-    return complex(math.cos(t) ** 2 + float(a @ b) * math.sin(t) ** 2)
+    return np.cos(t) ** 2 + float(a @ b) * np.sin(t) ** 2
 
 
 def symmetric_directions(n: int, cos_theta: float) -> list[np.ndarray]:
@@ -367,10 +365,9 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
         raise ValueError("pairwise inner products must be equal")
 
     if n == 2:
-        # Minimize the overlap |cos^2 t + cos_theta sin^2 t| over a quarter period.
-        (t_star,), _ = grid_golden_minimize(
-            lambda t: np.abs(np.cos(t) ** 2 + cos_theta * np.sin(t) ** 2), math.pi / 2
-        )
+        # Minimize the overlap over a quarter period.
+        t_star, _ = grid_golden_minimize(lambda t: abs(superdense_overlap(*dirs, t)), math.pi / 2)
+        t_star = float(t_star)
         psi = [superdense_probe_state(d, t_star) for d in dirs]
         povm, p_error = helstrom(
             np.outer(psi[0], psi[0].conj()), np.outer(psi[1], psi[1].conj()), priors[0], priors[1]

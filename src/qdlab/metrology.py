@@ -170,26 +170,30 @@ def optimize_precision(s: Strategy) -> OptimizedPrecision:
 # arccos(cos^2(omega t / 2)) for the product probe; the minimum achievable
 # error is 1/2 - 1/2 e^{-gamma t} |sin theta|.
 
-# Probe flags: each fig1 function takes one flag, or an array of them that
-# broadcasts against t, so both probes are optimized in one batch.
-ENTANGLED = True
-PRODUCT = False
+ENTANGLED = "entangled"
+PRODUCT = "product"
 
 
-def fig1_sin_theta(entangled, omega_t):
-    """|sin theta(t)| of the evolving-versus-static state pair."""
+def fig1_sin_theta(strategy, omega_t):
+    """|sin theta(t)| of the evolving-versus-static state pair, for one
+    strategy or an array of them that broadcasts against omega_t."""
+    strategy = np.asarray(strategy)
+    entangled = strategy == ENTANGLED
+    if not np.all(entangled | (strategy == PRODUCT)):
+        raise ValueError(f"unknown strategy {strategy!r}")
     omega_t = np.asarray(omega_t, dtype=float)
+    # Exact squares: a scalar ** 4 rounds unlike the array power.
     return np.where(
         entangled,
         np.abs(np.sin(omega_t)),
-        np.sqrt(np.maximum(0.0, 1.0 - np.cos(omega_t / 2.0) ** 4)),
+        np.sqrt(np.maximum(0.0, 1.0 - np.square(np.square(np.cos(omega_t / 2.0))))),
     )
 
 
-def fig1_error_probability(entangled, gamma, omega: float, t):
+def fig1_error_probability(strategy, gamma, omega: float, t):
     """Minimum-error probability 1/2 - 1/2 e^{-gamma t} |sin theta|."""
     t = np.asarray(t, dtype=float)
-    return 0.5 - 0.5 * np.exp(-gamma * t) * fig1_sin_theta(entangled, omega * t)
+    return 0.5 - 0.5 * np.exp(-gamma * t) * fig1_sin_theta(strategy, omega * t)
 
 
 def _xlog2x(p):
@@ -197,7 +201,7 @@ def _xlog2x(p):
     return p * np.log2(np.where(p > 0.0, p, 1.0))
 
 
-def fig1_measurement_info(entangled, gamma, omega: float, t):
+def fig1_measurement_info(strategy, gamma, omega: float, t):
     """Mutual information (bits) between the hypothesis and the outcome of
     the complete orthogonal measurement in the decision eigenbasis.
 
@@ -212,15 +216,15 @@ def fig1_measurement_info(entangled, gamma, omega: float, t):
     """
     t = np.asarray(t, dtype=float)
     e = np.exp(-gamma * t)
-    s = fig1_sin_theta(entangled, omega * t)
+    s = fig1_sin_theta(strategy, omega * t)
     p_plus = e * (1.0 + s) / 2.0 + (1.0 - e) / 4.0
     p_minus = e * (1.0 - s) / 2.0 + (1.0 - e) / 4.0
     return _xlog2x(p_plus) + _xlog2x(p_minus) - 2.0 * _xlog2x((1.0 + e) / 4.0)
 
 
-def fig1_binary_info(entangled, gamma, omega: float, t):
+def fig1_binary_info(strategy, gamma, omega: float, t):
     """1 - H2(p_error): the symmetric binary-channel reading of the gain."""
-    p = fig1_error_probability(entangled, gamma, omega, t)
+    p = fig1_error_probability(strategy, gamma, omega, t)
     return 1.0 + _xlog2x(p) + _xlog2x(1.0 - p)
 
 
@@ -247,18 +251,16 @@ class Figure1Result:
     peak_bits: float
 
 
-def _fig1_optimize(objective, ratios: np.ndarray, grid: int, sign: float):
-    """Minimize sign * objective over t for both probes at every ratio, in
-    one batch. Frequencies are normalized to omega = 1 (the gains depend
-    only on the ratio). Returns (t_star, sign * minimum), each of shape
-    (2, len(ratios)) with the entangled probe in row 0."""
-    gamma = np.tile(ratios, 2)[:, None]
-    entangled = np.repeat([ENTANGLED, PRODUCT], len(ratios))[:, None]
-    t_max = np.maximum(4.0 * math.pi, 10.0 / gamma[:, 0])
+def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
+    """Minimize sign * objective over t, in one batched search over the
+    broadcast of `strategy` and `ratios`, with omega = 1 (the gains depend
+    only on the ratio). Returns (t_star, sign * minimum)."""
+    strategy, gamma = np.broadcast_arrays(strategy, ratios)
+    t_max = np.maximum(4.0 * math.pi, 10.0 / gamma)
     t, value = grid_golden_minimize(
-        lambda t: sign * objective(entangled, gamma, 1.0, t), t_max, grid_points=grid
+        lambda t: sign * objective(strategy, gamma, 1.0, t), t_max, grid_points=grid
     )
-    return t.reshape(2, -1), sign * value.reshape(2, -1)
+    return t, sign * value
 
 
 def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
@@ -267,18 +269,24 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     The information and its optimal times come from maximizing the
     measurement information over t; the binary-reading columns are evaluated
     at their own optimal times, and the error columns at the
-    error-minimizing times. Each of the three is one batched search over all
-    ratios and both probes.
+    error-minimizing times. Each column of each probe is one batched search
+    over all ratios; a scalar `ratios` is searched on 0-d arrays.
     """
-    ratios = np.array(ratios, dtype=float, ndmin=1)
+    ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0 or np.any(ratios <= 0):
         raise ValueError("ratios must be positive")
-    t_star, info = _fig1_optimize(fig1_measurement_info, ratios, grid, -1.0)
-    _, binary = _fig1_optimize(fig1_binary_info, ratios, grid, -1.0)
-    _, p_err = _fig1_optimize(fig1_error_probability, ratios, grid, 1.0)
+    columns = ((fig1_measurement_info, -1), (fig1_binary_info, -1), (fig1_error_probability, 1))
+    searches = [
+        _fig1_optimize(objective, strategy, ratios, grid, sign)
+        for objective, sign in columns
+        for strategy in (ENTANGLED, PRODUCT)
+    ]
+    # Axes: objective, probe (entangled first), (t_star, value), ratio.
+    s = np.reshape(searches, (3, 2, 2, -1))
+    t_star, info, binary, p_err = s[0, :, 0], s[0, :, 1], s[1, :, 1], s[2, :, 1]
     return [
         Figure1Point(
-            ratio=float(ratios[i]),
+            ratio=float(r),
             t_star_ent=float(t_star[0, i]),
             t_star_prod=float(t_star[1, i]),
             info_ent=float(info[0, i]),
@@ -291,13 +299,13 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
             p_err_prod=float(p_err[1, i]),
             delta_p_err=float(p_err[1, i] - p_err[0, i]),
         )
-        for i in range(len(ratios))
+        for i, r in enumerate(ratios.reshape(-1))
     ]
 
 
 def figure1_point(ratio: float, grid: int = 2048) -> Figure1Point:
     """figure1_points at a single ratio."""
-    return figure1_points([ratio], grid)[0]
+    return figure1_points(float(ratio), grid)[0]
 
 
 def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1Result:
@@ -323,15 +331,12 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
 
 
 def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
-    """Golden-section maximization of delta_bits on the log-ratio interval.
-
-    Each step runs only the measurement-information search (two rows); the
-    full point is evaluated once, at the returned ratio.
-    """
+    """Golden-section maximization of delta_bits on the log-ratio interval,
+    one two-row measurement-information search per step."""
 
     def neg_delta(x):
-        _, info = _fig1_optimize(fig1_measurement_info, np.exp(x), grid, -1.0)
+        _, info = _fig1_optimize(fig1_measurement_info, [ENTANGLED, PRODUCT], np.exp(x), grid, -1)
         return info[1] - info[0]
 
     x, _ = golden_minimize(neg_delta, math.log(lo), math.log(hi), rel_tol=1e-7)
-    return figure1_point(math.exp(x[0]), grid)
+    return figure1_point(math.exp(x), grid)

@@ -205,11 +205,23 @@ class TestGridGoldenMinimize:
 
         def fn(t):
             sizes.append(t.size)
-            return (t - centers[:, None]) ** 2
+            return (t - centers) ** 2
 
         t, _ = disc.grid_golden_minimize(fn, 10.0 * np.ones(400), grid_points=2048)
         assert max(sizes) <= disc._SCAN_ELEMS
         np.testing.assert_allclose(t, centers, rtol=1e-6)
+
+    def test_scalar_t_max_scans_a_1d_grid_and_refines_on_0d_times(self):
+        shapes = []
+
+        def fn(t):
+            shapes.append(np.shape(t))
+            return (t - 1.0) ** 2
+
+        t, _ = disc.grid_golden_minimize(fn, 3.0, grid_points=64)
+        assert shapes[0] == (64,)
+        assert set(shapes[1:]) == {()}
+        assert t == pytest.approx(1.0, abs=1e-8)
 
 
 class TestOptimalTime:
@@ -230,7 +242,7 @@ class TestOptimalTime:
         t_num, _ = disc.grid_golden_minimize(
             lambda s: -(np.exp(-gamma * s) * np.sin(omega * s / 2)), 2 * math.pi / omega
         )
-        assert t == pytest.approx(t_num[0], abs=1e-6)
+        assert t == pytest.approx(t_num, abs=1e-6)
 
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):

@@ -248,7 +248,7 @@ class TestFigureOneCurve:
                 assert getattr(point, f.name) == pytest.approx(getattr(single, f.name), abs=1e-12)
 
     @staticmethod
-    def eight_term_measurement_info(entangled, gamma, t):
+    def eight_term_measurement_info(strategy, gamma, t):
         """H(Y) - H(Y|X) with all four outcomes of both entropies summed."""
 
         def entropy_rows(*ps):
@@ -259,24 +259,31 @@ class TestFigureOneCurve:
             return total
 
         e = np.exp(-gamma * t)
-        s = met.fig1_sin_theta(entangled, t)
+        s = met.fig1_sin_theta(strategy, t)
         p_plus = e * (1.0 + s) / 2.0 + (1.0 - e) / 4.0
         p_minus = e * (1.0 - s) / 2.0 + (1.0 - e) / 4.0
         p_null = (1.0 - e) / 4.0 * np.ones_like(p_plus)
         avg = 0.5 * (p_plus + p_minus)
-        return entropy_rows(avg, avg, p_null, p_null) - entropy_rows(p_plus, p_minus, p_null, p_null)
+        h_y = entropy_rows(avg, avg, p_null, p_null)
+        return h_y - entropy_rows(p_plus, p_minus, p_null, p_null)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
-        entangled=st.booleans(),
+        strategy=st.sampled_from([met.ENTANGLED, met.PRODUCT]),
         gamma=st.floats(1e-3, 1e3),
         t=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=16),
     )
-    def test_measurement_info_matches_eight_term_entropies(self, entangled, gamma, t):
+    def test_measurement_info_matches_eight_term_entropies(self, strategy, gamma, t):
         t = np.array(t)
         np.testing.assert_allclose(
-            met.fig1_measurement_info(entangled, gamma, 1.0, t),
-            self.eight_term_measurement_info(entangled, gamma, t),
+            met.fig1_measurement_info(strategy, gamma, 1.0, t),
+            self.eight_term_measurement_info(strategy, gamma, t),
             rtol=0.0,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("strategy", ["bell", True, 1, [met.ENTANGLED, "cat"]])
+    def test_unknown_strategy_is_rejected(self, strategy):
+        for fig1 in (met.fig1_measurement_info, met.fig1_binary_info, met.fig1_error_probability):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                fig1(strategy, 0.3, 1.0, np.array([0.5, 1.0]))
