@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 import click
@@ -53,29 +53,44 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Experiment:
-    name: str
     summary: str
     defaults: dict
     runner: object  # (params, seed) -> (columns, rows, summary_line)
-    checker: object  # (params, seed) -> list[(label, ok, detail)]
+    checker: object  # (params, rows) -> list[(label, ok, detail)]
+    choices: dict = field(default_factory=dict)  # parameter -> its allowed strings
 
 
 # JSON types an override may have, by the type of the parameter's default.
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
 
 
-def _merge_params(defaults: dict, overrides: dict) -> dict:
-    params = dict(defaults)
+def _typed(key: str, value, default):
+    """Return `value` as the type of `default`; list items take the type of its first item."""
+    kind = type(default)
+    # bool is an int subclass, but true/false is never a number here.
+    if not isinstance(value, _ACCEPTED_TYPES[kind]) or (
+        isinstance(value, bool) and kind is not bool
+    ):
+        raise ConfigError(f"parameter {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    if kind is list:
+        return [_typed(key, item, default[0]) for item in value]
+    if kind is float:
+        # False for NaN, the infinities and integers beyond the float range.
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"parameter {key!r} must be a finite number, got {value!r}")
+        return float(value)
+    return value
+
+
+def _merge_params(exp: Experiment, overrides: dict) -> dict:
+    """The experiment's defaults with each override converted to its default's type."""
+    params = dict(exp.defaults)
     for key, value in overrides.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown parameter {key!r}; valid: {sorted(defaults)}")
-        kind = type(defaults[key])
-        # bool is an int subclass, but true/false is never a number here.
-        if not isinstance(value, _ACCEPTED_TYPES[kind]) or (
-            isinstance(value, bool) and kind is not bool
-        ):
-            raise ConfigError(f"parameter {key!r} must be a JSON {kind.__name__}, got {value!r}")
-        params[key] = value
+        if key not in params:
+            raise ConfigError(f"unknown parameter {key!r}; valid: {sorted(params)}")
+        params[key] = _typed(key, value, exp.defaults[key])
+        if key in exp.choices and value not in exp.choices[key]:
+            raise ConfigError(f"parameter {key!r} must be one of {exp.choices[key]}, got {value!r}")
     return params
 
 
@@ -92,10 +107,8 @@ def _geometry_directions(params):
         return discrimination.symmetric_directions(4, -1.0 / 3.0), -1.0 / 3.0
     if geometry == "planar-trine":
         return discrimination.symmetric_directions(3, -0.5), -0.5
-    if geometry == "lifted-trine":
-        cos_theta = float(params["cos_theta"])
-        return discrimination.symmetric_directions(3, cos_theta), cos_theta
-    raise ConfigError(f"unknown geometry {geometry!r}")
+    cos_theta = params["cos_theta"]  # lifted-trine
+    return discrimination.symmetric_directions(3, cos_theta), cos_theta
 
 
 def _run_superdense(params, seed):
@@ -116,8 +129,7 @@ def _run_superdense(params, seed):
     )
 
 
-def _check_superdense(params, seed):
-    _, rows, _ = _run_superdense(params, seed)
+def _check_superdense(params, rows):
     row = rows[0]
     target = math.log2(row["n_directions"])
     return [
@@ -134,21 +146,19 @@ def _check_superdense(params, seed):
 
 
 def _run_grover(params, seed):
-    sizes = [int(n) for n in params["sizes"]]
-    energy = float(params["energy"])
+    energy = params["energy"]
     rows = []
-    for n in sizes:
+    for n in params["sizes"]:
         inst = search.GroverInstance(dim=n, marked=n // 2, energy=energy)
         prob, T = search.grover_run(inst)
         rows.append({"N": n, "energy": energy, "T": T, "success_prob": prob})
     worst = min(r["success_prob"] for r in rows)
     return ["N", "energy", "T", "success_prob"], rows, (
-        f"grover: worst success over N={sizes} is {worst:.12f}"
+        f"grover: worst success over N={params['sizes']} is {worst:.12f}"
     )
 
 
-def _check_grover(params, seed):
-    _, rows, _ = _run_grover(params, seed)
+def _check_grover(params, rows):
     ok_success = all(r["success_prob"] >= 1.0 - 1e-9 for r in rows)
     checks = [
         ("success certainty at the flop time", ok_success, f"min={min(r['success_prob'] for r in rows):.2e}")
@@ -172,7 +182,7 @@ def _two_ham_ensemble(omega: float, gamma: float):
 
 
 def _run_two_ham(params, seed):
-    omega, gamma = float(params["omega"]), float(params["gamma"])
+    omega, gamma = params["omega"], params["gamma"]
     t_star = discrimination.optimal_time_qubit(omega, gamma)
     ensemble = _two_ham_ensemble(omega, gamma)
     result = discrimination.discriminate_superops(ensemble, qmath.KET_PLUS, t_star)
@@ -191,8 +201,7 @@ def _run_two_ham(params, seed):
     )
 
 
-def _check_two_ham(params, seed):
-    _, rows, _ = _run_two_ham(params, seed)
+def _check_two_ham(params, rows):
     row = rows[0]
     return [
         (
@@ -207,15 +216,11 @@ def _check_two_ham(params, seed):
 
 
 def _run_fixed_time(params, seed):
-    dim = int(params["dim"])
-    t = float(params["t"])
-    samples = int(params["samples"])
-    h_norm = float(params["h_norm"])
-    k_norm = float(params["k_norm"])
+    dim, t = params["dim"], params["t"]
     rows = []
-    for idx, rng in enumerate(_spawned_rngs(seed, samples)):
-        H = spectral_arc.random_hermitian(dim, h_norm * rng.uniform(0.2, 1.0), rng)
-        K = spectral_arc.random_hermitian(dim, k_norm * rng.uniform(0.0, 1.0), rng)
+    for idx, rng in enumerate(_spawned_rngs(seed, params["samples"])):
+        H = spectral_arc.random_hermitian(dim, params["h_norm"] * rng.uniform(0.2, 1.0), rng)
+        K = spectral_arc.random_hermitian(dim, params["k_norm"] * rng.uniform(0.0, 1.0), rng)
         _, overlap_driven = discrimination.fixed_time_overlap(H, K, t)
         _, overlap_plain = discrimination.fixed_time_overlap(H, np.zeros_like(K), t)
         rows.append(
@@ -233,8 +238,7 @@ def _run_fixed_time(params, seed):
     return columns, rows, f"fixed-time: worst driven-minus-undriven overlap margin {worst:.3e}"
 
 
-def _check_fixed_time(params, seed):
-    _, rows, _ = _run_fixed_time(params, seed)
+def _check_fixed_time(params, rows):
     worst = min(r["margin"] for r in rows)
     return [("driving never helps at fixed time", worst >= -1e-9, f"worst margin {worst:.3e}")]
 
@@ -243,9 +247,7 @@ def _check_fixed_time(params, seed):
 
 
 def _run_eliminate(params, seed):
-    n_hyp = int(params["n_hypotheses"])
-    dim = int(params["dim"])
-    trials = int(params["trials"])
+    n_hyp, dim, trials = params["n_hypotheses"], params["dim"], params["trials"]
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rows = []
@@ -272,11 +274,9 @@ def _run_eliminate(params, seed):
     return columns, rows, f"eliminate: identification rate {rate:.3f} over {trials} trials"
 
 
-def _check_eliminate(params, seed):
-    _, rows, _ = _run_eliminate(params, seed)
-    n_hyp = int(params["n_hypotheses"])
+def _check_eliminate(params, rows):
     all_correct = all(r["correct"] for r in rows)
-    bounded = all(r["measurements"] <= n_hyp - 1 for r in rows)
+    bounded = all(r["measurements"] <= params["n_hypotheses"] - 1 for r in rows)
     return [
         ("every trial identifies the true generator", all_correct, f"{len(rows)} trials"),
         ("never more than N-1 measurements", bounded, f"max={max(r['measurements'] for r in rows)}"),
@@ -287,8 +287,8 @@ def _check_eliminate(params, seed):
 
 
 def _run_phase_est(params, seed):
-    cfg = phase_estimation.PhaseConfig(n=int(params["n"]), omega=float(params["omega"]))
-    trials = int(params["trials"])
+    cfg = phase_estimation.PhaseConfig(n=params["n"], omega=params["omega"])
+    trials = params["trials"]
     if trials < 1:
         raise ValueError("trials must be at least 1")
     # First, so the qubit cap is checked before any array of size 2**n exists.
@@ -313,8 +313,7 @@ def _run_phase_est(params, seed):
     )
 
 
-def _check_phase_est(params, seed):
-    _, rows, _ = _run_phase_est(params, seed)
+def _check_phase_est(params, rows):
     trials = rows[0]["trials"]
     ok = True
     worst = 0.0
@@ -332,13 +331,10 @@ def _check_phase_est(params, seed):
 
 def _metrology_strategies(params):
     noise_kind = NoiseKind(params["noise"])
-    n = int(params["n"])
-    gamma = float(params["gamma"])
-    t_total = float(params["t_total"])
-    omega = float(params["omega"])
+    n, t_total = params["n"], params["t_total"]
     n_for_model = n if noise_kind is NoiseKind.INDEPENDENT_DEPOLARIZING else None
-    noise = NoiseModel(noise_kind, gamma, n_for_model)
-    common = dict(n=n, T_total=t_total, omega=omega, noise=noise)
+    noise = NoiseModel(noise_kind, params["gamma"], n_for_model)
+    common = dict(n=n, T_total=t_total, omega=params["omega"], noise=noise)
     return (
         metrology.Strategy(kind=metrology.StrategyKind.PRODUCT, t=t_total / 2, **common),
         metrology.Strategy(kind=metrology.StrategyKind.CAT, t=t_total / 2, **common),
@@ -369,16 +365,15 @@ def _run_metrology(params, seed):
     )
 
 
-def _check_metrology(params, seed):
-    _, rows, _ = _run_metrology(params, seed)
+def _check_metrology(params, rows):
     checks = []
     if params["noise"] == NoiseKind.INDEPENDENT_DEPOLARIZING.value:
         a, b = rows[0]["delta_omega"], rows[1]["delta_omega"]
         rel = abs(a - b) / max(a, b)
         checks.append(("product and cat optima agree", rel <= 1e-6, f"rel diff {rel:.2e}"))
-    gamma, n = float(params["gamma"]), int(params["n"])
+    gamma = params["gamma"]
     if gamma > 0:
-        expect = math.sqrt(2 * math.e * gamma / (n * float(params["t_total"])))
+        expect = math.sqrt(2 * math.e * gamma / (params["n"] * params["t_total"]))
         rel = abs(rows[0]["delta_omega"] - expect) / expect
         checks.append(("product optimum matches sqrt(2 e gamma / nT)", rel <= 1e-6, f"rel {rel:.2e}"))
     return checks
@@ -389,11 +384,9 @@ def _check_metrology(params, seed):
 
 def _run_figure1(params, seed):
     ratios = np.logspace(
-        math.log10(float(params["ratio_min"])),
-        math.log10(float(params["ratio_max"])),
-        int(params["points"]),
+        math.log10(params["ratio_min"]), math.log10(params["ratio_max"]), params["points"]
     )
-    result = metrology.figure1_curve(ratios, int(params["grid"]), bool(params["refine_peak"]))
+    result = metrology.figure1_curve(ratios, params["grid"], params["refine_peak"])
     columns = [f.name for f in fields(metrology.Figure1Point)]
     rows = [asdict(p) for p in result.points]
     return columns, rows, (
@@ -401,8 +394,7 @@ def _run_figure1(params, seed):
     )
 
 
-def _check_figure1(params, seed):
-    _, rows, _ = _run_figure1(params, seed)
+def _check_figure1(params, rows):
     best = max(rows, key=lambda r: r["delta_bits"])
     return [
         (
@@ -422,12 +414,10 @@ def _check_figure1(params, seed):
 
 
 def _run_theorem_check(params, seed):
-    dims = [int(d) for d in params["dims"]]
-    trials = int(params["trials"])
+    dims, trials = params["dims"], params["trials"]
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    mode = params["mode"]
-    if mode == "search":
+    if params["mode"] == "search":
         rows = []
         for dim in dims:
             found = spectral_arc.counterexample_search(dim, trials, seed)
@@ -446,19 +436,13 @@ def _run_theorem_check(params, seed):
         return columns, rows, (
             f"theorem-check search: {len(rows)} out-of-regime violations found"
         )
-    if mode != "verify":
-        raise ConfigError("mode must be 'verify' or 'search'")
-
-    h_norm_max = float(params["h_norm_max"])
-    k_norm_max = float(params["k_norm_max"])
-
     rows = []
     for i, dim in enumerate(dims):
         holds = 0
         worst = -math.inf
         for rng in _spawned_rngs(seed + 1000 * i, trials):
-            H = spectral_arc.random_hermitian(dim, rng.uniform(0, h_norm_max), rng)
-            K = spectral_arc.random_hermitian(dim, rng.uniform(0, k_norm_max), rng)
+            H = spectral_arc.random_hermitian(dim, rng.uniform(0, params["h_norm_max"]), rng)
+            K = spectral_arc.random_hermitian(dim, rng.uniform(0, params["k_norm_max"]), rng)
             case = spectral_arc.arc_bound_check(H, K)
             holds += int(case.holds)
             worst = max(worst, case.max_violation)
@@ -478,10 +462,9 @@ def _run_theorem_check(params, seed):
     )
 
 
-def _check_theorem_check(params, seed):
-    params = dict(params)
-    params["mode"] = "verify"
-    _, rows, _ = _run_theorem_check(params, seed)
+def _check_theorem_check(params, rows):
+    if params["mode"] != "verify":
+        raise ConfigError("theorem-check --check asserts verify mode only; set mode to 'verify'")
     ok = all(r["violations"] == 0 for r in rows)
     worst = max(r["worst_violation"] for r in rows)
     return [("arc bound holds on every in-regime case", ok, f"worst slack {worst:.3e}")]
@@ -489,49 +472,43 @@ def _check_theorem_check(params, seed):
 
 EXPERIMENTS = {
     "superdense": Experiment(
-        "superdense",
         "entangled-probe discrimination of symmetric field directions",
         {"geometry": "tetrahedron", "cos_theta": -1.0 / 3.0},
         _run_superdense,
         _check_superdense,
+        {"geometry": ("tetrahedron", "planar-trine", "lifted-trine")},
     ),
     "grover": Experiment(
-        "grover",
         "continuous-time search with the uniform-projector drive",
         {"sizes": [2, 4, 16, 256, 1024], "energy": 1.0},
         _run_grover,
         _check_grover,
     ),
     "two-ham": Experiment(
-        "two-ham",
         "optimal-time binary discrimination of a precessing qubit with damping",
         {"omega": 1.0, "gamma": 0.1},
         _run_two_ham,
         _check_two_ham,
     ),
     "fixed-time": Experiment(
-        "fixed-time",
         "fixed-duration probes: driving terms never beat the undriven probe",
         {"dim": 4, "t": 1.0, "samples": 50, "h_norm": 1.5, "k_norm": 5.0},
         _run_fixed_time,
         _check_fixed_time,
     ),
     "eliminate": Experiment(
-        "eliminate",
         "adaptive pairwise elimination over N candidate generators",
         {"n_hypotheses": 5, "dim": 3, "trials": 20},
         _run_eliminate,
         _check_eliminate,
     ),
     "phase-est": Experiment(
-        "phase-est",
         "bitwise adaptive frequency estimation versus the exact distribution",
         {"n": 4, "omega": 1.0 / 3.0, "trials": 2000},
         _run_phase_est,
         _check_phase_est,
     ),
     "metrology": Experiment(
-        "metrology",
         "time-budget-optimized frequency precision: product versus cat probes",
         {
             "n": 4,
@@ -542,16 +519,15 @@ EXPERIMENTS = {
         },
         _run_metrology,
         _check_metrology,
+        {"noise": tuple(kind.value for kind in NoiseKind)},
     ),
     "figure1": Experiment(
-        "figure1",
         "information-gain improvement of the entangled probe under symmetric decoherence",
         {"ratio_min": 0.01, "ratio_max": 10.0, "points": 200, "grid": 2048, "refine_peak": True},
         _run_figure1,
         _check_figure1,
     ),
     "theorem-check": Experiment(
-        "theorem-check",
         "randomized verification of the driven-evolution spectral-arc bound",
         {
             "dims": [2, 3, 4, 5, 6],
@@ -562,6 +538,7 @@ EXPERIMENTS = {
         },
         _run_theorem_check,
         _check_theorem_check,
+        {"mode": ("verify", "search")},
     ),
 }
 
@@ -675,7 +652,7 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
                 f"config is for {config['experiment']!r}, but {experiment!r} was requested"
             )
         exp = EXPERIMENTS[experiment]
-        params = _merge_params(exp.defaults, config.get("parameters", {}))
+        params = _merge_params(exp, config.get("parameters", {}))
         run_seed = seed if seed is not None else config.get("seed", DEFAULT_SEED)
         out_fmt = fmt or config.get("output", {}).get("format", "csv")
         target = out_path or config.get("output", {}).get("path")
@@ -690,32 +667,23 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
             raise ConfigError(f"bad {WORKERS_ENV} value: {exc}") from exc
         if n_workers < 1:
             raise ConfigError("workers must be at least 1")
+        started = time.monotonic()
+        columns, rows, summary = exp.runner(params, run_seed)
+        elapsed = time.monotonic() - started
+        results = exp.checker(params, rows) if check else []
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    except (ValueError, ArithmeticError) as exc:
+        click.echo(f"numerical precondition failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERIC)
 
     if check:
-        try:
-            results = exp.checker(params, run_seed)
-        except ValueError as exc:
-            click.echo(f"numerical precondition failure: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
         all_ok = True
         for label, ok, detail in results:
             click.echo(f"[{'PASS' if ok else 'FAIL'}] {experiment}: {label} ({detail})")
             all_ok = all_ok and ok
         sys.exit(EXIT_OK if all_ok else EXIT_CHECK_FAILED)
-
-    started = time.monotonic()
-    try:
-        columns, rows, summary = exp.runner(params, run_seed)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except ValueError as exc:
-        click.echo(f"numerical precondition failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    elapsed = time.monotonic() - started
 
     payload = (
         rows_to_csv(columns, rows)

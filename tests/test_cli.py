@@ -104,6 +104,15 @@ class TestConfigHandling:
             ("figure1", {"ratio_min": "0.1"}),
             ("superdense", {"geometry": 4}),
             ("grover", {"sizes": 16}),
+            ("metrology", {"noise": "bogus"}),
+            ("grover", {"sizes": ["a"]}),
+            ("grover", {"sizes": [2.5]}),
+            ("theorem-check", {"dims": [True, 3]}),
+            ("two-ham", {"gamma": math.nan}),
+            ("metrology", {"gamma": math.nan}),
+            ("figure1", {"ratio_max": math.inf}),
+            ("theorem-check", {"h_norm_max": math.nan}),
+            ("two-ham", {"gamma": 10**400}),
         ],
     )
     def test_mistyped_parameter_exits_2_without_traceback(self, tmp_path, experiment, parameters):
@@ -112,6 +121,32 @@ class TestConfigHandling:
         out = tmp_path / "r.csv"
         result = qd(experiment, "--config", str(cfg), "--out", str(out))
         assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, config, code, message",
+        [
+            (["superdense", "--check"], '{"parameters": {"geometry": "cube"}}', 2, "one of"),
+            (
+                ["theorem-check", "--check"],
+                '{"parameters": {"mode": "search", "trials": 2}}',
+                2,
+                "verify mode only",
+            ),
+            (["figure1"], '{"parameters": {"ratio_max": 1e999}}', 2, "finite"),
+            (["grover"], json.dumps({"parameters": {"sizes": [2**1100]}}), 3, "too large"),
+        ],
+        ids=["superdense-check-geometry", "theorem-check-check-search", "literal-1e999",
+             "grover-size-overflow"],
+    )
+    def test_config_exits_with_code_without_traceback(self, tmp_path, args, config, code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "r.csv"
+        result = qd(*args, "--config", str(cfg), "--out", str(out))
+        assert result.returncode == code
+        assert message in result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
@@ -137,6 +172,57 @@ class TestConfigHandling:
         )
         result = qd("superdense", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert result.returncode == 3
+
+
+class TestRegistry:
+    """Every parameter declared in `cli.EXPERIMENTS` is type- and choice-checked."""
+
+    # JSON values of every type other than the default's (int is a valid float).
+    WRONG = {
+        bool: [None, 1, 2.5, "x", [], {}],
+        int: [None, True, 2.5, "x", [], {}],
+        float: [None, True, "x", [], {}, math.nan, math.inf, -math.inf],
+        str: [None, True, 1, 2.5, [], {}],
+        list: [None, True, 1, 2.5, "x", {}],
+    }
+
+    def test_every_wrong_value_exits_2_without_report(self, tmp_path, capsys):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        failures = []
+        for name, exp in cli.EXPERIMENTS.items():
+            for key, allowed in exp.choices.items():
+                assert exp.defaults[key] in allowed, (name, key)
+            for key, default in exp.defaults.items():
+                values = list(self.WRONG[type(default)])
+                if isinstance(default, list):
+                    values += [[value] for value in self.WRONG[type(default[0])]]
+                if key in exp.choices:
+                    values.append("not-a-choice")
+                for value in values:
+                    cfg.write_text(json.dumps({"parameters": {key: value}}))
+                    code = 0
+                    try:
+                        cli.main([name, "--config", str(cfg), "--out", str(out)],
+                                 standalone_mode=False)
+                    except SystemExit as exc:
+                        code = exc.code
+                    if code != 2 or out.exists() or "config error" not in capsys.readouterr().err:
+                        failures.append((name, key, value, code))
+        assert failures == []
+
+    def test_json_report_echoes_converted_parameters(self, tmp_path):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"parameters": {"omega": 2}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["two-ham", "--config", str(cfg), "--out", str(out), "--format", "json"],
+                     standalone_mode=False)
+        assert exc.value.code == 0
+        echoed = json.loads(out.read_text())["parameters"]["omega"]
+        assert isinstance(echoed, float) and echoed == 2.0
 
 
 class TestReports:
