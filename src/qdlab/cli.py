@@ -58,6 +58,7 @@ class Experiment:
     runner: object  # (params, seed) -> (columns, rows, summary_line)
     checker: object  # (params, rows) -> list[(label, ok, detail)]
     choices: dict = field(default_factory=dict)  # parameter -> its allowed strings
+    check_requires: dict = field(default_factory=dict)  # parameter -> the value --check asserts
 
 
 # JSON types an override may have, by the type of the parameter's default.
@@ -463,8 +464,6 @@ def _run_theorem_check(params, seed):
 
 
 def _check_theorem_check(params, rows):
-    if params["mode"] != "verify":
-        raise ConfigError("theorem-check --check asserts verify mode only; set mode to 'verify'")
     ok = all(r["violations"] == 0 for r in rows)
     worst = max(r["worst_violation"] for r in rows)
     return [("arc bound holds on every in-regime case", ok, f"worst slack {worst:.3e}")]
@@ -539,6 +538,7 @@ EXPERIMENTS = {
         _run_theorem_check,
         _check_theorem_check,
         {"mode": ("verify", "search")},
+        check_requires={"mode": "verify"},
     ),
 }
 
@@ -653,6 +653,9 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
             )
         exp = EXPERIMENTS[experiment]
         params = _merge_params(exp, config.get("parameters", {}))
+        for key, value in exp.check_requires.items() if check else ():
+            if params[key] != value:
+                raise ConfigError(f"--check asserts {value} {key} only; set {key} to {value!r}")
         run_seed = seed if seed is not None else config.get("seed", DEFAULT_SEED)
         out_fmt = fmt or config.get("output", {}).get("format", "csv")
         target = out_path or config.get("output", {}).get("path")

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import qmath, tolerances
-from .dynamics import EvolutionSpec, FieldHamiltonian, NoiseKind, NoiseModel, evolve
+from .dynamics import EvolutionSpec, NoiseKind, NoiseModel, evolve, generator_matrix
 from .errors import NoDiscriminationError, UnsupportedModelError
 
 
@@ -36,11 +35,6 @@ class Hypothesis:
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must lie in [0, 1]")
 
-    def generator_matrix(self) -> np.ndarray:
-        if isinstance(self.generator, FieldHamiltonian):
-            return self.generator.matrix()
-        return np.asarray(self.generator, dtype=complex)
-
 
 @dataclass(frozen=True)
 class HypothesisEnsemble:
@@ -53,7 +47,7 @@ class HypothesisEnsemble:
             raise ValueError("an ensemble needs at least two hypotheses")
         if abs(sum(h.prior for h in hyps) - 1.0) > tolerances.NORM:
             raise ValueError("priors must sum to 1")
-        dims = {h.generator_matrix().shape[0] for h in hyps}
+        dims = {generator_matrix(h.generator).shape[0] for h in hyps}
         if len(dims) != 1:
             raise ValueError("all generators must share one dimension")
 
@@ -62,7 +56,7 @@ class HypothesisEnsemble:
 
     @property
     def dim(self) -> int:
-        return self.hypotheses[0].generator_matrix().shape[0]
+        return generator_matrix(self.hypotheses[0].generator).shape[0]
 
 
 @dataclass(frozen=True)
@@ -447,15 +441,9 @@ def fixed_time_overlap(H, K, t: float):
     H = np.asarray(H, dtype=complex)
     K = np.asarray(K, dtype=complex)
     W = qmath.expm_i(K, -t) @ qmath.expm_i(H + K, t)
-    # W is unitary hence normal; Schur gives robust orthonormal eigenvectors.
-    T, Z = scipy.linalg.schur(W, output="complex")
-    lam = np.diag(T)
-    args = np.angle(lam)
-    args[args <= -np.pi + tolerances.BRANCH_FOLD] = np.pi
-    i_min = int(np.argmin(args))
-    i_max = int(np.argmax(args))
-    arc = float(args[i_max] - args[i_min])
-    psi0 = (Z[:, i_min] + Z[:, i_max]) / math.sqrt(2.0)
+    args, V = qmath.unitary_eig(W)
+    arc = float(args[-1] - args[0])
+    psi0 = (V[:, 0] + V[:, -1]) / math.sqrt(2.0) if len(args) > 1 else V[:, 0]
     if arc >= math.pi:
         return psi0, 0.0
     return psi0, float(math.cos(arc / 2.0))
@@ -483,7 +471,7 @@ def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed: 
     for h in ensemble.hypotheses:
         if h.noise.kind is not NoiseKind.NONE:
             raise UnsupportedModelError("adaptive elimination assumes noiseless hypotheses")
-    gens = [h.generator_matrix() for h in ensemble.hypotheses]
+    gens = [generator_matrix(h.generator) for h in ensemble.hypotheses]
     rng = np.random.default_rng(rng_seed)
 
     alive = list(range(n))

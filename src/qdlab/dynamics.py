@@ -82,10 +82,12 @@ class EvolutionSpec:
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
 
-    def generator_matrix(self) -> np.ndarray:
-        if isinstance(self.hamiltonian, FieldHamiltonian):
-            return self.hamiltonian.matrix()
-        return np.asarray(self.hamiltonian, dtype=complex)
+
+def generator_matrix(generator) -> np.ndarray:
+    """The matrix of a generator given as a Hermitian ndarray or a FieldHamiltonian."""
+    if isinstance(generator, FieldHamiltonian):
+        return generator.matrix()
+    return np.asarray(generator, dtype=complex)
 
 
 def evolve_pure(psi0, H, t: float) -> np.ndarray:
@@ -184,37 +186,26 @@ def evolve_independent_depolarizing(
 
 def apply_channel(rho0, H, noise: NoiseModel, t: float) -> np.ndarray:
     """Evolve a density matrix under the channel selected by `noise`."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    if noise.kind is NoiseKind.NONE:
-        U = qmath.expm_i(H, t)
-        return U @ rho0 @ U.conj().T
-    if noise.kind is NoiseKind.SYMMETRIC:
-        return evolve_symmetric(rho0, H, noise.gamma, t)
-    if noise.kind is NoiseKind.QUBIT_DEPOLARIZING:
-        if rho0.shape != (2, 2):
-            raise ValueError("qubit depolarizing requires a single qubit")
-        # On a qubit the uniform contraction and the Bloch closed form agree.
-        return evolve_symmetric(rho0, H, noise.gamma, t)
-    if noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
-        raise UnsupportedModelError(
-            "independent depolarizing needs evolve_independent_depolarizing "
-            "with an explicit local field"
-        )
-    raise UnsupportedModelError(f"unknown noise kind {noise.kind}")
+    return evolve(EvolutionSpec(H, noise, t), rho0)
 
 
 def evolve(spec: EvolutionSpec, rho0) -> np.ndarray:
-    """Dispatch an EvolutionSpec on a density matrix."""
-    if spec.noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
+    """Evolve a density matrix under the channel of an EvolutionSpec."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    noise, gamma, t = spec.noise, spec.noise.gamma, spec.duration
+    if noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
         if not isinstance(spec.hamiltonian, FieldHamiltonian):
-            raise UnsupportedModelError(
-                "independent depolarizing requires a FieldHamiltonian local field"
-            )
-        return evolve_independent_depolarizing(
-            rho0, spec.noise.n_qubits, spec.hamiltonian, spec.noise.gamma, spec.duration
-        )
-    return apply_channel(rho0, spec.generator_matrix(), spec.noise, spec.duration)
+            raise UnsupportedModelError("independent depolarizing needs a FieldHamiltonian")
+        return evolve_independent_depolarizing(rho0, noise.n_qubits, spec.hamiltonian, gamma, t)
+    H = generator_matrix(spec.hamiltonian)
+    if noise.kind is NoiseKind.NONE:
+        U = qmath.expm_i(H, t)
+        return U @ rho0 @ U.conj().T
+    if noise.kind is NoiseKind.QUBIT_DEPOLARIZING and rho0.shape != (2, 2):
+        raise ValueError("qubit depolarizing requires a single qubit")
+    # SYMMETRIC, and QUBIT_DEPOLARIZING: on a qubit the uniform contraction
+    # and the Bloch closed form agree.
+    return evolve_symmetric(rho0, H, gamma, t)
 
 
 # ---------------------------------------------------------------------------

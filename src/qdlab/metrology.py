@@ -102,10 +102,10 @@ def shot_probability(s: Strategy) -> float:
     return 0.5 * (1.0 + math.exp(-gamma_eff * s.t) * math.cos(rate * s.omega * s.t))
 
 
-def _repetitions(s: Strategy) -> float:
+def _repetitions(s: Strategy, t: float) -> float:
     if s.kind == StrategyKind.PRODUCT:
-        return s.n * s.T_total / s.t
-    return s.T_total / s.t
+        return s.n * s.T_total / t
+    return s.T_total / t
 
 
 def precision(s: Strategy) -> PrecisionReport:
@@ -118,7 +118,7 @@ def precision(s: Strategy) -> PrecisionReport:
     """
     gamma_eff, rate = _decay_and_rate(s)
     p = shot_probability(s)
-    m = _repetitions(s)
+    m = _repetitions(s, s.t)
     if gamma_eff == 0.0:
         # The |sin| factors of delta_P and dP/domega cancel algebraically;
         # dividing them numerically would break down at the turning points.
@@ -136,8 +136,7 @@ def precision_envelope(s: Strategy, t: float) -> float:
     """The chain of `precision` with the shot tuned to quadrature
     (cos(rate omega t) = 0), as a function of the per-shot duration."""
     gamma_eff, rate = _decay_and_rate(s)
-    m = (s.n if s.kind == StrategyKind.PRODUCT else 1.0) * s.T_total / t
-    return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(m)
+    return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(_repetitions(s, t))
 
 
 def optimize_precision(s: Strategy) -> OptimizedPrecision:

@@ -102,20 +102,35 @@ def expm_i(H, t: float) -> np.ndarray:
     return (V * np.exp(-1j * t * w)) @ V.conj().T
 
 
+def _folded_args(lam: np.ndarray, atol: float):
+    """Arguments of unit-modulus eigenvalues on (-pi, pi], and the order
+    that sorts them ascending."""
+    moduli = np.abs(lam)
+    if np.max(np.abs(moduli - 1.0)) > atol:
+        raise ValueError("matrix is not unitary: eigenvalue moduli deviate from 1")
+    args = np.angle(lam / moduli)
+    args[args <= -np.pi + tolerances.BRANCH_FOLD] = np.pi
+    order = np.argsort(args)
+    return args[order], order
+
+
 def unitary_args(U, atol: float = tolerances.SPECTRAL) -> np.ndarray:
     """Eigenvalue arguments of a unitary, ascending, on (-pi, pi].
 
     Eigenvalue moduli must be within `atol` of 1; arguments within
     BRANCH_FOLD of -pi are folded to +pi.
     """
-    U = _as_square(U)
-    lam = np.linalg.eigvals(U)
-    moduli = np.abs(lam)
-    if np.max(np.abs(moduli - 1.0)) > atol:
-        raise ValueError("matrix is not unitary: eigenvalue moduli deviate from 1")
-    args = np.angle(lam / moduli)
-    args[args <= -np.pi + tolerances.BRANCH_FOLD] = np.pi
-    return np.sort(args)
+    return _folded_args(np.linalg.eigvals(_as_square(U)), atol)[0]
+
+
+def unitary_eig(U, atol: float = tolerances.SPECTRAL):
+    """Arguments as in `unitary_args`, and orthonormal eigenvector columns V
+    with U V = V diag(exp(i args)). `eig` vectors of a (nearly) repeated
+    eigenvalue need not be orthogonal; QR in ascending-argument order
+    orthonormalizes each cluster within its own span."""
+    lam, V = np.linalg.eig(_as_square(U))
+    args, order = _folded_args(lam, atol)
+    return args, np.linalg.qr(V[:, order])[0]
 
 
 def tensor(*ops) -> np.ndarray:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import qmath, tolerances
 
@@ -127,6 +126,7 @@ def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarr
 def _recheck_high_precision(H, K, margin: float) -> bool:
     """Re-verify a candidate violation along an independent numerical path:
     Pade exponentials and Schur eigenvalues instead of eigh/eig."""
+    import scipy.linalg  # the only use of scipy, so `import qdlab` does not load it
     W = scipy.linalg.expm(1j * K) @ scipy.linalg.expm(-1j * (H + K))
     T, _ = scipy.linalg.schur(W, output="complex")
     args_w = np.sort(np.angle(np.diag(T)))

@@ -385,3 +385,27 @@ class TestCheckFlag:
         assert result.returncode == 1
         assert "[PASS] figure1: peak improvement" in result.stdout
         assert "[FAIL] figure1: peak location" in result.stdout
+
+    def test_theorem_check_search_refused_before_the_search(self, tmp_path, monkeypatch, capsys):
+        from qdlab import cli, spectral_arc
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the counterexample search ran")
+
+        monkeypatch.setattr(spectral_arc, "counterexample_search", no_search)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"mode": "search"}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorem-check", "--check", "--config", str(cfg), "--out", str(out)],
+                     standalone_mode=False)
+        assert exc.value.code == 2
+        assert "verify mode only" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy is needed only by the spectral-arc high-precision recheck.
+        code = "import sys, qdlab.cli; assert 'scipy' not in sys.modules, 'scipy was imported'"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -399,10 +399,21 @@ class TestFixedTimeOverlap:
         _, overlap = disc.fixed_time_overlap(H, np.zeros_like(H), t)
         assert overlap <= 1e-8
 
-    def test_probe_attains_reported_overlap(self, rng):
+    @pytest.mark.parametrize("case", ["random", "scalar", "tiny", "repeated", "one-dim"])
+    def test_probe_attains_reported_overlap(self, rng, case):
         H, K = random_hermitian(rng, 4), random_hermitian(rng, 4)
         H *= 1.2 / np.max(np.abs(np.linalg.eigvalsh(H)))
+        if case == "scalar":  # W is exactly a multiple of the identity
+            H, K = 0.7 * np.eye(4), np.zeros((4, 4))
+        elif case == "tiny":  # every eigenvalue of W within 1e-9 of 1
+            H *= 1e-9
+        elif case == "repeated":  # W has a repeated extremal eigenvalue
+            V = random_unitary(rng, 4)
+            H, K = (V * [-1.2, -1.2, 0.4, 1.2]) @ V.conj().T, np.zeros((4, 4))
+        elif case == "one-dim":  # one eigenvector is both extremes
+            H, K = np.array([[0.3]]), np.array([[-1.1]])
         psi0, overlap = disc.fixed_time_overlap(H, K, 1.0)
+        assert np.linalg.norm(psi0) == pytest.approx(1.0, abs=1e-12)
         attained = abs(
             np.vdot(qmath.expm_i(K, 1.0) @ psi0, qmath.expm_i(H + K, 1.0) @ psi0)
         )

@@ -94,6 +94,27 @@ class TestUnitaryArgs:
             qmath.unitary_args(np.diag([2.0, 1.0]))
 
 
+class TestUnitaryEig:
+    @pytest.mark.parametrize("case", ["random", "identity", "repeated", "branch-cut"])
+    def test_orthonormal_eigenbasis_with_unitary_args(self, rng, case):
+        V0 = random_unitary(rng, 4)
+        phases = {
+            "random": rng.uniform(-np.pi, np.pi, 4),
+            "identity": np.zeros(4),
+            "repeated": [0.3, 0.3, 0.3 + 1e-13, -2.0],
+            "branch-cut": [np.pi, -np.pi + 1e-13, 0.5, 0.5],
+        }[case]
+        U = V0 @ np.diag(np.exp(1j * np.asarray(phases))) @ V0.conj().T
+        args, V = qmath.unitary_eig(U)
+        assert np.max(np.abs(U @ V - V * np.exp(1j * args))) <= 1e-10
+        assert np.max(np.abs(V.conj().T @ V - np.eye(4))) <= 1e-10
+        np.testing.assert_allclose(args, qmath.unitary_args(U), rtol=0, atol=1e-12)
+
+    def test_rejects_nonunitary(self):
+        with pytest.raises(ValueError):
+            qmath.unitary_eig(np.diag([2.0, 1.0]))
+
+
 class TestTensor:
     def test_product_state(self):
         psi = qmath.tensor(qmath.KET_PLUS, qmath.KET_0)
