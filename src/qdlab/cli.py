@@ -418,6 +418,8 @@ def _run_theorem_check(params, seed):
     dims, trials = params["dims"], params["trials"]
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must be a nonempty list of dimensions of at least 1, got {dims}")
     if params["mode"] == "search":
         rows = []
         for dim in dims:
@@ -439,21 +441,16 @@ def _run_theorem_check(params, seed):
         )
     rows = []
     for i, dim in enumerate(dims):
-        holds = 0
-        worst = -math.inf
-        for rng in _spawned_rngs(seed + 1000 * i, trials):
-            H = spectral_arc.random_hermitian(dim, rng.uniform(0, params["h_norm_max"]), rng)
-            K = spectral_arc.random_hermitian(dim, rng.uniform(0, params["k_norm_max"]), rng)
-            case = spectral_arc.arc_bound_check(H, K)
-            holds += int(case.holds)
-            worst = max(worst, case.max_violation)
+        sweep = spectral_arc.arc_bound_sweep(
+            dim, trials, seed + 1000 * i, (0, params["h_norm_max"]), (0, params["k_norm_max"])
+        )
         rows.append(
             {
                 "dim": dim,
                 "trials": trials,
-                "holds": holds,
-                "violations": trials - holds,
-                "worst_violation": worst,
+                "holds": sweep.holds,
+                "violations": trials - sweep.holds,
+                "worst_violation": sweep.worst_violation,
             }
         )
     total_viol = sum(r["violations"] for r in rows)
@@ -565,6 +562,10 @@ def load_config(path: str | None) -> dict:
         jsonschema.validate(config, load_schema())
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config does not match the schema: {exc.message}") from exc
+    # The schema's "integer" also admits 1.0 and 1e3, which SeedSequence refuses.
+    seed = config.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be a JSON integer, got {seed!r}")
     return config
 
 

@@ -11,6 +11,8 @@ Conventions:
   - Pauli matrices are the standard ones, sigma_z = diag(1, -1)
   - unitary eigenvalue arguments live on (-pi, pi], with values within
     BRANCH_FOLD of -pi folded to +pi
+  - the spectral kernels (herm_eig, expm_i, unitary_args, sup_norm) take a
+    (..., d, d) stack and act on each matrix; a d x d matrix is a stack of one
 """
 
 from __future__ import annotations
@@ -38,9 +40,16 @@ BELL_PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
-def _as_square(M) -> np.ndarray:
+def _as_stack(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise ValueError(f"expected nonempty square matrices, got shape {M.shape}")
+    return M
+
+
+def _as_square(M) -> np.ndarray:
+    M = _as_stack(M)
+    if M.ndim != 2:
         raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     return M
 
@@ -85,21 +94,21 @@ def check_bloch(P, atol: float = tolerances.ALGEBRAIC) -> np.ndarray:
 
 
 def herm_eig(M):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of each Hermitian matrix of a (..., d, d) stack.
 
     The input is symmetrized via (M + M^dag)/2 before the decomposition.
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns)
     with M = V diag(w) V^dag.
     """
-    M = _as_square(M)
-    w, V = np.linalg.eigh((M + M.conj().T) / 2)
+    M = _as_stack(M)
+    w, V = np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2)
     return w, V
 
 
 def expm_i(H, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, exact on the eigenbasis."""
+    """exp(-i t H) for each Hermitian H of a stack, exact on the eigenbasis."""
     w, V = herm_eig(H)
-    return (V * np.exp(-1j * t * w)) @ V.conj().T
+    return (V * np.exp(-1j * t * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def _folded_args(lam: np.ndarray, atol: float):
@@ -110,17 +119,17 @@ def _folded_args(lam: np.ndarray, atol: float):
         raise ValueError("matrix is not unitary: eigenvalue moduli deviate from 1")
     args = np.angle(lam / moduli)
     args[args <= -np.pi + tolerances.BRANCH_FOLD] = np.pi
-    order = np.argsort(args)
-    return args[order], order
+    order = np.argsort(args, axis=-1)
+    return np.take_along_axis(args, order, axis=-1), order
 
 
 def unitary_args(U, atol: float = tolerances.SPECTRAL) -> np.ndarray:
-    """Eigenvalue arguments of a unitary, ascending, on (-pi, pi].
+    """Eigenvalue arguments of each unitary of a stack, ascending, on (-pi, pi].
 
-    Eigenvalue moduli must be within `atol` of 1; arguments within
-    BRANCH_FOLD of -pi are folded to +pi.
+    Eigenvalue moduli must be within `atol` of 1, for every matrix of the
+    stack; arguments within BRANCH_FOLD of -pi are folded to +pi.
     """
-    return _folded_args(np.linalg.eigvals(_as_square(U)), atol)[0]
+    return _folded_args(np.linalg.eigvals(_as_stack(U)), atol)[0]
 
 
 def unitary_eig(U, atol: float = tolerances.SPECTRAL):
@@ -167,7 +176,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 
 def trace_norm(M) -> float:
     """Sum of |eigenvalues| of a Hermitian matrix."""
-    w, _ = herm_eig(M)
+    w, _ = herm_eig(_as_square(M))
     return float(np.sum(np.abs(w)))
 
 
@@ -203,7 +212,9 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return e
 
 
-def sup_norm(H) -> float:
-    """Operator sup norm of a Hermitian matrix: max |eigenvalue|."""
+def sup_norm(H):
+    """Operator sup norm, max |eigenvalue|, of each Hermitian matrix of a stack:
+    a float for one matrix, an array of shape (...) for a (..., d, d) stack."""
     w, _ = herm_eig(H)
-    return float(np.max(np.abs(w)))
+    norms = np.max(np.abs(w), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms

@@ -4,9 +4,10 @@ For a unitary U, maxarg/minarg are the extremal eigenvalue arguments on
 (-pi, pi]. Adding a time-independent driving term K to a Hamiltonian H with
 sup norm below pi can never widen the spectral arc of the comparison unitary
 e^{iK} e^{-i(H+K)} beyond that of e^{-iH}; this module checks the two
-inequalities case by case, verifies arc subadditivity for products, measures
-the first-order convergence of the exponential splitting, and searches for
-violations outside the sup-norm regime.
+inequalities on stacks of cases, sweeps them over seeded random pairs,
+verifies arc subadditivity for products, measures the first-order
+convergence of the exponential splitting, and searches for violations outside
+the sup-norm regime.
 """
 
 from __future__ import annotations
@@ -39,6 +40,49 @@ class ArcBoundCase:
 
 
 @dataclass(frozen=True)
+class ArcBoundCases:
+    """The arc-bound inequalities evaluated on a stack of n cases: H and K
+    have shape (n, d, d), every other field shape (n,)."""
+
+    H: np.ndarray
+    K: np.ndarray
+    lhs_max: np.ndarray
+    rhs_max: np.ndarray
+    lhs_min: np.ndarray
+    rhs_min: np.ndarray
+    holds: np.ndarray
+    in_regime: np.ndarray
+
+    @property
+    def max_violation(self) -> np.ndarray:
+        """ArcBoundCase.max_violation of each case (Python max: ties keep the first)."""
+        a, b = self.lhs_max - self.rhs_max, self.rhs_min - self.lhs_min
+        return np.where(b > a, b, a)
+
+    def case(self, i: int) -> ArcBoundCase:
+        """Case i on its own, with copies of its H and K."""
+        return ArcBoundCase(
+            H=self.H[i].copy(),
+            K=self.K[i].copy(),
+            lhs_max=float(self.lhs_max[i]),
+            rhs_max=float(self.rhs_max[i]),
+            lhs_min=float(self.lhs_min[i]),
+            rhs_min=float(self.rhs_min[i]),
+            holds=bool(self.holds[i]),
+            in_regime=bool(self.in_regime[i]),
+        )
+
+
+@dataclass(frozen=True)
+class ArcBoundSweep:
+    """Summary of arc-bound cases over seeded random (H, K) pairs."""
+
+    holds: int
+    worst_violation: float
+    flagged: tuple[ArcBoundCase, ...]  # cases past the sweep's margin, in trial order
+
+
+@dataclass(frozen=True)
 class ArcSubadditivityCase:
     applicable: bool
     holds: bool
@@ -58,9 +102,9 @@ def minarg(U) -> float:
     return float(qmath.unitary_args(U)[0])
 
 
-def arc_bound_check(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCase:
+def arc_bound_cases(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCases:
     """Evaluate maxarg(e^{iK} e^{-i(H+K)}) <= maxarg(e^{-iH}) and the minarg
-    counterpart.
+    counterpart on each pair of the (n, d, d) stacks H and K.
 
     Cases with sup norm of H at or above pi are evaluated anyway and labeled
     out-of-regime; there the inequalities may genuinely fail.
@@ -70,19 +114,23 @@ def arc_bound_check(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCase:
     W = qmath.expm_i(K, -1.0) @ qmath.expm_i(H + K, 1.0)
     args_w = qmath.unitary_args(W)
     args_h = qmath.unitary_args(qmath.expm_i(H, 1.0))
-    lhs_max, lhs_min = float(args_w[-1]), float(args_w[0])
-    rhs_max, rhs_min = float(args_h[-1]), float(args_h[0])
-    holds = (lhs_max <= rhs_max + tol) and (lhs_min >= rhs_min - tol)
-    return ArcBoundCase(
+    lhs_max, lhs_min = args_w[:, -1], args_w[:, 0]
+    rhs_max, rhs_min = args_h[:, -1], args_h[:, 0]
+    return ArcBoundCases(
         H=H,
         K=K,
         lhs_max=lhs_max,
         rhs_max=rhs_max,
         lhs_min=lhs_min,
         rhs_min=rhs_min,
-        holds=holds,
+        holds=(lhs_max <= rhs_max + tol) & (lhs_min >= rhs_min - tol),
         in_regime=qmath.sup_norm(H) < math.pi,
     )
+
+
+def arc_bound_check(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCase:
+    """`arc_bound_cases` for one pair of matrices."""
+    return arc_bound_cases(np.asarray(H)[None], np.asarray(K)[None], tol).case(0)
 
 
 def arc_subadditivity_check(U1, U2, tol: float = tolerances.ARC_CHECK) -> ArcSubadditivityCase:
@@ -113,14 +161,65 @@ def splitting_residual(H, K, n: int) -> float:
     return float(np.linalg.norm(prod - qmath.expm_i(H + K, 1.0), 2))
 
 
+def _raw_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (A + A.conj().T) / 2
+
+
+def _rescaled(Hm: np.ndarray, sup) -> np.ndarray:
+    """Matrix i of the (n, d, d) stack Hm rescaled to sup norm `sup[i]` (or
+    `sup` for all); a zero matrix stays zero."""
+    current = qmath.sup_norm(Hm)
+    return Hm * (sup / np.where(current == 0.0, 1.0, current))[:, None, None]
+
+
 def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to the requested sup norm."""
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    Hm = (A + A.conj().T) / 2
-    current = qmath.sup_norm(Hm)
-    if current == 0.0:
-        return Hm
-    return Hm * (sup / current)
+    return _rescaled(_raw_hermitian(dim, rng)[None], sup)[0]
+
+
+# Largest n * d * d of one (n, d, d) stack in arc_bound_sweep: 512 KiB per
+# complex stack, so memory stays flat however many trials a sweep runs.
+_ARC_BLOCK_ELEMS = 1 << 15
+
+
+def arc_bound_sweep(
+    dim: int,
+    trials: int,
+    seed: int,
+    h_sup: tuple[float, float],
+    k_sup: tuple[float, float],
+    margin: float = math.inf,
+) -> ArcBoundSweep:
+    """`arc_bound_cases` over `trials` random pairs of dim x dim generators.
+
+    Trial i draws from the i-th child of SeedSequence(seed): a sup norm
+    uniform on `h_sup` and then H, a sup norm uniform on `k_sup` and then K,
+    each as `random_hermitian` draws them. Trials are evaluated in stacks of
+    at most _ARC_BLOCK_ELEMS elements; every row equals the one-case call.
+    Cases whose max_violation exceeds `margin` are returned as flagged.
+    """
+    if dim < 1 or trials < 1:
+        raise ValueError("dim and trials must be at least 1")
+    root = np.random.SeedSequence(seed)
+    block = max(1, _ARC_BLOCK_ELEMS // (dim * dim))
+    holds, worst, flagged = 0, -math.inf, []
+    for start in range(0, trials, block):
+        children = root.spawn(min(block, trials - start))
+        sups = np.empty((2, len(children)))
+        raw = np.empty((2, len(children), dim, dim), dtype=complex)
+        for i, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            for j, (lo, hi) in enumerate((h_sup, k_sup)):
+                sups[j, i] = rng.uniform(lo, hi)
+                raw[j, i] = _raw_hermitian(dim, rng)
+        cases = arc_bound_cases(_rescaled(raw[0], sups[0]), _rescaled(raw[1], sups[1]))
+        violation = cases.max_violation
+        holds += int(np.count_nonzero(cases.holds))
+        # argmax takes the first of equal maxima, as a running max() does.
+        worst = max(worst, float(violation[np.argmax(violation)]))
+        flagged += [cases.case(i) for i in np.flatnonzero(violation > margin)]
+    return ArcBoundSweep(holds, worst, tuple(flagged))
 
 
 def _recheck_high_precision(H, K, margin: float) -> bool:
@@ -144,25 +243,16 @@ def counterexample_search(
     sup_range: tuple[float, float] = (math.pi, 1.5 * math.pi),
 ) -> list[ArcBoundCase]:
     """Randomized search for arc-bound violations, sampling the sup norm of
-    H from `sup_range` (default: just past the bound's regime).
+    H from `sup_range` (default: just past the bound's regime) and that of K
+    from [0.1, 10], one `arc_bound_sweep` over `trials` pairs.
 
     Every candidate is re-verified by an independent high-precision
     recomputation before being reported. An empty list is a valid result;
-    per-trial randomness is derived from the root seed by counter so runs
-    parallelize reproducibly.
+    trial i draws from the i-th child of SeedSequence(rng_seed), so the
+    result depends on the seed alone.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     lo, hi = sup_range
     if not 0 <= lo <= hi:
         raise ValueError("invalid sup-norm range")
-    found = []
-    root = np.random.SeedSequence(rng_seed)
-    for child in root.spawn(trials):
-        rng = np.random.default_rng(child)
-        H = random_hermitian(dim, rng.uniform(lo, hi), rng)
-        K = random_hermitian(dim, rng.uniform(0.1, 10.0), rng)
-        case = arc_bound_check(H, K)
-        if case.max_violation > margin and _recheck_high_precision(H, K, margin):
-            found.append(case)
-    return found
+    sweep = arc_bound_sweep(dim, trials, rng_seed, (lo, hi), (0.1, 10.0), margin)
+    return [case for case in sweep.flagged if _recheck_high_precision(case.H, case.K, margin)]

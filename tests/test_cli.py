@@ -83,6 +83,11 @@ class TestConfigHandling:
             ("eliminate", {"trials": 0}),
             ("phase-est", {"trials": 0}),
             ("theorem-check", {"trials": 0}),
+            ("theorem-check", {"dims": []}),
+            ("theorem-check", {"dims": [-2]}),
+            ("theorem-check", {"dims": [2, 0]}),
+            ("theorem-check", {"dims": [], "mode": "search"}),
+            ("theorem-check", {"dims": [3, -2], "mode": "search"}),
         ],
     )
     def test_zero_size_sweep_exits_3_without_traceback(self, tmp_path, experiment, parameters):
@@ -91,6 +96,39 @@ class TestConfigHandling:
         out = tmp_path / "r.csv"
         result = qd(experiment, "--config", str(cfg), "--out", str(out))
         assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", [[], [-2], [2, 0]])
+    def test_theorem_check_bad_dims_refused_before_any_draw(self, dims, monkeypatch):
+        from qdlab import cli, spectral_arc
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(spectral_arc, "arc_bound_sweep", no_draw)
+        monkeypatch.setattr(spectral_arc, "counterexample_search", no_draw)
+        for mode in ("verify", "search"):
+            params = cli._merge_params(cli.EXPERIMENTS["theorem-check"],
+                                       {"dims": dims, "mode": mode})
+            with pytest.raises(ValueError, match="dims"):
+                cli._run_theorem_check(params, 0)
+
+    def test_theorem_check_empty_dims_with_check_exits_3(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameters": {"dims": []}}))
+        result = qd("theorem-check", "--check", "--config", str(cfg))
+        assert result.returncode == 3
+        assert "dims" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("seed", ["1.0", "1e3", "true", "-0.0"])
+    def test_non_integer_config_seed_exits_2(self, tmp_path, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"seed": {seed}}}')
+        out = tmp_path / "r.csv"
+        result = qd("superdense", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert not out.exists()
 

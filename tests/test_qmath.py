@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdlab import qmath
 from conftest import random_density, random_hermitian, random_state, random_unitary
@@ -113,6 +114,78 @@ class TestUnitaryEig:
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError):
             qmath.unitary_eig(np.diag([2.0, 1.0]))
+
+
+def _hermitian_stack(seed, batch, dim, zero_member):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim))
+    H = (A + A.conj().swapaxes(-1, -2)) / 2
+    if zero_member is not None:
+        H[zero_member % batch] = 0.0
+    return H
+
+
+class TestStackedKernels:
+    """Each row of a stacked kernel call equals the call on that matrix alone."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 8),
+        dim=st.integers(1, 6),
+        zero_member=st.none() | st.integers(0, 7),
+        t=st.floats(-7.0, 7.0),
+    )
+    def test_rows_equal_single_matrix_calls(self, seed, batch, dim, zero_member, t):
+        H = _hermitian_stack(seed, batch, dim, zero_member)
+        w, V = qmath.herm_eig(H)
+        U = qmath.expm_i(H, t)
+        args = qmath.unitary_args(U)
+        norms = qmath.sup_norm(H)
+        assert w.shape == (batch, dim) and V.shape == U.shape == H.shape
+        assert args.shape == (batch, dim) and norms.shape == (batch,)
+        for i in range(batch):
+            w_i, V_i = qmath.herm_eig(H[i].copy())
+            U_i = qmath.expm_i(H[i].copy(), t)
+            assert np.array_equal(w[i], w_i) and np.array_equal(V[i], V_i)
+            assert np.array_equal(U[i], U_i)
+            assert np.array_equal(args[i], qmath.unitary_args(U_i))
+            assert norms[i] == qmath.sup_norm(H[i].copy())
+
+    def test_zero_and_one_dimensional_members(self):
+        H = np.zeros((3, 1, 1), dtype=complex)
+        H[1, 0, 0] = -2.5
+        np.testing.assert_array_equal(qmath.sup_norm(H), [0.0, 2.5, 0.0])
+        np.testing.assert_array_equal(
+            qmath.expm_i(np.zeros((2, 4, 4)), 1.3), np.broadcast_to(np.eye(4), (2, 4, 4))
+        )
+        assert isinstance(qmath.sup_norm(np.zeros((3, 3))), float)
+
+    def test_one_non_unitary_member_raises(self, rng):
+        U = qmath.expm_i(_hermitian_stack(7, 5, 3, None), 1.0)
+        qmath.unitary_args(U)
+        U[3] *= 1.01
+        with pytest.raises(ValueError, match="not unitary"):
+            qmath.unitary_args(U)
+
+    def test_two_dimensional_functions_reject_stacks(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+        for call in (
+            qmath.is_hermitian,
+            qmath.is_unitary,
+            qmath.is_density,
+            qmath.density_to_bloch,
+            qmath.trace_norm,
+            qmath.unitary_eig,
+            lambda M: qmath.partial_trace(M, [2], [0]),
+        ):
+            with pytest.raises(ValueError):
+                call(stack)
+
+    def test_rejects_non_square_stacks(self):
+        for shape in ((3,), (2, 2, 3), (4, 0, 0)):
+            with pytest.raises(ValueError):
+                qmath.herm_eig(np.zeros(shape))
 
 
 class TestTensor:

@@ -2,9 +2,72 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdlab import qmath, spectral_arc as arc
+from qdlab import cli, qmath, spectral_arc as arc, tolerances
 from conftest import random_hermitian, random_unitary
+
+
+# Reference copies of the one-case-at-a-time code that the stacked sweep
+# replaced; the sweep must reproduce them bit for bit.
+def reference_random_hermitian(dim, sup, rng):
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    Hm = (A + A.conj().T) / 2
+    current = qmath.sup_norm(Hm)
+    if current == 0.0:
+        return Hm
+    return Hm * (sup / current)
+
+
+def reference_arc_bound_check(H, K, tol=tolerances.ARC_CHECK):
+    W = qmath.expm_i(K, -1.0) @ qmath.expm_i(H + K, 1.0)
+    args_w = qmath.unitary_args(W)
+    args_h = qmath.unitary_args(qmath.expm_i(H, 1.0))
+    lhs_max, lhs_min = float(args_w[-1]), float(args_w[0])
+    rhs_max, rhs_min = float(args_h[-1]), float(args_h[0])
+    holds = (lhs_max <= rhs_max + tol) and (lhs_min >= rhs_min - tol)
+    return arc.ArcBoundCase(
+        H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, qmath.sup_norm(H) < math.pi
+    )
+
+
+def reference_verify_rows(params, seed):
+    """The theorem-check verify runner, one trial at a time."""
+    rows = []
+    for i, dim in enumerate(params["dims"]):
+        holds, worst = 0, -math.inf
+        for child in np.random.SeedSequence(seed + 1000 * i).spawn(params["trials"]):
+            rng = np.random.default_rng(child)
+            H = reference_random_hermitian(dim, rng.uniform(0, params["h_norm_max"]), rng)
+            K = reference_random_hermitian(dim, rng.uniform(0, params["k_norm_max"]), rng)
+            case = reference_arc_bound_check(H, K)
+            holds += int(case.holds)
+            worst = max(worst, case.max_violation)
+        rows.append({"dim": dim, "trials": params["trials"], "holds": holds,
+                     "violations": params["trials"] - holds, "worst_violation": worst})
+    return rows
+
+
+def reference_search(dim, trials, rng_seed, margin=1e-6):
+    found = []
+    for child in np.random.SeedSequence(rng_seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        H = reference_random_hermitian(dim, rng.uniform(math.pi, 1.5 * math.pi), rng)
+        K = reference_random_hermitian(dim, rng.uniform(0.1, 10.0), rng)
+        case = reference_arc_bound_check(H, K)
+        if case.max_violation > margin and arc._recheck_high_precision(H, K, margin):
+            found.append(case)
+    return found
+
+
+def assert_same_case(a, b):
+    assert np.array_equal(a.H, b.H) and np.array_equal(a.K, b.K)
+    assert (a.lhs_max, a.rhs_max, a.lhs_min, a.rhs_min) == (
+        b.lhs_max, b.rhs_max, b.lhs_min, b.rhs_min
+    )
+    assert (a.holds, a.in_regime) == (b.holds, b.in_regime)
+    assert type(a.holds) is type(b.holds) is bool
+    assert type(a.in_regime) is type(b.in_regime) is bool
 
 
 class TestMaxMinArg:
@@ -68,6 +131,104 @@ class TestArcBound:
         H = arc.random_hermitian(3, 1.2 * math.pi, rng)
         case = arc.arc_bound_check(H, np.zeros_like(H))
         assert not case.in_regime
+
+
+class TestStackedArcBound:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        sup=st.floats(0.0, 20.0),
+    )
+    def test_random_hermitian_matches_reference(self, seed, dim, sup):
+        got = arc.random_hermitian(dim, sup, np.random.default_rng(seed))
+        want = reference_random_hermitian(dim, sup, np.random.default_rng(seed))
+        assert got.shape == (dim, dim)
+        assert np.array_equal(got, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8), dim=st.integers(1, 6))
+    def test_case_rows_equal_one_case_checks(self, seed, batch, dim):
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (reference_random_hermitian(dim, rng.uniform(0, 1.5 * math.pi), rng),
+             reference_random_hermitian(dim, rng.uniform(0, 10.0), rng))
+            for _ in range(batch)
+        ]
+        H_stack, K_stack = (np.stack(side) for side in zip(*pairs))
+        cases = arc.arc_bound_cases(H_stack, K_stack)
+        violations = cases.max_violation
+        for i, (H, K) in enumerate(pairs):
+            one = arc.arc_bound_check(H, K)
+            assert_same_case(cases.case(i), one)
+            assert_same_case(one, reference_arc_bound_check(H, K))
+            assert violations[i] == one.max_violation
+
+    def test_rescale_keeps_zero_matrices(self):
+        stack = np.zeros((2, 3, 3), dtype=complex)
+        stack[1] = np.diag([1.0, -4.0, 2.0])
+        with np.errstate(all="raise"):
+            out = arc._rescaled(stack, np.array([5.0, 2.0]))
+        np.testing.assert_array_equal(out[0], 0.0)
+        np.testing.assert_array_equal(out[1], np.diag([0.5, -2.0, 1.0]))
+
+    def test_zero_generators(self):
+        Z = np.zeros((3, 3))
+        case = arc.arc_bound_check(Z, Z)
+        assert case.holds and case.in_regime
+        assert case.max_violation == 0.0
+
+    def test_sweep_rejects_empty_sizes(self):
+        for dim, trials in ((0, 5), (2, 0), (-1, 5)):
+            with pytest.raises(ValueError):
+                arc.arc_bound_sweep(dim, trials, 1, (0.0, 1.0), (0.0, 1.0))
+
+
+class TestTheoremCheckRunner:
+    """theorem-check verify and the counterexample search reproduce the
+    one-trial-at-a-time code they replaced."""
+
+    @staticmethod
+    def params(**overrides):
+        return cli._merge_params(cli.EXPERIMENTS["theorem-check"], overrides)
+
+    @pytest.mark.parametrize("trials", [250, 400])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_verify_rows_equal_reference_loop(self, seed, trials):
+        params = self.params(trials=trials)
+        _, rows, _ = cli._run_theorem_check(params, seed)
+        assert rows == reference_verify_rows(params, seed)
+
+    def test_blocks_give_the_same_rows_within_the_element_budget(self, monkeypatch):
+        budget = 100  # blocks of 25 cases at d = 2, 11 at d = 3, 2 at d = 6
+        monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
+        sizes = []
+
+        def spy(kernel):
+            def spied(M, *args, **kwargs):
+                sizes.append(np.asarray(M).size)
+                return kernel(M, *args, **kwargs)
+            return spied
+
+        for name in ("herm_eig", "expm_i", "unitary_args", "sup_norm"):
+            monkeypatch.setattr(qmath, name, spy(getattr(qmath, name)))
+        params = self.params(trials=60)
+        _, rows, _ = cli._run_theorem_check(params, 5)
+        assert max(sizes) <= budget
+        # Per block: 3 expm_i, each with its herm_eig, 2 unitary_args and
+        # 3 sup_norm (two rescales and the regime flag), each with its herm_eig.
+        blocks = sum(math.ceil(60 / (budget // (d * d))) for d in params["dims"])
+        assert len(sizes) == 14 * blocks
+        monkeypatch.undo()
+        assert rows == reference_verify_rows(params, 5)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_search_equals_reference_loop(self, dim):
+        found = arc.counterexample_search(dim, 40, 11)
+        want = reference_search(dim, 40, 11)
+        assert len(found) == len(want) > 0
+        for a, b in zip(found, want):
+            assert_same_case(a, b)
 
 
 class TestSubadditivity:
