@@ -22,16 +22,16 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
-from importlib import resources
 
 import click
-import jsonschema
 import numpy as np
 
 from . import discrimination, metrology, phase_estimation, qmath, search, spectral_arc
 from .dynamics import FieldHamiltonian, NoiseKind, NoiseModel
 
 DEFAULT_SEED = 1234567890
+SEED_MAX = 2**64 - 1
+SIZE_CAP = 10**5  # the largest trials, samples, points or grid a config may ask for
 OUT_DIR_ENV = "QD_OUT_DIR"
 WORKERS_ENV = "QD_WORKERS"
 
@@ -59,6 +59,11 @@ class Experiment:
     checker: object  # (params, rows) -> list[(label, ok, detail)]
     choices: dict = field(default_factory=dict)  # parameter -> its allowed strings
     check_requires: dict = field(default_factory=dict)  # parameter -> the value --check asserts
+    bounds: dict = field(default_factory=dict)  # parameter -> inclusive (min, max), per list item
+
+
+_SIZE = (1, SIZE_CAP)
+_POSITIVE = (math.ulp(0.0), math.inf)  # from the least positive float up
 
 
 # JSON types an override may have, by the type of the parameter's default.
@@ -84,7 +89,7 @@ def _typed(key: str, value, default):
 
 
 def _merge_params(exp: Experiment, overrides: dict) -> dict:
-    """The experiment's defaults with each override converted to its default's type."""
+    """The defaults with each override typed and held to its choices, bounds and non-emptiness."""
     params = dict(exp.defaults)
     for key, value in overrides.items():
         if key not in params:
@@ -92,6 +97,13 @@ def _merge_params(exp: Experiment, overrides: dict) -> dict:
         params[key] = _typed(key, value, exp.defaults[key])
         if key in exp.choices and value not in exp.choices[key]:
             raise ConfigError(f"parameter {key!r} must be one of {exp.choices[key]}, got {value!r}")
+        if value == []:
+            raise ConfigError(f"parameter {key!r} must be a non-empty list")
+        if key in exp.bounds:
+            low, high = exp.bounds[key]
+            for item in params[key] if isinstance(params[key], list) else [params[key]]:
+                if not low <= item <= high:
+                    raise ConfigError(f"parameter {key!r} must be in [{low}, {high}], got {item!r}")
     return params
 
 
@@ -249,8 +261,6 @@ def _check_fixed_time(params, rows):
 
 def _run_eliminate(params, seed):
     n_hyp, dim, trials = params["n_hypotheses"], params["dim"], params["trials"]
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rows = []
     for idx, rng in enumerate(_spawned_rngs(seed, trials)):
         gens = [spectral_arc.random_hermitian(dim, 2.0, rng) for _ in range(n_hyp)]
@@ -290,8 +300,6 @@ def _check_eliminate(params, rows):
 def _run_phase_est(params, seed):
     cfg = phase_estimation.PhaseConfig(n=params["n"], omega=params["omega"])
     trials = params["trials"]
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     # First, so the qubit cap is checked before any array of size 2**n exists.
     exact = phase_estimation.exact_distribution(cfg)
     counts = np.zeros(2**cfg.n, dtype=int)
@@ -384,9 +392,10 @@ def _check_metrology(params, rows):
 
 
 def _run_figure1(params, seed):
-    ratios = np.logspace(
-        math.log10(params["ratio_min"]), math.log10(params["ratio_max"]), params["points"]
-    )
+    low, high = params["ratio_min"], params["ratio_max"]
+    if low > high:
+        raise ConfigError(f"ratio_min {low} exceeds ratio_max {high}")
+    ratios = np.logspace(math.log10(low), math.log10(high), params["points"])
     result = metrology.figure1_curve(ratios, params["grid"], params["refine_peak"])
     columns = [f.name for f in fields(metrology.Figure1Point)]
     rows = [asdict(p) for p in result.points]
@@ -416,10 +425,6 @@ def _check_figure1(params, rows):
 
 def _run_theorem_check(params, seed):
     dims, trials = params["dims"], params["trials"]
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not dims or min(dims) < 1:
-        raise ValueError(f"dims must be a nonempty list of dimensions of at least 1, got {dims}")
     if params["mode"] == "search":
         rows = []
         for dim in dims:
@@ -491,18 +496,21 @@ EXPERIMENTS = {
         {"dim": 4, "t": 1.0, "samples": 50, "h_norm": 1.5, "k_norm": 5.0},
         _run_fixed_time,
         _check_fixed_time,
+        bounds={"samples": _SIZE},
     ),
     "eliminate": Experiment(
         "adaptive pairwise elimination over N candidate generators",
         {"n_hypotheses": 5, "dim": 3, "trials": 20},
         _run_eliminate,
         _check_eliminate,
+        bounds={"trials": _SIZE},
     ),
     "phase-est": Experiment(
         "bitwise adaptive frequency estimation versus the exact distribution",
         {"n": 4, "omega": 1.0 / 3.0, "trials": 2000},
         _run_phase_est,
         _check_phase_est,
+        bounds={"trials": _SIZE},
     ),
     "metrology": Experiment(
         "time-budget-optimized frequency precision: product versus cat probes",
@@ -522,6 +530,7 @@ EXPERIMENTS = {
         {"ratio_min": 0.01, "ratio_max": 10.0, "points": 200, "grid": 2048, "refine_peak": True},
         _run_figure1,
         _check_figure1,
+        bounds={"ratio_min": _POSITIVE, "ratio_max": _POSITIVE, "points": _SIZE, "grid": _SIZE},
     ),
     "theorem-check": Experiment(
         "randomized verification of the driven-evolution spectral-arc bound",
@@ -536,6 +545,7 @@ EXPERIMENTS = {
         _check_theorem_check,
         {"mode": ("verify", "search")},
         check_requires={"mode": "verify"},
+        bounds={"dims": (1, 1024), "trials": _SIZE},
     ),
 }
 
@@ -545,9 +555,11 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 
-def load_schema() -> dict:
-    with resources.files("qdlab.data").joinpath("config_schema.json").open("r") as fh:
-        return json.load(fh)
+# The JSON type of each top-level config key. Types are matched exactly, so
+# `true` is no integer and `1.0` no seed.
+_CONFIG_KEYS = {"experiment": (str, "string"), "parameters": (dict, "object"),
+                "seed": (int, "integer"), "output": (dict, "object")}
+OUTPUT_FORMATS = ("csv", "json")
 
 
 def load_config(path: str | None) -> dict:
@@ -558,14 +570,21 @@ def load_config(path: str | None) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(config, load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match the schema: {exc.message}") from exc
-    # The schema's "integer" also admits 1.0 and 1e3, which SeedSequence refuses.
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be a JSON integer, got {seed!r}")
+    if type(config) is not dict:
+        raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
+    for key, value in config.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; valid: {list(_CONFIG_KEYS)}")
+        kind, name = _CONFIG_KEYS[key]
+        if type(value) is not kind:
+            raise ConfigError(f"config {key!r} must be a JSON {name}, got {value!r}")
+    if not 0 <= config.get("seed", 0) <= SEED_MAX:
+        raise ConfigError(f"seed must be in [0, {SEED_MAX}], got {config['seed']}")
+    output = config.get("output", {})
+    if not (set(output) <= {"path", "format"} and type(output.get("path", "")) is str
+            and output.get("format", "csv") in OUTPUT_FORMATS):
+        raise ConfigError(f"config 'output' may hold only a string 'path' and a 'format' in "
+                          f"{OUTPUT_FORMATS}, got {output!r}")
     return config
 
 
@@ -605,11 +624,11 @@ def write_atomic(path: str, payload: bytes) -> None:
 def list_experiments() -> str:
     lines = ["experiment      parameters (defaults)"]
     lines.append("-" * 72)
-    for name in EXPERIMENTS:
-        exp = EXPERIMENTS[name]
+    for name, exp in EXPERIMENTS.items():
         lines.append(f"{name:<15} {exp.summary}")
         for key, value in exp.defaults.items():
-            lines.append(f"{'':<15}   {key} = {value!r}")
+            bound = "  in [{}, {}]".format(*exp.bounds[key]) if key in exp.bounds else ""
+            lines.append(f"{'':<15}   {key} = {value!r}{bound}")
     return "\n".join(lines) + "\n"
 
 
@@ -622,11 +641,11 @@ def list_experiments() -> str:
 @click.argument("experiment")
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.option(
-    "--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="Root RNG seed (64-bit)."
+    "--seed", type=click.IntRange(0, SEED_MAX), default=None, help="Root RNG seed (64-bit)."
 )
 @click.option("--out", "out_path", type=str, default=None, help="Report path.")
 @click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Report format."
+    "--format", "fmt", type=click.Choice(OUTPUT_FORMATS), default=None, help="Report format."
 )
 @click.option("--check", is_flag=True, help="Run the experiment's acceptance assertions.")
 @click.option(

@@ -303,15 +303,17 @@ def symmetric_directions(n: int, cos_theta: float) -> list[np.ndarray]:
     which requires the tetrahedral value cos_theta = -1/3.
     """
     if n == 2:
+        if not -1.0 <= cos_theta <= 1.0:
+            raise ValueError(f"two unit vectors need cos_theta in [-1, 1], got {cos_theta}")
         theta = math.acos(cos_theta)
         return [
             np.array([math.sin(theta / 2), 0.0, math.cos(theta / 2)]),
             np.array([-math.sin(theta / 2), 0.0, math.cos(theta / 2)]),
         ]
     if n == 3:
+        if not -0.5 <= cos_theta <= 1.0:
+            raise ValueError(f"a threefold cone needs cos_theta in [-1/2, 1], got {cos_theta}")
         cos2_alpha = (2.0 * cos_theta + 1.0) / 3.0
-        if cos2_alpha < 0:
-            raise ValueError(f"no threefold-symmetric cone with cos_theta={cos_theta}")
         ca = math.sqrt(cos2_alpha)
         sa = math.sqrt(1.0 - cos2_alpha)
         return [

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 RUN = [sys.executable, "-m", "qdlab.cli"]
 
@@ -19,6 +20,15 @@ def qd(*args, env_extra=None, cwd=None):
     return subprocess.run(
         RUN + list(args), capture_output=True, text=True, env=env, cwd=cwd, timeout=300
     )
+
+
+# (key, value) breaks one top-level rule; a None key stands for a config that is no object.
+TOP_LEVEL_FAULTS = [
+    (None, None), (None, []), (None, "figure1"), (None, 3.5), ("extra", 1), ("experiment", 3),
+    ("experiment", "no-such-experiment"), ("parameters", []), ("seed", -1), ("seed", 2**64),
+    ("seed", 1.0), ("seed", True), ("seed", "x"), ("output", []), ("output", {"format": "xml"}),
+    ("output", {"path": 3}), ("output", {"path": "a.csv", "extra": 1}),
+]
 
 
 class TestListing:
@@ -88,19 +98,22 @@ class TestConfigHandling:
             ("theorem-check", {"dims": [2, 0]}),
             ("theorem-check", {"dims": [], "mode": "search"}),
             ("theorem-check", {"dims": [3, -2], "mode": "search"}),
+            ("fixed-time", {"samples": 0}),
+            ("grover", {"sizes": []}),
         ],
     )
-    def test_zero_size_sweep_exits_3_without_traceback(self, tmp_path, experiment, parameters):
+    def test_zero_size_sweep_exits_2_without_traceback(self, tmp_path, experiment, parameters):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters}))
         out = tmp_path / "r.csv"
         result = qd(experiment, "--config", str(cfg), "--out", str(out))
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("dims", [[], [-2], [2, 0]])
-    def test_theorem_check_bad_dims_refused_before_any_draw(self, dims, monkeypatch):
+    def test_theorem_check_bad_dims_refused_before_any_draw(self, dims, monkeypatch, tmp_path,
+                                                            capsys):
         from qdlab import cli, spectral_arc
 
         def no_draw(*args, **kwargs):
@@ -108,17 +121,21 @@ class TestConfigHandling:
 
         monkeypatch.setattr(spectral_arc, "arc_bound_sweep", no_draw)
         monkeypatch.setattr(spectral_arc, "counterexample_search", no_draw)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
         for mode in ("verify", "search"):
-            params = cli._merge_params(cli.EXPERIMENTS["theorem-check"],
-                                       {"dims": dims, "mode": mode})
-            with pytest.raises(ValueError, match="dims"):
-                cli._run_theorem_check(params, 0)
+            cfg.write_text(json.dumps({"parameters": {"dims": dims, "mode": mode}}))
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["theorem-check", "--config", str(cfg), "--out", str(out)],
+                         standalone_mode=False)
+            assert exc.value.code == 2
+            assert "dims" in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_theorem_check_empty_dims_with_check_exits_3(self, tmp_path):
+    def test_theorem_check_empty_dims_with_check_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"parameters": {"dims": []}}))
         result = qd("theorem-check", "--check", "--config", str(cfg))
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert "dims" in result.stderr
         assert "Traceback" not in result.stderr
 
@@ -131,6 +148,27 @@ class TestConfigHandling:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", TOP_LEVEL_FAULTS)
+    def test_config_breaking_a_top_level_rule_exits_2(self, tmp_path, capsys, key, value):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps(value if key is None else {key: value}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["superdense", "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_top_level_edges_are_accepted(self, tmp_path):
+        from qdlab import cli
+
+        cfg = tmp_path / "cfg.json"
+        for config in ({}, {"seed": 0}, {"seed": 2**64 - 1}, {"output": {"format": "json"}},
+                       {"experiment": "x", "parameters": {}, "output": {"path": "a.csv"}}):
+            cfg.write_text(json.dumps(config))
+            assert cli.load_config(str(cfg)) == config
 
     @pytest.mark.parametrize(
         "experiment, parameters",
@@ -174,9 +212,21 @@ class TestConfigHandling:
             ),
             (["figure1"], '{"parameters": {"ratio_max": 1e999}}', 2, "finite"),
             (["grover"], json.dumps({"parameters": {"sizes": [2**1100]}}), 3, "too large"),
+            (
+                ["superdense"],
+                '{"parameters": {"geometry": "lifted-trine", "cos_theta": 2.0}}',
+                3,
+                "cos_theta",
+            ),
+            (
+                ["figure1"],
+                '{"parameters": {"ratio_min": 5.0, "ratio_max": 1.0}}',
+                2,
+                "ratio_min 5.0 exceeds ratio_max 1.0",
+            ),
         ],
         ids=["superdense-check-geometry", "theorem-check-check-search", "literal-1e999",
-             "grover-size-overflow"],
+             "grover-size-overflow", "superdense-no-cone", "figure1-reversed-ratios"],
     )
     def test_config_exits_with_code_without_traceback(self, tmp_path, args, config, code, message):
         cfg = tmp_path / "cfg.json"
@@ -212,8 +262,17 @@ class TestConfigHandling:
         assert result.returncode == 3
 
 
+def just_outside(default, bound):
+    """The values next to an inclusive (low, high) bound on either side of it, finite only."""
+    low, high = bound
+    if isinstance(default, float):
+        return [math.nextafter(x, to) for x, to in ((low, -math.inf), (high, math.inf))
+                if math.isfinite(x)]
+    return [low - 1, high + 1]
+
+
 class TestRegistry:
-    """Every parameter declared in `cli.EXPERIMENTS` is type- and choice-checked."""
+    """Every parameter declared in `cli.EXPERIMENTS` is type-, choice- and bound-checked."""
 
     # JSON values of every type other than the default's (int is a valid float).
     WRONG = {
@@ -232,12 +291,18 @@ class TestRegistry:
         for name, exp in cli.EXPERIMENTS.items():
             for key, allowed in exp.choices.items():
                 assert exp.defaults[key] in allowed, (name, key)
+            assert cli._merge_params(exp, exp.defaults) == exp.defaults
             for key, default in exp.defaults.items():
                 values = list(self.WRONG[type(default)])
                 if isinstance(default, list):
                     values += [[value] for value in self.WRONG[type(default[0])]]
+                    values.append([])
                 if key in exp.choices:
                     values.append("not-a-choice")
+                if key in exp.bounds:
+                    item = default[0] if isinstance(default, list) else default
+                    outside = just_outside(item, exp.bounds[key])
+                    values += [[x] for x in outside] if isinstance(default, list) else outside
                 for value in values:
                     cfg.write_text(json.dumps({"parameters": {key: value}}))
                     code = 0
@@ -249,6 +314,15 @@ class TestRegistry:
                     if code != 2 or out.exists() or "config error" not in capsys.readouterr().err:
                         failures.append((name, key, value, code))
         assert failures == []
+
+    def test_bound_edges_are_accepted(self):
+        from qdlab import cli
+
+        for exp in cli.EXPERIMENTS.values():
+            for key, (low, high) in exp.bounds.items():
+                for edge in (low, high) if math.isfinite(high) else (low,):
+                    value = [edge] if isinstance(exp.defaults[key], list) else edge
+                    assert cli._merge_params(exp, {key: value})[key] == value
 
     def test_json_report_echoes_converted_parameters(self, tmp_path):
         from qdlab import cli
@@ -441,9 +515,72 @@ class TestCheckFlag:
         assert not out.exists()
 
 
+# Sizes small enough that every accepted fuzz config runs in well under a second.
+SMALL = {"trials": 3, "samples": 3, "points": 3, "grid": 16, "dims": [2]}
+
+
+def edge_values(default, bound):
+    """Values at, just inside and just outside the lower bound, and just outside the upper.
+
+    The upper bounds are resource caps, so a value at or inside one would run a large sweep;
+    `test_bound_edges_are_accepted` checks that the caps themselves are accepted.
+    """
+    low = bound[0]
+    inside = math.nextafter(low, math.inf) if isinstance(default, float) else low + 1
+    return [low, inside] + just_outside(default, bound)
+
+
+@st.composite
+def fuzz_configs(draw):
+    from qdlab import cli
+
+    name = draw(st.sampled_from(sorted(cli.EXPERIMENTS)))
+    exp = cli.EXPERIMENTS[name]
+    params = {key: value for key, value in SMALL.items() if key in exp.defaults}
+    for key in draw(st.lists(st.sampled_from(sorted(exp.defaults)), max_size=2, unique=True)):
+        default = exp.defaults[key]
+        item = default[0] if isinstance(default, list) else default
+        values = edge_values(item, exp.bounds[key]) if key in exp.bounds else [item]
+        values += list(exp.choices.get(key, ()))
+        value = draw(st.sampled_from(values))
+        params[key] = [value] if isinstance(default, list) else value
+        if isinstance(default, list) and draw(st.booleans()):
+            params[key] = []
+    config = {"experiment": name, "parameters": params,
+              "seed": draw(st.sampled_from([0, 7, cli.SEED_MAX])),
+              "output": {"path": "ignored.csv", "format": draw(st.sampled_from(["csv", "json"]))}}
+    fault = draw(st.none() | st.sampled_from(TOP_LEVEL_FAULTS))
+    if fault is None:
+        return name, config
+    key, value = fault
+    return name, value if key is None else {**config, key: value}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=fuzz_configs())
+    def test_any_config_exits_cleanly(self, tmp_path, capsys, case):
+        from qdlab import cli
+
+        name, config = case
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.out"
+        cfg.write_text(json.dumps(config))
+        if out.exists():
+            out.unlink()
+        # Any exception other than SystemExit fails the test: a traceback is no exit code.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        capsys.readouterr()
+        assert exc.value.code in range(5)
+        assert exc.value.code == 0 or not out.exists()
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
         # scipy is needed only by the spectral-arc high-precision recheck.
-        code = "import sys, qdlab.cli; assert 'scipy' not in sys.modules, 'scipy was imported'"
+        # jsonschema is not used at all: the experiment registry checks configs.
+        code = ("import sys, qdlab.cli; loaded = {'scipy', 'jsonschema'} & set(sys.modules); "
+                "assert not loaded, loaded")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

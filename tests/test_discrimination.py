@@ -350,6 +350,13 @@ class TestTrineDiscriminate:
     def test_rejects_positive_cos_theta_trine(self):
         with pytest.raises(ValueError):
             disc.trine_discriminate(disc.symmetric_directions(3, 0.3))
+        # Outside |cos_theta| <= 1 (two vectors) or [-1/2, 1] (three) no vectors exist.
+        for n, cos_theta in [(2, 1.5), (2, -1.0001), (3, 2.0), (3, -0.6), (3, math.nan)]:
+            with pytest.raises(ValueError, match="cos_theta"):
+                disc.symmetric_directions(n, cos_theta)
+        for n, cos_theta in [(2, -1.0), (2, 1.0), (3, -0.5), (3, 1.0)]:
+            dirs = disc.symmetric_directions(n, cos_theta)
+            assert dirs[0] @ dirs[1] == pytest.approx(cos_theta, abs=1e-12)
 
 
 class TestCancellation:
