@@ -134,8 +134,8 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048, rel_tol: float = 1e
     `rel_tol` relative accuracy in t. Returns (t, fn(t)).
     """
     t_max = np.asarray(t_max, dtype=float)
-    if np.any(t_max <= 0):
-        raise ValueError("t_max must be positive")
+    if not np.all((t_max > 0) & np.isfinite(t_max)):
+        raise ValueError("t_max must be positive and finite")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
     best, k_best = np.full(t_max.shape, np.inf), np.ones(t_max.shape)

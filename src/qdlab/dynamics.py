@@ -2,9 +2,12 @@
 
 Implements pure-state evolution, the single-qubit depolarizing channel in the
 Bloch picture, the basis-free symmetric-decoherence channel in any dimension,
-and independent per-qubit depolarizing via Pauli-weight damping. Each closed
-form is validated in the tests against a generic fixed-step RK4 integrator of
-its master equation and a Kraus-map oracle.
+and independent per-qubit depolarizing as one 4x4 local superoperator applied
+qubit by qubit, in O(n 4^n) for n qubits. Each closed form is validated in the
+tests against a generic fixed-step RK4 integrator of its master equation and a
+Kraus-map oracle. The oracles (`independent_master_rhs`,
+`kraus_apply_per_qubit`) build dense 2^n x 2^n operators on purpose, so that
+they share no code path with the closed forms they check.
 
 Rate convention: gamma is defined so the Bloch vector (or, in d dimensions,
 the traceless part of rho) contracts as exp(-gamma t); the Kraus and Lindblad
@@ -90,6 +93,14 @@ def generator_matrix(generator) -> np.ndarray:
     return np.asarray(generator, dtype=complex)
 
 
+def _check_rate_and_time(gamma: float, t: float) -> None:
+    """The closed forms below are channels only for gamma >= 0 and t >= 0."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    if t < 0:
+        raise ValueError("duration must be nonnegative")
+
+
 def evolve_pure(psi0, H, t: float) -> np.ndarray:
     """|psi(t)> = exp(-i t H) |psi0>."""
     psi0 = qmath.check_state(psi0)
@@ -114,8 +125,7 @@ def evolve_depolarizing_qubit(P0, field: FieldHamiltonian, gamma: float, t: floa
     contracts as exp(-gamma t).
     """
     P0 = qmath.check_bloch(P0)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    _check_rate_and_time(gamma, t)
     R = rotation_about_axis(np.asarray(field.axis), field.omega * t)
     return np.exp(-gamma * t) * (R @ P0)
 
@@ -131,27 +141,10 @@ def evolve_symmetric(rho0, H, gamma: float, t: float) -> np.ndarray:
     d = rho0.shape[0]
     if rho0.shape != (d, d) or H.shape != (d, d):
         raise ValueError("state and Hamiltonian dimensions do not match")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    _check_rate_and_time(gamma, t)
     U = qmath.expm_i(H, t)
     decay = np.exp(-gamma * t)
     return decay * (U @ rho0 @ U.conj().T) + (1.0 - decay) * np.eye(d) / d
-
-
-def _damp_qubit(rho: np.ndarray, n: int, q: int, decay: float) -> np.ndarray:
-    """Damp every Pauli component acting nontrivially on qubit q by `decay`.
-
-    Identity-on-q component of rho is (I_q/2) (x) tr_q rho; the rest is the
-    traceless-on-q part, which the local depolarizing channel scales.
-    """
-    dims = [2] * n
-    reduced = qmath.partial_trace(rho, dims, [i for i in range(n) if i != q])
-    d_left = 2**q
-    d_right = 2 ** (n - q - 1)
-    # Reinsert I/2 at position q.
-    left = reduced.reshape(d_left, d_right, d_left, d_right)
-    id_part = np.einsum("abcd,ef->aebcfd", left, np.eye(2) / 2).reshape(rho.shape)
-    return decay * rho + (1.0 - decay) * id_part
 
 
 def evolve_independent_depolarizing(
@@ -159,10 +152,14 @@ def evolve_independent_depolarizing(
 ) -> np.ndarray:
     """Identical local precession plus independent depolarizing on each qubit.
 
-    In the Pauli-string expansion of rho0, a coefficient of weight w (number
-    of non-identity factors) is multiplied by exp(-w gamma t); the weight
-    damping is applied one qubit at a time, and the global product unitary is
-    applied on top (the two commute).
+    Every qubit gets the same local channel: its (row, column) index pair is
+    acted on by the 4x4 superoperator
+    S = exp(-gamma t) (u (x) conj(u)) + (1 - exp(-gamma t)) |I/2><I|,
+    with u = exp(-i t h) the local precession. rho0 is reordered once so that
+    the n pairs are adjacent; each (d^2/4, 4) @ (4, 4) product then applies S
+    to the leading pair and moves it to the back, so after n products the
+    order is restored. The cost is O(n 4^n), against O(8^n) for the product
+    unitary u^(x)n.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if n_qubits < 1:
@@ -172,16 +169,18 @@ def evolve_independent_depolarizing(
     dim = 2**n_qubits
     if rho0.shape != (dim, dim):
         raise ValueError(f"state dimension {rho0.shape[0]} is not 2^{n_qubits}")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    _check_rate_and_time(gamma, t)
 
     u = qmath.expm_i(local_field.matrix(), t)
-    U = qmath.tensor(*([u] * n_qubits)) if n_qubits > 1 else u
-    rho = U @ rho0 @ U.conj().T
     decay = np.exp(-gamma * t)
-    for q in range(n_qubits):
-        rho = _damp_qubit(rho, n_qubits, q, decay)
-    return rho
+    vec_eye = np.eye(2).reshape(4)
+    S = decay * np.einsum("ac,bd->abcd", u, u.conj()).reshape(4, 4)
+    S += (1.0 - decay) * np.outer(vec_eye / 2, vec_eye)
+    pairs = [axis for q in range(n_qubits) for axis in (q, n_qubits + q)]
+    rho = rho0.reshape((2,) * (2 * n_qubits)).transpose(pairs)
+    for _ in range(n_qubits):
+        rho = rho.reshape(4, -1).T @ S.T
+    return rho.reshape((2,) * (2 * n_qubits)).transpose(np.argsort(pairs)).reshape(dim, dim)
 
 
 def apply_channel(rho0, H, noise: NoiseModel, t: float) -> np.ndarray:

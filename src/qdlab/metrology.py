@@ -255,7 +255,8 @@ def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
     broadcast of `strategy` and `ratios`, with omega = 1 (the gains depend
     only on the ratio). Returns (t_star, sign * minimum)."""
     strategy, gamma = np.broadcast_arrays(strategy, ratios)
-    t_max = np.maximum(4.0 * math.pi, 10.0 / gamma)
+    with np.errstate(over="ignore"):  # grid_golden_minimize refuses an inf t_max
+        t_max = np.maximum(4.0 * math.pi, 10.0 / gamma)
     t, value = grid_golden_minimize(
         lambda t: sign * objective(strategy, gamma, 1.0, t), t_max, grid_points=grid
     )

@@ -252,6 +252,19 @@ class TestConfigHandling:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    def test_figure1_unresolvable_ratio_exits_3_without_report(self, tmp_path):
+        # 10 / 5e-324 overflows, so the time window of the smallest ratio is
+        # infinite; the optimizer refuses it instead of writing NaN rows.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"parameters": {"ratio_min": 5e-324, "points": 3, "grid": 16}}')
+        out = tmp_path / "r.csv"
+        result = qd("figure1", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 3
+        assert "t_max must be positive and finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
     def test_numerical_precondition_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -224,6 +224,12 @@ class TestGridGoldenMinimize:
         assert t == pytest.approx(1.0, abs=1e-8)
 
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan, [1.0, math.inf]])
+    def test_refuses_a_window_that_is_not_positive_and_finite(self, t_max):
+        with pytest.raises(ValueError, match="positive and finite"):
+            disc.grid_golden_minimize(lambda t: (t - 1.0) ** 2, t_max, grid_points=8)
+
+
 class TestOptimalTime:
     def test_undamped_limit(self):
         assert disc.optimal_time_qubit(2.0, 0.0) == pytest.approx(math.pi / 2.0, abs=1e-14)

@@ -65,6 +65,13 @@ class TestDepolarizingQubit:
         numeric = dynamics.rk4_integrate(dynamics.bloch_master_rhs(field, gamma), P0, t, step)
         np.testing.assert_allclose(closed, numeric, atol=1e-8)
 
+    def test_negative_time_refused(self):
+        # Run backwards, the contraction exp(-gamma t) would grow the Bloch vector past 1.
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            dynamics.evolve_depolarizing_qubit(
+                np.array([0.3, 0.0, 0.4]), FieldHamiltonian(1.0), 0.5, -3.0
+            )
+
     def test_consistency_with_density_channel(self, rng):
         # The Bloch closed form and the uniform-contraction channel agree.
         field = FieldHamiltonian(1.2, (0, 1, 0))
@@ -89,6 +96,10 @@ class TestSymmetric:
         rho0 = random_density(rng, 4)
         out = dynamics.evolve_symmetric(rho0, random_hermitian(rng, 4), 1.0, 60.0)
         np.testing.assert_allclose(out, np.eye(4) / 4, atol=1e-12)
+
+    def test_negative_time_refused(self, rng):
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            dynamics.evolve_symmetric(random_density(rng, 4), random_hermitian(rng, 4), 0.5, -3.0)
 
     def test_bell_state_coefficients(self):
         # Both qubits in the same z field: the xx - yy coherence oscillates at
@@ -188,6 +199,95 @@ class TestIndependentDepolarizing:
             dynamics.evolve_independent_depolarizing(np.eye(3) / 3, 2, field, 0.1, 1.0)
         with pytest.raises(ResourceLimitError):
             dynamics.evolve_independent_depolarizing(np.eye(4) / 4, 11, field, 0.1, 1.0)
+
+    def test_negative_time_refused(self):
+        # At t = -3 with gamma = 0.5 the output would have eigenvalues near -4.8.
+        rho0 = np.outer(qmath.BELL_PHI_PLUS, qmath.BELL_PHI_PLUS.conj())
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            dynamics.evolve_independent_depolarizing(rho0, 2, FieldHamiltonian(1.0), 0.5, -3.0)
+
+
+def _random_field(rng):
+    axis = rng.normal(size=3)
+    return FieldHamiltonian(float(rng.uniform(0.5, 2.0)), tuple(axis / np.linalg.norm(axis)))
+
+
+def _kraus_reference(rho0, n, field, gamma, t):
+    """The dense product unitary, then the Kraus map on each qubit."""
+    u = qmath.expm_i(field.matrix(), t)
+    U = qmath.tensor(*([u] * n))
+    return dynamics.kraus_apply_per_qubit(
+        U @ rho0 @ U.conj().T, n, dynamics.depolarizing_kraus(gamma, t)
+    )
+
+
+class TestIndependentLocalSuperoperator:
+    """The qubit-by-qubit kernel against the dense oracles, on random local fields."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_against_kraus_oracle_random_axes(self, rng, n):
+        field = _random_field(rng)
+        gamma, t = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 2.0))
+        rho0 = random_density(rng, 2**n)
+        closed = dynamics.evolve_independent_depolarizing(rho0, n, field, gamma, t)
+        np.testing.assert_allclose(closed, _kraus_reference(rho0, n, field, gamma, t), atol=1e-12)
+
+    def test_real_input(self, rng):
+        B = rng.normal(size=(8, 8))
+        rho0 = B @ B.T / np.trace(B @ B.T)
+        field = _random_field(rng)
+        closed = dynamics.evolve_independent_depolarizing(rho0, 3, field, 0.3, 1.1)
+        np.testing.assert_allclose(closed, _kraus_reference(rho0, 3, field, 0.3, 1.1), atol=1e-12)
+
+    @pytest.mark.parametrize("view", ["strided", "transposed"])
+    def test_non_contiguous_input(self, rng, view):
+        rho = random_density(rng, 16)
+        if view == "strided":
+            big = np.zeros((32, 32), dtype=complex)
+            big[::2, ::2] = rho
+            rho0 = big[::2, ::2]
+        else:
+            rho, rho0 = rho.T.copy(), rho.T
+        assert not rho0.flags.c_contiguous
+        field = _random_field(rng)
+        closed = dynamics.evolve_independent_depolarizing(rho0, 4, field, 0.2, 0.7)
+        np.testing.assert_allclose(closed, _kraus_reference(rho, 4, field, 0.2, 0.7), atol=1e-12)
+
+    def test_never_builds_a_dense_operator(self, rng, monkeypatch):
+        field = _random_field(rng)
+        rho0 = random_density(rng, 32)
+        expected = _kraus_reference(rho0, 5, field, 0.4, 1.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense 2^n x 2^n operator was built")
+
+        monkeypatch.setattr(qmath, "tensor", refuse)
+        monkeypatch.setattr(qmath, "partial_trace", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        closed = dynamics.evolve_independent_depolarizing(rho0, 5, field, 0.4, 1.3)
+        np.testing.assert_allclose(closed, expected, atol=1e-12)
+
+    def test_input_not_mutated(self, rng):
+        rho0 = random_density(rng, 16)
+        before = rho0.copy()
+        dynamics.evolve_independent_depolarizing(rho0, 4, _random_field(rng), 0.3, 0.9)
+        np.testing.assert_array_equal(rho0, before)
+
+    def test_max_qubits_state_and_marginals(self, rng):
+        n = dynamics.MAX_QUBITS
+        field = _random_field(rng)
+        gamma, t = 0.3, 1.2
+        rho0 = random_density(rng, 2**n)
+        rho = dynamics.evolve_independent_depolarizing(rho0, n, field, gamma, t)
+        assert abs(np.trace(rho) - 1.0) < 1e-10
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+        # The other qubits' channels preserve the trace, so each one-qubit
+        # marginal follows the single-qubit Bloch closed form.
+        for q in (0, n - 1):
+            P0 = qmath.density_to_bloch(qmath.partial_trace(rho0, [2] * n, [q]))
+            P = qmath.density_to_bloch(qmath.partial_trace(rho, [2] * n, [q]))
+            expected = dynamics.evolve_depolarizing_qubit(P0, field, gamma, t)
+            np.testing.assert_allclose(P, expected, atol=1e-10)
 
 
 def _channels(rng):
