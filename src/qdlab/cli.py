@@ -261,6 +261,8 @@ def _check_fixed_time(params, rows):
 
 def _run_eliminate(params, seed):
     n_hyp, dim, trials = params["n_hypotheses"], params["dim"], params["trials"]
+    if n_hyp * dim * dim > 2**24:  # a trial holds every generator: 2^24 entries are 256 MiB
+        raise ConfigError(f"n_hypotheses * dim^2 must be at most 2^24, got {n_hyp * dim * dim}")
     rows = []
     for idx, rng in enumerate(_spawned_rngs(seed, trials)):
         gens = [spectral_arc.random_hermitian(dim, 2.0, rng) for _ in range(n_hyp)]
@@ -496,14 +498,14 @@ EXPERIMENTS = {
         {"dim": 4, "t": 1.0, "samples": 50, "h_norm": 1.5, "k_norm": 5.0},
         _run_fixed_time,
         _check_fixed_time,
-        bounds={"samples": _SIZE},
+        bounds={"dim": (1, 1024), "samples": _SIZE},
     ),
     "eliminate": Experiment(
         "adaptive pairwise elimination over N candidate generators",
         {"n_hypotheses": 5, "dim": 3, "trials": 20},
         _run_eliminate,
         _check_eliminate,
-        bounds={"trials": _SIZE},
+        bounds={"n_hypotheses": (2, SIZE_CAP), "dim": (1, 1024), "trials": _SIZE},
     ),
     "phase-est": Experiment(
         "bitwise adaptive frequency estimation versus the exact distribution",

@@ -248,9 +248,9 @@ def optimal_time_qubit(omega: float, gamma: float) -> float:
     Smallest t > 0 with tan(omega t / 2) = omega / (2 gamma); the undamped
     limit is the half-turn pi/omega.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0:
         return math.pi / omega
@@ -339,8 +339,9 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
     (or exactly -1/3 for 4), evolving one half of a Bell pair for the time
     with cot^2 t = -cos_theta makes the probe states mutually orthogonal; an
     orthogonal measurement in that state basis then identifies the direction
-    with certainty. The degenerate 2-direction case picks the time minimizing
-    the overlap and falls back to the minimum-error binary measurement.
+    with certainty. The degenerate 2-direction case uses the same time, which
+    minimizes the overlap, and falls back to the minimum-error binary
+    measurement.
     """
     dirs = [np.asarray(d, dtype=float) for d in directions]
     n = len(dirs)
@@ -360,28 +361,21 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
     if max(dots) - min(dots) > 1e-9:
         raise ValueError("pairwise inner products must be equal")
 
-    if n == 2:
-        # Minimize the overlap over a quarter period.
-        t_star, _ = grid_golden_minimize(lambda t: abs(superdense_overlap(*dirs, t)), math.pi / 2)
-        t_star = float(t_star)
-        psi = [superdense_probe_state(d, t_star) for d in dirs]
-        povm, p_error = helstrom(
-            np.outer(psi[0], psi[0].conj()), np.outer(psi[1], psi[1].conj()), priors[0], priors[1]
-        )
-        info = measurement_mutual_information(
-            [povm.projector, povm.complement],
-            [np.outer(p, p.conj()) for p in psi],
-            priors,
-        )
-        return DiscriminationResult(p_error, info, t_star, povm)
-
     if n == 3 and not -0.5 - 1e-9 <= cos_theta <= 1e-9:
         raise ValueError("three directions need cos_theta in [-1/2, 0]")
     if n == 4 and abs(cos_theta + 1.0 / 3.0) > 1e-9:
         raise ValueError("four directions need cos_theta = -1/3")
 
+    # The overlap 1 - (1 - cos_theta) sin^2 t vanishes where cot^2 t = -cos_theta,
+    # and is otherwise least at pi/2.
     t_star = math.atan(1.0 / math.sqrt(-cos_theta)) if cos_theta < 0 else math.pi / 2
     states = [superdense_probe_state(d, t_star) for d in dirs]
+
+    if n == 2:
+        rhos = [np.outer(s, s.conj()) for s in states]
+        povm, p_error = helstrom(*rhos, *priors)
+        info = measurement_mutual_information([povm.projector, povm.complement], rhos, priors)
+        return DiscriminationResult(p_error, info, t_star, povm)
 
     # The evolved states are orthonormal by construction; complete them to a
     # basis of the two-qubit space so the measurement is a full von Neumann one.
@@ -438,7 +432,7 @@ def fixed_time_overlap(H, K, t: float):
 
     Returns (psi0, overlap).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     H = np.asarray(H, dtype=complex)
     K = np.asarray(K, dtype=complex)

@@ -47,7 +47,7 @@ class NoiseModel:
     n_qubits: int | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
         if self.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
             if self.n_qubits is None or self.n_qubits < 1:
@@ -82,7 +82,7 @@ class EvolutionSpec:
     duration: float = 0.0
 
     def __post_init__(self):
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise ValueError("duration must be nonnegative")
 
 
@@ -95,9 +95,9 @@ def generator_matrix(generator) -> np.ndarray:
 
 def _check_rate_and_time(gamma: float, t: float) -> None:
     """The closed forms below are channels only for gamma >= 0 and t >= 0."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("duration must be nonnegative")
 
 

@@ -255,8 +255,11 @@ def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
     broadcast of `strategy` and `ratios`, with omega = 1 (the gains depend
     only on the ratio). Returns (t_star, sign * minimum)."""
     strategy, gamma = np.broadcast_arrays(strategy, ratios)
-    with np.errstate(over="ignore"):  # grid_golden_minimize refuses an inf t_max
-        t_max = np.maximum(4.0 * math.pi, 10.0 / gamma)
+    # min(4 pi, 10 / gamma) holds every optimum: each objective improves with
+    # s = |sin theta(t)| and e = e^{-gamma t} (a smaller e only mixes in uniform,
+    # hypothesis-independent noise), s has period pi or 2 pi, so the optimum is
+    # in (0, 2 pi]; and s(t) <= t, so t = 1 / gamma beats every t past 10 / gamma.
+    t_max = 10.0 / np.maximum(gamma, 2.5 / math.pi)
     t, value = grid_golden_minimize(
         lambda t: sign * objective(strategy, gamma, 1.0, t), t_max, grid_points=grid
     )
@@ -273,7 +276,7 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     over all ratios; a scalar `ratios` is searched on 0-d arrays.
     """
     ratios = np.asarray(ratios, dtype=float)
-    if ratios.size == 0 or np.any(ratios <= 0):
+    if ratios.size == 0 or not np.all(ratios > 0):
         raise ValueError("ratios must be positive")
     columns = ((fig1_measurement_info, -1), (fig1_binary_info, -1), (fig1_error_probability, 1))
     searches = [

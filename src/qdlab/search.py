@@ -30,7 +30,7 @@ class GroverInstance:
             raise ValueError("dimension must be at least 2")
         if not 0 <= self.marked < self.dim:
             raise ValueError("marked index out of range")
-        if self.energy <= 0:
+        if not self.energy > 0:
             raise ValueError("energy must be positive")
 
     @property

@@ -131,6 +131,45 @@ class TestConfigHandling:
             assert "dims" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [
+            ("fixed-time", {"dim": 0}),
+            ("fixed-time", {"dim": 1025}),
+            ("eliminate", {"dim": 0}),
+            ("eliminate", {"dim": 1025}),
+            ("eliminate", {"n_hypotheses": 1}),
+            ("eliminate", {"n_hypotheses": 100001}),
+            # Within each bound, but the generators would take 17 * 1024^2 entries.
+            ("eliminate", {"n_hypotheses": 17, "dim": 1024}),
+        ],
+    )
+    def test_matrix_sizes_refused_before_any_draw(self, experiment, parameters, monkeypatch,
+                                                  tmp_path, capsys):
+        from qdlab import cli, spectral_arc
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a matrix was drawn")
+
+        monkeypatch.setattr(spectral_arc, "random_hermitian", no_draw)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([experiment, "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_many_small_hypotheses_still_run(self, tmp_path):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"n_hypotheses": 100, "trials": 2}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eliminate", "--check", "--config", str(cfg), "--out", str(out)],
+                     standalone_mode=False)
+        assert exc.value.code == 0
+
     def test_theorem_check_empty_dims_with_check_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"parameters": {"dims": []}}))
@@ -252,18 +291,19 @@ class TestConfigHandling:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
-    def test_figure1_unresolvable_ratio_exits_3_without_report(self, tmp_path):
-        # 10 / 5e-324 overflows, so the time window of the smallest ratio is
-        # infinite; the optimizer refuses it instead of writing NaN rows.
+    def test_figure1_least_positive_ratio_runs_without_warning(self, tmp_path):
+        # The time window min(4 pi, 10 / ratio) stays finite at any positive
+        # ratio; at 5e-324 there is no decoherence, so both probes gain one bit.
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"parameters": {"ratio_min": 5e-324, "points": 3, "grid": 16}}')
         out = tmp_path / "r.csv"
         result = qd("figure1", "--config", str(cfg), "--out", str(out))
-        assert result.returncode == 3
-        assert "t_max must be positive and finite" in result.stderr
+        assert result.returncode == 0
         assert "Traceback" not in result.stderr
         assert "Warning" not in result.stderr
-        assert not out.exists()
+        first = next(csv.DictReader(out.open(encoding="utf-8")))
+        assert float(first["ratio"]) == 5e-324
+        assert float(first["info_ent"]) == float(first["info_prod"]) == 1.0
 
     def test_numerical_precondition_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -254,6 +254,14 @@ class TestOptimalTime:
         with pytest.raises(ValueError):
             disc.optimal_time_qubit(0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "omega, gamma, message",
+        [(math.nan, 1.0, "omega must be positive"), (1.0, math.nan, "gamma must be nonnegative")],
+    )
+    def test_rejects_nan(self, omega, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            disc.optimal_time_qubit(omega, gamma)
+
 
 class TestSuperdenseProbe:
     def test_zero_time(self):
@@ -338,6 +346,20 @@ class TestTrineDiscriminate:
         assert min_overlap == pytest.approx(0.5, abs=1e-9)
         assert res.p_error > 0.0
 
+    @pytest.mark.parametrize(
+        "cos_theta, t_star",
+        [(-1.0, math.pi / 4), (-0.5, math.atan(math.sqrt(2.0))), (0.0, math.pi / 2),
+         (0.5, math.pi / 2), (1.0, math.pi / 2)],
+    )
+    def test_two_direction_time_is_closed_form(self, cos_theta, t_star):
+        dirs = disc.symmetric_directions(2, cos_theta)
+        res = disc.trine_discriminate(dirs)
+        assert res.t_star == pytest.approx(t_star, abs=1e-12)
+        # No time in the quarter period gives a smaller overlap.
+        ts = np.linspace(1e-6, math.pi / 2, 10**4)
+        best = np.abs(disc.superdense_overlap(*dirs, ts)).min()
+        assert abs(disc.superdense_overlap(*dirs, res.t_star)) <= best + 1e-12
+
     def test_grid_minimum_confirms_two_direction_case(self):
         dirs = disc.symmetric_directions(2, 0.5)
         ts = np.linspace(1e-6, math.pi / 2, 10**4)
@@ -411,6 +433,11 @@ class TestFixedTimeOverlap:
         t = math.pi / (w[-1] - w[0])
         _, overlap = disc.fixed_time_overlap(H, np.zeros_like(H), t)
         assert overlap <= 1e-8
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_rejects_time_that_is_not_positive(self, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            disc.fixed_time_overlap(np.eye(2), np.zeros((2, 2)), t)
 
     @pytest.mark.parametrize("case", ["random", "scalar", "tiny", "repeated", "one-dim"])
     def test_probe_attains_reported_overlap(self, rng, case):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,23 @@ class TestIndependentDepolarizing:
         rho0 = np.outer(qmath.BELL_PHI_PLUS, qmath.BELL_PHI_PLUS.conj())
         with pytest.raises(ValueError, match="duration must be nonnegative"):
             dynamics.evolve_independent_depolarizing(rho0, 2, FieldHamiltonian(1.0), 0.5, -3.0)
+
+
+@pytest.mark.parametrize("closed_form", ["qubit", "symmetric", "independent"])
+@pytest.mark.parametrize(
+    "gamma, t, message",
+    [(math.nan, 1.0, "gamma must be nonnegative"), (0.5, math.nan, "duration must be nonnegative")],
+)
+def test_closed_forms_refuse_nan_rate_or_time(closed_form, gamma, t, message):
+    field = FieldHamiltonian(1.0)
+    rho0 = np.outer(qmath.BELL_PHI_PLUS, qmath.BELL_PHI_PLUS.conj())
+    with pytest.raises(ValueError, match=message):
+        if closed_form == "qubit":
+            dynamics.evolve_depolarizing_qubit(np.array([0.3, 0.0, 0.4]), field, gamma, t)
+        elif closed_form == "symmetric":
+            dynamics.evolve_symmetric(rho0, np.eye(4), gamma, t)
+        else:
+            dynamics.evolve_independent_depolarizing(rho0, 2, field, gamma, t)
 
 
 def _random_field(rng):

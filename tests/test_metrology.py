@@ -216,6 +216,46 @@ class TestFigureOneCurve:
         assert rs == sorted(rs)
         assert len(res.points) == 4  # one refinement point inserted
 
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-3, 1e3, 1e5])
+    def test_rows_match_brute_force_optimum(self, ratio):
+        # Every objective on 2^18 evenly spaced times over the searched window
+        # (0, min(4 pi, 10 / ratio)], and 2^18 more over ten times that window,
+        # so an optimum the window leaves out would show.
+        window = min(4 * math.pi, 10 / ratio)
+        steps = np.arange(1, 2**18 + 1) / 2**18
+        t = np.concatenate([window * steps, 10 * window * steps])
+        row = met.figure1_point(ratio)
+        for probe, suffix in ((met.ENTANGLED, "ent"), (met.PRODUCT, "prod")):
+            brute = {
+                "info_" + suffix: met.fig1_measurement_info(probe, ratio, 1.0, t).max(),
+                f"info_{suffix}_binary": met.fig1_binary_info(probe, ratio, 1.0, t).max(),
+                "p_err_" + suffix: met.fig1_error_probability(probe, ratio, 1.0, t).min(),
+            }
+            for column, best in brute.items():
+                value = getattr(row, column)
+                # Relative too: the information is about 1e-11 at ratio 1e5.
+                assert value == pytest.approx(best, abs=1e-8), column
+                assert value == pytest.approx(best, rel=1e-4), column
+
+    def test_large_ratio_row(self):
+        row = met.figure1_point(1e3)
+        assert row.t_star_ent == pytest.approx(1.138e-3, rel=1e-3)
+        assert row.info_ent == pytest.approx(1.4530e-7, rel=1e-4)
+
+    def test_binary_columns_match_the_binary_reading_of_the_error(self):
+        # 1 - H2(p) falls as p rises on [0, 1/2], so the binary reading peaks
+        # where the error is least; the two searches must agree.
+        for row in met.figure1_points(np.logspace(-4, 4, 17), grid=256):
+            for suffix in ("ent", "prod"):
+                p = getattr(row, "p_err_" + suffix)
+                expected = 1.0 + met._xlog2x(p) + met._xlog2x(1.0 - p)
+                assert getattr(row, f"info_{suffix}_binary") == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("ratios", [[], [0.1, 0.0], -1.0, [0.1, math.nan], math.nan])
+    def test_rejects_ratios_that_are_not_positive(self, ratios):
+        with pytest.raises(ValueError, match="ratios must be positive"):
+            met.figure1_points(ratios)
+
     def test_measurement_info_against_direct_density_computation(self, rng):
         # Rebuild the channel output states and the decision-basis outcome
         # probabilities from raw matrices.

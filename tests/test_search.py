@@ -7,6 +7,12 @@ from qdlab import qmath, search
 from qdlab.search import GroverInstance
 
 
+@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
+def test_instance_rejects_energy_that_is_not_positive(energy):
+    with pytest.raises(ValueError, match="energy must be positive"):
+        GroverInstance(dim=4, marked=0, energy=energy)
+
+
 class TestHamiltonian:
     def test_spectrum_contains_split_levels(self):
         inst = GroverInstance(dim=7, marked=3, energy=2.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(NoiseKind.SYMMETRIC, -0.1)
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_rejects_nan_rate(self, kind):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            NoiseModel(kind, math.nan, n_qubits=1)
+
     def test_independent_requires_qubit_count(self):
         with pytest.raises(ValueError):
             NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, 0.1)
@@ -33,6 +40,11 @@ class TestEvolutionSpec:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             EvolutionSpec(hamiltonian=np.zeros((2, 2)), duration=-1.0)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(NoiseKind.SYMMETRIC, 0.3)])
+    def test_rejects_nan_duration(self, noise):
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            EvolutionSpec(hamiltonian=np.zeros((2, 2)), noise=noise, duration=math.nan)
 
     def test_dispatches_symmetric(self, rng):
         rho0 = random_density(rng, 2)
