@@ -107,8 +107,10 @@ def _merge_params(exp: Experiment, overrides: dict) -> dict:
     return params
 
 
-def _spawned_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(count)]
+def _spawned_rngs(seed: int, count: int):
+    """default_rng(child) for each child of SeedSequence(seed).spawn(count), built one at a time."""
+    for children in qmath.spawn_blocks(seed, count):
+        yield from map(np.random.default_rng, children)
 
 
 # --- superdense ------------------------------------------------------------
@@ -302,12 +304,8 @@ def _check_eliminate(params, rows):
 def _run_phase_est(params, seed):
     cfg = phase_estimation.PhaseConfig(n=params["n"], omega=params["omega"])
     trials = params["trials"]
-    # First, so the qubit cap is checked before any array of size 2**n exists.
     exact = phase_estimation.exact_distribution(cfg)
-    counts = np.zeros(2**cfg.n, dtype=int)
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rec = phase_estimation.sqft_estimate(cfg, int(child.generate_state(1)[0]))
-        counts[int(round(rec.estimate * 2**cfg.n))] += 1
+    counts = phase_estimation.sample_counts(cfg, seed, trials)
     rows = [
         {
             "omega_tilde": j / 2**cfg.n,

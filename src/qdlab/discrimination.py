@@ -169,7 +169,8 @@ def helstrom(rho1, rho2, p1: float = 0.5, p2: float = 0.5):
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError("state dimensions do not match")
-    if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > tolerances.NORM:
+    # Written so that a NaN prior fails every comparison and is refused.
+    if not p1 >= 0 or not p2 >= 0 or not abs(p1 + p2 - 1.0) <= tolerances.NORM:
         raise ValueError("priors must be nonnegative and sum to 1")
     delta = p1 * rho1 - p2 * rho2
     w, V = qmath.herm_eig(delta)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmath
 from .errors import ResourceLimitError
 
 MAX_PREPARE_QUBITS = 12
@@ -56,26 +57,40 @@ class MeasurementRecord:
         return sum(b * 2.0 ** -(n - i) for i, b in enumerate(self.bits))
 
 
-def sqft_estimate(cfg: PhaseConfig, rng_seed: int) -> MeasurementRecord:
-    """Run the adaptive protocol once and return the measured record.
+def _staged_bits(cfg: PhaseConfig, draws: np.ndarray) -> np.ndarray:
+    """Bits, least significant first, of one run of the adaptive protocol per
+    row of `draws`, a (trials, n) array of uniform draws in stage order.
 
     At stage k the probe phase is pi * (2^k omega mod 2); the known tail
     0.b_{k+1}...b_n is subtracted by a controlled phase before the +/-
     measurement, leaving a deterministic outcome whenever omega terminates
-    within n bits.
+    within n bits. A draw at or above p(+) reads 1.
     """
-    rng = np.random.default_rng(rng_seed)
-    n, omega = cfg.n, cfg.omega
-    bits_rev: list[int] = []  # b_n, b_{n-1}, ..., collected in this order
-    tail = 0.0  # 0.b_{k+1}...b_n as a binary fraction
-    for k in range(n, 0, -1):
-        phase = math.pi * math.fmod((2.0**k) * omega, 2.0)
-        corrected = phase - math.pi * tail
-        p_plus = math.cos(corrected / 2.0) ** 2
-        bit = int(rng.random() >= p_plus)
-        bits_rev.append(bit)
-        tail = 0.5 * (bit + tail)
-    return MeasurementRecord(bits=tuple(bits_rev))
+    bits = np.empty(draws.shape, dtype=np.int64)
+    tail = np.zeros(len(draws))  # 0.b_{k+1}...b_n as a binary fraction
+    for i, k in enumerate(range(cfg.n, 0, -1)):
+        phase = math.pi * math.fmod((2.0**k) * cfg.omega, 2.0)
+        bits[:, i] = draws[:, i] >= np.cos((phase - math.pi * tail) / 2.0) ** 2
+        tail = 0.5 * (bits[:, i] + tail)
+    return bits
+
+
+def sqft_estimate(cfg: PhaseConfig, rng_seed: int) -> MeasurementRecord:
+    """Run the adaptive protocol once with draws from default_rng(rng_seed)."""
+    bits = _staged_bits(cfg, np.random.default_rng(rng_seed).random((1, cfg.n)))[0]
+    return MeasurementRecord(bits=tuple(bits.tolist()))
+
+
+def sample_counts(cfg: PhaseConfig, seed: int, trials: int) -> np.ndarray:
+    """Counts of each estimate j / 2^n over `trials` runs, all staged together.
+    Trial i is sqft_estimate(cfg, w) with w the first 32-bit word
+    (`generate_state(1)`) of the i-th child of SeedSequence(seed)."""
+    _check_qubits(cfg)
+    words = (c.generate_state(1)[0] for block in qmath.spawn_blocks(seed, trials) for c in block)
+    rows = (np.random.default_rng(int(w)).random(cfg.n) for w in words)
+    draws = np.fromiter(rows, dtype=(float, cfg.n), count=trials)
+    index = _staged_bits(cfg, draws) @ (1 << np.arange(cfg.n))
+    return np.bincount(index, minlength=2**cfg.n)
 
 
 def outcome_prob(omega: float, omega_tilde: float, n: int) -> float:

@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernels for small Hilbert spaces.
 
 Eigendecompositions, matrix exponentials of Hermitian generators, tensor
-products, partial traces, the trace norm, and Bloch-vector conversions.
+products, partial traces, the trace norm, Bloch-vector conversions and seeding.
 Everything works on plain complex ndarrays; the role of a matrix (Hermitian,
 unitary, density) is enforced by the check_* validators rather than a wrapper
 class. hbar = 1 throughout and all entries are dimensionless.
@@ -218,3 +218,11 @@ def sup_norm(H):
     w, _ = herm_eig(H)
     norms = np.max(np.abs(w), axis=-1)
     return float(norms) if norms.ndim == 0 else norms
+
+
+def spawn_blocks(seed, count: int, block: int = 1024):
+    """SeedSequence(seed).spawn(count) as successive spawns of at most `block`
+    children each, so that only one block is alive at a time."""
+    root = np.random.SeedSequence(seed)
+    for start in range(0, count, block):
+        yield root.spawn(min(block, count - start))

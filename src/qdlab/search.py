@@ -15,9 +15,6 @@ import numpy as np
 
 from . import qmath
 
-# Above this size the dense path is wasteful; the two-level reduction is exact.
-DENSE_LIMIT = 256
-
 
 @dataclass(frozen=True)
 class GroverInstance:
@@ -45,15 +42,16 @@ def uniform_state(dim: int) -> np.ndarray:
 
 def grover_hamiltonian(inst: GroverInstance) -> np.ndarray:
     """E (|x><x| + |s><s|): eigenvalues E (1 +/- 1/sqrt(N)) on |s> +/- |x>,
-    zero on the orthogonal complement."""
+    zero on the orthogonal complement; the dense oracle for the two-level form."""
     s = uniform_state(inst.dim)
     H = inst.energy * np.outer(s, s.conj())
     H[inst.marked, inst.marked] += inst.energy
     return H
 
 
-def _reduced_success(inst: GroverInstance, t: float) -> float:
-    """Exact dynamics in the 2-D invariant subspace span{|x>, |s>}."""
+def grover_success_probability(inst: GroverInstance, t: float) -> float:
+    """Probability that a computational-basis measurement at time t finds the
+    marked state, starting from |s>: exact dynamics in span{|x>, |s>}."""
     N, E = inst.dim, inst.energy
     overlap = 1.0 / math.sqrt(N)
     # Orthonormal basis {|x>, |r>} with |r> the normalized part of |s> - <x|s>|x>.
@@ -68,19 +66,6 @@ def _reduced_success(inst: GroverInstance, t: float) -> float:
     psi0 = np.array([overlap, r_norm], dtype=complex)
     amp = qmath.expm_i(h, t) @ psi0
     return float(np.abs(amp[0]) ** 2)
-
-
-def _dense_success(inst: GroverInstance, t: float) -> float:
-    psi = qmath.expm_i(grover_hamiltonian(inst), t) @ uniform_state(inst.dim)
-    return float(np.abs(psi[inst.marked]) ** 2)
-
-
-def grover_success_probability(inst: GroverInstance, t: float) -> float:
-    """Probability that a computational-basis measurement at time t finds the
-    marked state, starting from |s>."""
-    if inst.dim > DENSE_LIMIT:
-        return _reduced_success(inst, t)
-    return _dense_success(inst, t)
 
 
 def grover_run(inst: GroverInstance):

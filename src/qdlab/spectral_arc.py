@@ -201,11 +201,9 @@ def arc_bound_sweep(
     """
     if dim < 1 or trials < 1:
         raise ValueError("dim and trials must be at least 1")
-    root = np.random.SeedSequence(seed)
     block = max(1, _ARC_BLOCK_ELEMS // (dim * dim))
     holds, worst, flagged = 0, -math.inf, []
-    for start in range(0, trials, block):
-        children = root.spawn(min(block, trials - start))
+    for children in qmath.spawn_blocks(seed, trials, block):
         sups = np.empty((2, len(children)))
         raw = np.empty((2, len(children), dim, dim), dtype=complex)
         for i, child in enumerate(children):

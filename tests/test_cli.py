@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -487,6 +488,16 @@ class TestDeterminism:
             assert result.returncode == 0
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+
+    @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])  # around the spawn block
+    def test_trial_generators_are_lazy_and_equal_the_eager_list(self, count):
+        from qdlab import cli
+
+        lazy = cli._spawned_rngs(99, count)
+        assert inspect.isgenerator(lazy)
+        eager = [np.random.default_rng(c) for c in np.random.SeedSequence(99).spawn(count)]
+        assert [g.bit_generator.state for g in lazy] == [g.bit_generator.state for g in eager]
 
 
 class TestFigure1Report:

@@ -83,6 +83,11 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             disc.helstrom(rho, rho, 0.6, 0.6)
 
+    @pytest.mark.parametrize("priors", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_rejects_nan_priors(self, priors):
+        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+            disc.helstrom(np.diag([1.0, 0]), np.diag([0, 1.0]), *priors)
+
 
 class TestDiscriminateSuperops:
     def _ensemble(self, omega, gamma):

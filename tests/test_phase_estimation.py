@@ -7,7 +7,66 @@ from qdlab import phase_estimation as pe
 from qdlab.errors import ResourceLimitError
 
 
+def scalar_bits(cfg, rng_seed):
+    """The adaptive protocol as a scalar stage loop with math.cos: the oracle
+    for the staged kernel."""
+    rng = np.random.default_rng(rng_seed)
+    bits, tail = [], 0.0
+    for k in range(cfg.n, 0, -1):
+        phase = math.pi * math.fmod((2.0**k) * cfg.omega, 2.0)
+        p_plus = math.cos((phase - math.pi * tail) / 2.0) ** 2
+        bit = int(rng.random() >= p_plus)
+        bits.append(bit)
+        tail = 0.5 * (bit + tail)
+    return tuple(bits)
+
+
+def scalar_counts(cfg, seed, trials):
+    """One scalar run per spawned child, binned by its estimate."""
+    counts = np.zeros(2**cfg.n, dtype=int)
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rec = pe.MeasurementRecord(scalar_bits(cfg, int(child.generate_state(1)[0])))
+        counts[int(round(rec.estimate * 2**cfg.n))] += 1
+    return counts
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("omega", [0.0, 0.625, 1.0 / 3.0, 0.1, (math.sqrt(5) - 1) / 2])
+    def test_equals_scalar_loop(self, n, omega):
+        cfg = pe.PhaseConfig(n=n, omega=omega)
+        for seed in (0, 3, 1234567890):
+            np.testing.assert_array_equal(
+                pe.sample_counts(cfg, seed, 150), scalar_counts(cfg, seed, 150)
+            )
+
+    def test_equals_scalar_loop_across_spawn_blocks(self):
+        cfg = pe.PhaseConfig(n=4, omega=1.0 / 3.0)
+        np.testing.assert_array_equal(
+            pe.sample_counts(cfg, 1234567890, 2000), scalar_counts(cfg, 1234567890, 2000)
+        )
+
+    def test_counts_sum_to_trials(self):
+        counts = pe.sample_counts(pe.PhaseConfig(n=3, omega=0.3), 7, 500)
+        assert counts.shape == (8,) and counts.sum() == 500
+
+    def test_qubit_cap_checked_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew trials over the qubit cap")
+
+        monkeypatch.setattr(pe.qmath, "spawn_blocks", refuse)
+        with pytest.raises(ResourceLimitError):
+            pe.sample_counts(pe.PhaseConfig(n=pe.MAX_PREPARE_QUBITS + 1, omega=0.1), 0, 10)
+
+
 class TestSqftEstimate:
+    @pytest.mark.parametrize("omega", [0.0, 0.3125, 1.0 / 3.0, 0.7, 0.999])
+    def test_bits_equal_scalar_loop(self, omega):
+        for n in (1, 4, 9):
+            cfg = pe.PhaseConfig(n=n, omega=omega)
+            for seed in range(40):
+                assert pe.sqft_estimate(cfg, seed).bits == scalar_bits(cfg, seed)
+
     def test_zero_frequency(self):
         for seed in range(5):
             rec = pe.sqft_estimate(pe.PhaseConfig(n=4, omega=0.0), seed)

@@ -303,3 +303,17 @@ class TestBlochConversions:
     def test_rejects_long_vector(self):
         with pytest.raises(ValueError):
             qmath.bloch_to_density([1.1, 0, 0])
+
+
+class TestSpawnBlocks:
+    @pytest.mark.parametrize("count", [1, 4, 5, 9])
+    def test_blocks_concatenate_to_one_spawn(self, count):
+        blocks = list(qmath.spawn_blocks(11, count, block=4))
+        assert [len(b) for b in blocks[:-1]] == [4] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= 4
+        children = [child for block in blocks for child in block]
+        expected = np.random.SeedSequence(11).spawn(count)
+        assert [c.spawn_key for c in children] == [c.spawn_key for c in expected]
+        assert all(
+            (c.generate_state(4) == e.generate_state(4)).all() for c, e in zip(children, expected)
+        )

@@ -70,13 +70,28 @@ class TestRun:
         assert t2 == pytest.approx(t1 / 2, abs=1e-12)
         assert p1 == pytest.approx(p2, abs=1e-12)
 
-    def test_dense_and_reduced_paths_agree(self):
-        inst = GroverInstance(dim=128, marked=17, energy=0.7)
+    @pytest.mark.parametrize(
+        "inst",
+        [GroverInstance(dim=128, marked=17, energy=0.7)]
+        + [GroverInstance(dim=n, marked=n // 2, energy=1.0) for n in (2, 3, 4, 16, 256)],
+        ids=lambda inst: f"N={inst.dim}",
+    )
+    def test_two_level_form_matches_dense_oracle(self, inst):
         for frac in (0.25, 0.5, 0.8, 1.0):
             t = frac * inst.flop_time
-            assert search._dense_success(inst, t) == pytest.approx(
-                search._reduced_success(inst, t), abs=1e-11
+            psi = qmath.expm_i(search.grover_hamiltonian(inst), t) @ search.uniform_state(inst.dim)
+            assert search.grover_success_probability(inst, t) == pytest.approx(
+                abs(psi[inst.marked]) ** 2, abs=1e-11
             )
+
+    def test_run_never_builds_the_dense_hamiltonian(self, monkeypatch):
+        def refuse(inst):
+            raise AssertionError("grover_run built the dense Hamiltonian")
+
+        monkeypatch.setattr(search, "grover_hamiltonian", refuse)
+        for n in (2, 4, 16, 256, 1024):
+            prob, _ = search.grover_run(GroverInstance(dim=n, marked=n // 2, energy=1.0))
+            assert prob >= 1.0 - 1e-9
 
     def test_permutation_covariance(self):
         probs = {
