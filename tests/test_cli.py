@@ -489,7 +489,6 @@ class TestDeterminism:
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
 
-
     @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])  # around the spawn block
     def test_trial_generators_are_lazy_and_equal_the_eager_list(self, count):
         from qdlab import cli
