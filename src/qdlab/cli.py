@@ -21,7 +21,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -55,7 +56,9 @@ class ConfigError(Exception):
 class Experiment:
     summary: str
     defaults: dict
-    runner: object  # (params, seed) -> (columns, rows, summary_line)
+    # (params, seed) -> (row_type, rows, summary_line): rows are row_type
+    # tuples, a typing.NamedTuple whose _fields are the report's columns.
+    runner: object
     checker: object  # (params, rows) -> list[(label, ok, detail)]
     choices: dict = field(default_factory=dict)  # parameter -> its allowed strings
     check_requires: dict = field(default_factory=dict)  # parameter -> the value --check asserts
@@ -107,13 +110,12 @@ def _merge_params(exp: Experiment, overrides: dict) -> dict:
     return params
 
 
-def _spawned_rngs(seed: int, count: int):
-    """default_rng(child) for each child of SeedSequence(seed).spawn(count), built one at a time."""
-    for children in qmath.spawn_blocks(seed, count):
-        yield from map(np.random.default_rng, children)
-
-
 # --- superdense ------------------------------------------------------------
+
+
+SuperdenseRow = NamedTuple("SuperdenseRow", [
+    ("geometry", str), ("cos_theta", float), ("n_directions", int), ("t_star", float),
+    ("p_error", float), ("info_bits", float)])
 
 
 def _geometry_directions(params):
@@ -129,16 +131,9 @@ def _geometry_directions(params):
 def _run_superdense(params, seed):
     directions, cos_theta = _geometry_directions(params)
     result = discrimination.trine_discriminate(directions)
-    row = {
-        "geometry": params["geometry"],
-        "cos_theta": cos_theta,
-        "n_directions": len(directions),
-        "t_star": result.t_star,
-        "p_error": result.p_error,
-        "info_bits": result.info_bits,
-    }
-    columns = ["geometry", "cos_theta", "n_directions", "t_star", "p_error", "info_bits"]
-    return columns, [row], (
+    row = SuperdenseRow(params["geometry"], cos_theta, len(directions), result.t_star,
+                        result.p_error, result.info_bits)
+    return SuperdenseRow, [row], (
         f"superdense {params['geometry']}: p_error={result.p_error:.3e} "
         f"info={result.info_bits:.6f} bits at t*={result.t_star:.6f}"
     )
@@ -146,18 +141,22 @@ def _run_superdense(params, seed):
 
 def _check_superdense(params, rows):
     row = rows[0]
-    target = math.log2(row["n_directions"])
+    target = math.log2(row.n_directions)
     return [
-        ("error probability vanishes", row["p_error"] <= 1e-10, f"p_error={row['p_error']:.2e}"),
+        ("error probability vanishes", row.p_error <= 1e-10, f"p_error={row.p_error:.2e}"),
         (
-            f"info equals log2({row['n_directions']})",
-            abs(row["info_bits"] - target) <= 1e-9,
-            f"info={row['info_bits']:.12f}",
+            f"info equals log2({row.n_directions})",
+            abs(row.info_bits - target) <= 1e-9,
+            f"info={row.info_bits:.12f}",
         ),
     ]
 
 
 # --- grover ----------------------------------------------------------------
+
+
+GroverRow = NamedTuple("GroverRow", [
+    ("N", int), ("energy", float), ("T", float), ("success_prob", float)])
 
 
 def _run_grover(params, seed):
@@ -166,27 +165,30 @@ def _run_grover(params, seed):
     for n in params["sizes"]:
         inst = search.GroverInstance(dim=n, marked=n // 2, energy=energy)
         prob, T = search.grover_run(inst)
-        rows.append({"N": n, "energy": energy, "T": T, "success_prob": prob})
-    worst = min(r["success_prob"] for r in rows)
-    return ["N", "energy", "T", "success_prob"], rows, (
-        f"grover: worst success over N={params['sizes']} is {worst:.12f}"
-    )
+        rows.append(GroverRow(n, energy, T, prob))
+    worst = min(r.success_prob for r in rows)
+    return GroverRow, rows, f"grover: worst success over N={params['sizes']} is {worst:.12f}"
 
 
 def _check_grover(params, rows):
-    ok_success = all(r["success_prob"] >= 1.0 - 1e-9 for r in rows)
+    ok_success = all(r.success_prob >= 1.0 - 1e-9 for r in rows)
     checks = [
-        ("success certainty at the flop time", ok_success, f"min={min(r['success_prob'] for r in rows):.2e}")
+        ("success certainty at the flop time", ok_success, f"min={min(r.success_prob for r in rows):.2e}")
     ]
     if len(rows) >= 2:
-        logs_n = np.log([r["N"] for r in rows])
-        logs_t = np.log([r["T"] for r in rows])
+        logs_n = np.log([r.N for r in rows])
+        logs_t = np.log([r.T for r in rows])
         slope = np.polyfit(logs_n, logs_t, 1)[0]
         checks.append(("T scales as sqrt(N)", abs(slope - 0.5) <= 1e-6, f"slope={slope:.9f}"))
     return checks
 
 
 # --- two-ham ---------------------------------------------------------------
+
+
+TwoHamRow = NamedTuple("TwoHamRow", [
+    ("omega", float), ("gamma", float), ("t_star", float), ("p_error", float),
+    ("p_error_formula", float), ("info_bits", float)])
 
 
 def _two_ham_ensemble(omega: float, gamma: float):
@@ -202,16 +204,8 @@ def _run_two_ham(params, seed):
     ensemble = _two_ham_ensemble(omega, gamma)
     result = discrimination.discriminate_superops(ensemble, qmath.KET_PLUS, t_star)
     formula = 0.5 - 0.5 * math.exp(-gamma * t_star) * abs(math.sin(omega * t_star / 2.0))
-    row = {
-        "omega": omega,
-        "gamma": gamma,
-        "t_star": t_star,
-        "p_error": result.p_error,
-        "p_error_formula": formula,
-        "info_bits": result.info_bits,
-    }
-    columns = ["omega", "gamma", "t_star", "p_error", "p_error_formula", "info_bits"]
-    return columns, [row], (
+    row = TwoHamRow(omega, gamma, t_star, result.p_error, formula, result.info_bits)
+    return TwoHamRow, [row], (
         f"two-ham: t*={t_star:.6f} p_error={result.p_error:.6f} info={result.info_bits:.6f} bits"
     )
 
@@ -221,8 +215,8 @@ def _check_two_ham(params, rows):
     return [
         (
             "minimum error matches the closed form",
-            abs(row["p_error"] - row["p_error_formula"]) <= 1e-10,
-            f"|diff|={abs(row['p_error'] - row['p_error_formula']):.2e}",
+            abs(row.p_error - row.p_error_formula) <= 1e-10,
+            f"|diff|={abs(row.p_error - row.p_error_formula):.2e}",
         )
     ]
 
@@ -231,30 +225,17 @@ def _check_two_ham(params, rows):
 
 
 def _run_fixed_time(params, seed):
-    dim, t = params["dim"], params["t"]
-    rows = []
-    for idx, rng in enumerate(_spawned_rngs(seed, params["samples"])):
-        H = spectral_arc.random_hermitian(dim, params["h_norm"] * rng.uniform(0.2, 1.0), rng)
-        K = spectral_arc.random_hermitian(dim, params["k_norm"] * rng.uniform(0.0, 1.0), rng)
-        _, overlap_driven = discrimination.fixed_time_overlap(H, K, t)
-        _, overlap_plain = discrimination.fixed_time_overlap(H, np.zeros_like(K), t)
-        rows.append(
-            {
-                "sample": idx,
-                "dim": dim,
-                "t": t,
-                "overlap_driven": overlap_driven,
-                "overlap_undriven": overlap_plain,
-                "margin": overlap_driven - overlap_plain,
-            }
-        )
-    worst = min(r["margin"] for r in rows)
-    columns = ["sample", "dim", "t", "overlap_driven", "overlap_undriven", "margin"]
-    return columns, rows, f"fixed-time: worst driven-minus-undriven overlap margin {worst:.3e}"
+    rows = discrimination.fixed_time_sweep(
+        params["dim"], params["t"], params["samples"], seed, params["h_norm"], params["k_norm"]
+    )
+    worst = min(r.margin for r in rows)
+    return discrimination.FixedTimeRow, rows, (
+        f"fixed-time: worst driven-minus-undriven overlap margin {worst:.3e}"
+    )
 
 
 def _check_fixed_time(params, rows):
-    worst = min(r["margin"] for r in rows)
+    worst = min(r.margin for r in rows)
     return [("driving never helps at fixed time", worst >= -1e-9, f"worst margin {worst:.3e}")]
 
 
@@ -265,40 +246,27 @@ def _run_eliminate(params, seed):
     n_hyp, dim, trials = params["n_hypotheses"], params["dim"], params["trials"]
     if n_hyp * dim * dim > 2**24:  # a trial holds every generator: 2^24 entries are 256 MiB
         raise ConfigError(f"n_hypotheses * dim^2 must be at most 2^24, got {n_hyp * dim * dim}")
-    rows = []
-    for idx, rng in enumerate(_spawned_rngs(seed, trials)):
-        gens = [spectral_arc.random_hermitian(dim, 2.0, rng) for _ in range(n_hyp)]
-        ensemble = discrimination.HypothesisEnsemble(
-            tuple(discrimination.Hypothesis(g, NoiseModel(), 1.0 / n_hyp) for g in gens)
-        )
-        true_index = int(rng.integers(n_hyp))
-        identified, count, _ = discrimination.adaptive_eliminate(
-            ensemble, true_index, int(rng.integers(2**63))
-        )
-        rows.append(
-            {
-                "trial": idx,
-                "true_index": true_index,
-                "identified": identified,
-                "measurements": count,
-                "correct": int(identified == true_index),
-            }
-        )
-    rate = sum(r["correct"] for r in rows) / len(rows)
-    columns = ["trial", "true_index", "identified", "measurements", "correct"]
-    return columns, rows, f"eliminate: identification rate {rate:.3f} over {trials} trials"
+    rows = discrimination.eliminate_sweep(n_hyp, dim, trials, seed)
+    rate = sum(r.correct for r in rows) / len(rows)
+    return discrimination.EliminateRow, rows, (
+        f"eliminate: identification rate {rate:.3f} over {trials} trials"
+    )
 
 
 def _check_eliminate(params, rows):
-    all_correct = all(r["correct"] for r in rows)
-    bounded = all(r["measurements"] <= params["n_hypotheses"] - 1 for r in rows)
+    all_correct = all(r.correct for r in rows)
+    bounded = all(r.measurements <= params["n_hypotheses"] - 1 for r in rows)
     return [
         ("every trial identifies the true generator", all_correct, f"{len(rows)} trials"),
-        ("never more than N-1 measurements", bounded, f"max={max(r['measurements'] for r in rows)}"),
+        ("never more than N-1 measurements", bounded, f"max={max(r.measurements for r in rows)}"),
     ]
 
 
 # --- phase-est -------------------------------------------------------------
+
+
+PhaseEstRow = NamedTuple("PhaseEstRow", [
+    ("omega_tilde", float), ("exact_prob", float), ("empirical_freq", float), ("trials", int)])
 
 
 def _run_phase_est(params, seed):
@@ -307,28 +275,21 @@ def _run_phase_est(params, seed):
     exact = phase_estimation.exact_distribution(cfg)
     counts = phase_estimation.sample_counts(cfg, seed, trials)
     rows = [
-        {
-            "omega_tilde": j / 2**cfg.n,
-            "exact_prob": exact[j],
-            "empirical_freq": counts[j] / trials,
-            "trials": trials,
-        }
-        for j in range(2**cfg.n)
+        PhaseEstRow(j / 2**cfg.n, exact[j], counts[j] / trials, trials) for j in range(2**cfg.n)
     ]
     tvd = 0.5 * float(np.abs(exact - counts / trials).sum())
-    columns = ["omega_tilde", "exact_prob", "empirical_freq", "trials"]
-    return columns, rows, (
+    return PhaseEstRow, rows, (
         f"phase-est: n={cfg.n} omega={cfg.omega} total-variation distance {tvd:.4f}"
     )
 
 
 def _check_phase_est(params, rows):
-    trials = rows[0]["trials"]
+    trials = rows[0].trials
     ok = True
     worst = 0.0
     for r in rows:
-        sigma = math.sqrt(max(r["exact_prob"] * (1 - r["exact_prob"]), 1e-12) / trials)
-        dev = abs(r["empirical_freq"] - r["exact_prob"]) / (3 * sigma + 1e-15)
+        sigma = math.sqrt(max(r.exact_prob * (1 - r.exact_prob), 1e-12) / trials)
+        dev = abs(r.empirical_freq - r.exact_prob) / (3 * sigma + 1e-15)
         worst = max(worst, dev)
         if dev > 1.0:
             ok = False
@@ -338,9 +299,17 @@ def _check_phase_est(params, rows):
 # --- metrology -------------------------------------------------------------
 
 
+MetrologyRow = NamedTuple("MetrologyRow", [
+    ("kind", str), ("n", int), ("gamma", float), ("noise", str), ("t_star", float),
+    ("delta_omega", float), ("at_boundary", int)])
+
+
 def _metrology_strategies(params):
     noise_kind = NoiseKind(params["noise"])
     n, t_total = params["n"], params["t_total"]
+    if noise_kind is NoiseKind.QUBIT_DEPOLARIZING and n != 1:
+        # The cat probe has no closed form on more than one qubit under this noise.
+        raise ConfigError(f"noise {params['noise']!r} needs n = 1, got n = {n}")
     n_for_model = n if noise_kind is NoiseKind.INDEPENDENT_DEPOLARIZING else None
     noise = NoiseModel(noise_kind, params["gamma"], n_for_model)
     common = dict(n=n, T_total=t_total, omega=params["omega"], noise=noise)
@@ -351,25 +320,14 @@ def _metrology_strategies(params):
 
 
 def _run_metrology(params, seed):
-    product, cat = _metrology_strategies(params)
     rows = []
-    for strat in (product, cat):
+    for strat in _metrology_strategies(params):
         opt = metrology.optimize_precision(strat)
-        rows.append(
-            {
-                "kind": strat.kind,
-                "n": strat.n,
-                "gamma": strat.noise.gamma,
-                "noise": strat.noise.kind.value,
-                "t_star": opt.t_star,
-                "delta_omega": opt.delta_omega,
-                "at_boundary": int(opt.at_boundary),
-            }
-        )
-    columns = ["kind", "n", "gamma", "noise", "t_star", "delta_omega", "at_boundary"]
-    return columns, rows, (
+        rows.append(MetrologyRow(strat.kind, strat.n, strat.noise.gamma, strat.noise.kind.value,
+                                 opt.t_star, opt.delta_omega, int(opt.at_boundary)))
+    return MetrologyRow, rows, (
         "metrology: product delta_omega={:.6e}, cat delta_omega={:.6e}".format(
-            rows[0]["delta_omega"], rows[1]["delta_omega"]
+            rows[0].delta_omega, rows[1].delta_omega
         )
     )
 
@@ -377,13 +335,13 @@ def _run_metrology(params, seed):
 def _check_metrology(params, rows):
     checks = []
     if params["noise"] == NoiseKind.INDEPENDENT_DEPOLARIZING.value:
-        a, b = rows[0]["delta_omega"], rows[1]["delta_omega"]
+        a, b = rows[0].delta_omega, rows[1].delta_omega
         rel = abs(a - b) / max(a, b)
         checks.append(("product and cat optima agree", rel <= 1e-6, f"rel diff {rel:.2e}"))
     gamma = params["gamma"]
     if gamma > 0:
         expect = math.sqrt(2 * math.e * gamma / (params["n"] * params["t_total"]))
-        rel = abs(rows[0]["delta_omega"] - expect) / expect
+        rel = abs(rows[0].delta_omega - expect) / expect
         checks.append(("product optimum matches sqrt(2 e gamma / nT)", rel <= 1e-6, f"rel {rel:.2e}"))
     return checks
 
@@ -397,25 +355,23 @@ def _run_figure1(params, seed):
         raise ConfigError(f"ratio_min {low} exceeds ratio_max {high}")
     ratios = np.logspace(math.log10(low), math.log10(high), params["points"])
     result = metrology.figure1_curve(ratios, params["grid"], params["refine_peak"])
-    columns = [f.name for f in fields(metrology.Figure1Point)]
-    rows = [asdict(p) for p in result.points]
-    return columns, rows, (
+    return metrology.Figure1Point, result.points, (
         f"figure1: peak improvement {result.peak_bits:.6f} bits at ratio {result.peak_ratio:.6f}"
     )
 
 
 def _check_figure1(params, rows):
-    best = max(rows, key=lambda r: r["delta_bits"])
+    best = max(rows, key=lambda r: r.delta_bits)
     return [
         (
             "peak improvement 0.136 +/- 0.005 bits",
-            abs(best["delta_bits"] - 0.136) <= 0.005,
-            f"peak {best['delta_bits']:.6f}",
+            abs(best.delta_bits - 0.136) <= 0.005,
+            f"peak {best.delta_bits:.6f}",
         ),
         (
             "peak location 0.379 +/- 0.01",
-            abs(best["ratio"] - 0.379) <= 0.01,
-            f"ratio {best['ratio']:.6f}",
+            abs(best.ratio - 0.379) <= 0.01,
+            f"ratio {best.ratio:.6f}",
         ),
     ]
 
@@ -423,51 +379,40 @@ def _check_figure1(params, rows):
 # --- theorem-check ---------------------------------------------------------
 
 
+VerifyRow = NamedTuple("VerifyRow", [
+    ("dim", int), ("trials", int), ("holds", int), ("violations", int),
+    ("worst_violation", float)])
+SearchRow = NamedTuple("SearchRow", [
+    ("dim", int), ("violation", float), ("lhs_max", float), ("rhs_max", float),
+    ("lhs_min", float), ("rhs_min", float)])
+
+
 def _run_theorem_check(params, seed):
     dims, trials = params["dims"], params["trials"]
     if params["mode"] == "search":
-        rows = []
-        for dim in dims:
-            found = spectral_arc.counterexample_search(dim, trials, seed)
-            for case in found:
-                rows.append(
-                    {
-                        "dim": dim,
-                        "violation": case.max_violation,
-                        "lhs_max": case.lhs_max,
-                        "rhs_max": case.rhs_max,
-                        "lhs_min": case.lhs_min,
-                        "rhs_min": case.rhs_min,
-                    }
-                )
-        columns = ["dim", "violation", "lhs_max", "rhs_max", "lhs_min", "rhs_min"]
-        return columns, rows, (
-            f"theorem-check search: {len(rows)} out-of-regime violations found"
-        )
+        rows = [
+            SearchRow(dim, case.max_violation, case.lhs_max, case.rhs_max, case.lhs_min,
+                      case.rhs_min)
+            for dim in dims
+            for case in spectral_arc.counterexample_search(dim, trials, seed)
+        ]
+        return SearchRow, rows, f"theorem-check search: {len(rows)} out-of-regime violations found"
     rows = []
     for i, dim in enumerate(dims):
         sweep = spectral_arc.arc_bound_sweep(
             dim, trials, seed + 1000 * i, (0, params["h_norm_max"]), (0, params["k_norm_max"])
         )
-        rows.append(
-            {
-                "dim": dim,
-                "trials": trials,
-                "holds": sweep.holds,
-                "violations": trials - sweep.holds,
-                "worst_violation": sweep.worst_violation,
-            }
-        )
-    total_viol = sum(r["violations"] for r in rows)
-    columns = ["dim", "trials", "holds", "violations", "worst_violation"]
-    return columns, rows, (
+        rows.append(VerifyRow(dim, trials, sweep.holds, trials - sweep.holds,
+                              sweep.worst_violation))
+    total_viol = sum(r.violations for r in rows)
+    return VerifyRow, rows, (
         f"theorem-check verify: {total_viol} violations in {trials * len(dims)} cases"
     )
 
 
 def _check_theorem_check(params, rows):
-    ok = all(r["violations"] == 0 for r in rows)
-    worst = max(r["worst_violation"] for r in rows)
+    ok = all(r.violations == 0 for r in rows)
+    worst = max(r.worst_violation for r in rows)
     return [("arc bound holds on every in-regime case", ok, f"worst slack {worst:.3e}")]
 
 
@@ -592,19 +537,19 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def rows_to_csv(columns: list[str], rows: list[dict]) -> bytes:
+def rows_to_csv(columns, rows) -> bytes:
+    """A header of `columns` and one line per row, a tuple in column order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow(
-            [format_float(v) if isinstance(v, float) else v for v in (row[h] for h in columns)]
-        )
+        writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue().encode("utf-8")
 
 
-def rows_to_json(experiment: str, seed: int, params: dict, rows: list[dict]) -> bytes:
-    doc = {"experiment": experiment, "seed": seed, "parameters": params, "rows": rows}
+def rows_to_json(experiment: str, seed: int, params: dict, rows) -> bytes:
+    doc = {"experiment": experiment, "seed": seed, "parameters": params,
+           "rows": [row._asdict() for row in rows]}
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -691,7 +636,7 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
         if n_workers < 1:
             raise ConfigError("workers must be at least 1")
         started = time.monotonic()
-        columns, rows, summary = exp.runner(params, run_seed)
+        row_type, rows, summary = exp.runner(params, run_seed)
         elapsed = time.monotonic() - started
         results = exp.checker(params, rows) if check else []
     except ConfigError as exc:
@@ -709,7 +654,7 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
         sys.exit(EXIT_OK if all_ok else EXIT_CHECK_FAILED)
 
     payload = (
-        rows_to_csv(columns, rows)
+        rows_to_csv(row_type._fields, rows)
         if out_fmt == "csv"
         else rows_to_json(experiment, run_seed, params, rows)
     )

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import qmath, tolerances
+from . import qmath, spectral_arc, tolerances
 from .dynamics import EvolutionSpec, NoiseKind, NoiseModel, evolve, generator_matrix
 from .errors import NoDiscriminationError, UnsupportedModelError
 
@@ -446,6 +447,28 @@ def fixed_time_overlap(H, K, t: float):
     return psi0, float(math.cos(arc / 2.0))
 
 
+FixedTimeRow = NamedTuple("FixedTimeRow", [
+    ("sample", int), ("dim", int), ("t", float), ("overlap_driven", float),
+    ("overlap_undriven", float), ("margin", float)])
+
+
+def fixed_time_sweep(
+    dim: int, t: float, samples: int, seed: int, h_norm: float, k_norm: float
+) -> list[FixedTimeRow]:
+    """`fixed_time_overlap` of `samples` random pairs (H, K), with the driving
+    term K and without it. Sample i draws from `qmath.spawned_rngs(seed,
+    samples)`: a sup norm h_norm * U(0.2, 1) and then H, a sup norm
+    k_norm * U(0, 1) and then K, as `spectral_arc.random_hermitian` draws them."""
+    rows = []
+    for idx, rng in enumerate(qmath.spawned_rngs(seed, samples)):
+        H = spectral_arc.random_hermitian(dim, h_norm * rng.uniform(0.2, 1.0), rng)
+        K = spectral_arc.random_hermitian(dim, k_norm * rng.uniform(0.0, 1.0), rng)
+        _, driven = fixed_time_overlap(H, K, t)
+        _, undriven = fixed_time_overlap(H, np.zeros_like(K), t)
+        rows.append(FixedTimeRow(idx, dim, t, driven, undriven, driven - undriven))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Adaptive elimination
 # ---------------------------------------------------------------------------
@@ -497,6 +520,28 @@ def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed: 
             }
         )
     return alive[0], measurements, transcript
+
+
+EliminateRow = NamedTuple("EliminateRow", [
+    ("trial", int), ("true_index", int), ("identified", int), ("measurements", int),
+    ("correct", int)])
+
+
+def eliminate_sweep(n_hypotheses: int, dim: int, trials: int, seed: int) -> list[EliminateRow]:
+    """`adaptive_eliminate` over `trials` random noiseless ensembles. Trial i
+    draws from `qmath.spawned_rngs(seed, trials)`: n_hypotheses equally likely
+    generators of sup norm 2 (`spectral_arc.random_hermitian`), the true index,
+    and then the seed of the elimination's measurement outcomes."""
+    rows = []
+    for idx, rng in enumerate(qmath.spawned_rngs(seed, trials)):
+        gens = [spectral_arc.random_hermitian(dim, 2.0, rng) for _ in range(n_hypotheses)]
+        ensemble = HypothesisEnsemble(
+            tuple(Hypothesis(g, NoiseModel(), 1.0 / n_hypotheses) for g in gens)
+        )
+        true_index = int(rng.integers(n_hypotheses))
+        identified, count, _ = adaptive_eliminate(ensemble, true_index, int(rng.integers(2**63)))
+        rows.append(EliminateRow(idx, true_index, identified, count, int(identified == true_index)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,8 @@ def evolve(spec: EvolutionSpec, rho0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Oracles (used by the test suite; kept here so the CLI --check can run them)
+# Oracles (used by the test suite; kept in the package because perfbench's
+# dense-channels Kraus cross-check imports them from this module)
 # ---------------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,8 +228,7 @@ def fig1_binary_info(strategy, gamma, omega: float, t):
     return 1.0 + _xlog2x(p) + _xlog2x(1.0 - p)
 
 
-@dataclass(frozen=True)
-class Figure1Point:
+class Figure1Point(NamedTuple):
     ratio: float
     t_star_ent: float
     t_star_prod: float

@@ -83,11 +83,10 @@ def sqft_estimate(cfg: PhaseConfig, rng_seed: int) -> MeasurementRecord:
 
 def sample_counts(cfg: PhaseConfig, seed: int, trials: int) -> np.ndarray:
     """Counts of each estimate j / 2^n over `trials` runs, all staged together.
-    Trial i is sqft_estimate(cfg, w) with w the first 32-bit word
-    (`generate_state(1)`) of the i-th child of SeedSequence(seed)."""
+    Trial i is sqft_estimate(cfg, c) with c the i-th child of
+    SeedSequence(seed), drawn from `qmath.spawned_rngs`."""
     _check_qubits(cfg)
-    words = (c.generate_state(1)[0] for block in qmath.spawn_blocks(seed, trials) for c in block)
-    rows = (np.random.default_rng(int(w)).random(cfg.n) for w in words)
+    rows = (rng.random(cfg.n) for rng in qmath.spawned_rngs(seed, trials))
     draws = np.fromiter(rows, dtype=(float, cfg.n), count=trials)
     index = _staged_bits(cfg, draws) @ (1 << np.arange(cfg.n))
     return np.bincount(index, minlength=2**cfg.n)

@@ -226,3 +226,10 @@ def spawn_blocks(seed, count: int, block: int = 1024):
     root = np.random.SeedSequence(seed)
     for start in range(0, count, block):
         yield root.spawn(min(block, count - start))
+
+
+def spawned_rngs(seed, count: int):
+    """default_rng(child) for each child of SeedSequence(seed).spawn(count), built
+    one at a time: the one place where a trial's seed becomes its generator."""
+    for children in spawn_blocks(seed, count):
+        yield from map(np.random.default_rng, children)

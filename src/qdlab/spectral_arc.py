@@ -203,11 +203,13 @@ def arc_bound_sweep(
         raise ValueError("dim and trials must be at least 1")
     block = max(1, _ARC_BLOCK_ELEMS // (dim * dim))
     holds, worst, flagged = 0, -math.inf, []
-    for children in qmath.spawn_blocks(seed, trials, block):
-        sups = np.empty((2, len(children)))
-        raw = np.empty((2, len(children), dim, dim), dtype=complex)
-        for i, child in enumerate(children):
-            rng = np.random.default_rng(child)
+    rngs = qmath.spawned_rngs(seed, trials)
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        sups = np.empty((2, size))
+        raw = np.empty((2, size, dim, dim), dtype=complex)
+        for i in range(size):
+            rng = next(rngs)
             for j, (lo, hi) in enumerate((h_sup, k_sup)):
                 sups[j, i] = rng.uniform(lo, hi)
                 raw[j, i] = _raw_hermitian(dim, rng)

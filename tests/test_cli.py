@@ -1,10 +1,11 @@
 import csv
-import dataclasses
 import inspect
 import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -306,6 +307,23 @@ class TestConfigHandling:
         assert float(first["ratio"]) == 5e-324
         assert float(first["info_ent"]) == float(first["info_prod"]) == 1.0
 
+    @pytest.mark.parametrize("n, code", [(1, 0), (2, 2), (4, 2)])
+    def test_metrology_qubit_depolarizing_needs_one_qubit(self, n, code, monkeypatch, tmp_path,
+                                                          capsys):
+        from qdlab import cli, metrology
+
+        built = []
+        strategy = metrology.Strategy
+        monkeypatch.setattr(metrology, "Strategy", lambda **kw: built.append(kw) or strategy(**kw))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"noise": "qubit_depolarizing", "n": n}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["metrology", "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == code
+        assert out.exists() == (code == 0)
+        assert len(built) == (2 if code == 0 else 0)
+        assert ("config error" in capsys.readouterr().err) == (code == 2)
+
     def test_numerical_precondition_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -429,6 +447,84 @@ class TestReports:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# One small run of each report shape: every experiment, and theorem-check in both modes.
+REPORT_SHAPES = [
+    ("superdense", {}),
+    ("grover", {"sizes": [2, 16]}),
+    ("two-ham", {}),
+    ("fixed-time", {"samples": 3}),
+    ("eliminate", {"trials": 3}),
+    ("phase-est", {"trials": 10}),
+    ("metrology", {}),
+    ("figure1", {"points": 3, "grid": 16}),
+    ("theorem-check", {"dims": [2], "trials": 3}),
+    ("theorem-check", {"dims": [2], "trials": 3, "mode": "search"}),
+]
+
+
+def run_shape(experiment, parameters):
+    """(row_type, rows) of one runner call at seed 3."""
+    from qdlab import cli
+
+    exp = cli.EXPERIMENTS[experiment]
+    row_type, rows, _ = exp.runner(cli._merge_params(exp, parameters), 3)
+    return row_type, rows
+
+
+class TestReportRows:
+    """Every report is written from one row type: its _fields are the CSV header and the
+    keys of each JSON row."""
+
+    @staticmethod
+    def reports(tmp_path, experiment, parameters):
+        from qdlab import cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        for fmt in ("csv", "json"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([experiment, "--config", str(cfg), "--seed", "3", "--format", fmt,
+                          "--out", str(tmp_path / f"r.{fmt}")], standalone_mode=False)
+            assert exc.value.code == 0
+        return (tmp_path / "r.csv").read_text(encoding="utf-8"), json.loads(
+            (tmp_path / "r.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("experiment, parameters", REPORT_SHAPES)
+    def test_header_and_json_keys_are_the_row_fields(self, tmp_path, experiment, parameters):
+        row_type, rows = run_shape(experiment, parameters)
+        assert rows and all(type(row) is row_type for row in rows)
+        text, doc = self.reports(tmp_path, experiment, parameters)
+        header, *lines = list(csv.reader(io.StringIO(text)))
+        assert header == list(row_type._fields)
+        assert len(lines) == len(doc["rows"]) == len(rows)
+        for row in doc["rows"]:
+            assert sorted(row) == sorted(row_type._fields)
+
+    def test_search_without_violations_writes_the_header_only(self, tmp_path, monkeypatch):
+        from qdlab import cli, spectral_arc
+
+        monkeypatch.setattr(spectral_arc, "counterexample_search", lambda *args, **kwargs: [])
+        text, doc = self.reports(tmp_path, "theorem-check", {"mode": "search"})
+        assert text == ",".join(cli.SearchRow._fields) + "\n"
+        assert doc["rows"] == []
+
+    def test_readme_report_columns_match_the_row_types(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Report columns\n", 1)[1]
+        section = section.split("\n#", 1)[0]
+        documented = {}
+        for name, text in re.findall(r"^- `([\w-]+)`: (.*?)(?=^- |\Z)", section, re.M | re.S):
+            spans = re.findall(r"`([^`]*)`", " ".join(text.split()))
+            documented[name] = [span.split(", ") for span in spans if ", " in span]
+        expected = {}
+        for experiment, parameters in REPORT_SHAPES:
+            if experiment != "figure1":  # documented in its own section
+                fields = list(run_shape(experiment, parameters)[0]._fields)
+                expected.setdefault(experiment, []).append(fields)
+        assert documented.pop("figure1") == []
+        assert documented == expected
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -491,9 +587,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])  # around the spawn block
     def test_trial_generators_are_lazy_and_equal_the_eager_list(self, count):
-        from qdlab import cli
+        from qdlab import qmath
 
-        lazy = cli._spawned_rngs(99, count)
+        lazy = qmath.spawned_rngs(99, count)
         assert inspect.isgenerator(lazy)
         eager = [np.random.default_rng(c) for c in np.random.SeedSequence(99).spawn(count)]
         assert [g.bit_generator.state for g in lazy] == [g.bit_generator.state for g in eager]
@@ -525,18 +621,18 @@ class TestFigure1Report:
 
         reader = csv.reader(io.StringIO(self._run(tmp_path, "csv")))
         header, *rows = list(reader)
-        assert header == [f.name for f in dataclasses.fields(metrology.Figure1Point)]
-        assert [[float(v) for v in row] for row in rows] == [
-            list(dataclasses.astuple(p)) for p in curve.points
-        ]
+        assert header == list(metrology.Figure1Point._fields)
+        assert [[float(v) for v in row] for row in rows] == [list(p) for p in curve.points]
 
     def test_json_rows_are_the_curve_points(self, tmp_path, curve):
         doc = json.loads(self._run(tmp_path, "json"))
-        assert doc["rows"] == [dataclasses.asdict(p) for p in curve.points]
+        assert doc["rows"] == [p._asdict() for p in curve.points]
 
 
 class TestCheckFlag:
-    @pytest.mark.parametrize("experiment", ["grover", "superdense", "two-ham", "metrology"])
+    @pytest.mark.parametrize(
+        "experiment", ["grover", "superdense", "two-ham", "metrology", "phase-est", "fixed-time"]
+    )
     def test_passing_checks(self, experiment):
         result = qd(experiment, "--check")
         assert result.returncode == 0

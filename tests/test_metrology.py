@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -284,8 +283,8 @@ class TestFigureOneCurve:
         batch = met.figure1_points(ratios, grid)
         for r, point in zip(ratios, batch):
             single = met.figure1_point(r, grid)
-            for f in dataclasses.fields(met.Figure1Point):
-                assert getattr(point, f.name) == pytest.approx(getattr(single, f.name), abs=1e-12)
+            for name in met.Figure1Point._fields:
+                assert getattr(point, name) == pytest.approx(getattr(single, name), abs=1e-12)
 
     @staticmethod
     def eight_term_measurement_info(strategy, gamma, t):

@@ -25,7 +25,7 @@ def scalar_counts(cfg, seed, trials):
     """One scalar run per spawned child, binned by its estimate."""
     counts = np.zeros(2**cfg.n, dtype=int)
     for child in np.random.SeedSequence(seed).spawn(trials):
-        rec = pe.MeasurementRecord(scalar_bits(cfg, int(child.generate_state(1)[0])))
+        rec = pe.MeasurementRecord(scalar_bits(cfg, child))
         counts[int(round(rec.estimate * 2**cfg.n))] += 1
     return counts
 

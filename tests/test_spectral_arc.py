@@ -197,7 +197,7 @@ class TestTheoremCheckRunner:
     def test_verify_rows_equal_reference_loop(self, seed, trials):
         params = self.params(trials=trials)
         _, rows, _ = cli._run_theorem_check(params, seed)
-        assert rows == reference_verify_rows(params, seed)
+        assert [r._asdict() for r in rows] == reference_verify_rows(params, seed)
 
     def test_blocks_give_the_same_rows_within_the_element_budget(self, monkeypatch):
         budget = 100  # blocks of 25 cases at d = 2, 11 at d = 3, 2 at d = 6
@@ -220,7 +220,7 @@ class TestTheoremCheckRunner:
         blocks = sum(math.ceil(60 / (budget // (d * d))) for d in params["dims"])
         assert len(sizes) == 14 * blocks
         monkeypatch.undo()
-        assert rows == reference_verify_rows(params, 5)
+        assert [r._asdict() for r in rows] == reference_verify_rows(params, 5)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_search_equals_reference_loop(self, dim):
