@@ -181,24 +181,29 @@ def helstrom(rho1, rho2, p1: float = 0.5, p2: float = 0.5):
     return BinaryPOVM(E), float(min(max(p_error, 0.0), 1.0))
 
 
-def binary_entropy(p: float) -> float:
-    p = min(max(float(p), 0.0), 1.0)
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+def two_outcome_gain(m, u):
+    """m (1+u) log2(1+u) + m (1-u) log2(1-u): the information in bits of two
+    outcomes of probabilities m (1 +/- u) over the even split (m, m).
+
+    It is m phi(u) / ln 2, evaluated without adding terms of size m into a
+    result of size m u^2: phi(u) = log1p(-u^2) + 2 u atanh(u) below u = 1/2,
+    and 2 log1p(u) - 2 (1 - u) atanh(u) above it, where u * u would round
+    1 - u^2 away. u >= 1 gives the limit phi(1) = 2 ln 2.
+    """
+    u = np.minimum(u, 1.0)
+    # c keeps atanh and log1p(-c^2) finite at u = 1, where (1 - u) atanh(c) is 0.
+    c = np.minimum(u, np.nextafter(1.0, 0.0))
+    w = np.arctanh(c)
+    phi = np.where(u < 0.5, np.log1p(-c * c) + 2.0 * c * w, 2.0 * (np.log1p(u) - (1.0 - u) * w))
+    return m * phi / math.log(2.0)
 
 
 def binary_info_gain(p_error: float) -> float:
-    """1 - H2(p_error), the gain of a symmetric binary channel in bits.
-
-    Values in (1/2, 1] are reflected onto [0, 1/2); inputs outside [0, 1]
-    are rejected.
-    """
+    """1 - H2(p_error) bits, the gain of a symmetric binary channel: the
+    two-outcome gain of m = 1/2 and u = |1 - 2 p_error|, p_error in [0, 1]."""
     if not 0.0 <= p_error <= 1.0:
         raise ValueError("p_error must lie in [0, 1]")
-    if p_error > 0.5:
-        p_error = 1.0 - p_error
-    return 1.0 - binary_entropy(p_error)
+    return float(two_outcome_gain(0.5, abs(1.0 - 2.0 * p_error)))
 
 
 def mutual_information(joint: np.ndarray) -> float:

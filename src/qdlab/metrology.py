@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrimination import golden_minimize, grid_golden_minimize
+from .discrimination import golden_minimize, grid_golden_minimize, two_outcome_gain
 from .dynamics import NoiseKind, NoiseModel
 from .errors import UnsupportedModelError
 
@@ -182,11 +182,11 @@ def fig1_sin_theta(strategy, omega_t):
     if not np.all(entangled | (strategy == PRODUCT)):
         raise ValueError(f"unknown strategy {strategy!r}")
     omega_t = np.asarray(omega_t, dtype=float)
-    # Exact squares: a scalar ** 4 rounds unlike the array power.
+    # The product form is sqrt(1 - cos^4(omega t / 2)) factored: no 1 - cos^4 cancels.
     return np.where(
         entangled,
         np.abs(np.sin(omega_t)),
-        np.sqrt(np.maximum(0.0, 1.0 - np.square(np.square(np.cos(omega_t / 2.0))))),
+        np.abs(np.sin(omega_t / 2.0)) * np.sqrt(1.0 + np.square(np.cos(omega_t / 2.0))),
     )
 
 
@@ -196,11 +196,6 @@ def fig1_error_probability(strategy, gamma, omega: float, t):
     return 0.5 - 0.5 * np.exp(-gamma * t) * fig1_sin_theta(strategy, omega * t)
 
 
-def _xlog2x(p):
-    """p log2 p, with the limit 0 at p = 0."""
-    return p * np.log2(np.where(p > 0.0, p, 1.0))
-
-
 def fig1_measurement_info(strategy, gamma, omega: float, t):
     """Mutual information (bits) between the hypothesis and the outcome of
     the complete orthogonal measurement in the decision eigenbasis.
@@ -208,24 +203,23 @@ def fig1_measurement_info(strategy, gamma, omega: float, t):
     In the four-dimensional probe space the two states are
     e^{-gamma t} |psi_i><psi_i| + (1 - e^{-gamma t}) I/4; the decision
     operator's eigenbasis consists of the two in-span vectors (outcome
-    probabilities p_+/- = e (1 +/- sin theta)/2 + (1-e)/4, whose hypothesis
-    average is (1+e)/4) and two null-space vectors ((1-e)/4 each under both
-    hypotheses). By the swap symmetry of the hypotheses H(Y|X) is hypothesis
-    independent, and the null-space outcomes add the same terms to H(Y) and
-    H(Y|X), so I = H(Y) - H(Y|X) needs only the in-span terms.
+    probabilities m (1 +/- u) with m = (1+e)/4 and u = 2 e sin theta / (1+e),
+    the signs swapped between the hypotheses) and two null-space vectors
+    ((1-e)/4 each under both hypotheses). The null-space outcomes add the
+    same terms to H(Y) and H(Y|X), so I = H(Y) - H(Y|X) is the two-outcome
+    gain of m and u.
     """
     t = np.asarray(t, dtype=float)
     e = np.exp(-gamma * t)
     s = fig1_sin_theta(strategy, omega * t)
-    p_plus = e * (1.0 + s) / 2.0 + (1.0 - e) / 4.0
-    p_minus = e * (1.0 - s) / 2.0 + (1.0 - e) / 4.0
-    return _xlog2x(p_plus) + _xlog2x(p_minus) - 2.0 * _xlog2x((1.0 + e) / 4.0)
+    return two_outcome_gain((1.0 + e) / 4.0, 2.0 * e * s / (1.0 + e))
 
 
 def fig1_binary_info(strategy, gamma, omega: float, t):
-    """1 - H2(p_error): the symmetric binary-channel reading of the gain."""
-    p = fig1_error_probability(strategy, gamma, omega, t)
-    return 1.0 + _xlog2x(p) + _xlog2x(1.0 - p)
+    """1 - H2(p_error): the symmetric binary-channel reading of the gain, the
+    two-outcome gain of m = 1/2 and u = e^{-gamma t} |sin theta|."""
+    t = np.asarray(t, dtype=float)
+    return two_outcome_gain(0.5, np.exp(-gamma * t) * fig1_sin_theta(strategy, omega * t))
 
 
 class Figure1Point(NamedTuple):
@@ -276,8 +270,8 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     over all ratios; a scalar `ratios` is searched on 0-d arrays.
     """
     ratios = np.asarray(ratios, dtype=float)
-    if ratios.size == 0 or not np.all(ratios > 0):
-        raise ValueError("ratios must be positive")
+    if ratios.size == 0 or not np.all((ratios > 0) & np.isfinite(ratios)):
+        raise ValueError("ratios must be positive and finite")
     columns = ((fig1_measurement_info, -1), (fig1_binary_info, -1), (fig1_error_probability, 1))
     searches = [
         _fig1_optimize(objective, strategy, ratios, grid, sign)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -533,9 +534,18 @@ class TestInfoGain:
 
     def test_reference_value(self):
         assert disc.binary_info_gain(0.11) == pytest.approx(0.5, abs=1e-3)
-        assert disc.binary_info_gain(0.11) == pytest.approx(
-            1.0 - disc.binary_entropy(0.11), abs=1e-15
+        p = 0.11
+        assert disc.binary_info_gain(p) == pytest.approx(
+            1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p), abs=1e-15
         )
+
+    def test_small_gain_keeps_its_relative_precision(self):
+        # The plain entropy sum returns about 1e-16 here, against 2.9e-18.
+        p = 0.5 - 1e-9
+        with mpmath.workdps(50):
+            q = mpmath.mpf(p)
+            exact = 1 + q * mpmath.log(q, 2) + (1 - q) * mpmath.log(1 - q, 2)
+        assert disc.binary_info_gain(p) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
     def test_reflection_and_validation(self):
         assert disc.binary_info_gain(0.9) == pytest.approx(disc.binary_info_gain(0.1), abs=1e-15)

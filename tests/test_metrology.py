@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,13 +248,57 @@ class TestFigureOneCurve:
         for row in met.figure1_points(np.logspace(-4, 4, 17), grid=256):
             for suffix in ("ent", "prod"):
                 p = getattr(row, "p_err_" + suffix)
-                expected = 1.0 + met._xlog2x(p) + met._xlog2x(1.0 - p)
+                expected = 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
                 assert getattr(row, f"info_{suffix}_binary") == pytest.approx(expected, rel=1e-6)
 
-    @pytest.mark.parametrize("ratios", [[], [0.1, 0.0], -1.0, [0.1, math.nan], math.nan])
+    @pytest.mark.parametrize(
+        "ratios", [[], [0.1, 0.0], -1.0, [0.1, math.nan], math.nan, math.inf, [0.1, math.inf]]
+    )
     def test_rejects_ratios_that_are_not_positive(self, ratios):
         with pytest.raises(ValueError, match="ratios must be positive"):
             met.figure1_points(ratios)
+
+    @staticmethod
+    def mp_entropy_sums(strategy, ratio, t):
+        """(measurement information, binary reading) at one time from the plain
+        entropy sums, in 50-digit arithmetic."""
+        with mpmath.workdps(50):
+            t = mpmath.mpf(t)
+            e = mpmath.exp(-mpmath.mpf(ratio) * t)
+            if strategy == met.ENTANGLED:
+                s = abs(mpmath.sin(t))
+            else:
+                s = mpmath.sqrt(1 - mpmath.cos(t / 2) ** 4)
+
+            def xlog2x(p):
+                return p * mpmath.log(p, 2) if p > 0 else mpmath.mpf(0)
+
+            p_plus = e * (1 + s) / 2 + (1 - e) / 4
+            p_minus = e * (1 - s) / 2 + (1 - e) / 4
+            info = xlog2x(p_plus) + xlog2x(p_minus) - 2 * xlog2x((1 + e) / 4)
+            p_err = (1 - e * s) / 2
+            return float(info), float(1 + xlog2x(p_err) + xlog2x(1 - p_err))
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-2, 0.2, 1e2, 1e5, 1e8])
+    def test_gains_match_50_digit_entropy_sums_at_t_star(self, ratio):
+        # The plain sums in doubles are 2e-5 off at ratio 1e5 and 3e4 off at 1e8;
+        # log1p(-u^2) + 2 u atanh(u) alone is 1e-11 off at 1e-6, where u is near 1.
+        row = met.figure1_point(ratio)
+        for probe, t in ((met.ENTANGLED, row.t_star_ent), (met.PRODUCT, row.t_star_prod)):
+            info, binary = self.mp_entropy_sums(probe, ratio, t)
+            assert float(met.fig1_measurement_info(probe, ratio, 1.0, t)) == pytest.approx(
+                info, rel=1e-14, abs=0.0
+            )
+            assert float(met.fig1_binary_info(probe, ratio, 1.0, t)) == pytest.approx(
+                binary, rel=1e-14, abs=0.0
+            )
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-8])
+    def test_product_sin_theta_at_small_times(self, t):
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(1 - mpmath.cos(mpmath.mpf(t) / 2) ** 4)
+        value = float(met.fig1_sin_theta(met.PRODUCT, t))
+        assert value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     def test_measurement_info_against_direct_density_computation(self, rng):
         # Rebuild the channel output states and the decision-basis outcome
