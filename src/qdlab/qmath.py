@@ -17,6 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import tolerances
@@ -220,16 +222,88 @@ def sup_norm(H):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def spawn_blocks(seed, count: int, block: int = 1024):
-    """SeedSequence(seed).spawn(count) as successive spawns of at most `block`
-    children each, so that only one block is alive at a time."""
-    root = np.random.SeedSequence(seed)
-    for start in range(0, count, block):
-        yield root.spawn(min(block, count - start))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_SPAWN_BLOCK = 1024  # children whose states are alive at once in spawned_rngs
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0 .. count, as a (count + 1, 1) uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values, consts):
+    """SeedSequence's hashmix of each row of `values` with the hash constant in
+    effect for it: row k is xored with consts[k] and multiplied by consts[k + 1]."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x, y):
+    v = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return v ^ (v >> _XSHIFT)
+
+
+def child_states(seed, start: int, stop: int) -> np.ndarray:
+    """c.generate_state(4, np.uint64) for children c = start .. stop-1 of
+    SeedSequence(seed), as a (stop - start, 4) uint64 array.
+
+    SeedSequence's hash constants do not depend on the data, so every child
+    runs the same uint32 operations and all of them run at once: a child's
+    entropy is the seed's little-endian 32-bit words, zero-padded to the pool
+    size because a spawn key is present, followed by the child index. The
+    seed-only words broadcast as (rows, 1) columns, so they are mixed once.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected a non-negative seed")
+    if not 0 <= start <= stop <= 2**32:
+        raise ValueError("child indices must lie in [0, 2**32)")  # one spawn-key word
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    column = np.array(words, dtype=np.uint32)[:, None]
+    rest = [*column[_POOL_SIZE:], np.arange(start, stop, dtype=np.uint32)]
+    # mix_entropy: hash the first pool-size words in, mix every pool word into
+    # every other one, then mix each remaining word into the whole pool.
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(rest)))
+    pool = _hashmix(column[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    used = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used : used + _POOL_SIZE]))
+        used += _POOL_SIZE - 1
+    for word in rest:
+        pool = _mix(pool, _hashmix(word, consts[used : used + _POOL_SIZE + 1]))
+        used += _POOL_SIZE
+    # generate_state: 8 uint32 words cycled from the pool, read as 4 little-endian uint64.
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def spawned_rngs(seed, count: int):
-    """default_rng(child) for each child of SeedSequence(seed).spawn(count), built
-    one at a time: the one place where a trial's seed becomes its generator."""
-    for children in spawn_blocks(seed, count):
-        yield from map(np.random.default_rng, children)
+    """default_rng(child) for each child of SeedSequence(seed).spawn(count),
+    built one at a time from `child_states` blocks: the one place where a
+    trial's seed becomes its generator."""
+    # Imported here so that importing qdlab does not load numpy.random.
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Child(ISeedSequence):
+        """A spawned child as PCG64 reads it: its generate_state(4, np.uint64)."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    for start in range(0, count, _SPAWN_BLOCK):
+        for state in child_states(seed, start, min(start + _SPAWN_BLOCK, count)):
+            yield Generator(PCG64(Child(state)))

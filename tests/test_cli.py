@@ -743,3 +743,9 @@ class TestImports:
                 "assert not loaded, loaded")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_cli_import_does_not_load_numpy_random(self):
+        # numpy.random is needed only once a trial generator is built (qmath.spawned_rngs).
+        code = "import sys, qdlab.cli; assert 'numpy.random' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -235,7 +235,7 @@ class TestFigureOneCurve:
                 value = getattr(row, column)
                 # Relative too: the information is about 1e-11 at ratio 1e5.
                 assert value == pytest.approx(best, abs=1e-8), column
-                assert value == pytest.approx(best, rel=1e-4), column
+                assert value == pytest.approx(best, rel=1e-4, abs=0.0), column
 
     def test_large_ratio_row(self):
         row = met.figure1_point(1e3)
@@ -249,7 +249,7 @@ class TestFigureOneCurve:
             for suffix in ("ent", "prod"):
                 p = getattr(row, "p_err_" + suffix)
                 expected = 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
-                assert getattr(row, f"info_{suffix}_binary") == pytest.approx(expected, rel=1e-6)
+                assert getattr(row, f"info_{suffix}_binary") == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize(
         "ratios", [[], [0.1, 0.0], -1.0, [0.1, math.nan], math.nan, math.inf, [0.1, math.inf]]

@@ -54,7 +54,7 @@ class TestSampleCounts:
         def refuse(*args):
             raise AssertionError("drew trials over the qubit cap")
 
-        monkeypatch.setattr(pe.qmath, "spawn_blocks", refuse)
+        monkeypatch.setattr(pe.qmath, "child_states", refuse)
         with pytest.raises(ResourceLimitError):
             pe.sample_counts(pe.PhaseConfig(n=pe.MAX_PREPARE_QUBITS + 1, omega=0.1), 0, 10)
 

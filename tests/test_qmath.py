@@ -305,15 +305,49 @@ class TestBlochConversions:
             qmath.bloch_to_density([1.1, 0, 0])
 
 
-class TestSpawnBlocks:
-    @pytest.mark.parametrize("count", [1, 4, 5, 9])
-    def test_blocks_concatenate_to_one_spawn(self, count):
-        blocks = list(qmath.spawn_blocks(11, count, block=4))
-        assert [len(b) for b in blocks[:-1]] == [4] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= 4
-        children = [child for block in blocks for child in block]
-        expected = np.random.SeedSequence(11).spawn(count)
-        assert [c.spawn_key for c in children] == [c.spawn_key for c in expected]
-        assert all(
-            (c.generate_state(4) == e.generate_state(4)).all() for c, e in zip(children, expected)
+def spawned_states(seed, start, stop):
+    """numpy's own states of children start .. stop-1 of SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(stop)[start:stop]
+    return np.array([c.generate_state(4, np.uint64) for c in children], dtype=np.uint64)
+
+
+class TestChildStates:
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**64 - 1, 2**64 - 1 + 4000])
+    @pytest.mark.parametrize("start, stop", [(0, 1), (0, 5), (3, 9), (1000, 1030), (0, 2049)])
+    def test_equals_numpy_children(self, seed, start, stop):
+        states = qmath.child_states(seed, start, stop)
+        assert states.dtype == np.uint64 and states.shape == (stop - start, 4)
+        np.testing.assert_array_equal(states, spawned_states(seed, start, stop))
+
+    def test_last_one_word_index(self):
+        # spawn_key=(i,) is the i-th spawned child; 2**32 - 1 is the last one-word key.
+        states = qmath.child_states(7, 2**32 - 2, 2**32)
+        expected = [np.random.SeedSequence(7, spawn_key=(i,)).generate_state(4, np.uint64)
+                    for i in (2**32 - 2, 2**32 - 1)]
+        np.testing.assert_array_equal(states, expected)
+
+    def test_empty_range(self):
+        assert qmath.child_states(5, 4, 4).shape == (0, 4)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**200),
+        start=st.integers(0, 300),
+        count=st.integers(0, 40),
+    )
+    def test_equals_numpy_children_property(self, seed, start, count):
+        np.testing.assert_array_equal(
+            qmath.child_states(seed, start, start + count).reshape(-1, 4),
+            spawned_states(seed, start, start + count).reshape(-1, 4),
         )
+
+    def test_negative_seed_raises_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            qmath.child_states(-1, 0, 1)
+
+    @pytest.mark.parametrize("start, stop", [(0, 2**32 + 1), (-1, 3), (5, 4)])
+    def test_index_range_raises(self, start, stop):
+        with pytest.raises(ValueError):
+            qmath.child_states(0, start, stop)
