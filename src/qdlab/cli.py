@@ -67,6 +67,7 @@ class Experiment:
 
 _SIZE = (1, SIZE_CAP)
 _POSITIVE = (math.ulp(0.0), math.inf)  # from the least positive float up
+_NONNEGATIVE = (0.0, math.inf)
 
 
 # JSON types an override may have, by the type of the parameter's default.
@@ -441,7 +442,8 @@ EXPERIMENTS = {
         {"dim": 4, "t": 1.0, "samples": 50, "h_norm": 1.5, "k_norm": 5.0},
         _run_fixed_time,
         _check_fixed_time,
-        bounds={"dim": (1, 1024), "samples": _SIZE},
+        bounds={"dim": (1, 1024), "samples": _SIZE, "t": _POSITIVE, "h_norm": _NONNEGATIVE,
+                "k_norm": _NONNEGATIVE},
     ),
     "eliminate": Experiment(
         "adaptive pairwise elimination over N candidate generators",
@@ -490,7 +492,8 @@ EXPERIMENTS = {
         _check_theorem_check,
         {"mode": ("verify", "search")},
         check_requires={"mode": "verify"},
-        bounds={"dims": (1, 1024), "trials": _SIZE},
+        bounds={"dims": (1, 1024), "trials": _SIZE, "h_norm_max": _NONNEGATIVE,
+                "k_norm_max": _NONNEGATIVE},
     ),
 }
 

@@ -109,7 +109,11 @@ def herm_eig(M):
 
 def expm_i(H, t: float) -> np.ndarray:
     """exp(-i t H) for each Hermitian H of a stack, exact on the eigenbasis."""
-    w, V = herm_eig(H)
+    return eig_expm_i(*herm_eig(H), t)
+
+
+def eig_expm_i(w, V, t: float) -> np.ndarray:
+    """exp(-i t H) rebuilt from H's eigendecomposition (w, V) as `herm_eig` returns it."""
     return (V * np.exp(-1j * t * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
@@ -132,6 +136,11 @@ def unitary_args(U, atol: float = tolerances.SPECTRAL) -> np.ndarray:
     stack; arguments within BRANCH_FOLD of -pi are folded to +pi.
     """
     return _folded_args(np.linalg.eigvals(_as_stack(U)), atol)[0]
+
+
+def eig_unitary_args(w, t: float, atol: float = tolerances.SPECTRAL) -> np.ndarray:
+    """`unitary_args(expm_i(H, t))` read off H's eigenvalues w: exp(-i t w), folded."""
+    return _folded_args(np.exp(-1j * t * np.asarray(w)), atol)[0]
 
 
 def unitary_eig(U, atol: float = tolerances.SPECTRAL):

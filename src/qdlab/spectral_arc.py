@@ -13,7 +13,7 @@ the sup-norm regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,16 +61,8 @@ class ArcBoundCases:
 
     def case(self, i: int) -> ArcBoundCase:
         """Case i on its own, with copies of its H and K."""
-        return ArcBoundCase(
-            H=self.H[i].copy(),
-            K=self.K[i].copy(),
-            lhs_max=float(self.lhs_max[i]),
-            rhs_max=float(self.rhs_max[i]),
-            lhs_min=float(self.lhs_min[i]),
-            rhs_min=float(self.rhs_min[i]),
-            holds=bool(self.holds[i]),
-            in_regime=bool(self.in_regime[i]),
-        )
+        H, K, *values, holds, in_regime = (getattr(self, f.name)[i] for f in fields(self))
+        return ArcBoundCase(H.copy(), K.copy(), *map(float, values), bool(holds), bool(in_regime))
 
 
 @dataclass(frozen=True)
@@ -109,23 +101,21 @@ def arc_bound_cases(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCases:
     Cases with sup norm of H at or above pi are evaluated anyway and labeled
     out-of-regime; there the inequalities may genuinely fail.
     """
-    H = np.asarray(H, dtype=complex)
-    K = np.asarray(K, dtype=complex)
-    W = qmath.expm_i(K, -1.0) @ qmath.expm_i(H + K, 1.0)
-    args_w = qmath.unitary_args(W)
-    args_h = qmath.unitary_args(qmath.expm_i(H, 1.0))
-    lhs_max, lhs_min = args_w[:, -1], args_w[:, 0]
-    rhs_max, rhs_min = args_h[:, -1], args_h[:, 0]
-    return ArcBoundCases(
-        H=H,
-        K=K,
-        lhs_max=lhs_max,
-        rhs_max=rhs_max,
-        lhs_min=lhs_min,
-        rhs_min=rhs_min,
-        holds=(lhs_max <= rhs_max + tol) & (lhs_min >= rhs_min - tol),
-        in_regime=qmath.sup_norm(H) < math.pi,
-    )
+    H, K = np.asarray(H, dtype=complex), np.asarray(K, dtype=complex)
+    return _arc_cases(H, qmath.herm_eig(H)[0], K, *qmath.herm_eig(K), tol)
+
+
+def _arc_cases(H, w_h, K, w_k, V_k, tol: float = tolerances.ARC_CHECK) -> ArcBoundCases:
+    """`arc_bound_cases` given H's eigenvalues w_h and K's eigendecomposition:
+    e^{iK} is rebuilt from the latter and e^{-iH}'s arguments are those of
+    exp(-i w_h), so only H + K and W are diagonalized."""
+    U = qmath.expm_i(H + K, 1.0)  # first, so that fewer (n, d, d) temporaries coexist
+    W = qmath.eig_expm_i(w_k, V_k, -1.0) @ U
+    lhs_min, lhs_max = qmath.unitary_args(W)[:, [0, -1]].T
+    rhs_min, rhs_max = qmath.eig_unitary_args(w_h, 1.0)[:, [0, -1]].T
+    holds = (lhs_max <= rhs_max + tol) & (lhs_min >= rhs_min - tol)
+    in_regime = np.max(np.abs(w_h), axis=-1) < math.pi
+    return ArcBoundCases(H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, in_regime)
 
 
 def arc_bound_check(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCase:
@@ -137,8 +127,8 @@ def arc_subadditivity_check(U1, U2, tol: float = tolerances.ARC_CHECK) -> ArcSub
     """maxarg(U1 U2) <= maxarg(U1) + maxarg(U2), and the minarg counterpart,
     valid when the summed maxargs stay below pi and the summed minargs above
     -pi. Inapplicable inputs are flagged, not judged."""
-    m1, m2 = maxarg(U1), maxarg(U2)
-    n1, n2 = minarg(U1), minarg(U2)
+    # One spectrum per factor: its smallest and largest arguments.
+    (n1, m1), (n2, m2) = (qmath.unitary_args(U)[[0, -1]].tolist() for U in (U1, U2))
     if m1 + m2 >= math.pi or n1 + n2 <= -math.pi:
         return ArcSubadditivityCase(False, False, math.nan, m1 + m2, math.nan, n1 + n2)
     prod_args = qmath.unitary_args(np.asarray(U1, dtype=complex) @ np.asarray(U2, dtype=complex))
@@ -162,20 +152,23 @@ def splitting_residual(H, K, n: int) -> float:
 
 
 def _raw_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    re, im = rng.normal(size=(2, dim, dim))
+    A = re + 1j * im
     return (A + A.conj().T) / 2
 
 
-def _rescaled(Hm: np.ndarray, sup) -> np.ndarray:
-    """Matrix i of the (n, d, d) stack Hm rescaled to sup norm `sup[i]` (or
-    `sup` for all); a zero matrix stays zero."""
-    current = qmath.sup_norm(Hm)
-    return Hm * (sup / np.where(current == 0.0, 1.0, current))[:, None, None]
+def _rescaled(Hm: np.ndarray, sup):
+    """The (n, d, d) stack Hm, matrix i rescaled to sup norm `sup[i]` (or `sup`), its
+    spectrum and Hm's eigenvectors, from one `herm_eig`; a zero matrix stays zero."""
+    w, V = qmath.herm_eig(Hm)
+    current = np.max(np.abs(w), axis=-1)
+    scale = sup / np.where(current == 0.0, 1.0, current)
+    return Hm * scale[:, None, None], w * scale[:, None], V
 
 
 def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to the requested sup norm."""
-    return _rescaled(_raw_hermitian(dim, rng)[None], sup)[0]
+    return _rescaled(_raw_hermitian(dim, rng)[None], sup)[0][0]
 
 
 # Largest n * d * d of one (n, d, d) stack in arc_bound_sweep: 512 KiB per
@@ -196,8 +189,9 @@ def arc_bound_sweep(
     Trial i draws from the i-th child of SeedSequence(seed): a sup norm
     uniform on `h_sup` and then H, a sup norm uniform on `k_sup` and then K,
     each as `random_hermitian` draws them. Trials are evaluated in stacks of
-    at most _ARC_BLOCK_ELEMS elements; every row equals the one-case call.
-    Cases whose max_violation exceeds `margin` are returned as flagged.
+    at most _ARC_BLOCK_ELEMS elements, each with 3 `herm_eig` and 1 `unitary_args`
+    calls (the rescale's `herm_eig` also gives H's spectrum and e^{iK}); rows equal
+    the one-trial formula. Cases past `margin` are returned as flagged.
     """
     if dim < 1 or trials < 1:
         raise ValueError("dim and trials must be at least 1")
@@ -213,7 +207,8 @@ def arc_bound_sweep(
             for j, (lo, hi) in enumerate((h_sup, k_sup)):
                 sups[j, i] = rng.uniform(lo, hi)
                 raw[j, i] = _raw_hermitian(dim, rng)
-        cases = arc_bound_cases(_rescaled(raw[0], sups[0]), _rescaled(raw[1], sups[1]))
+        H, w_h = _rescaled(raw[0], sups[0])[:2]
+        cases = _arc_cases(H, w_h, *_rescaled(raw[1], sups[1]))
         violation = cases.max_violation
         holds += int(np.count_nonzero(cases.holds))
         # argmax takes the first of equal maxima, as a running max() does.
@@ -222,17 +217,17 @@ def arc_bound_sweep(
     return ArcBoundSweep(holds, worst, tuple(flagged))
 
 
-def _recheck_high_precision(H, K, margin: float) -> bool:
-    """Re-verify a candidate violation along an independent numerical path:
-    Pade exponentials and Schur eigenvalues instead of eigh/eig."""
+def _recheck_high_precision(H, K, margin: float) -> list[bool]:
+    """Re-verify the candidate violations of the (n, d, d) stacks H and K along
+    an independent numerical path: Pade exponentials, run once per stack, and
+    Schur eigenvalues, one case at a time, instead of eigh/eig. Returns, per
+    case, whether the violation exceeds `margin`."""
     import scipy.linalg  # the only use of scipy, so `import qdlab` does not load it
     W = scipy.linalg.expm(1j * K) @ scipy.linalg.expm(-1j * (H + K))
-    T, _ = scipy.linalg.schur(W, output="complex")
-    args_w = np.sort(np.angle(np.diag(T)))
-    T2, _ = scipy.linalg.schur(scipy.linalg.expm(-1j * H), output="complex")
-    args_h = np.sort(np.angle(np.diag(T2)))
-    viol = max(args_w[-1] - args_h[-1], args_h[0] - args_w[0])
-    return viol > margin
+    args = np.array([np.sort(np.angle(np.diag(scipy.linalg.schur(U, output="complex")[0])))
+                     for U in np.concatenate([W, scipy.linalg.expm(-1j * H)])])
+    args_w, args_h = np.split(args, 2)
+    return list(np.maximum(args_w[:, -1] - args_h[:, -1], args_h[:, 0] - args_w[:, 0]) > margin)
 
 
 def counterexample_search(
@@ -254,5 +249,8 @@ def counterexample_search(
     lo, hi = sup_range
     if not 0 <= lo <= hi:
         raise ValueError("invalid sup-norm range")
-    sweep = arc_bound_sweep(dim, trials, rng_seed, (lo, hi), (0.1, 10.0), margin)
-    return [case for case in sweep.flagged if _recheck_high_precision(case.H, case.K, margin)]
+    flagged = arc_bound_sweep(dim, trials, rng_seed, (lo, hi), (0.1, 10.0), margin).flagged
+    if not flagged:
+        return []
+    H, K = (np.stack([getattr(case, side) for case in flagged]) for side in "HK")
+    return [case for case, ok in zip(flagged, _recheck_high_precision(H, K, margin)) if ok]

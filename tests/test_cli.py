@@ -162,6 +162,49 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [
+            # These used to exit 3 after drawing (numpy's "high - low < 0", t: 0) ...
+            ("theorem-check", {"h_norm_max": -1}),
+            ("theorem-check", {"k_norm_max": -0.5}),
+            ("fixed-time", {"t": 0}),
+            ("fixed-time", {"t": -1.0}),
+            # ... or ran and wrote a report.
+            ("fixed-time", {"k_norm": -3}),
+            ("fixed-time", {"h_norm": -1e-300}),
+        ],
+    )
+    def test_negative_norms_and_times_refused_before_any_draw(self, experiment, parameters,
+                                                             monkeypatch, tmp_path, capsys):
+        from qdlab import cli, qmath
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial generator was built")
+
+        monkeypatch.setattr(qmath, "spawned_rngs", no_draw)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([experiment, "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == 2
+        assert f"parameter {next(iter(parameters))!r} must be in" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [("theorem-check", {"h_norm_max": 0, "k_norm_max": 0, "trials": 5}),
+         ("fixed-time", {"h_norm": 0, "k_norm": 0, "samples": 3})],
+    )
+    def test_zero_norms_still_run(self, experiment, parameters, tmp_path):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([experiment, "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == 0 and out.exists()
+
     def test_many_small_hypotheses_still_run(self, tmp_path):
         from qdlab import cli
 

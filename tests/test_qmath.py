@@ -152,6 +152,27 @@ class TestStackedKernels:
             assert np.array_equal(args[i], qmath.unitary_args(U_i))
             assert norms[i] == qmath.sup_norm(H[i].copy())
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8), dim=st.integers(1, 6),
+           sup=st.floats(0.0, 12.0), t=st.floats(-3.0, 3.0))
+    def test_kernels_from_an_eigendecomposition(self, seed, batch, dim, sup, t):
+        H = _hermitian_stack(seed, batch, dim, None)
+        H *= sup / np.maximum(qmath.sup_norm(H), 1e-300)[:, None, None]
+        w, V = qmath.herm_eig(H)
+        assert np.array_equal(qmath.eig_expm_i(w, V, t), qmath.expm_i(H, t))
+        args = qmath.eig_unitary_args(w, t)
+        assert np.all(np.diff(args, axis=-1) >= 0)
+        assert np.all((args > -np.pi) & (args <= np.pi))
+        # Same arguments as eig of the unitary, up to rounding: within
+        # BRANCH_FOLD of the cut both fold to +pi, elsewhere they agree closely.
+        np.testing.assert_allclose(
+            np.exp(1j * args), np.exp(1j * qmath.unitary_args(qmath.expm_i(H, t))), atol=1e-12
+        )
+
+    def test_eig_unitary_args_folds_the_branch_cut(self):
+        args = qmath.eig_unitary_args(np.array([-np.pi, 0.5, np.pi]), 1.0)
+        np.testing.assert_array_equal(args, [-0.5, np.pi, np.pi])
+
     def test_zero_and_one_dimensional_members(self):
         H = np.zeros((3, 1, 1), dtype=complex)
         H[1, 0, 0] = -2.5

@@ -1,15 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qdlab import cli, qmath, spectral_arc as arc, tolerances
 from conftest import random_hermitian, random_unitary
 
 
-# Reference copies of the one-case-at-a-time code that the stacked sweep
-# replaced; the sweep must reproduce them bit for bit.
+# Reference copies of the sweep's formula evaluated one case at a time; the
+# stacked sweep must reproduce them bit for bit.
 def reference_random_hermitian(dim, sup, rng):
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     Hm = (A + A.conj().T) / 2
@@ -19,16 +21,56 @@ def reference_random_hermitian(dim, sup, rng):
     return Hm * (sup / current)
 
 
-def reference_arc_bound_check(H, K, tol=tolerances.ARC_CHECK):
-    W = qmath.expm_i(K, -1.0) @ qmath.expm_i(H + K, 1.0)
+def reference_draw(dim, sup, rng):
+    """reference_random_hermitian's matrix, with its eigenvalues (those of the
+    raw draw times the scale) and the raw draw's eigenvectors."""
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    Hm = (A + A.conj().T) / 2
+    w, V = qmath.herm_eig(Hm)
+    current = float(np.max(np.abs(w)))
+    scale = sup / current if current != 0.0 else sup
+    return Hm * scale, w * scale, V
+
+
+def reference_arc_bound_check(H, K, w_h=None, eig_k=None, tol=tolerances.ARC_CHECK):
+    """One case: e^{iK} rebuilt from K's eigendecomposition and the arguments of
+    e^{-iH} read off exp(-i w_h); H's and K's own decompositions by default."""
+    w_h = qmath.herm_eig(H)[0] if w_h is None else w_h
+    w_k, V_k = qmath.herm_eig(K) if eig_k is None else eig_k
+    W = (V_k * np.exp(1j * w_k)) @ V_k.conj().T @ qmath.expm_i(H + K, 1.0)
     args_w = qmath.unitary_args(W)
-    args_h = qmath.unitary_args(qmath.expm_i(H, 1.0))
+    lam = np.exp(-1j * w_h)
+    args_h = np.angle(lam / np.abs(lam))
+    args_h[args_h <= -np.pi + tolerances.BRANCH_FOLD] = np.pi
+    args_h.sort()
     lhs_max, lhs_min = float(args_w[-1]), float(args_w[0])
     rhs_max, rhs_min = float(args_h[-1]), float(args_h[0])
     holds = (lhs_max <= rhs_max + tol) and (lhs_min >= rhs_min - tol)
     return arc.ArcBoundCase(
-        H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, qmath.sup_norm(H) < math.pi
+        H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, float(np.max(np.abs(w_h))) < math.pi
     )
+
+
+def reference_recheck(H, K, margin):
+    """The high-precision recheck of one candidate: Pade exponentials, Schur eigenvalues."""
+    W = scipy.linalg.expm(1j * K) @ scipy.linalg.expm(-1j * (H + K))
+    args_w = np.sort(np.angle(np.diag(scipy.linalg.schur(W, output="complex")[0])))
+    U = scipy.linalg.expm(-1j * H)
+    args_h = np.sort(np.angle(np.diag(scipy.linalg.schur(U, output="complex")[0])))
+    return max(args_w[-1] - args_h[-1], args_h[0] - args_w[0]) > margin
+
+
+def exponentiate_then_eig(H, K, tol=tolerances.ARC_CHECK):
+    """The route the sweep took before each generator was diagonalized once:
+    e^{iK} and e^{-iH} from their own eigh, eig of both unitaries, and a
+    separate sup norm for the regime. Returns the ArcBoundCases fields after K."""
+    W = qmath.expm_i(K, -1.0) @ qmath.expm_i(H + K, 1.0)
+    args_w = qmath.unitary_args(W)
+    args_h = qmath.unitary_args(qmath.expm_i(H, 1.0))
+    lhs_max, lhs_min = args_w[:, -1], args_w[:, 0]
+    rhs_max, rhs_min = args_h[:, -1], args_h[:, 0]
+    holds = (lhs_max <= rhs_max + tol) & (lhs_min >= rhs_min - tol)
+    return lhs_max, rhs_max, lhs_min, rhs_min, holds, qmath.sup_norm(H) < math.pi
 
 
 def reference_verify_rows(params, seed):
@@ -38,9 +80,9 @@ def reference_verify_rows(params, seed):
         holds, worst = 0, -math.inf
         for child in np.random.SeedSequence(seed + 1000 * i).spawn(params["trials"]):
             rng = np.random.default_rng(child)
-            H = reference_random_hermitian(dim, rng.uniform(0, params["h_norm_max"]), rng)
-            K = reference_random_hermitian(dim, rng.uniform(0, params["k_norm_max"]), rng)
-            case = reference_arc_bound_check(H, K)
+            H, w_h, _ = reference_draw(dim, rng.uniform(0, params["h_norm_max"]), rng)
+            K, w_k, V_k = reference_draw(dim, rng.uniform(0, params["k_norm_max"]), rng)
+            case = reference_arc_bound_check(H, K, w_h, (w_k, V_k))
             holds += int(case.holds)
             worst = max(worst, case.max_violation)
         rows.append({"dim": dim, "trials": params["trials"], "holds": holds,
@@ -52,10 +94,10 @@ def reference_search(dim, trials, rng_seed, margin=1e-6):
     found = []
     for child in np.random.SeedSequence(rng_seed).spawn(trials):
         rng = np.random.default_rng(child)
-        H = reference_random_hermitian(dim, rng.uniform(math.pi, 1.5 * math.pi), rng)
-        K = reference_random_hermitian(dim, rng.uniform(0.1, 10.0), rng)
-        case = reference_arc_bound_check(H, K)
-        if case.max_violation > margin and arc._recheck_high_precision(H, K, margin):
+        H, w_h, _ = reference_draw(dim, rng.uniform(math.pi, 1.5 * math.pi), rng)
+        K, w_k, V_k = reference_draw(dim, rng.uniform(0.1, 10.0), rng)
+        case = reference_arc_bound_check(H, K, w_h, (w_k, V_k))
+        if case.max_violation > margin and reference_recheck(H, K, margin):
             found.append(case)
     return found
 
@@ -168,9 +210,11 @@ class TestStackedArcBound:
         stack = np.zeros((2, 3, 3), dtype=complex)
         stack[1] = np.diag([1.0, -4.0, 2.0])
         with np.errstate(all="raise"):
-            out = arc._rescaled(stack, np.array([5.0, 2.0]))
+            out, w, V = arc._rescaled(stack, np.array([5.0, 2.0]))
         np.testing.assert_array_equal(out[0], 0.0)
         np.testing.assert_array_equal(out[1], np.diag([0.5, -2.0, 1.0]))
+        np.testing.assert_array_equal(w, [[0.0, 0.0, 0.0], [-2.0, 0.5, 1.0]])
+        np.testing.assert_array_equal((V * w[:, None, :]) @ V.conj().swapaxes(-1, -2), out)
 
     def test_zero_generators(self):
         Z = np.zeros((3, 3))
@@ -202,23 +246,29 @@ class TestTheoremCheckRunner:
     def test_blocks_give_the_same_rows_within_the_element_budget(self, monkeypatch):
         budget = 100  # blocks of 25 cases at d = 2, 11 at d = 3, 2 at d = 6
         monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
-        sizes = []
+        calls = []
 
-        def spy(kernel):
+        def spy(name, kernel):
             def spied(M, *args, **kwargs):
-                sizes.append(np.asarray(M).size)
+                calls.append((name, np.asarray(M).size))
                 return kernel(M, *args, **kwargs)
             return spied
 
-        for name in ("herm_eig", "expm_i", "unitary_args", "sup_norm"):
-            monkeypatch.setattr(qmath, name, spy(getattr(qmath, name)))
+        kernels = ("herm_eig", "expm_i", "eig_expm_i", "unitary_args", "eig_unitary_args",
+                   "sup_norm")
+        for name in kernels:
+            monkeypatch.setattr(qmath, name, spy(name, getattr(qmath, name)))
         params = self.params(trials=60)
         _, rows, _ = cli._run_theorem_check(params, 5)
-        assert max(sizes) <= budget
-        # Per block: 3 expm_i, each with its herm_eig, 2 unitary_args and
-        # 3 sup_norm (two rescales and the regime flag), each with its herm_eig.
+        assert max(size for _, size in calls) <= budget
+        # Per block: one herm_eig of each raw stack (the rescale), expm_i of
+        # H + K with its herm_eig and eig_expm_i, e^{iK} rebuilt by eig_expm_i
+        # from K's eigendecomposition, one eig-based unitary_args of W and
+        # e^{-iH}'s arguments from H's spectrum: 3 eigh and 1 eig in all.
         blocks = sum(math.ceil(60 / (budget // (d * d))) for d in params["dims"])
-        assert len(sizes) == 14 * blocks
+        per_block = {"herm_eig": 3, "expm_i": 1, "eig_expm_i": 2, "unitary_args": 1,
+                     "eig_unitary_args": 1}
+        assert Counter(name for name, _ in calls) == {k: n * blocks for k, n in per_block.items()}
         monkeypatch.undo()
         assert [r._asdict() for r in rows] == reference_verify_rows(params, 5)
 
@@ -231,7 +281,64 @@ class TestTheoremCheckRunner:
             assert_same_case(a, b)
 
 
+class TestOneDiagonalizationPerGenerator:
+    """Reading e^{-iH}'s arguments off H's spectrum and rebuilding e^{iK} from
+    the rescale's eigendecomposition moves the rows only in the last digits."""
+
+    @pytest.mark.parametrize("h_sup", [(0.0, math.pi * 0.999), (math.pi, 1.5 * math.pi)])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_sweep_rows_match_exponentiate_then_eig(self, dim, seed, h_sup):
+        cases = arc.arc_bound_sweep(dim, 150, seed, h_sup, (0.0, 10.0), -math.inf).flagged
+        assert len(cases) == 150
+        H, K = (np.stack([getattr(case, side) for case in cases]) for side in "HK")
+        *values, holds, in_regime = exponentiate_then_eig(H, K)
+        for field, old in zip(("lhs_max", "rhs_max", "lhs_min", "rhs_min"), values):
+            new = np.array([getattr(case, field) for case in cases])
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-13, err_msg=field)
+        assert [case.holds for case in cases] == holds.tolist()
+        assert [case.in_regime for case in cases] == in_regime.tolist()
+        assert all(case.in_regime for case in cases) == (h_sup[1] < math.pi)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fold_edge(self, sign, rng):
+        # e^{-iH} = -I sits on the branch cut: its arguments fold to +pi.
+        H = np.stack([sign * math.pi * np.eye(3)] * 3)
+        K = np.stack([np.zeros((3, 3)), random_hermitian(rng, 3), -H[0]])
+        cases = arc.arc_bound_cases(H, K)
+        *values, holds, in_regime = exponentiate_then_eig(H, K)
+        np.testing.assert_array_equal(cases.rhs_max, math.pi)
+        np.testing.assert_array_equal(cases.rhs_min, math.pi)
+        for new, old in zip((cases.lhs_max, cases.rhs_max, cases.lhs_min, cases.rhs_min), values):
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(cases.holds, holds)
+        assert not in_regime.any() and not cases.in_regime.any()
+
+    def test_stacked_recheck_equals_one_case_rechecks(self):
+        cases = arc.arc_bound_sweep(3, 60, 4, (0.5 * math.pi, 1.5 * math.pi), (0.1, 10.0),
+                                    -math.inf).flagged
+        H, K = (np.stack([getattr(case, side) for case in cases]) for side in "HK")
+        confirmed = arc._recheck_high_precision(H, K, 1e-6)
+        assert confirmed == [reference_recheck(c.H, c.K, 1e-6) for c in cases]
+        assert 0 < sum(confirmed) < len(cases)
+
+
 class TestSubadditivity:
+    def test_one_spectrum_per_unitary(self, rng, monkeypatch):
+        U1, U2 = (qmath.expm_i(arc.random_hermitian(3, 0.5, rng), 1.0) for _ in range(2))
+        want = (arc.maxarg(U1), arc.maxarg(U2), arc.minarg(U1), arc.minarg(U2))
+        calls = []
+
+        def spied(U, *args, **kwargs):
+            calls.append(U)
+            return unitary_args(U, *args, **kwargs)
+
+        unitary_args = qmath.unitary_args
+        monkeypatch.setattr(qmath, "unitary_args", spied)
+        case = arc.arc_subadditivity_check(U1, U2)
+        assert case.applicable and len(calls) == 3  # U1, U2 and their product
+        assert (case.rhs_max, case.rhs_min) == (want[0] + want[1], want[2] + want[3])
+
     def test_identity_factor(self, rng):
         U = random_unitary(rng, 3)
         if arc.maxarg(U) >= math.pi * 0.99 or arc.minarg(U) <= -math.pi * 0.99:
