@@ -109,10 +109,10 @@ def herm_eig(M):
 
 def expm_i(H, t: float) -> np.ndarray:
     """exp(-i t H) for each Hermitian H of a stack, exact on the eigenbasis."""
-    return eig_expm_i(*herm_eig(H), t)
+    return _eig_expm_i(*herm_eig(H), t)
 
 
-def eig_expm_i(w, V, t: float) -> np.ndarray:
+def _eig_expm_i(w, V, t: float) -> np.ndarray:
     """exp(-i t H) rebuilt from H's eigendecomposition (w, V) as `herm_eig` returns it."""
     return (V * np.exp(-1j * t * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
@@ -138,9 +138,9 @@ def unitary_args(U, atol: float = tolerances.SPECTRAL) -> np.ndarray:
     return _folded_args(np.linalg.eigvals(_as_stack(U)), atol)[0]
 
 
-def eig_unitary_args(w, t: float, atol: float = tolerances.SPECTRAL) -> np.ndarray:
-    """`unitary_args(expm_i(H, t))` read off H's eigenvalues w: exp(-i t w), folded."""
-    return _folded_args(np.exp(-1j * t * np.asarray(w)), atol)[0]
+def _eig_unitary_args(w) -> np.ndarray:
+    """`unitary_args(expm_i(H, 1))` read off H's eigenvalues w: exp(-i w), folded."""
+    return _folded_args(np.exp(-1j * np.asarray(w)), tolerances.SPECTRAL)[0]
 
 
 def unitary_eig(U, atol: float = tolerances.SPECTRAL):

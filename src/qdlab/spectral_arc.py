@@ -13,7 +13,7 @@ the sup-norm regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +61,16 @@ class ArcBoundCases:
 
     def case(self, i: int) -> ArcBoundCase:
         """Case i on its own, with copies of its H and K."""
-        H, K, *values, holds, in_regime = (getattr(self, f.name)[i] for f in fields(self))
-        return ArcBoundCase(H.copy(), K.copy(), *map(float, values), bool(holds), bool(in_regime))
+        return ArcBoundCase(
+            H=self.H[i].copy(),
+            K=self.K[i].copy(),
+            lhs_max=float(self.lhs_max[i]),
+            rhs_max=float(self.rhs_max[i]),
+            lhs_min=float(self.lhs_min[i]),
+            rhs_min=float(self.rhs_min[i]),
+            holds=bool(self.holds[i]),
+            in_regime=bool(self.in_regime[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -110,9 +118,9 @@ def _arc_cases(H, w_h, K, w_k, V_k, tol: float = tolerances.ARC_CHECK) -> ArcBou
     e^{iK} is rebuilt from the latter and e^{-iH}'s arguments are those of
     exp(-i w_h), so only H + K and W are diagonalized."""
     U = qmath.expm_i(H + K, 1.0)  # first, so that fewer (n, d, d) temporaries coexist
-    W = qmath.eig_expm_i(w_k, V_k, -1.0) @ U
+    W = qmath._eig_expm_i(w_k, V_k, -1.0) @ U
     lhs_min, lhs_max = qmath.unitary_args(W)[:, [0, -1]].T
-    rhs_min, rhs_max = qmath.eig_unitary_args(w_h, 1.0)[:, [0, -1]].T
+    rhs_min, rhs_max = qmath._eig_unitary_args(w_h)[:, [0, -1]].T
     holds = (lhs_max <= rhs_max + tol) & (lhs_min >= rhs_min - tol)
     in_regime = np.max(np.abs(w_h), axis=-1) < math.pi
     return ArcBoundCases(H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, in_regime)

@@ -254,20 +254,19 @@ class TestTheoremCheckRunner:
                 return kernel(M, *args, **kwargs)
             return spied
 
-        kernels = ("herm_eig", "expm_i", "eig_expm_i", "unitary_args", "eig_unitary_args",
-                   "sup_norm")
+        kernels = ("herm_eig", "expm_i", "_eig_expm_i", "unitary_args", "_eig_unitary_args")
         for name in kernels:
             monkeypatch.setattr(qmath, name, spy(name, getattr(qmath, name)))
         params = self.params(trials=60)
         _, rows, _ = cli._run_theorem_check(params, 5)
         assert max(size for _, size in calls) <= budget
         # Per block: one herm_eig of each raw stack (the rescale), expm_i of
-        # H + K with its herm_eig and eig_expm_i, e^{iK} rebuilt by eig_expm_i
+        # H + K with its herm_eig and _eig_expm_i, e^{iK} rebuilt by _eig_expm_i
         # from K's eigendecomposition, one eig-based unitary_args of W and
         # e^{-iH}'s arguments from H's spectrum: 3 eigh and 1 eig in all.
         blocks = sum(math.ceil(60 / (budget // (d * d))) for d in params["dims"])
-        per_block = {"herm_eig": 3, "expm_i": 1, "eig_expm_i": 2, "unitary_args": 1,
-                     "eig_unitary_args": 1}
+        per_block = {"herm_eig": 3, "expm_i": 1, "_eig_expm_i": 2, "unitary_args": 1,
+                     "_eig_unitary_args": 1}
         assert Counter(name for name, _ in calls) == {k: n * blocks for k, n in per_block.items()}
         monkeypatch.undo()
         assert [r._asdict() for r in rows] == reference_verify_rows(params, 5)
