@@ -463,14 +463,17 @@ def fixed_time_sweep(
     """`fixed_time_overlap` of `samples` random pairs (H, K), with the driving
     term K and without it. Sample i draws from `qmath.spawned_rngs(seed,
     samples)`: a sup norm h_norm * U(0.2, 1) and then H, a sup norm
-    k_norm * U(0, 1) and then K, as `spectral_arc.random_hermitian` draws them."""
+    k_norm * U(0, 1) and then K, each (A + A^dag)/2 rescaled, with A's real and
+    imaginary parts from rng.normal(size=(2, dim, dim))."""
     rows = []
-    for idx, rng in enumerate(qmath.spawned_rngs(seed, samples)):
-        H = spectral_arc.random_hermitian(dim, h_norm * rng.uniform(0.2, 1.0), rng)
-        K = spectral_arc.random_hermitian(dim, k_norm * rng.uniform(0.0, 1.0), rng)
-        _, driven = fixed_time_overlap(H, K, t)
-        _, undriven = fixed_time_overlap(H, np.zeros_like(K), t)
-        rows.append(FixedTimeRow(idx, dim, t, driven, undriven, driven - undriven))
+    for sups, g in spectral_arc._generator_blocks(dim, samples, seed,
+                                                  lambda rng: h_norm * rng.uniform(0.2, 1.0),
+                                                  lambda rng: k_norm * rng.uniform(0.0, 1.0)):
+        H, K = (spectral_arc._hermitian_stack(g[j], sups[j])[0] for j in (0, 1))
+        for h, k in zip(H, K):
+            _, driven = fixed_time_overlap(h, k, t)
+            _, undriven = fixed_time_overlap(h, np.zeros_like(k), t)
+            rows.append(FixedTimeRow(len(rows), dim, t, driven, undriven, driven - undriven))
     return rows
 
 
@@ -535,11 +538,12 @@ EliminateRow = NamedTuple("EliminateRow", [
 def eliminate_sweep(n_hypotheses: int, dim: int, trials: int, seed: int) -> list[EliminateRow]:
     """`adaptive_eliminate` over `trials` random noiseless ensembles. Trial i
     draws from `qmath.spawned_rngs(seed, trials)`: n_hypotheses equally likely
-    generators of sup norm 2 (`spectral_arc.random_hermitian`), the true index,
-    and then the seed of the elimination's measurement outcomes."""
+    generators of sup norm 2, each (A + A^dag)/2 rescaled with A's real and imaginary
+    parts from rng.normal(size=(n_hypotheses, 2, dim, dim)), the true index, and
+    then the seed of the elimination's measurement outcomes."""
     rows = []
     for idx, rng in enumerate(qmath.spawned_rngs(seed, trials)):
-        gens = [spectral_arc.random_hermitian(dim, 2.0, rng) for _ in range(n_hypotheses)]
+        gens = spectral_arc._random_hermitians(n_hypotheses, dim, 2.0, rng)
         ensemble = HypothesisEnsemble(
             tuple(Hypothesis(g, NoiseModel(), 1.0 / n_hypotheses) for g in gens)
         )

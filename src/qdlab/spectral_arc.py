@@ -159,29 +159,58 @@ def splitting_residual(H, K, n: int) -> float:
     return float(np.linalg.norm(prod - qmath.expm_i(H + K, 1.0), 2))
 
 
-def _raw_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    re, im = rng.normal(size=(2, dim, dim))
-    A = re + 1j * im
-    return (A + A.conj().T) / 2
-
-
-def _rescaled(Hm: np.ndarray, sup):
-    """The (n, d, d) stack Hm, matrix i rescaled to sup norm `sup[i]` (or `sup`), its
-    spectrum and Hm's eigenvectors, from one `herm_eig`; a zero matrix stays zero."""
+def _hermitian_stack(g: np.ndarray, sup):
+    """The Hermitian matrices (A + A^dag)/2, A = g[:, 0] + 1j g[:, 1], of the (n, 2, d, d)
+    standard normals g, matrix i rescaled to sup norm `sup[i]` (or `sup`), their spectra
+    and the unscaled matrices' eigenvectors, from one `herm_eig`; a zero matrix stays zero."""
+    Hm = g[:, 0] + 1j * g[:, 1]
+    Hm += Hm.conj().swapaxes(-1, -2)
+    Hm /= 2  # in place, so that fewer (n, d, d) temporaries coexist
     w, V = qmath.herm_eig(Hm)
     current = np.max(np.abs(w), axis=-1)
     scale = sup / np.where(current == 0.0, 1.0, current)
     return Hm * scale[:, None, None], w * scale[:, None], V
 
 
+# Largest n * d * d of one (n, d, d) generator stack in the seeded sweeps: 512 KiB
+# per complex stack, so memory stays flat however many trials a sweep runs.
+_ARC_BLOCK_ELEMS = 1 << 15
+
+
+def _random_hermitians(count: int, dim: int, sup: float, rng: np.random.Generator):
+    """`count` Gaussian Hermitian matrices of sup norm `sup`, matrix k built from the
+    k-th (2, dim, dim) block of normals that rng draws, with one rng.normal call per
+    stack of at most _ARC_BLOCK_ELEMS elements."""
+    out = np.empty((count, dim, dim), dtype=complex)
+    chunk = max(1, _ARC_BLOCK_ELEMS // max(1, dim * dim))
+    for start in range(0, count, chunk):
+        g = rng.normal(size=(min(chunk, count - start), 2, dim, dim))
+        out[start:start + len(g)] = _hermitian_stack(g, sup)[0]
+    return out
+
+
 def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to the requested sup norm."""
-    return _rescaled(_raw_hermitian(dim, rng)[None], sup)[0][0]
+    return _random_hermitians(1, dim, sup, rng)[0]
 
 
-# Largest n * d * d of one (n, d, d) stack in arc_bound_sweep: 512 KiB per
-# complex stack, so memory stays flat however many trials a sweep runs.
-_ARC_BLOCK_ELEMS = 1 << 15
+def _generator_blocks(dim: int, count: int, seed: int, *sup_rules):
+    """Per block of at most _ARC_BLOCK_ELEMS // dim^2 trials, the sup norms (rules, n)
+    and normals (rules, n, 2, dim, dim) of one `_hermitian_stack` per rule: trial i
+    draws from the i-th child of SeedSequence(seed), per rule a sup norm rule(rng)
+    and then rng.normal(size=(2, dim, dim))."""
+    block = max(1, _ARC_BLOCK_ELEMS // max(1, dim * dim))
+    rngs = qmath.spawned_rngs(seed, count)
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        sups = np.empty((len(sup_rules), size))
+        g = np.empty((len(sup_rules), size, 2, dim, dim))
+        for i in range(size):
+            rng = next(rngs)
+            for j, rule in enumerate(sup_rules):
+                sups[j, i] = rule(rng)
+                g[j, i] = rng.normal(size=(2, dim, dim))
+        yield sups, g
 
 
 def arc_bound_sweep(
@@ -203,20 +232,11 @@ def arc_bound_sweep(
     """
     if dim < 1 or trials < 1:
         raise ValueError("dim and trials must be at least 1")
-    block = max(1, _ARC_BLOCK_ELEMS // (dim * dim))
     holds, worst, flagged = 0, -math.inf, []
-    rngs = qmath.spawned_rngs(seed, trials)
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        sups = np.empty((2, size))
-        raw = np.empty((2, size, dim, dim), dtype=complex)
-        for i in range(size):
-            rng = next(rngs)
-            for j, (lo, hi) in enumerate((h_sup, k_sup)):
-                sups[j, i] = rng.uniform(lo, hi)
-                raw[j, i] = _raw_hermitian(dim, rng)
-        H, w_h = _rescaled(raw[0], sups[0])[:2]
-        cases = _arc_cases(H, w_h, *_rescaled(raw[1], sups[1]))
+    for sups, g in _generator_blocks(dim, trials, seed, lambda rng: rng.uniform(*h_sup),
+                                     lambda rng: rng.uniform(*k_sup)):
+        H, w_h = _hermitian_stack(g[0], sups[0])[:2]
+        cases = _arc_cases(H, w_h, *_hermitian_stack(g[1], sups[1]))
         violation = cases.max_violation
         holds += int(np.count_nonzero(cases.holds))
         # argmax takes the first of equal maxima, as a running max() does.

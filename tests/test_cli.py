@@ -148,12 +148,12 @@ class TestConfigHandling:
     )
     def test_matrix_sizes_refused_before_any_draw(self, experiment, parameters, monkeypatch,
                                                   tmp_path, capsys):
-        from qdlab import cli, spectral_arc
+        from qdlab import cli, qmath
 
         def no_draw(*args, **kwargs):
-            raise AssertionError("a matrix was drawn")
+            raise AssertionError("a trial generator was built")
 
-        monkeypatch.setattr(spectral_arc, "random_hermitian", no_draw)
+        monkeypatch.setattr(qmath, "spawned_rngs", no_draw)
         cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
         cfg.write_text(json.dumps({"parameters": parameters}))
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qdlab import cli, qmath, spectral_arc as arc, tolerances
+from qdlab import cli, discrimination as disc, qmath, spectral_arc as arc, tolerances
+from qdlab.dynamics import NoiseModel
+from qdlab.errors import NoDiscriminationError
 from conftest import random_hermitian, random_unitary
 
 
@@ -100,6 +103,51 @@ def reference_search(dim, trials, rng_seed, margin=1e-6):
         if case.max_violation > margin and reference_recheck(H, K, margin):
             found.append(case)
     return found
+
+
+def reference_fixed_time(dim, t, samples, seed, h_norm, k_norm):
+    """fixed_time_sweep one sample at a time: its rows and the (H, K) pairs."""
+    rows, pairs = [], []
+    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+        rng = np.random.default_rng(child)
+        H = reference_random_hermitian(dim, h_norm * rng.uniform(0.2, 1.0), rng)
+        K = reference_random_hermitian(dim, k_norm * rng.uniform(0.0, 1.0), rng)
+        _, driven = disc.fixed_time_overlap(H, K, t)
+        _, undriven = disc.fixed_time_overlap(H, np.zeros_like(K), t)
+        rows.append(disc.FixedTimeRow(idx, dim, t, driven, undriven, driven - undriven))
+        pairs.append((H, K))
+    return rows, pairs
+
+
+def reference_eliminate(n, dim, trials, seed):
+    """eliminate_sweep one generator at a time: its rows and each trial's generators."""
+    rows, ensembles = [], []
+    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        gens = [reference_random_hermitian(dim, 2.0, rng) for _ in range(n)]
+        ensemble = disc.HypothesisEnsemble(
+            tuple(disc.Hypothesis(g, NoiseModel(), 1.0 / n) for g in gens))
+        true_index = int(rng.integers(n))
+        found, count, _ = disc.adaptive_eliminate(ensemble, true_index, int(rng.integers(2**63)))
+        rows.append(disc.EliminateRow(idx, true_index, found, count, int(found == true_index)))
+        ensembles.append(gens)
+    return rows, ensembles
+
+
+def spy_kernels(monkeypatch, kernels=("herm_eig", "expm_i", "_eig_expm_i", "unitary_args",
+                                      "_eig_unitary_args", "unitary_eig")):
+    """Record (kernel name, input size) of every call of the named qmath kernels."""
+    calls = []
+
+    def spy(name, kernel):
+        def spied(M, *args, **kwargs):
+            calls.append((name, np.asarray(M).size))
+            return kernel(M, *args, **kwargs)
+        return spied
+
+    for name in kernels:
+        monkeypatch.setattr(qmath, name, spy(name, getattr(qmath, name)))
+    return calls
 
 
 def assert_same_case(a, b):
@@ -207,10 +255,10 @@ class TestStackedArcBound:
             assert violations[i] == one.max_violation
 
     def test_rescale_keeps_zero_matrices(self):
-        stack = np.zeros((2, 3, 3), dtype=complex)
-        stack[1] = np.diag([1.0, -4.0, 2.0])
+        normals = np.zeros((2, 2, 3, 3))
+        normals[1, 0] = np.diag([1.0, -4.0, 2.0])
         with np.errstate(all="raise"):
-            out, w, V = arc._rescaled(stack, np.array([5.0, 2.0]))
+            out, w, V = arc._hermitian_stack(normals, np.array([5.0, 2.0]))
         np.testing.assert_array_equal(out[0], 0.0)
         np.testing.assert_array_equal(out[1], np.diag([0.5, -2.0, 1.0]))
         np.testing.assert_array_equal(w, [[0.0, 0.0, 0.0], [-2.0, 0.5, 1.0]])
@@ -246,17 +294,7 @@ class TestTheoremCheckRunner:
     def test_blocks_give_the_same_rows_within_the_element_budget(self, monkeypatch):
         budget = 100  # blocks of 25 cases at d = 2, 11 at d = 3, 2 at d = 6
         monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
-        calls = []
-
-        def spy(name, kernel):
-            def spied(M, *args, **kwargs):
-                calls.append((name, np.asarray(M).size))
-                return kernel(M, *args, **kwargs)
-            return spied
-
-        kernels = ("herm_eig", "expm_i", "_eig_expm_i", "unitary_args", "_eig_unitary_args")
-        for name in kernels:
-            monkeypatch.setattr(qmath, name, spy(name, getattr(qmath, name)))
+        calls = spy_kernels(monkeypatch)
         params = self.params(trials=60)
         _, rows, _ = cli._run_theorem_check(params, 5)
         assert max(size for _, size in calls) <= budget
@@ -320,6 +358,123 @@ class TestOneDiagonalizationPerGenerator:
         confirmed = arc._recheck_high_precision(H, K, 1e-6)
         assert confirmed == [reference_recheck(c.H, c.K, 1e-6) for c in cases]
         assert 0 < sum(confirmed) < len(cases)
+
+
+class TestStackedGeneratorDraws:
+    """fixed_time_sweep and eliminate_sweep build and rescale a block's generators
+    as one stack, and reproduce the one-matrix-at-a-time draws bit for bit."""
+
+    @staticmethod
+    def fixed_time(monkeypatch, *args):
+        """fixed_time_sweep(*args), with the (H, K) pair of each driven overlap."""
+        overlap, pairs = disc.fixed_time_overlap, []
+
+        def spied(H, K, t):
+            pairs.append((H, K))
+            return overlap(H, K, t)
+
+        with monkeypatch.context() as m:
+            m.setattr(disc, "fixed_time_overlap", spied)
+            rows = disc.fixed_time_sweep(*args)
+        assert len(pairs) == 2 * len(rows)  # the driven and the undriven overlap
+        return rows, pairs[::2]
+
+    @staticmethod
+    def record_ensembles(monkeypatch):
+        """A list that collects the generators of each adaptive_eliminate call."""
+        run, ensembles = disc.adaptive_eliminate, []
+
+        def spied(ensemble, *rest):
+            ensembles.append([h.generator for h in ensemble.hypotheses])
+            return run(ensemble, *rest)
+
+        monkeypatch.setattr(disc, "adaptive_eliminate", spied)
+        return ensembles
+
+    @pytest.mark.parametrize("norms", [(1.5, 5.0), (0.0, 5.0), (1.5, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("budget", [None, 20])  # 20: blocks of 20, 5 and 1 samples
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_fixed_time_rows_equal_reference_loop(self, dim, budget, norms, monkeypatch):
+        if budget:
+            monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
+        args = (dim, 1.3, 23, 7, *norms)
+        rows, pairs = self.fixed_time(monkeypatch, *args)
+        want_rows, want_pairs = reference_fixed_time(*args)
+        assert rows == want_rows
+        for (H, K), (want_H, want_K) in zip(pairs, want_pairs, strict=True):
+            assert H.shape == K.shape == (dim, dim)
+            assert np.array_equal(H, want_H) and np.array_equal(K, want_K)
+            # A zero sup norm gives the zero matrix.
+            assert np.any(H) == (norms[0] > 0) and np.any(K) == (norms[1] > 0)
+
+    @pytest.mark.parametrize("budget", [None, 20])  # 20: stacks of 5 and 1 generators
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_eliminate_rows_equal_reference_loop(self, dim, budget, monkeypatch):
+        if budget:
+            monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
+        with monkeypatch.context() as m:
+            ensembles = self.record_ensembles(m)
+            rows = disc.eliminate_sweep(23, dim, 4, 11)
+        want_rows, want_ensembles = reference_eliminate(23, dim, 4, 11)
+        assert rows == want_rows
+        for gens, want in zip(ensembles, want_ensembles, strict=True):
+            assert len(gens) == len(want) == 23
+            assert all(np.array_equal(g, w) for g, w in zip(gens, want))
+
+    @pytest.mark.parametrize("budget", [None, 2])  # 2: stacks of 2, 2 and 1 generators
+    def test_eliminate_draws_equal_reference_at_dim_1(self, budget, monkeypatch):
+        if budget:
+            monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
+        # A 1 x 1 pair has no spectral gap, so the first round refuses the ensemble.
+        with monkeypatch.context() as m:
+            ensembles = self.record_ensembles(m)
+            with pytest.raises(NoDiscriminationError):
+                disc.eliminate_sweep(5, 1, 3, 11)
+        with pytest.raises(NoDiscriminationError):
+            reference_eliminate(5, 1, 3, 11)
+        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(3)[0])
+        want = [reference_random_hermitian(1, 2.0, rng) for _ in range(5)]
+        assert len(ensembles) == 1
+        assert all(np.array_equal(g, w) for g, w in zip(ensembles[0], want, strict=True))
+
+    def test_fixed_time_stacks_within_the_element_budget(self, monkeypatch):
+        budget = 20  # blocks of 5 samples at d = 2
+        monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
+        calls = spy_kernels(monkeypatch)
+        rows, _ = self.fixed_time(monkeypatch, 2, 1.0, 23, 5, 1.5, 5.0)
+        assert max(size for _, size in calls) <= budget
+        # One herm_eig of the H stack and one of the K stack per block (4 of 5
+        # samples, 1 of 3), then expm_i of K and of H + K in each of the two
+        # fixed_time_overlap calls per sample.
+        rescales = [20, 20] * 4 + [12, 12]
+        assert sorted(s for name, s in calls if name == "herm_eig") == sorted(
+            rescales + [4] * (4 * 23))
+        assert len(rows) == 23
+
+    def test_eliminate_stacks_within_the_element_budget(self, monkeypatch):
+        budget = 20  # stacks of 5 generators at d = 2
+        monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
+        calls = spy_kernels(monkeypatch)
+        rows = disc.eliminate_sweep(7, 2, 3, 5)
+        assert max(size for _, size in calls) <= budget
+        # Per trial: the rescales of 5 and 2 generators, then per elimination
+        # round one herm_eig of the pair's difference and two expm_i.
+        assert sorted(s for name, s in calls if name == "herm_eig") == sorted(
+            [20, 8] * 3 + [4] * (3 * 6 * 3))
+        assert len(rows) == 3
+
+    def test_eliminate_trial_holds_its_generators_and_a_few_stacks(self):
+        n, dim = 256, 64  # n * dim^2 = 2^20 entries: 16 MiB of generators
+        disc.eliminate_sweep(2, dim, 1, 0)  # so that one-time set-up is not counted
+        tracemalloc.start()
+        try:
+            disc.eliminate_sweep(n, dim, 1, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack_bytes = arc._ARC_BLOCK_ELEMS * 16
+        # One rescale of all 256 generators would hold several copies of them.
+        assert peak - n * dim * dim * 16 <= 5 * stack_bytes
 
 
 class TestSubadditivity:
