@@ -450,7 +450,7 @@ EXPERIMENTS = {
         {"n_hypotheses": 5, "dim": 3, "trials": 20},
         _run_eliminate,
         _check_eliminate,
-        bounds={"n_hypotheses": (2, SIZE_CAP), "dim": (1, 1024), "trials": _SIZE},
+        bounds={"n_hypotheses": (2, SIZE_CAP), "dim": (2, 1024), "trials": _SIZE},
     ),
     "phase-est": Experiment(
         "bitwise adaptive frequency estimation versus the exact distribution",

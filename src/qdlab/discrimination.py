@@ -482,14 +482,16 @@ def fixed_time_sweep(
 # ---------------------------------------------------------------------------
 
 
-def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed: int):
+def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed):
     """Identify one of N noiseless Hamiltonians by pairwise elimination.
 
     Each round drives to cancel the first of the two leading candidates,
     prepares the cancellation probe for the pair, evolves for the pair's
     flip time, and measures the binary flipped/not-flipped projector. One
     candidate is eliminated per round, and the true Hamiltonian survives
-    every round, so N - 1 measurements always suffice.
+    every round, so N - 1 measurements always suffice. The outcomes are drawn
+    from `default_rng(rng_seed)`: `rng_seed` is a seed or a Generator, which
+    is used as it is.
 
     Returns (identified_index, measurement_count, transcript).
     """
@@ -540,7 +542,7 @@ def eliminate_sweep(n_hypotheses: int, dim: int, trials: int, seed: int) -> list
     draws from `qmath.spawned_rngs(seed, trials)`: n_hypotheses equally likely
     generators of sup norm 2, each (A + A^dag)/2 rescaled with A's real and imaginary
     parts from rng.normal(size=(n_hypotheses, 2, dim, dim)), the true index, and
-    then the seed of the elimination's measurement outcomes."""
+    then, from the same generator, the elimination's measurement outcomes."""
     rows = []
     for idx, rng in enumerate(qmath.spawned_rngs(seed, trials)):
         gens = spectral_arc._random_hermitians(n_hypotheses, dim, 2.0, rng)
@@ -548,7 +550,7 @@ def eliminate_sweep(n_hypotheses: int, dim: int, trials: int, seed: int) -> list
             tuple(Hypothesis(g, NoiseModel(), 1.0 / n_hypotheses) for g in gens)
         )
         true_index = int(rng.integers(n_hypotheses))
-        identified, count, _ = adaptive_eliminate(ensemble, true_index, int(rng.integers(2**63)))
+        identified, count, _ = adaptive_eliminate(ensemble, true_index, rng)
         rows.append(EliminateRow(idx, true_index, identified, count, int(identified == true_index)))
     return rows
 

@@ -264,33 +264,23 @@ def child_states(seed, start: int, stop: int) -> np.ndarray:
     """c.generate_state(4, np.uint64) for children c = start .. stop-1 of
     SeedSequence(seed), as a (stop - start, 4) uint64 array.
 
-    SeedSequence's hash constants do not depend on the data, so every child
-    runs the same uint32 operations and all of them run at once: a child's
-    entropy is the seed's little-endian 32-bit words, zero-padded to the pool
-    size because a spawn key is present, followed by the child index. The
-    seed-only words broadcast as (rows, 1) columns, so they are mixed once.
+    A child's entropy is the seed's, zero-padded to the pool size, followed by
+    the child index, and SeedSequence's hash constants do not depend on the
+    data. So every child starts from the parent's mixed pool, with the hash
+    constant skipped past the parent's 4 * max(words, 4) hashmix calls, and
+    only the mixing of its index into the pool and generate_state are left,
+    run for all children at once in uint32 arrays.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected a non-negative seed")
+    # Imported here so that importing qdlab does not load numpy.random.
+    from numpy.random import SeedSequence
+
     if not 0 <= start <= stop <= 2**32:
         raise ValueError("child indices must lie in [0, 2**32)")  # one spawn-key word
-    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    column = np.array(words, dtype=np.uint32)[:, None]
-    rest = [*column[_POOL_SIZE:], np.arange(start, stop, dtype=np.uint32)]
-    # mix_entropy: hash the first pool-size words in, mix every pool word into
-    # every other one, then mix each remaining word into the whole pool.
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(rest)))
-    pool = _hashmix(column[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
-    used = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used : used + _POOL_SIZE]))
-        used += _POOL_SIZE - 1
-    for word in rest:
-        pool = _mix(pool, _hashmix(word, consts[used : used + _POOL_SIZE + 1]))
-        used += _POOL_SIZE
+    parent = SeedSequence(seed).pool[:, None]
+    words = (operator.index(seed).bit_length() + 31) // 32
+    skipped = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(words, _POOL_SIZE), 2**32) & 0xFFFFFFFF
+    index = np.arange(start, stop, dtype=np.uint32)
+    pool = _mix(parent, _hashmix(index, _hash_consts(skipped, _MULT_A, _POOL_SIZE)))
     # generate_state: 8 uint32 words cycled from the pool, read as 4 little-endian uint64.
     state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)

@@ -139,6 +139,8 @@ class TestConfigHandling:
             ("fixed-time", {"dim": 0}),
             ("fixed-time", {"dim": 1025}),
             ("eliminate", {"dim": 0}),
+            # A 1 x 1 pair has no spectral gap: this used to exit 3 after the draws.
+            ("eliminate", {"dim": 1}),
             ("eliminate", {"dim": 1025}),
             ("eliminate", {"n_hypotheses": 1}),
             ("eliminate", {"n_hypotheses": 100001}),

@@ -128,7 +128,7 @@ def reference_eliminate(n, dim, trials, seed):
         ensemble = disc.HypothesisEnsemble(
             tuple(disc.Hypothesis(g, NoiseModel(), 1.0 / n) for g in gens))
         true_index = int(rng.integers(n))
-        found, count, _ = disc.adaptive_eliminate(ensemble, true_index, int(rng.integers(2**63)))
+        found, count, _ = disc.adaptive_eliminate(ensemble, true_index, rng)
         rows.append(disc.EliminateRow(idx, true_index, found, count, int(found == true_index)))
         ensembles.append(gens)
     return rows, ensembles
@@ -420,6 +420,26 @@ class TestStackedGeneratorDraws:
         for gens, want in zip(ensembles, want_ensembles, strict=True):
             assert len(gens) == len(want) == 23
             assert all(np.array_equal(g, w) for g, w in zip(gens, want))
+
+    def test_eliminate_trial_draws_its_outcomes_from_its_own_generator(self, monkeypatch):
+        spawn, run = qmath.spawned_rngs, disc.adaptive_eliminate
+        yielded, passed = [], []
+
+        def spied_spawn(seed, count):
+            for rng in spawn(seed, count):
+                yielded.append(rng)
+                yield rng
+
+        def spied_run(ensemble, true_index, rng_seed):
+            passed.append(rng_seed)
+            return run(ensemble, true_index, rng_seed)
+
+        monkeypatch.setattr(qmath, "spawned_rngs", spied_spawn)
+        monkeypatch.setattr(disc, "adaptive_eliminate", spied_run)
+        rows = disc.eliminate_sweep(5, 3, 4, 11)
+        assert len(rows) == len(yielded) == len(passed) == 4
+        for rng, trial_rng in zip(passed, yielded):
+            assert isinstance(rng, np.random.Generator) and rng is trial_rng
 
     @pytest.mark.parametrize("budget", [None, 2])  # 2: stacks of 2, 2 and 1 generators
     def test_eliminate_draws_equal_reference_at_dim_1(self, budget, monkeypatch):
