@@ -333,8 +333,8 @@ def spawned_states(seed, start, stop):
 
 
 class TestChildStates:
-    # The parent's hashmix count changes with its word count: 2**96 and 2**128
-    # are the first seeds of four and five 32-bit words.
+    # The parent makes 4 * max(words, 4) hashmix calls: 2**96 and 2**128 are
+    # the first seeds of four and five 32-bit words.
     @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**64 - 1, 2**64 - 1 + 4000,
                                       2**96 - 1, 2**96, 2**128 - 1, 2**128, 2**160])
     @pytest.mark.parametrize("start, stop", [(0, 1), (0, 5), (3, 9), (1000, 1030), (0, 2049)])
