@@ -37,6 +37,12 @@ class Hypothesis:
             raise ValueError("prior must lie in [0, 1]")
 
 
+def _check_priors(priors) -> None:
+    # Written so that a NaN prior fails every comparison and is refused.
+    if not all(p >= 0 for p in priors) or not abs(sum(priors) - 1.0) <= tolerances.NORM:
+        raise ValueError("priors must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class HypothesisEnsemble:
     hypotheses: tuple[Hypothesis, ...]
@@ -46,18 +52,13 @@ class HypothesisEnsemble:
         object.__setattr__(self, "hypotheses", hyps)
         if len(hyps) < 2:
             raise ValueError("an ensemble needs at least two hypotheses")
-        if abs(sum(h.prior for h in hyps) - 1.0) > tolerances.NORM:
-            raise ValueError("priors must sum to 1")
+        _check_priors([h.prior for h in hyps])
         dims = {generator_matrix(h.generator).shape[0] for h in hyps}
         if len(dims) != 1:
             raise ValueError("all generators must share one dimension")
 
     def __len__(self) -> int:
         return len(self.hypotheses)
-
-    @property
-    def dim(self) -> int:
-        return generator_matrix(self.hypotheses[0].generator).shape[0]
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def golden_minimize(fn, a, b, rel_tol: float):
     return x, fn(x)
 
 
-def grid_golden_minimize(fn, t_max, grid_points: int = 2048, rel_tol: float = 1e-9):
+def grid_golden_minimize(fn, t_max, grid_points: int = 2048):
     """Minimize smooth functions of t on (0, t_max], for every row of a batch.
 
     The batch has the shape of `t_max`; `fn` maps times whose trailing axes
@@ -132,7 +133,7 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048, rel_tol: float = 1e
     (k = 1..grid_points), in (m,) + batch blocks of about _SCAN_ELEMS times,
     brackets each row's global minimum (guarding against the wrong lobe of
     an oscillatory objective); golden-section then refines every row to
-    `rel_tol` relative accuracy in t. Returns (t, fn(t)).
+    1e-9 relative accuracy in t. Returns (t, fn(t)).
     """
     t_max = np.asarray(t_max, dtype=float)
     if not np.all((t_max > 0) & np.isfinite(t_max)):
@@ -151,7 +152,7 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048, rel_tol: float = 1e
     # Bracket by the grid neighbours; below the first point, by half of it.
     lo = t_max * np.maximum(k_best - 1, 0.5) / grid_points
     hi = t_max * np.minimum(k_best + 1, grid_points) / grid_points
-    return golden_minimize(fn, lo, hi, rel_tol)
+    return golden_minimize(fn, lo, hi, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +171,7 @@ def helstrom(rho1, rho2, p1: float = 0.5, p2: float = 0.5):
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError("state dimensions do not match")
-    # Written so that a NaN prior fails every comparison and is refused.
-    if not p1 >= 0 or not p2 >= 0 or not abs(p1 + p2 - 1.0) <= tolerances.NORM:
-        raise ValueError("priors must be nonnegative and sum to 1")
+    _check_priors((p1, p2))
     delta = p1 * rho1 - p2 * rho2
     w, V = qmath.herm_eig(delta)
     pos = V[:, w > 0]
@@ -275,9 +274,7 @@ def superdense_probe_state(a_hat, t: float) -> np.ndarray:
     exp(-i t (a.sigma (x) I)) |phi+> expanded in the Bell basis:
     cos t |phi+> - i sin t (a_x |psi+> - i a_y |psi-> + a_z |phi->).
     """
-    a = np.asarray(a_hat, dtype=float)
-    if a.shape != (3,) or abs(np.linalg.norm(a) - 1.0) > tolerances.ALGEBRAIC:
-        raise ValueError("field axis must be a unit vector")
+    a = qmath.check_axis(a_hat)
     return (
         math.cos(t) * qmath.BELL_PHI_PLUS
         - 1j
@@ -294,11 +291,7 @@ def superdense_overlap(a_hat, b_hat, t):
     """Inner product of the probe states for two field axes:
     cos^2 t + (a.b) sin^2 t, for a scalar or an array of times t (the
     overlap is real). Vanishes iff a.b = -cot^2 t."""
-    a = np.asarray(a_hat, dtype=float)
-    b = np.asarray(b_hat, dtype=float)
-    for v in (a, b):
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > tolerances.ALGEBRAIC:
-            raise ValueError("field axes must be unit vectors")
+    a, b = qmath.check_axis(a_hat), qmath.check_axis(b_hat)
     return np.cos(t) ** 2 + float(a @ b) * np.sin(t) ** 2
 
 
@@ -328,7 +321,7 @@ def symmetric_directions(n: int, cos_theta: float) -> list[np.ndarray]:
             for k in range(3)
         ]
     if n == 4:
-        if abs(cos_theta + 1.0 / 3.0) > 1e-9:
+        if abs(cos_theta + 1.0 / 3.0) > tolerances.GEOMETRY:
             raise ValueError("four equiangular directions require cos_theta = -1/3")
         dirs = [np.array([0.0, 0.0, 1.0])]
         sa = math.sqrt(1.0 - 1.0 / 9.0)
@@ -350,27 +343,21 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
     minimizes the overlap, and falls back to the minimum-error binary
     measurement.
     """
-    dirs = [np.asarray(d, dtype=float) for d in directions]
+    dirs = [qmath.check_axis(d) for d in directions]
     n = len(dirs)
     if n not in (2, 3, 4):
         raise ValueError("supported direction counts are 2, 3, 4")
-    for d in dirs:
-        if d.shape != (3,) or abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("directions must be unit vectors")
-    if priors is None:
-        priors = [1.0 / n] * n
-    priors = [float(p) for p in priors]
-    if abs(sum(priors) - 1.0) > tolerances.NORM:
-        raise ValueError("priors must sum to 1")
+    priors = [1.0 / n] * n if priors is None else [float(p) for p in priors]
+    _check_priors(priors)
 
     dots = [float(dirs[i] @ dirs[j]) for i in range(n) for j in range(i + 1, n)]
     cos_theta = dots[0]
-    if max(dots) - min(dots) > 1e-9:
+    if max(dots) - min(dots) > tolerances.GEOMETRY:
         raise ValueError("pairwise inner products must be equal")
 
-    if n == 3 and not -0.5 - 1e-9 <= cos_theta <= 1e-9:
+    if n == 3 and not -0.5 - tolerances.GEOMETRY <= cos_theta <= tolerances.GEOMETRY:
         raise ValueError("three directions need cos_theta in [-1/2, 0]")
-    if n == 4 and abs(cos_theta + 1.0 / 3.0) > 1e-9:
+    if n == 4 and abs(cos_theta + 1.0 / 3.0) > tolerances.GEOMETRY:
         raise ValueError("four directions need cos_theta = -1/3")
 
     # The overlap 1 - (1 - cos_theta) sin^2 t vanishes where cot^2 t = -cos_theta,
@@ -422,7 +409,7 @@ def cancellation_strategy(H1, H2):
         raise ValueError("Hamiltonian dimensions do not match")
     w, V = qmath.herm_eig(H1 - H2)
     gap = float(w[-1] - w[0])
-    if gap <= 1e-12:
+    if gap <= tolerances.NORM:
         raise NoDiscriminationError("the two Hamiltonians coincide")
     psi0 = (V[:, 0] + V[:, -1]) / math.sqrt(2.0)
     return -H2, psi0, math.pi / gap

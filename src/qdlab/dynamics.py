@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import qmath, tolerances
+from . import qmath
 from .errors import ResourceLimitError, UnsupportedModelError
 
 MAX_QUBITS = 10
@@ -64,10 +64,7 @@ class FieldHamiltonian:
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        a = np.asarray(self.axis, dtype=float)
-        if a.shape != (3,) or abs(np.linalg.norm(a) - 1.0) > tolerances.NORM:
-            raise ValueError("axis must be a unit 3-vector")
-        object.__setattr__(self, "axis", tuple(float(x) for x in a))
+        object.__setattr__(self, "axis", tuple(float(x) for x in qmath.check_axis(self.axis)))
 
     def matrix(self) -> np.ndarray:
         return 0.5 * self.omega * qmath.axis_operator(np.asarray(self.axis))

@@ -61,38 +61,47 @@ def is_hermitian(M, atol: float = tolerances.SPECTRAL) -> bool:
     return bool(np.max(np.abs(M - M.conj().T)) <= atol)
 
 
-def is_unitary(U, atol: float = tolerances.ALGEBRAIC) -> bool:
+def is_unitary(U) -> bool:
     U = _as_square(U)
-    return bool(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) <= atol)
+    return bool(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) <= tolerances.ALGEBRAIC)
 
 
-def is_density(rho, atol: float = tolerances.ALGEBRAIC) -> bool:
+def is_density(rho) -> bool:
     rho = _as_square(rho)
-    if not is_hermitian(rho, atol):
+    if not is_hermitian(rho, tolerances.ALGEBRAIC):
         return False
-    if abs(np.trace(rho) - 1.0) > atol:
+    if abs(np.trace(rho) - 1.0) > tolerances.ALGEBRAIC:
         return False
-    return bool(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -atol)
+    return bool(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -tolerances.ALGEBRAIC)
 
 
-def check_state(psi, atol: float = tolerances.NORM) -> np.ndarray:
+def check_state(psi) -> np.ndarray:
     """Validate a pure-state vector (unit norm) and return it as complex."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size == 0:
         raise ValueError("state must be a nonempty vector")
-    if abs(np.vdot(psi, psi).real - 1.0) > atol:
+    if abs(np.vdot(psi, psi).real - 1.0) > tolerances.NORM:
         raise ValueError("state is not normalized")
     return psi
 
 
-def check_bloch(P, atol: float = tolerances.ALGEBRAIC) -> np.ndarray:
+def check_bloch(P) -> np.ndarray:
     """Validate a Bloch vector (|P| <= 1) and return it as float."""
     P = np.asarray(P, dtype=float)
     if P.shape != (3,):
         raise ValueError("Bloch vector must have exactly three components")
-    if np.linalg.norm(P) > 1.0 + atol:
+    if np.linalg.norm(P) > 1.0 + tolerances.ALGEBRAIC:
         raise ValueError(f"Bloch vector length {np.linalg.norm(P)} exceeds 1")
     return P
+
+
+def check_axis(axis) -> np.ndarray:
+    """Validate a unit 3-vector (a field or measurement axis) and return it as float."""
+    a = np.asarray(axis, dtype=float)
+    # Written so that a NaN component fails the comparison and is refused.
+    if a.shape != (3,) or not abs(np.linalg.norm(a) - 1.0) <= tolerances.NORM:
+        raise ValueError("axis must be a unit 3-vector")
+    return a
 
 
 def herm_eig(M):
@@ -117,11 +126,11 @@ def _eig_expm_i(w, V, t: float) -> np.ndarray:
     return (V * np.exp(-1j * t * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _folded_args(lam: np.ndarray, atol: float):
+def _folded_args(lam: np.ndarray):
     """Arguments of unit-modulus eigenvalues on (-pi, pi], and the order
     that sorts them ascending."""
     moduli = np.abs(lam)
-    if np.max(np.abs(moduli - 1.0)) > atol:
+    if np.max(np.abs(moduli - 1.0)) > tolerances.SPECTRAL:
         raise ValueError("matrix is not unitary: eigenvalue moduli deviate from 1")
     args = np.angle(lam / moduli)
     args[args <= -np.pi + tolerances.BRANCH_FOLD] = np.pi
@@ -129,27 +138,27 @@ def _folded_args(lam: np.ndarray, atol: float):
     return np.take_along_axis(args, order, axis=-1), order
 
 
-def unitary_args(U, atol: float = tolerances.SPECTRAL) -> np.ndarray:
+def unitary_args(U) -> np.ndarray:
     """Eigenvalue arguments of each unitary of a stack, ascending, on (-pi, pi].
 
-    Eigenvalue moduli must be within `atol` of 1, for every matrix of the
+    Eigenvalue moduli must be within SPECTRAL of 1, for every matrix of the
     stack; arguments within BRANCH_FOLD of -pi are folded to +pi.
     """
-    return _folded_args(np.linalg.eigvals(_as_stack(U)), atol)[0]
+    return _folded_args(np.linalg.eigvals(_as_stack(U)))[0]
 
 
 def _eig_unitary_args(w) -> np.ndarray:
     """`unitary_args(expm_i(H, 1))` read off H's eigenvalues w: exp(-i w), folded."""
-    return _folded_args(np.exp(-1j * np.asarray(w)), tolerances.SPECTRAL)[0]
+    return _folded_args(np.exp(-1j * np.asarray(w)))[0]
 
 
-def unitary_eig(U, atol: float = tolerances.SPECTRAL):
+def unitary_eig(U):
     """Arguments as in `unitary_args`, and orthonormal eigenvector columns V
     with U V = V diag(exp(i args)). `eig` vectors of a (nearly) repeated
     eigenvalue need not be orthogonal; QR in ascending-argument order
     orthonormalizes each cluster within its own span."""
     lam, V = np.linalg.eig(_as_square(U))
-    args, order = _folded_args(lam, atol)
+    args, order = _folded_args(lam)
     return args, np.linalg.qr(V[:, order])[0]
 
 
@@ -207,11 +216,7 @@ def density_to_bloch(rho) -> np.ndarray:
 
 def axis_operator(axis) -> np.ndarray:
     """a . sigma for a unit 3-vector a."""
-    a = np.asarray(axis, dtype=float)
-    if a.shape != (3,):
-        raise ValueError("axis must have three components")
-    if abs(np.linalg.norm(a) - 1.0) > tolerances.NORM:
-        raise ValueError("axis must be a unit vector")
+    a = check_axis(axis)
     return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
 
 

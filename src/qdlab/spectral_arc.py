@@ -102,7 +102,7 @@ def minarg(U) -> float:
     return float(qmath.unitary_args(U)[0])
 
 
-def arc_bound_cases(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCases:
+def arc_bound_cases(H, K) -> ArcBoundCases:
     """Evaluate maxarg(e^{iK} e^{-i(H+K)}) <= maxarg(e^{-iH}) and the minarg
     counterpart on each pair of the (n, d, d) stacks H and K.
 
@@ -110,10 +110,10 @@ def arc_bound_cases(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCases:
     out-of-regime; there the inequalities may genuinely fail.
     """
     H, K = np.asarray(H, dtype=complex), np.asarray(K, dtype=complex)
-    return _arc_cases(H, qmath.herm_eig(H)[0], K, *qmath.herm_eig(K), tol)
+    return _arc_cases(H, qmath.herm_eig(H)[0], K, *qmath.herm_eig(K))
 
 
-def _arc_cases(H, w_h, K, w_k, V_k, tol: float = tolerances.ARC_CHECK) -> ArcBoundCases:
+def _arc_cases(H, w_h, K, w_k, V_k) -> ArcBoundCases:
     """`arc_bound_cases` given H's eigenvalues w_h and K's eigendecomposition:
     e^{iK} is rebuilt from the latter and e^{-iH}'s arguments are those of
     exp(-i w_h), so only H + K and W are diagonalized."""
@@ -121,17 +121,18 @@ def _arc_cases(H, w_h, K, w_k, V_k, tol: float = tolerances.ARC_CHECK) -> ArcBou
     W = qmath._eig_expm_i(w_k, V_k, -1.0) @ U
     lhs_min, lhs_max = qmath.unitary_args(W)[:, [0, -1]].T
     rhs_min, rhs_max = qmath._eig_unitary_args(w_h)[:, [0, -1]].T
+    tol = tolerances.ARC_CHECK
     holds = (lhs_max <= rhs_max + tol) & (lhs_min >= rhs_min - tol)
     in_regime = np.max(np.abs(w_h), axis=-1) < math.pi
     return ArcBoundCases(H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, in_regime)
 
 
-def arc_bound_check(H, K, tol: float = tolerances.ARC_CHECK) -> ArcBoundCase:
+def arc_bound_check(H, K) -> ArcBoundCase:
     """`arc_bound_cases` for one pair of matrices."""
-    return arc_bound_cases(np.asarray(H)[None], np.asarray(K)[None], tol).case(0)
+    return arc_bound_cases(np.asarray(H)[None], np.asarray(K)[None]).case(0)
 
 
-def arc_subadditivity_check(U1, U2, tol: float = tolerances.ARC_CHECK) -> ArcSubadditivityCase:
+def arc_subadditivity_check(U1, U2) -> ArcSubadditivityCase:
     """maxarg(U1 U2) <= maxarg(U1) + maxarg(U2), and the minarg counterpart,
     valid when the summed maxargs stay below pi and the summed minargs above
     -pi. Inapplicable inputs are flagged, not judged."""
@@ -141,6 +142,7 @@ def arc_subadditivity_check(U1, U2, tol: float = tolerances.ARC_CHECK) -> ArcSub
         return ArcSubadditivityCase(False, False, math.nan, m1 + m2, math.nan, n1 + n2)
     prod_args = qmath.unitary_args(np.asarray(U1, dtype=complex) @ np.asarray(U2, dtype=complex))
     lhs_max, lhs_min = float(prod_args[-1]), float(prod_args[0])
+    tol = tolerances.ARC_CHECK
     holds = (lhs_max <= m1 + m2 + tol) and (lhs_min >= n1 + n2 - tol)
     return ArcSubadditivityCase(True, holds, lhs_max, m1 + m2, lhs_min, n1 + n2)
 
@@ -262,21 +264,21 @@ def counterexample_search(
     dim: int,
     trials: int,
     rng_seed: int,
-    margin: float = 1e-6,
     sup_range: tuple[float, float] = (math.pi, 1.5 * math.pi),
 ) -> list[ArcBoundCase]:
     """Randomized search for arc-bound violations, sampling the sup norm of
     H from `sup_range` (default: just past the bound's regime) and that of K
     from [0.1, 10], one `arc_bound_sweep` over `trials` pairs.
 
-    Every candidate is re-verified by an independent high-precision
-    recomputation before being reported. An empty list is a valid result;
-    trial i draws from the i-th child of SeedSequence(rng_seed), so the
+    Every candidate, a case past SEARCH_MARGIN, is re-verified by an independent
+    high-precision recomputation before being reported. An empty list is a valid
+    result; trial i draws from the i-th child of SeedSequence(rng_seed), so the
     result depends on the seed alone.
     """
     lo, hi = sup_range
     if not 0 <= lo <= hi:
         raise ValueError("invalid sup-norm range")
+    margin = tolerances.SEARCH_MARGIN
     flagged = arc_bound_sweep(dim, trials, rng_seed, (lo, hi), (0.1, 10.0), margin).flagged
     if not flagged:
         return []

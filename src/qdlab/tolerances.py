@@ -11,10 +11,7 @@ ALGEBRAIC = 1e-10
 # Spectral quantities: eigenvalue moduli of unitaries, argument comparisons.
 SPECTRAL = 1e-8
 
-# Agreement between closed-form channels and the generic ODE/Kraus oracles.
-ODE_ORACLE = 1e-6
-
-# State normalization and exact linear bijections (Bloch roundtrip).
+# State normalization, unit axes and exact linear bijections (Bloch roundtrip).
 NORM = 1e-12
 
 # Inequality slack for spectral-arc checks; dims <= 6 are accurate to ~1e-12,
@@ -23,3 +20,9 @@ ARC_CHECK = 1e-9
 
 # A unitary eigenvalue argument this close to -pi is folded to +pi.
 BRANCH_FOLD = 1e-12
+
+# Equal pairwise inner products and the cos_theta ranges of equiangular directions.
+GEOMETRY = 1e-9
+
+# How far past the arc bound a counterexample must be, in the sweep and the recheck.
+SEARCH_MARGIN = 1e-6

@@ -381,6 +381,11 @@ class TestTrineDiscriminate:
         with pytest.raises(ValueError):
             disc.trine_discriminate(dirs)
 
+    @pytest.mark.parametrize("priors", [[1.5, -0.5, 0.0], [math.nan, 0.5, 0.5]])
+    def test_rejects_priors_off_the_simplex(self, priors):
+        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+            disc.trine_discriminate(disc.symmetric_directions(3, -0.5), priors)
+
     def test_rejects_positive_cos_theta_trine(self):
         with pytest.raises(ValueError):
             disc.trine_discriminate(disc.symmetric_directions(3, 0.3))
@@ -391,6 +396,31 @@ class TestTrineDiscriminate:
         for n, cos_theta in [(2, -1.0), (2, 1.0), (3, -0.5), (3, 1.0)]:
             dirs = disc.symmetric_directions(n, cos_theta)
             assert dirs[0] @ dirs[1] == pytest.approx(cos_theta, abs=1e-12)
+
+
+class TestUnitAxes:
+    """Every axis input goes through `qmath.check_axis`, at one tolerance."""
+
+    Z = np.array([0.0, 0.0, 1.0])
+    CALLERS = {
+        "axis_operator": qmath.axis_operator,
+        "FieldHamiltonian": lambda a: FieldHamiltonian(1.0, a),
+        "superdense_probe_state": lambda a: disc.superdense_probe_state(a, 0.3),
+        "superdense_overlap first": lambda a: disc.superdense_overlap(a, TestUnitAxes.Z, 0.3),
+        "superdense_overlap second": lambda a: disc.superdense_overlap(TestUnitAxes.Z, a, 0.3),
+        "trine_discriminate": lambda a: disc.trine_discriminate(
+            [a] + disc.symmetric_directions(3, -0.5)[1:]),
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS.values(), ids=CALLERS.keys())
+    def test_near_unit_vector_is_refused_alike(self, caller):
+        unit = disc.symmetric_directions(3, -0.5)[0]
+        caller(unit)
+        off = unit * (1.0 + 5e-11)
+        assert np.linalg.norm(off) - 1.0 == pytest.approx(5e-11, rel=1e-3)
+        for bad in (off, [math.nan, 0.0, 1.0], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="axis must be a unit 3-vector"):
+                caller(bad)
 
 
 class TestCancellation:
