@@ -591,6 +591,34 @@ class TestInfoGain:
                 disc.binary_info_gain(p), abs=1e-12
             )
 
+    @staticmethod
+    def mp_mutual_information(joint):
+        """I(X;Y) in bits of the float table `joint`, in 50-digit arithmetic."""
+        with mpmath.workdps(50):
+            p = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in joint])
+            p /= sum(p)
+            px = [sum(p[i, j] for j in range(p.cols)) for i in range(p.rows)]
+            py = [sum(p[i, j] for i in range(p.rows)) for j in range(p.cols)]
+            return float(sum(p[i, j] * mpmath.log(p[i, j] / (px[i] * py[j]), 2)
+                             for i in range(p.rows) for j in range(p.cols) if p[i, j] > 0))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_mutual_information_near_independence_matches_mpmath(self, k):
+        # The plain sum of p log2(p / q) read 8.3e-17 at k = 9, against 2.9e-18.
+        p = 0.5 - 10.0**-k
+        joint = 0.5 * np.array([[1 - p, p], [p, 1 - p]])
+        exact = self.mp_mutual_information(joint)
+        assert disc.mutual_information(joint) == pytest.approx(exact, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 4), (4, 16)])
+    def test_mutual_information_of_random_tables_matches_mpmath(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(10):
+            joint = rng.random(shape) ** 3
+            joint[rng.random(shape) < 0.2] = 0.0  # empty cells
+            exact = self.mp_mutual_information(joint)
+            assert disc.mutual_information(joint) == pytest.approx(exact, rel=2e-15, abs=0.0)
+
 
 class TestSampledAdaptive:
     def test_below_two_bits(self):
