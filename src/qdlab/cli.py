@@ -391,6 +391,8 @@ SearchRow = NamedTuple("SearchRow", [
 def _run_theorem_check(params, seed):
     dims, trials = params["dims"], params["trials"]
     if params["mode"] == "search":
+        if (size := trials * max(dims) ** 2) > 2**22:  # flagged cases keep H and K to the recheck
+            raise ConfigError(f"search trials * max(dims)^2 must be at most 2^22, got {size}")
         rows = [
             SearchRow(dim, case.max_violation, case.lhs_max, case.rhs_max, case.lhs_min,
                       case.rhs_min)
@@ -576,6 +578,7 @@ def list_experiments() -> str:
         lines.append(f"{name:<15} {exp.summary}")
         for key, value in exp.defaults.items():
             bound = "  in [{}, {}]".format(*exp.bounds[key]) if key in exp.bounds else ""
+            bound += f"  one of {exp.choices[key]}" if key in exp.choices else ""
             lines.append(f"{'':<15}   {key} = {value!r}{bound}")
     return "\n".join(lines) + "\n"
 

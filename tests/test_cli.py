@@ -44,6 +44,9 @@ class TestListing:
         for name in names:
             assert name in result.stdout
         assert sum(1 for n in names if n in result.stdout) == 9
+        for choices in [("tetrahedron", "planar-trine", "lifted-trine"), ("verify", "search"),
+                        ("none", "qubit_depolarizing", "independent_depolarizing", "symmetric")]:
+            assert f"one of {choices}" in result.stdout
 
     def test_listing_is_stable(self):
         a, b = qd("list"), qd("list")
@@ -146,6 +149,10 @@ class TestConfigHandling:
             ("eliminate", {"n_hypotheses": 100001}),
             # Within each bound, but the generators would take 17 * 1024^2 entries.
             ("eliminate", {"n_hypotheses": 17, "dim": 1024}),
+            # A search keeps every flagged case's H and K: 5 * 1024^2 and 86,000 * 7^2
+            # entries are past 2^22.
+            ("theorem-check", {"mode": "search", "dims": [2, 1024], "trials": 5}),
+            ("theorem-check", {"mode": "search", "dims": [7], "trials": 86000}),
         ],
     )
     def test_matrix_sizes_refused_before_any_draw(self, experiment, parameters, monkeypatch,
@@ -163,6 +170,19 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_search_cap_allows_every_size_up_to_dim_6(self, monkeypatch, tmp_path):
+        from qdlab import cli, spectral_arc
+
+        monkeypatch.setattr(spectral_arc, "counterexample_search", lambda dim, trials, seed: [])
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"mode": "search", "dims": [2, 6],
+                                                  "trials": 100000}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorem-check", "--config", str(cfg), "--out", str(out)],
+                     standalone_mode=False)
+        assert exc.value.code == 0
+        assert out.exists()
 
     @pytest.mark.parametrize(
         "experiment, parameters",
