@@ -577,9 +577,9 @@ def list_experiments() -> str:
     for name, exp in EXPERIMENTS.items():
         lines.append(f"{name:<15} {exp.summary}")
         for key, value in exp.defaults.items():
-            bound = "  in [{}, {}]".format(*exp.bounds[key]) if key in exp.bounds else ""
-            bound += f"  one of {exp.choices[key]}" if key in exp.choices else ""
-            lines.append(f"{'':<15}   {key} = {value!r}{bound}")
+            note = "  in [{}, {}]".format(*exp.bounds[key]) if key in exp.bounds else ""
+            note += f"  one of {exp.choices[key]}" if key in exp.choices else ""
+            lines.append(f"{'':<15}   {key} = {value!r}{note}")
     return "\n".join(lines) + "\n"
 
 
