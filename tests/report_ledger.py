@@ -26,6 +26,9 @@ RUNS = [
     *((exp, exp, {}, (3, 7, 1234567890), cli.OUTPUT_FORMATS) for exp in cli.EXPERIMENTS),
     ("theorem-check-search-300", "theorem-check", {"mode": "search", "trials": 300}, (7,),
      ("csv",)),
+    # 400 trials at d = 16 are 4 blocks of _ARC_BLOCK_ELEMS: the join of flagged rows.
+    ("theorem-check-search-d16", "theorem-check", {"mode": "search", "dims": [16], "trials": 400},
+     (7,), ("csv",)),
     ("bench-figure1", "figure1", {"points": 25}, (7,), ("csv",)),
     ("bench-theorem-check", "theorem-check", {"trials": 250}, (7,), ("csv",)),
     ("bench-fixed-time", "fixed-time", {"samples": 125}, (7,), ("csv",)),
