@@ -461,10 +461,9 @@ def fixed_time_sweep(
     k_norm * U(0, 1) and then K, each (A + A^dag)/2 rescaled, with A's real and
     imaginary parts from rng.normal(size=(2, dim, dim))."""
     rows = []
-    for sups, g in spectral_arc._generator_blocks(dim, samples, seed,
-                                                  lambda rng: h_norm * rng.uniform(0.2, 1.0),
-                                                  lambda rng: k_norm * rng.uniform(0.0, 1.0)):
-        H, K = (spectral_arc._hermitian_stack(g[j], sups[j])[0] for j in (0, 1))
+    for (H, _, _), (K, _, _) in spectral_arc._generator_blocks(
+            dim, samples, seed, lambda rng: h_norm * rng.uniform(0.2, 1.0),
+            lambda rng: k_norm * rng.uniform(0.0, 1.0)):
         for h, k in zip(H, K):
             _, driven = fixed_time_overlap(h, k, t)
             _, undriven = fixed_time_overlap(h, np.zeros_like(k), t)

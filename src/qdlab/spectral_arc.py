@@ -13,7 +13,7 @@ the sup-norm regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,18 +59,18 @@ class ArcBoundCases:
         a, b = self.lhs_max - self.rhs_max, self.rhs_min - self.lhs_min
         return np.where(b > a, b, a)
 
-    def case(self, i: int) -> ArcBoundCase:
-        """Case i on its own, with copies of its H and K."""
-        return ArcBoundCase(
-            H=self.H[i].copy(),
-            K=self.K[i].copy(),
-            lhs_max=float(self.lhs_max[i]),
-            rhs_max=float(self.rhs_max[i]),
-            lhs_min=float(self.lhs_min[i]),
-            rhs_min=float(self.rhs_min[i]),
-            holds=bool(self.holds[i]),
-            in_regime=bool(self.in_regime[i]),
-        )
+    def __len__(self) -> int:
+        return len(self.holds)
+
+    def __iter__(self):
+        """Each case on its own, with copies of its H and K."""
+        scalars = (getattr(self, f.name).tolist() for f in fields(self)[2:])
+        for H, K, *values in zip(self.H, self.K, *scalars):
+            yield ArcBoundCase(H.copy(), K.copy(), *values)
+
+    def select(self, rows) -> ArcBoundCases:
+        """The cases at `rows`, a boolean mask or an array of indices."""
+        return ArcBoundCases(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class ArcBoundSweep:
 
     holds: int
     worst_violation: float
-    flagged: tuple[ArcBoundCase, ...]  # cases past the sweep's margin, in trial order
+    flagged: ArcBoundCases  # cases past the sweep's margin, in trial order
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def _arc_cases(H, w_h, K, w_k, V_k) -> ArcBoundCases:
 
 def arc_bound_check(H, K) -> ArcBoundCase:
     """`arc_bound_cases` for one pair of matrices."""
-    return arc_bound_cases(np.asarray(H)[None], np.asarray(K)[None]).case(0)
+    return next(iter(arc_bound_cases(np.asarray(H)[None], np.asarray(K)[None])))
 
 
 def arc_subadditivity_check(U1, U2) -> ArcSubadditivityCase:
@@ -197,10 +197,10 @@ def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarr
 
 
 def _generator_blocks(dim: int, count: int, seed: int, *sup_rules):
-    """Per block of at most _ARC_BLOCK_ELEMS // dim^2 trials, the sup norms (rules, n)
-    and normals (rules, n, 2, dim, dim) of one `_hermitian_stack` per rule: trial i
-    draws from the i-th child of SeedSequence(seed), per rule a sup norm rule(rng)
-    and then rng.normal(size=(2, dim, dim))."""
+    """Per block of at most _ARC_BLOCK_ELEMS // dim^2 trials, one `_hermitian_stack`
+    (matrices, spectra, eigenvectors) per rule, in rule order: trial i draws from the
+    i-th child of SeedSequence(seed), per rule a sup norm rule(rng) and then
+    rng.normal(size=(2, dim, dim))."""
     block = max(1, _ARC_BLOCK_ELEMS // max(1, dim * dim))
     rngs = qmath.spawned_rngs(seed, count)
     for start in range(0, count, block):
@@ -212,7 +212,7 @@ def _generator_blocks(dim: int, count: int, seed: int, *sup_rules):
             for j, rule in enumerate(sup_rules):
                 sups[j, i] = rule(rng)
                 g[j, i] = rng.normal(size=(2, dim, dim))
-        yield sups, g
+        yield [_hermitian_stack(normals, sup) for normals, sup in zip(g, sups)]
 
 
 def arc_bound_sweep(
@@ -230,21 +230,21 @@ def arc_bound_sweep(
     each as `random_hermitian` draws them. Trials are evaluated in stacks of
     at most _ARC_BLOCK_ELEMS elements, each with 3 `herm_eig` and 1 `unitary_args`
     calls (the rescale's `herm_eig` also gives H's spectrum and e^{iK}); rows equal
-    the one-trial formula. Cases past `margin` are returned as flagged.
+    the one-trial formula. Cases past `margin` are returned as one stack, flagged.
     """
     if dim < 1 or trials < 1:
         raise ValueError("dim and trials must be at least 1")
     holds, worst, flagged = 0, -math.inf, []
-    for sups, g in _generator_blocks(dim, trials, seed, lambda rng: rng.uniform(*h_sup),
-                                     lambda rng: rng.uniform(*k_sup)):
-        H, w_h = _hermitian_stack(g[0], sups[0])[:2]
-        cases = _arc_cases(H, w_h, *_hermitian_stack(g[1], sups[1]))
+    rules = (lambda rng: rng.uniform(*h_sup), lambda rng: rng.uniform(*k_sup))
+    for (H, w_h, _), eig_k in _generator_blocks(dim, trials, seed, *rules):
+        cases = _arc_cases(H, w_h, *eig_k)
         violation = cases.max_violation
         holds += int(np.count_nonzero(cases.holds))
         # argmax takes the first of equal maxima, as a running max() does.
         worst = max(worst, float(violation[np.argmax(violation)]))
-        flagged += [cases.case(i) for i in np.flatnonzero(violation > margin)]
-    return ArcBoundSweep(holds, worst, tuple(flagged))
+        flagged.append(cases.select(violation > margin))
+    joined = (np.concatenate([getattr(c, f.name) for c in flagged]) for f in fields(ArcBoundCases))
+    return ArcBoundSweep(holds, worst, ArcBoundCases(*joined))
 
 
 def _recheck_high_precision(H, K, margin: float) -> list[bool]:
@@ -255,7 +255,7 @@ def _recheck_high_precision(H, K, margin: float) -> list[bool]:
     import scipy.linalg  # the only use of scipy, so `import qdlab` does not load it
     W = scipy.linalg.expm(1j * K) @ scipy.linalg.expm(-1j * (H + K))
     args = np.array([np.sort(np.angle(np.diag(scipy.linalg.schur(U, output="complex")[0])))
-                     for U in np.concatenate([W, scipy.linalg.expm(-1j * H)])])
+                     for stack in (W, scipy.linalg.expm(-1j * H)) for U in stack])
     args_w, args_h = np.split(args, 2)
     return list(np.maximum(args_w[:, -1] - args_h[:, -1], args_h[:, 0] - args_w[:, 0]) > margin)
 
@@ -280,7 +280,6 @@ def counterexample_search(
         raise ValueError("invalid sup-norm range")
     margin = tolerances.SEARCH_MARGIN
     flagged = arc_bound_sweep(dim, trials, rng_seed, (lo, hi), (0.1, 10.0), margin).flagged
-    if not flagged:
-        return []
-    H, K = (np.stack([getattr(case, side) for case in flagged]) for side in "HK")
-    return [case for case, ok in zip(flagged, _recheck_high_precision(H, K, margin)) if ok]
+    if flagged:  # rebound, so that the unconfirmed rows are freed before the records are built
+        flagged = flagged.select(_recheck_high_precision(flagged.H, flagged.K, margin))
+    return list(flagged)

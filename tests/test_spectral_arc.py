@@ -248,9 +248,9 @@ class TestStackedArcBound:
         H_stack, K_stack = (np.stack(side) for side in zip(*pairs))
         cases = arc.arc_bound_cases(H_stack, K_stack)
         violations = cases.max_violation
-        for i, (H, K) in enumerate(pairs):
+        for i, ((H, K), case) in enumerate(zip(pairs, cases, strict=True)):
             one = arc.arc_bound_check(H, K)
-            assert_same_case(cases.case(i), one)
+            assert_same_case(case, one)
             assert_same_case(one, reference_arc_bound_check(H, K))
             assert violations[i] == one.max_violation
 
