@@ -317,6 +317,34 @@ class TestTheoremCheckRunner:
         for a, b in zip(found, want):
             assert_same_case(a, b)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_search_across_blocks_equals_reference_loop(self, dim, monkeypatch):
+        # Blocks of 25 trials at d = 2 and of 2 at d = 6: the flagged rows of each are joined.
+        monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", 100)
+        found = arc.counterexample_search(dim, 40, 11)
+        want = reference_search(dim, 40, 11)
+        assert len(found) == len(want) > 0
+        for a, b in zip(found, want):
+            assert_same_case(a, b)
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_flagged_cases_are_one_stack(self, budget, monkeypatch):
+        if budget:
+            monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
+        flagged = arc.arc_bound_sweep(3, 60, 4, (math.pi, 1.5 * math.pi), (0.1, 10.0),
+                                      1e-6).flagged
+        assert isinstance(flagged, arc.ArcBoundCases)
+        assert 0 < len(flagged) < 60
+        assert flagged.H.shape == flagged.K.shape == (len(flagged), 3, 3)
+        assert all(field.shape == (len(flagged),) for field in (
+            flagged.lhs_max, flagged.rhs_max, flagged.lhs_min, flagged.rhs_min, flagged.holds,
+            flagged.in_regime))
+        assert (flagged.max_violation > 1e-6).all()
+        assert [case.max_violation for case in flagged] == flagged.max_violation.tolist()
+        rows = [0, len(flagged) - 1]
+        for a, b in zip(flagged.select(rows), [list(flagged)[i] for i in rows], strict=True):
+            assert_same_case(a, b)
+
 
 class TestOneDiagonalizationPerGenerator:
     """Reading e^{-iH}'s arguments off H's spectrum and rebuilding e^{iK} from
