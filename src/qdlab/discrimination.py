@@ -356,6 +356,8 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
     if n not in (2, 3, 4):
         raise ValueError("supported direction counts are 2, 3, 4")
     priors = [1.0 / n] * n if priors is None else [float(p) for p in priors]
+    if len(priors) != n:
+        raise ValueError(f"need one prior per direction, got {len(priors)} for {n}")
     _check_priors(priors)
 
     dots = [float(dirs[i] @ dirs[j]) for i in range(n) for j in range(i + 1, n)]

@@ -386,6 +386,12 @@ class TestTrineDiscriminate:
         with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
             disc.trine_discriminate(disc.symmetric_directions(3, -0.5), priors)
 
+    @pytest.mark.parametrize("n, count", [(3, 2), (2, 3), (4, 2)])
+    def test_rejects_a_prior_count_other_than_the_direction_count(self, n, count):
+        dirs = disc.symmetric_directions(n, -1.0 / 3.0)
+        with pytest.raises(ValueError, match=f"one prior per direction, got {count} for {n}"):
+            disc.trine_discriminate(dirs, [1.0 / count] * count)
+
     def test_rejects_positive_cos_theta_trine(self):
         with pytest.raises(ValueError):
             disc.trine_discriminate(disc.symmetric_directions(3, 0.3))
