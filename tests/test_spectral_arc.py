@@ -309,18 +309,12 @@ class TestTheoremCheckRunner:
         monkeypatch.undo()
         assert [r._asdict() for r in rows] == reference_verify_rows(params, 5)
 
+    # 100: blocks of 25 trials at d = 2 and of 2 at d = 6, whose flagged rows are joined.
+    @pytest.mark.parametrize("budget", [None, 100])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_search_equals_reference_loop(self, dim):
-        found = arc.counterexample_search(dim, 40, 11)
-        want = reference_search(dim, 40, 11)
-        assert len(found) == len(want) > 0
-        for a, b in zip(found, want):
-            assert_same_case(a, b)
-
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_search_across_blocks_equals_reference_loop(self, dim, monkeypatch):
-        # Blocks of 25 trials at d = 2 and of 2 at d = 6: the flagged rows of each are joined.
-        monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", 100)
+    def test_search_equals_reference_loop(self, dim, budget, monkeypatch):
+        if budget:
+            monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
         found = arc.counterexample_search(dim, 40, 11)
         want = reference_search(dim, 40, 11)
         assert len(found) == len(want) > 0
