@@ -239,6 +239,13 @@ def measurement_mutual_information(povm_elements, states, priors) -> float:
     return mutual_information(joint)
 
 
+def _binary_decision(rhos, priors, t: float) -> DiscriminationResult:
+    """The minimum-error measurement of two states at time t, and its outcomes' information."""
+    povm, p_error = helstrom(*rhos, *priors)
+    info = measurement_mutual_information([povm.projector, povm.complement], rhos, priors)
+    return DiscriminationResult(p_error, info, t, povm)
+
+
 def discriminate_superops(ensemble: HypothesisEnsemble, psi0, t: float) -> DiscriminationResult:
     """Evolve one probe state under each of two candidate channels, then
     perform the minimum-error measurement on the outputs."""
@@ -249,11 +256,7 @@ def discriminate_superops(ensemble: HypothesisEnsemble, psi0, t: float) -> Discr
     h1, h2 = ensemble.hypotheses
     out1 = evolve(EvolutionSpec(h1.generator, h1.noise, t), rho0)
     out2 = evolve(EvolutionSpec(h2.generator, h2.noise, t), rho0)
-    povm, p_error = helstrom(out1, out2, h1.prior, h2.prior)
-    info = measurement_mutual_information(
-        [povm.projector, povm.complement], [out1, out2], [h1.prior, h2.prior]
-    )
-    return DiscriminationResult(p_error=p_error, info_bits=info, t_star=t, measurement=povm)
+    return _binary_decision([out1, out2], [h1.prior, h2.prior], t)
 
 
 def optimal_time_qubit(omega: float, gamma: float) -> float:
@@ -376,10 +379,7 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
     states = [superdense_probe_state(d, t_star) for d in dirs]
 
     if n == 2:
-        rhos = [np.outer(s, s.conj()) for s in states]
-        povm, p_error = helstrom(*rhos, *priors)
-        info = measurement_mutual_information([povm.projector, povm.complement], rhos, priors)
-        return DiscriminationResult(p_error, info, t_star, povm)
+        return _binary_decision([np.outer(s, s.conj()) for s in states], priors, t_star)
 
     # The evolved states are orthonormal by construction; complete them to a
     # basis of the two-qubit space so the measurement is a full von Neumann one.

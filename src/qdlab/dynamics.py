@@ -7,7 +7,8 @@ qubit by qubit, in O(n 4^n) for n qubits. Each closed form is validated in the
 tests against a generic fixed-step RK4 integrator of its master equation and a
 Kraus-map oracle. The oracles (`independent_master_rhs`,
 `kraus_apply_per_qubit`) build dense 2^n x 2^n operators on purpose, so that
-they share no code path with the closed forms they check.
+they share no code path with the closed forms they check; only the Kraus pair
+also serves the benchmark's dense-channels cross-check.
 
 Rate convention: gamma is defined so the Bloch vector (or, in d dimensions,
 the traceless part of rho) contracts as exp(-gamma t); the Kraus and Lindblad
@@ -205,8 +206,8 @@ def evolve(spec: EvolutionSpec, rho0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Oracles (used by the test suite; kept in the package because perfbench's
-# dense-channels Kraus cross-check imports them from this module)
+# Oracles: rk4_integrate and the *_master_rhs serve only the tests; perfbench's
+# dense-channels cross-check also imports depolarizing_kraus and kraus_apply_per_qubit.
 # ---------------------------------------------------------------------------
 
 

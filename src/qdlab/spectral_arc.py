@@ -21,28 +21,11 @@ from . import qmath, tolerances
 
 
 @dataclass(frozen=True)
-class ArcBoundCase:
-    """One evaluated instance of the arc-bound inequalities."""
-
-    H: np.ndarray
-    K: np.ndarray
-    lhs_max: float
-    rhs_max: float
-    lhs_min: float
-    rhs_min: float
-    holds: bool
-    in_regime: bool  # sup norm of H below pi
-
-    @property
-    def max_violation(self) -> float:
-        """Positive when an inequality fails: how far past the bound."""
-        return max(self.lhs_max - self.rhs_max, self.rhs_min - self.lhs_min)
-
-
-@dataclass(frozen=True)
 class ArcBoundCases:
     """The arc-bound inequalities evaluated on a stack of n cases: H and K
-    have shape (n, d, d), every other field shape (n,)."""
+    have shape (n, d, d), every other field shape (n,). One case is the same
+    record with (d, d) generators and Python scalars; as for a 0-d array,
+    len and select apply to stacks only."""
 
     H: np.ndarray
     K: np.ndarray
@@ -51,22 +34,23 @@ class ArcBoundCases:
     lhs_min: np.ndarray
     rhs_min: np.ndarray
     holds: np.ndarray
-    in_regime: np.ndarray
+    in_regime: np.ndarray  # sup norm of H below pi
 
     @property
     def max_violation(self) -> np.ndarray:
-        """ArcBoundCase.max_violation of each case (Python max: ties keep the first)."""
+        """Positive where an inequality fails: how far past the bound, as Python
+        max takes it (ties and NaN keep the first); a scalar for one case."""
         a, b = self.lhs_max - self.rhs_max, self.rhs_min - self.lhs_min
-        return np.where(b > a, b, a)
+        return np.where(b > a, b, a)[()]
 
     def __len__(self) -> int:
         return len(self.holds)
 
     def __iter__(self):
-        """Each case on its own, with copies of its H and K."""
+        """Each case on its own, its H and K views into the stack."""
         scalars = (getattr(self, f.name).tolist() for f in fields(self)[2:])
-        for H, K, *values in zip(self.H, self.K, *scalars):
-            yield ArcBoundCase(H.copy(), K.copy(), *values)
+        for values in zip(self.H, self.K, *scalars):
+            yield ArcBoundCases(*values)
 
     def select(self, rows) -> ArcBoundCases:
         """The cases at `rows`, a boolean mask or an array of indices."""
@@ -127,7 +111,7 @@ def _arc_cases(H, w_h, K, w_k, V_k) -> ArcBoundCases:
     return ArcBoundCases(H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, in_regime)
 
 
-def arc_bound_check(H, K) -> ArcBoundCase:
+def arc_bound_check(H, K) -> ArcBoundCases:
     """`arc_bound_cases` for one pair of matrices."""
     return next(iter(arc_bound_cases(np.asarray(H)[None], np.asarray(K)[None])))
 
@@ -260,26 +244,19 @@ def _recheck_high_precision(H, K, margin: float) -> list[bool]:
     return list(np.maximum(args_w[:, -1] - args_h[:, -1], args_h[:, 0] - args_w[:, 0]) > margin)
 
 
-def counterexample_search(
-    dim: int,
-    trials: int,
-    rng_seed: int,
-    sup_range: tuple[float, float] = (math.pi, 1.5 * math.pi),
-) -> list[ArcBoundCase]:
-    """Randomized search for arc-bound violations, sampling the sup norm of
-    H from `sup_range` (default: just past the bound's regime) and that of K
-    from [0.1, 10], one `arc_bound_sweep` over `trials` pairs.
+def counterexample_search(dim: int, trials: int, rng_seed: int) -> ArcBoundCases:
+    """Randomized search for arc-bound violations just past the bound's regime:
+    one `arc_bound_sweep` over `trials` pairs, the sup norm of H uniform on
+    [pi, 1.5 pi] and that of K on [0.1, 10].
 
     Every candidate, a case past SEARCH_MARGIN, is re-verified by an independent
-    high-precision recomputation before being reported. An empty list is a valid
-    result; trial i draws from the i-th child of SeedSequence(rng_seed), so the
-    result depends on the seed alone.
+    high-precision recomputation; the confirmed cases are returned as one stack in
+    trial order, possibly empty. Trial i draws from the i-th child of
+    SeedSequence(rng_seed), so the result depends on the seed alone.
     """
-    lo, hi = sup_range
-    if not 0 <= lo <= hi:
-        raise ValueError("invalid sup-norm range")
     margin = tolerances.SEARCH_MARGIN
-    flagged = arc_bound_sweep(dim, trials, rng_seed, (lo, hi), (0.1, 10.0), margin).flagged
-    if flagged:  # rebound, so that the unconfirmed rows are freed before the records are built
-        flagged = flagged.select(_recheck_high_precision(flagged.H, flagged.K, margin))
-    return list(flagged)
+    flagged = arc_bound_sweep(dim, trials, rng_seed, (math.pi, 1.5 * math.pi), (0.1, 10.0),
+                              margin).flagged
+    if not flagged:  # the recheck needs at least one case
+        return flagged
+    return flagged.select(_recheck_high_precision(flagged.H, flagged.K, margin))

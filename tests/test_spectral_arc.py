@@ -49,7 +49,7 @@ def reference_arc_bound_check(H, K, w_h=None, eig_k=None, tol=tolerances.ARC_CHE
     lhs_max, lhs_min = float(args_w[-1]), float(args_w[0])
     rhs_max, rhs_min = float(args_h[-1]), float(args_h[0])
     holds = (lhs_max <= rhs_max + tol) and (lhs_min >= rhs_min - tol)
-    return arc.ArcBoundCase(
+    return arc.ArcBoundCases(
         H, K, lhs_max, rhs_max, lhs_min, rhs_min, holds, float(np.max(np.abs(w_h))) < math.pi
     )
 
@@ -274,6 +274,55 @@ class TestStackedArcBound:
         for dim, trials in ((0, 5), (2, 0), (-1, 5)):
             with pytest.raises(ValueError):
                 arc.arc_bound_sweep(dim, trials, 1, (0.0, 1.0), (0.0, 1.0))
+
+
+def same_float(x, y):
+    """Equal bit for bit up to the NaN payload: the sign of a zero counts."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+class TestMaxViolation:
+    """One formula for a case and a stack, taken as Python max takes it."""
+
+    NAN = float("nan")
+    # (lhs_max - rhs_max, rhs_min - lhs_min) per case.
+    DIFFS = [(0.0, -0.0), (-0.0, 0.0), (NAN, 1.0), (1.0, NAN), (NAN, NAN), (2.0, -1.0),
+             (-1.0, 2.0)]
+
+    @staticmethod
+    def stack(diffs):
+        a, b = (np.array(side) for side in zip(*diffs))
+        zeros, n = np.zeros(len(diffs)), len(diffs)
+        generators = np.zeros((n, 1, 1), dtype=complex)
+        flags = np.zeros(n, dtype=bool)
+        return arc.ArcBoundCases(generators, generators, a, zeros, zeros, b, flags, flags)
+
+    @pytest.mark.parametrize("a, b", DIFFS)
+    def test_case_takes_what_python_max_takes(self, a, b):
+        # Ties keep the first difference, and a NaN wins only in first place.
+        case, = self.stack([(a, b)])
+        assert isinstance(case.max_violation, float)  # a scalar, not a 0-d array
+        assert same_float(float(case.max_violation), max(a, b))
+
+    def test_case_and_its_stack_row_agree(self):
+        cases = self.stack(self.DIFFS)
+        violations = cases.max_violation
+        assert violations.shape == (len(self.DIFFS),)
+        for case, row in zip(cases, violations, strict=True):
+            assert same_float(float(case.max_violation), float(row))
+
+    def test_a_case_is_a_record_of_python_scalars(self, rng):
+        H = arc.random_hermitian(3, 1.0, rng)
+        case = arc.arc_bound_check(H, arc.random_hermitian(3, 2.0, rng))
+        assert isinstance(case, arc.ArcBoundCases)
+        assert case.H.shape == case.K.shape == (3, 3)
+        assert type(case.holds) is bool and type(case.in_regime) is bool
+        assert all(type(v) is float for v in (case.lhs_max, case.rhs_max, case.lhs_min,
+                                              case.rhs_min))
+        with pytest.raises(TypeError):  # as for a 0-d array, len is for stacks only
+            len(case)
 
 
 class TestTheoremCheckRunner:
@@ -592,10 +641,21 @@ class TestSplittingResidual:
 
 class TestCounterexampleSearch:
     def test_in_regime_search_is_empty(self):
-        found = arc.counterexample_search(
-            2, trials=300, rng_seed=11, sup_range=(0.0, math.pi * 0.999)
+        # In the regime the sweep flags no candidate, even before the recheck.
+        sweep = arc.arc_bound_sweep(
+            2, 300, 11, (0.0, math.pi * 0.999), (0.1, 10.0), tolerances.SEARCH_MARGIN
         )
-        assert found == []
+        assert len(sweep.flagged) == 0
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_search_returns_one_stack(self, dim):
+        # At d = 1, e^{iK} e^{-i(H+K)} is e^{-iH}: nothing is flagged, and the
+        # result is an empty stack.
+        found = arc.counterexample_search(dim, 60, 4)
+        assert isinstance(found, arc.ArcBoundCases)
+        assert (len(found) > 0) == (dim > 1)
+        assert found.H.shape == found.K.shape == (len(found), dim, dim)
+        assert found.max_violation.shape == found.holds.shape == (len(found),)
 
     def test_out_of_regime_candidates_are_verified(self):
         found = arc.counterexample_search(2, trials=2000, rng_seed=3)
