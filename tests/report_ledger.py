@@ -30,6 +30,11 @@ RUNS = [
     ("theorem-check-search-d16", "theorem-check", {"mode": "search", "dims": [16], "trials": 400},
      (7,), ("csv",)),
     ("bench-figure1", "figure1", {"points": 25}, (7,), ("csv",)),
+    # Peak refinements on brackets and grids that the two runs above do not use.
+    ("figure1-refine-grid512", "figure1",
+     {"ratio_min": 0.05, "ratio_max": 2.0, "points": 6, "grid": 512}, (7,), ("csv",)),
+    ("figure1-refine-grid64", "figure1",
+     {"ratio_min": 0.1, "ratio_max": 0.5, "points": 5, "grid": 64}, (7,), ("csv",)),
     ("bench-theorem-check", "theorem-check", {"trials": 250}, (7,), ("csv",)),
     ("bench-fixed-time", "fixed-time", {"samples": 125}, (7,), ("csv",)),
 ]
