@@ -327,13 +327,20 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
     return Figure1Result(points=tuple(points), peak_ratio=best.ratio, peak_bits=best.delta_bits)
 
 
+# Golden steps per objective call in refine_log_peak: 2^k - 1 log-ratio nodes,
+# two probe rows each, in one time search. k = 3 measured faster than 2 and 4.
+REFINE_LOOKAHEAD = 3
+
+
 def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
-    """Golden-section maximization of delta_bits on the log-ratio interval,
-    one two-row measurement-information search per step."""
+    """Golden-section maximization of delta_bits on the log-ratio interval.
+    Each objective call is one measurement-information search over both
+    probes at every log-ratio node of a REFINE_LOOKAHEAD-step lookahead."""
 
     def neg_delta(x):
-        _, info = _fig1_optimize(fig1_measurement_info, [ENTANGLED, PRODUCT], np.exp(x), grid, -1)
-        return info[1] - info[0]
+        ratios = np.exp(x)[..., None]
+        _, info = _fig1_optimize(fig1_measurement_info, [ENTANGLED, PRODUCT], ratios, grid, -1)
+        return info[..., 1] - info[..., 0]
 
-    x, _ = golden_minimize(neg_delta, math.log(lo), math.log(hi), rel_tol=1e-7)
+    x, _ = golden_minimize(neg_delta, math.log(lo), math.log(hi), 1e-7, REFINE_LOOKAHEAD)
     return figure1_point(math.exp(x), grid)

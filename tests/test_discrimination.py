@@ -175,6 +175,7 @@ class TestGoldenMinimize:
         x = (a + b) / 2
         return x, fn(x)
 
+    @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         rows=st.lists(
@@ -189,18 +190,46 @@ class TestGoldenMinimize:
         ),
         rel_tol=st.sampled_from([1e-3, 1e-7, 1e-9]),
     )
-    def test_batch_rows_follow_the_scalar_loop(self, rows, rel_tol):
+    def test_batch_rows_follow_the_scalar_loop(self, lookahead, rows, rel_tol):
         a = np.array([r[0] for r in rows])
         b = a + np.array([r[1] for r in rows])
         m = a + (b - a) * np.array([r[2] for r in rows])
         k = np.array([r[3] for r in rows])
-        x, fx = disc.golden_minimize(lambda x: (x - m) * (x - m) + k * np.abs(x - m), a, b, rel_tol)
+        calls = []
+
+        def fn(x):
+            calls.append(np.shape(x))
+            return (x - m) * (x - m) + k * np.abs(x - m)
+
+        x, fx = disc.golden_minimize(fn, a, b, rel_tol, lookahead)
+        steps = 0
         for i in range(len(rows)):
-            mi, ki = float(m[i]), float(k[i])
-            ref = self.scalar_golden(
-                lambda x: (x - mi) * (x - mi) + ki * abs(x - mi), float(a[i]), float(b[i]), rel_tol
-            )
-            assert (x[i], fx[i]) == ref
+            mi, ki, row_calls = float(m[i]), float(k[i]), []
+
+            def fn_i(x):
+                row_calls.append(x)
+                return (x - mi) * (x - mi) + ki * abs(x - mi)
+
+            assert (x[i], fx[i]) == self.scalar_golden(fn_i, float(a[i]), float(b[i]), rel_tol)
+            steps = max(steps, len(row_calls) - 3)
+        # The two first points, one call per `lookahead` steps, the midpoint;
+        # a lookahead stacks the first points and a step tree on a node axis.
+        n = len(rows)
+        if lookahead == 1:
+            expected = [(n,)] * (2 + steps + 1)
+        else:
+            expected = [(2, n)] + [(2**lookahead - 1, n)] * -(-steps // lookahead) + [(n,)]
+        assert calls == expected
+
+    def test_calls_fall_as_the_lookahead_grows(self):
+        counts = []
+        for lookahead in (1, 2, 3, 4):
+            calls = []
+            x, _ = disc.golden_minimize(lambda x: calls.append(x) or (x - 1.3) ** 2, 0.0, 4.0,
+                                        1e-9, lookahead)
+            assert abs(x - 1.3) <= 4e-9
+            counts.append(len(calls))
+        assert counts == sorted(set(counts), reverse=True)
 
 
 class TestGridGoldenMinimize:

@@ -216,6 +216,27 @@ class TestFigureOneCurve:
         assert rs == sorted(rs)
         assert len(res.points) == 4  # one refinement point inserted
 
+    def test_refined_curve_searches_at_most_31_times(self, monkeypatch):
+        calls = []
+        search = met.grid_golden_minimize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(met, "grid_golden_minimize", counting)
+        met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
+        # Six each for the 25 ratios and the refined row; a one-step refinement
+        # searches 35 times more, two steps or more per call at most 19.
+        assert len(calls) <= 31
+
+    @pytest.mark.parametrize("grid", [64, 512, 2048])
+    def test_refinement_is_the_one_step_refinement(self, monkeypatch, grid):
+        lo, hi = 0.1, 0.4
+        point = met.refine_log_peak(lo, hi, grid)
+        monkeypatch.setattr(met, "REFINE_LOOKAHEAD", 1)
+        assert point == met.refine_log_peak(lo, hi, grid)
+
     @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-3, 1e3, 1e5])
     def test_rows_match_brute_force_optimum(self, ratio):
         # Every objective on 2^18 evenly spaced times over the searched window
