@@ -240,7 +240,7 @@ def _recheck_high_precision(H, K, margin: float) -> list[bool]:
     W = scipy.linalg.expm(1j * K) @ scipy.linalg.expm(-1j * (H + K))
     args = np.array([np.sort(np.angle(np.diag(scipy.linalg.schur(U, output="complex")[0])))
                      for stack in (W, scipy.linalg.expm(-1j * H)) for U in stack])
-    args_w, args_h = np.split(args, 2)
+    args_w, args_h = args.reshape(2, *H.shape[:2])
     return list(np.maximum(args_w[:, -1] - args_h[:, -1], args_h[:, 0] - args_w[:, 0]) > margin)
 
 
@@ -257,6 +257,4 @@ def counterexample_search(dim: int, trials: int, rng_seed: int) -> ArcBoundCases
     margin = tolerances.SEARCH_MARGIN
     flagged = arc_bound_sweep(dim, trials, rng_seed, (math.pi, 1.5 * math.pi), (0.1, 10.0),
                               margin).flagged
-    if not flagged:  # the recheck needs at least one case
-        return flagged
     return flagged.select(_recheck_high_precision(flagged.H, flagged.K, margin))

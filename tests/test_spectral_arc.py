@@ -430,6 +430,11 @@ class TestOneDiagonalizationPerGenerator:
         assert confirmed == [reference_recheck(c.H, c.K, 1e-6) for c in cases]
         assert 0 < sum(confirmed) < len(cases)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_empty_stack_rechecks_to_nothing(self, dim):
+        empty = np.zeros((0, dim, dim), dtype=complex)
+        assert arc._recheck_high_precision(empty, empty, 1e-6) == []
+
 
 class TestStackedGeneratorDraws:
     """fixed_time_sweep and eliminate_sweep build and rescale a block's generators
