@@ -391,6 +391,9 @@ SearchRow = NamedTuple("SearchRow", [
 def _run_theorem_check(params, seed):
     dims, trials = params["dims"], params["trials"]
     if params["mode"] == "search":
+        defaults = EXPERIMENTS["theorem-check"].defaults
+        if ignored := [key for key in ("h_norm_max", "k_norm_max") if params[key] != defaults[key]]:
+            raise ConfigError(f"search mode draws its own norms and ignores {ignored}")
         if (size := trials * max(dims) ** 2) > 2**22:  # flagged cases keep H and K to the recheck
             raise ConfigError(f"search trials * max(dims)^2 must be at most 2^22, got {size}")
         rows = [

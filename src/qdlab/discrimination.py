@@ -204,6 +204,9 @@ def helstrom(rho1, rho2, p1: float = 0.5, p2: float = 0.5):
     return BinaryPOVM(E), float(min(max(p_error, 0.0), 1.0))
 
 
+_BELOW_ONE, _LN2 = np.nextafter(1.0, 0.0), math.log(2.0)
+
+
 def two_outcome_gain(m, u):
     """m (1+u) log2(1+u) + m (1-u) log2(1-u): the information in bits of two
     outcomes of probabilities m (1 +/- u) over the even split (m, m).
@@ -215,10 +218,10 @@ def two_outcome_gain(m, u):
     """
     u = np.minimum(u, 1.0)
     # c keeps atanh and log1p(-c^2) finite at u = 1, where (1 - u) atanh(c) is 0.
-    c = np.minimum(u, np.nextafter(1.0, 0.0))
+    c = np.minimum(u, _BELOW_ONE)
     w = np.arctanh(c)
     phi = np.where(u < 0.5, np.log1p(-c * c) + 2.0 * c * w, 2.0 * (np.log1p(u) - (1.0 - u) * w))
-    return m * phi / math.log(2.0)
+    return m * phi / _LN2
 
 
 def binary_info_gain(p_error: float) -> float:

@@ -174,26 +174,49 @@ ENTANGLED = "entangled"
 PRODUCT = "product"
 
 
-def fig1_sin_theta(strategy, omega_t):
-    """|sin theta(t)| of the evolving-versus-static state pair, for one
-    strategy or an array of them that broadcasts against omega_t."""
+def _entangled(strategy):
+    """Check the probe names; return the boolean mask of the entangled ones."""
     strategy = np.asarray(strategy)
     entangled = strategy == ENTANGLED
     if not np.all(entangled | (strategy == PRODUCT)):
         raise ValueError(f"unknown strategy {strategy!r}")
-    omega_t = np.asarray(omega_t, dtype=float)
+    return entangled
+
+
+def _sin_theta(entangled, omega_t):
+    """|sin theta(t)|, one sine per element; `entangled` is a mask, or a bool for one probe."""
+    if entangled is True:
+        return np.abs(np.sin(omega_t))
+    half = omega_t / 2.0
     # The product form is sqrt(1 - cos^4(omega t / 2)) factored: no 1 - cos^4 cancels.
-    return np.where(
-        entangled,
-        np.abs(np.sin(omega_t)),
-        np.abs(np.sin(omega_t / 2.0)) * np.sqrt(1.0 + np.square(np.cos(omega_t / 2.0))),
-    )
+    if entangled is False:
+        return np.abs(np.sin(half)) * np.sqrt(1.0 + np.square(np.cos(half)))
+    s = np.abs(np.sin(np.where(entangled, omega_t, half)))
+    return np.where(entangled, s, s * np.sqrt(1.0 + np.square(np.cos(half))))
+
+
+def _error_probability(entangled, gamma, omega, t):
+    return 0.5 - 0.5 * np.exp(-gamma * t) * _sin_theta(entangled, omega * t)
+
+
+def _measurement_info(entangled, gamma, omega, t):
+    e = np.exp(-gamma * t)
+    return two_outcome_gain((1.0 + e) / 4.0, 2.0 * e * _sin_theta(entangled, omega * t) / (1.0 + e))
+
+
+def _binary_info(entangled, gamma, omega, t):
+    return two_outcome_gain(0.5, np.exp(-gamma * t) * _sin_theta(entangled, omega * t))
+
+
+def fig1_sin_theta(strategy, omega_t):
+    """|sin theta(t)| of the evolving-versus-static state pair, for one
+    strategy or an array of them that broadcasts against omega_t."""
+    return _sin_theta(_entangled(strategy), np.asarray(omega_t, dtype=float))
 
 
 def fig1_error_probability(strategy, gamma, omega: float, t):
     """Minimum-error probability 1/2 - 1/2 e^{-gamma t} |sin theta|."""
-    t = np.asarray(t, dtype=float)
-    return 0.5 - 0.5 * np.exp(-gamma * t) * fig1_sin_theta(strategy, omega * t)
+    return _error_probability(_entangled(strategy), gamma, omega, np.asarray(t, dtype=float))
 
 
 def fig1_measurement_info(strategy, gamma, omega: float, t):
@@ -209,17 +232,13 @@ def fig1_measurement_info(strategy, gamma, omega: float, t):
     same terms to H(Y) and H(Y|X), so I = H(Y) - H(Y|X) is the two-outcome
     gain of m and u.
     """
-    t = np.asarray(t, dtype=float)
-    e = np.exp(-gamma * t)
-    s = fig1_sin_theta(strategy, omega * t)
-    return two_outcome_gain((1.0 + e) / 4.0, 2.0 * e * s / (1.0 + e))
+    return _measurement_info(_entangled(strategy), gamma, omega, np.asarray(t, dtype=float))
 
 
 def fig1_binary_info(strategy, gamma, omega: float, t):
     """1 - H2(p_error): the symmetric binary-channel reading of the gain, the
     two-outcome gain of m = 1/2 and u = e^{-gamma t} |sin theta|."""
-    t = np.asarray(t, dtype=float)
-    return two_outcome_gain(0.5, np.exp(-gamma * t) * fig1_sin_theta(strategy, omega * t))
+    return _binary_info(_entangled(strategy), gamma, omega, np.asarray(t, dtype=float))
 
 
 class Figure1Point(NamedTuple):
@@ -249,13 +268,16 @@ def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
     broadcast of `strategy` and `ratios`, with omega = 1 (the gains depend
     only on the ratio). Returns (t_star, sign * minimum)."""
     strategy, gamma = np.broadcast_arrays(strategy, ratios)
+    entangled = _entangled(strategy)  # the names are checked once per search
+    if entangled.all() or not entangled.any():  # one probe: only its branch is computed
+        entangled = bool(entangled.all())
     # min(4 pi, 10 / gamma) holds every optimum: each objective improves with
     # s = |sin theta(t)| and e = e^{-gamma t} (a smaller e only mixes in uniform,
     # hypothesis-independent noise), s has period pi or 2 pi, so the optimum is
     # in (0, 2 pi]; and s(t) <= t, so t = 1 / gamma beats every t past 10 / gamma.
     t_max = 10.0 / np.maximum(gamma, 2.5 / math.pi)
     t, value = grid_golden_minimize(
-        lambda t: sign * objective(strategy, gamma, 1.0, t), t_max, grid_points=grid
+        lambda t: sign * objective(entangled, gamma, 1.0, t), t_max, grid_points=grid
     )
     return t, sign * value
 
@@ -272,7 +294,7 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0 or not np.all((ratios > 0) & np.isfinite(ratios)):
         raise ValueError("ratios must be positive and finite")
-    columns = ((fig1_measurement_info, -1), (fig1_binary_info, -1), (fig1_error_probability, 1))
+    columns = ((_measurement_info, -1), (_binary_info, -1), (_error_probability, 1))
     searches = [
         _fig1_optimize(objective, strategy, ratios, grid, sign)
         for objective, sign in columns
@@ -281,23 +303,10 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     # Axes: objective, probe (entangled first), (t_star, value), ratio.
     s = np.reshape(searches, (3, 2, 2, -1))
     t_star, info, binary, p_err = s[0, :, 0], s[0, :, 1], s[1, :, 1], s[2, :, 1]
-    return [
-        Figure1Point(
-            ratio=float(r),
-            t_star_ent=float(t_star[0, i]),
-            t_star_prod=float(t_star[1, i]),
-            info_ent=float(info[0, i]),
-            info_prod=float(info[1, i]),
-            delta_bits=float(info[0, i] - info[1, i]),
-            info_ent_binary=float(binary[0, i]),
-            info_prod_binary=float(binary[1, i]),
-            delta_bits_binary=float(binary[0, i] - binary[1, i]),
-            p_err_ent=float(p_err[0, i]),
-            p_err_prod=float(p_err[1, i]),
-            delta_p_err=float(p_err[1, i] - p_err[0, i]),
-        )
-        for i, r in enumerate(ratios.reshape(-1))
-    ]
+    # Figure1Point's columns, in its field order.
+    table = np.stack([ratios.reshape(-1), *t_star, *info, info[0] - info[1], *binary,
+                      binary[0] - binary[1], *p_err, p_err[1] - p_err[0]])
+    return [Figure1Point(*map(float, row)) for row in table.T]
 
 
 def figure1_point(ratio: float, grid: int = 2048) -> Figure1Point:
@@ -339,7 +348,7 @@ def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
 
     def neg_delta(x):
         ratios = np.exp(x)[..., None]
-        _, info = _fig1_optimize(fig1_measurement_info, [ENTANGLED, PRODUCT], ratios, grid, -1)
+        _, info = _fig1_optimize(_measurement_info, [ENTANGLED, PRODUCT], ratios, grid, -1)
         return info[..., 1] - info[..., 0]
 
     x, _ = golden_minimize(neg_delta, math.log(lo), math.log(hi), 1e-7, REFINE_LOOKAHEAD)

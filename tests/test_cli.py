@@ -452,6 +452,32 @@ class TestRegistry:
                         failures.append((name, key, value, code))
         assert failures == []
 
+    @pytest.mark.parametrize("key", ["h_norm_max", "k_norm_max"])
+    def test_search_refuses_the_norm_ranges_it_ignores(self, key, monkeypatch, tmp_path, capsys):
+        from qdlab import cli, spectral_arc
+
+        def no_draw(dim, trials, seed):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(spectral_arc, "counterexample_search", no_draw)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"mode": "search", key: 1.0}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorem-check", "--config", str(cfg), "--out", str(out)],
+                     standalone_mode=False)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
+        # The default value is no override: the search runs.
+        monkeypatch.setattr(spectral_arc, "counterexample_search", lambda dim, trials, seed: [])
+        default = cli.EXPERIMENTS["theorem-check"].defaults[key]
+        cfg.write_text(json.dumps({"parameters": {"mode": "search", key: default}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorem-check", "--config", str(cfg), "--out", str(out)],
+                     standalone_mode=False)
+        assert exc.value.code == 0
+
     def test_bound_edges_are_accepted(self):
         from qdlab import cli
 

@@ -216,15 +216,20 @@ class TestFigureOneCurve:
         assert rs == sorted(rs)
         assert len(res.points) == 4  # one refinement point inserted
 
-    def test_refined_curve_searches_at_most_31_times(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, name):
         calls = []
-        search = met.grid_golden_minimize
+        original = getattr(met, name)
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return search(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(met, "grid_golden_minimize", counting)
+        monkeypatch.setattr(met, name, counting)
+        return calls
+
+    def test_refined_curve_searches_at_most_31_times(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "grid_golden_minimize")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
         # Six each for the 25 ratios and the refined row; a one-step refinement
         # searches 35 times more, two steps or more per call at most 19.
@@ -392,3 +397,63 @@ class TestFigureOneCurve:
         for fig1 in (met.fig1_measurement_info, met.fig1_binary_info, met.fig1_error_probability):
             with pytest.raises(ValueError, match="unknown strategy"):
                 fig1(strategy, 0.3, 1.0, np.array([0.5, 1.0]))
+
+    # (search-path kernel, public name-based function) for each gain.
+    KERNELS = [
+        (met._measurement_info, met.fig1_measurement_info),
+        (met._binary_info, met.fig1_binary_info),
+        (met._error_probability, met.fig1_error_probability),
+    ]
+
+    @staticmethod
+    def two_branch_sin_theta(strategy, omega_t):
+        """|sin theta| with both probes' formulas evaluated on every element."""
+        half = omega_t / 2.0
+        return np.where(
+            np.asarray(strategy) == met.ENTANGLED,
+            np.abs(np.sin(omega_t)),
+            np.abs(np.sin(half)) * np.sqrt(1.0 + np.square(np.cos(half))),
+        )
+
+    @pytest.mark.parametrize("t", [0.7, np.array(2.5), np.linspace(1e-8, 40.0, 257)])
+    @pytest.mark.parametrize("probe, entangled", [(met.ENTANGLED, True), (met.PRODUCT, False)])
+    def test_one_probe_kernels_equal_the_public_path(self, probe, entangled, t):
+        t = np.asarray(t, dtype=float)
+        for gamma in (1e-3, 0.3, 50.0):
+            for kernel, public in self.KERNELS:
+                np.testing.assert_array_equal(
+                    kernel(entangled, gamma, 1.0, t), public(probe, gamma, 1.0, t)
+                )
+        np.testing.assert_array_equal(
+            met._sin_theta(entangled, t), self.two_branch_sin_theta(probe, t)
+        )
+
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_mixed_batch_kernels_equal_the_public_path(self, m, rng):
+        # The refinement's batch: (m, nodes, probe) times against (nodes, probe) ratios.
+        strategy, gamma = np.broadcast_arrays(
+            [met.ENTANGLED, met.PRODUCT], np.geomspace(0.05, 2.0, 7)[:, None]
+        )
+        t = rng.uniform(0.0, 4 * math.pi, (m, 7, 2))
+        entangled = met._entangled(strategy)
+        for kernel, public in self.KERNELS:
+            np.testing.assert_array_equal(
+                kernel(entangled, gamma, 1.0, t), public(strategy, gamma, 1.0, t)
+            )
+        np.testing.assert_array_equal(
+            met._sin_theta(entangled, t), self.two_branch_sin_theta(strategy, t)
+        )
+
+    def test_one_probe_names_keep_their_broadcast_shape(self):
+        for probe in (met.ENTANGLED, met.PRODUCT):
+            assert met.fig1_sin_theta([probe] * 3, 0.5).shape == (3,)
+            assert met.fig1_measurement_info([probe] * 3, 0.3, 1.0, 0.5).shape == (3,)
+
+    def test_a_search_checks_the_probe_names_once(self, monkeypatch):
+        checks = self.count_calls(monkeypatch, "_entangled")
+        met.figure1_point(0.3, grid=64)
+        assert len(checks) == 6
+        checks.clear()
+        searches = self.count_calls(monkeypatch, "grid_golden_minimize")
+        met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
+        assert len(checks) == len(searches) > 6
