@@ -485,17 +485,16 @@ def fixed_time_sweep(
     dim: int, t: float, samples: int, seed: int, h_norm: float, k_norm: float
 ) -> list[FixedTimeRow]:
     """`fixed_time_overlap` of `samples` random pairs (H, K), with the driving
-    term K and without it. Sample i draws from `qmath.spawned_rngs(seed,
-    samples)`: a sup norm h_norm * U(0.2, 1) and then H, a sup norm
-    k_norm * U(0, 1) and then K, each (A + A^dag)/2 rescaled, with A's real and
-    imaginary parts from rng.normal(size=(2, dim, dim))."""
-    rows = []
+    term K and without it (one zero matrix for the sweep). Sample i draws from
+    `qmath.spawned_rngs(seed, samples)`: a sup norm h_norm * U(0.2, 1) and then H,
+    a sup norm k_norm * U(0, 1) and then K, each (A + A^dag)/2 rescaled, with A's
+    real and imaginary parts from rng.normal(size=(2, dim, dim))."""
+    rows, zero = [], np.zeros((dim, dim), dtype=complex)
     for (H, _, _), (K, _, _) in spectral_arc._generator_blocks(
-            dim, samples, seed, lambda rng: h_norm * rng.uniform(0.2, 1.0),
-            lambda rng: k_norm * rng.uniform(0.0, 1.0)):
+            dim, samples, seed, (h_norm, 0.2, 1.0), (k_norm, 0.0, 1.0)):
         for h, k in zip(H, K):
             _, driven = fixed_time_overlap(h, k, t)
-            _, undriven = fixed_time_overlap(h, np.zeros_like(k), t)
+            _, undriven = fixed_time_overlap(h, zero, t)
             rows.append(FixedTimeRow(len(rows), dim, t, driven, undriven, driven - undriven))
     return rows
 

@@ -83,12 +83,10 @@ def sqft_estimate(cfg: PhaseConfig, rng_seed: int) -> MeasurementRecord:
 
 def sample_counts(cfg: PhaseConfig, seed: int, trials: int) -> np.ndarray:
     """Counts of each estimate j / 2^n over `trials` runs, all staged together.
-    Trial i is sqft_estimate(cfg, c) with c the i-th child of
-    SeedSequence(seed), drawn from `qmath.spawned_rngs`."""
+    Trial i is sqft_estimate(cfg, c) with c the i-th child of SeedSequence(seed),
+    its n uniforms drawn with every other trial's by `qmath.child_uniforms`."""
     _check_qubits(cfg)
-    rows = (rng.random(cfg.n) for rng in qmath.spawned_rngs(seed, trials))
-    draws = np.fromiter(rows, dtype=(float, cfg.n), count=trials)
-    index = _staged_bits(cfg, draws) @ (1 << np.arange(cfg.n))
+    index = _staged_bits(cfg, qmath.child_uniforms(seed, trials, cfg.n)) @ (1 << np.arange(cfg.n))
     return np.bincount(index, minlength=2**cfg.n)
 
 

@@ -291,6 +291,39 @@ def child_states(seed, start: int, stop: int) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), its low word in 32-bit halves.
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_M0, _M1 = _MULT_LO & _LOW32, _MULT_LO >> np.uint64(32)
+
+
+def child_uniforms(seed, count: int, n: int) -> np.ndarray:
+    """default_rng(c).random(n) for each child c of SeedSequence(seed).spawn(count),
+    as a (count, n) array, with no generator built.
+
+    PCG64 (O'Neill, HMC-CS-2014-0905) is a 128-bit LCG with XSL-RR output, seeded from
+    the 4 `child_states` words: inc = (w2:w3 << 1) | 1, state inc + w0:w1 stepped once.
+    A draw steps state = state * MULT + inc and keeps the top 53 bits of rotr64(hi ^ lo,
+    hi >> 58). All children step at once in uint64 halves, lo * MULT_LO's high word
+    summed from 32-bit halves.
+    """
+    w = child_states(seed, 0, count).T
+    inc_hi, inc_lo = (w[2] << 1) | (w[3] >> 63), (w[3] << 1) | 1
+    lo = w[1] + inc_lo
+    hi = w[0] + inc_hi + (lo < inc_lo)
+    out = np.empty((n + 1, count))  # row 0 is the seeding step's output, dropped
+    for k in range(n + 1):
+        l0, l1 = lo & _LOW32, lo >> 32
+        t = l1 * _M0 + ((l0 * _M0) >> 32)
+        carry = l1 * _M1 + (t >> 32) + ((l0 * _M1 + (t & _LOW32)) >> 32)
+        hi = hi * _MULT_LO + lo * _MULT_HI + carry + inc_hi
+        lo = lo * _MULT_LO + inc_lo
+        hi += lo < inc_lo
+        x, rot = hi ^ lo, hi >> 58
+        out[k] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+    return out[1:].T * 2.0**-53
+
+
 def spawned_rngs(seed, count: int):
     """default_rng(child) for each child of SeedSequence(seed).spawn(count),
     built one at a time from `child_states` blocks: the one place where a

@@ -183,20 +183,29 @@ def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarr
 def _generator_blocks(dim: int, count: int, seed: int, *sup_rules):
     """Per block of at most _ARC_BLOCK_ELEMS // dim^2 trials, one `_hermitian_stack`
     (matrices, spectra, eigenvectors) per rule, in rule order: trial i draws from the
-    i-th child of SeedSequence(seed), per rule a sup norm rule(rng) and then
-    rng.normal(size=(2, dim, dim))."""
+    i-th child of SeedSequence(seed), per rule (scale, low, high) a sup norm
+    scale * rng.uniform(low, high) and then rng.normal(size=(2, dim, dim)), drawn as
+    rng.random() and rng.standard_normal(out=); per block, uniform's arithmetic gives
+    the sup norms. uniform's range checks run once, before any draw."""
+    rules = [(float(s), float(low), float(high) - float(low)) for s, low, high in sup_rules]
+    for _, _, span in rules:
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span < 0:
+            raise ValueError("high - low < 0")
     block = max(1, _ARC_BLOCK_ELEMS // max(1, dim * dim))
     rngs = qmath.spawned_rngs(seed, count)
     for start in range(0, count, block):
         size = min(block, count - start)
-        sups = np.empty((len(sup_rules), size))
-        g = np.empty((len(sup_rules), size, 2, dim, dim))
+        u = np.empty((len(rules), size))
+        g = np.empty((len(rules), size, 2, dim, dim))
         for i in range(size):
             rng = next(rngs)
-            for j, rule in enumerate(sup_rules):
-                sups[j, i] = rule(rng)
-                g[j, i] = rng.normal(size=(2, dim, dim))
-        yield [_hermitian_stack(normals, sup) for normals, sup in zip(g, sups)]
+            for j in range(len(rules)):
+                u[j, i] = rng.random()
+                rng.standard_normal(out=g[j, i])
+        yield [_hermitian_stack(normals, scale * (low + span * uj))
+               for normals, uj, (scale, low, span) in zip(g, u, rules)]
 
 
 def arc_bound_sweep(
@@ -210,16 +219,17 @@ def arc_bound_sweep(
     """`arc_bound_cases` over `trials` random pairs of dim x dim generators.
 
     Trial i draws from the i-th child of SeedSequence(seed): a sup norm
-    uniform on `h_sup` and then H, a sup norm uniform on `k_sup` and then K,
-    each as `random_hermitian` draws them. Trials are evaluated in stacks of
-    at most _ARC_BLOCK_ELEMS elements, each with 3 `herm_eig` and 1 `unitary_args`
-    calls (the rescale's `herm_eig` also gives H's spectrum and e^{iK}); rows equal
-    the one-trial formula. Cases past `margin` are returned as one stack, flagged.
+    rng.uniform(*h_sup) and then H, a sup norm rng.uniform(*k_sup) and then K,
+    each as `random_hermitian` draws them; a range uniform refuses raises its error
+    before any draw. Trials are evaluated in stacks of at most _ARC_BLOCK_ELEMS
+    elements, each with 3 `herm_eig` and 1 `unitary_args` calls (the rescale's
+    `herm_eig` also gives H's spectrum and e^{iK}); rows equal the one-trial
+    formula. Cases past `margin` are returned as one stack, flagged.
     """
     if dim < 1 or trials < 1:
         raise ValueError("dim and trials must be at least 1")
     holds, worst, flagged = 0, -math.inf, []
-    rules = (lambda rng: rng.uniform(*h_sup), lambda rng: rng.uniform(*k_sup))
+    rules = (1.0, *h_sup), (1.0, *k_sup)
     for (H, w_h, _), eig_k in _generator_blocks(dim, trials, seed, *rules):
         cases = _arc_cases(H, w_h, *eig_k)
         violation = cases.max_violation

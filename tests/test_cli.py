@@ -54,6 +54,16 @@ class TestListing:
 
 
 class TestConfigHandling:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        """Fail the test on any trial draw: both draw paths start from child_states."""
+        from qdlab import qmath
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(qmath, "child_states", no_draw)
+
     def test_unknown_experiment(self, tmp_path):
         result = qd("warp-drive")
         assert result.returncode == 2
@@ -155,14 +165,10 @@ class TestConfigHandling:
             ("theorem-check", {"mode": "search", "dims": [7], "trials": 86000}),
         ],
     )
-    def test_matrix_sizes_refused_before_any_draw(self, experiment, parameters, monkeypatch,
+    def test_matrix_sizes_refused_before_any_draw(self, experiment, parameters, no_draws,
                                                   tmp_path, capsys):
-        from qdlab import cli, qmath
+        from qdlab import cli
 
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a trial generator was built")
-
-        monkeypatch.setattr(qmath, "spawned_rngs", no_draw)
         cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
         cfg.write_text(json.dumps({"parameters": parameters}))
         with pytest.raises(SystemExit) as exc:
@@ -198,19 +204,26 @@ class TestConfigHandling:
         ],
     )
     def test_negative_norms_and_times_refused_before_any_draw(self, experiment, parameters,
-                                                             monkeypatch, tmp_path, capsys):
-        from qdlab import cli, qmath
+                                                             no_draws, tmp_path, capsys):
+        from qdlab import cli
 
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a trial generator was built")
-
-        monkeypatch.setattr(qmath, "spawned_rngs", no_draw)
         cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
         cfg.write_text(json.dumps({"parameters": parameters}))
         with pytest.raises(SystemExit) as exc:
             cli.main([experiment, "--config", str(cfg), "--out", str(out)], standalone_mode=False)
         assert exc.value.code == 2
         assert f"parameter {next(iter(parameters))!r} must be in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phase_est_qubit_cap_refused_before_any_draw(self, no_draws, tmp_path, capsys):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"n": 13}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["phase-est", "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == 3
+        assert "13 qubits exceeds 12" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -836,7 +849,7 @@ class TestImports:
         assert result.returncode == 0, result.stderr
 
     def test_cli_import_does_not_load_numpy_random(self):
-        # numpy.random is needed only once a trial generator is built (qmath.spawned_rngs).
+        # numpy.random is needed only once trials are drawn (qmath.child_states).
         code = "import sys, qdlab.cli; assert 'numpy.random' not in sys.modules"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

@@ -375,3 +375,16 @@ class TestChildStates:
     def test_index_range_raises(self, start, stop):
         with pytest.raises(ValueError):
             qmath.child_states(0, start, stop)
+
+
+class TestChildUniforms:
+    # Counts around the 1024-child spawn block; n up to the phase-est qubit cap (12).
+    @pytest.mark.parametrize("seed", [0, 3, 1234567890, 2**64 + 1, 2**70 + 5])
+    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_equals_numpy_generators(self, seed, count, n):
+        expected = [np.random.default_rng(c).random(n)
+                    for c in np.random.SeedSequence(seed).spawn(count)]
+        draws = qmath.child_uniforms(seed, count, n)
+        assert draws.shape == (count, n)
+        assert np.array_equal(draws, np.reshape(expected, (count, n)))

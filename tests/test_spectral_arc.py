@@ -573,6 +573,25 @@ class TestStackedGeneratorDraws:
         assert peak - n * dim * dim * 16 <= 5 * stack_bytes
 
 
+class TestSupNormRanges:
+    """A sweep checks its sup-norm ranges as Generator.uniform does, once, before any draw."""
+
+    @pytest.mark.parametrize("h_sup, error", [((1.0, 0.0), ValueError),
+                                              ((0.0, math.inf), OverflowError),
+                                              ((0.0, math.nan), OverflowError)])
+    def test_bad_range_refused_before_any_draw(self, h_sup, error, monkeypatch):
+        with pytest.raises(error) as numpy_error:
+            np.random.default_rng(0).uniform(*h_sup)
+
+        def refuse(*args):
+            raise AssertionError("drew trials with a bad sup-norm range")
+
+        monkeypatch.setattr(qmath, "child_states", refuse)
+        with pytest.raises(error) as sweep_error:
+            arc.arc_bound_sweep(2, 3, 0, h_sup, (0.0, 1.0))
+        assert str(sweep_error.value) == str(numpy_error.value)
+
+
 class TestSubadditivity:
     def test_one_spectrum_per_unitary(self, rng, monkeypatch):
         U1, U2 = (qmath.expm_i(arc.random_hermitian(3, 0.5, rng), 1.0) for _ in range(2))
