@@ -245,7 +245,8 @@ def _check_fixed_time(params, rows):
 
 def _run_eliminate(params, seed):
     n_hyp, dim, trials = params["n_hypotheses"], params["dim"], params["trials"]
-    if n_hyp * dim * dim > 2**24:  # a trial holds every generator: 2^24 entries are 256 MiB
+    # A block holds at least one trial's generators: 2^24 entries are 256 MiB.
+    if n_hyp * dim * dim > 2**24:
         raise ConfigError(f"n_hypotheses * dim^2 must be at most 2^24, got {n_hyp * dim * dim}")
     rows = discrimination.eliminate_sweep(n_hyp, dim, trials, seed)
     rate = sum(r.correct for r in rows) / len(rows)

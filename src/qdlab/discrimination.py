@@ -434,21 +434,23 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
 
 
 def cancellation_strategy(H1, H2):
-    """Drive with -H2 and split the extremal eigenstates of H1 - H2.
+    """Drive with -H2 and split the extremal eigenstates of H1 - H2, for a pair
+    or for every pair of two (..., d, d) stacks, which any coinciding pair refuses.
 
     Returns (drive, psi0, t_star): the probe (|E_min> + |E_max>)/sqrt(2) of
     the difference evolves to its orthogonal partner after
-    t_star = pi / (E_max - E_min), so the two alternatives separate exactly.
+    t_star = pi / (E_max - E_min), so the two alternatives separate exactly;
+    for stacks, psi0 has shape (..., d) and t_star shape (...).
     """
     H1 = np.asarray(H1, dtype=complex)
     H2 = np.asarray(H2, dtype=complex)
     if H1.shape != H2.shape:
         raise ValueError("Hamiltonian dimensions do not match")
     w, V = qmath.herm_eig(H1 - H2)
-    gap = float(w[-1] - w[0])
-    if gap <= tolerances.NORM:
+    gap = w[..., -1] - w[..., 0]
+    if np.any(gap <= tolerances.NORM):
         raise NoDiscriminationError("the two Hamiltonians coincide")
-    psi0 = (V[:, 0] + V[:, -1]) / math.sqrt(2.0)
+    psi0 = (V[..., 0] + V[..., -1]) / math.sqrt(2.0)
     return -H2, psi0, math.pi / gap
 
 
@@ -513,7 +515,7 @@ def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed):
     candidate is eliminated per round, and the true Hamiltonian survives
     every round, so N - 1 measurements always suffice. The outcomes are drawn
     from `default_rng(rng_seed)`: `rng_seed` is a seed or a Generator, which
-    is used as it is.
+    is used as it is. This is `_eliminate_block` for a block of one trial.
 
     Returns (identified_index, measurement_count, transcript).
     """
@@ -523,35 +525,33 @@ def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed):
     for h in ensemble.hypotheses:
         if h.noise.kind is not NoiseKind.NONE:
             raise UnsupportedModelError("adaptive elimination assumes noiseless hypotheses")
-    gens = [generator_matrix(h.generator) for h in ensemble.hypotheses]
-    rng = np.random.default_rng(rng_seed)
+    gens = np.stack([generator_matrix(h.generator) for h in ensemble.hypotheses])
+    identified, rounds = _eliminate_block(
+        gens[None], np.array([true_index]), [np.random.default_rng(rng_seed)])
+    transcript = [{"pair": (int(i[0]), j), "t_star": float(t[0]), "p_flip": float(p[0]),
+                   "outcome_flip": bool(flip[0]), "eliminated": int(out[0])}
+                  for i, j, t, p, flip, out in rounds]
+    return int(identified[0]), len(rounds), transcript
 
-    alive = list(range(n))
-    transcript = []
-    measurements = 0
-    while len(alive) > 1:
-        i, j = alive[0], alive[1]
-        # Drive with -H_i: the pair becomes (0, H_j - H_i).
-        drive, psi0, t_star = cancellation_strategy(gens[j], gens[i])
-        flipped_state = qmath.expm_i(gens[j] + drive, t_star) @ psi0
 
-        evolved = qmath.expm_i(gens[true_index] + drive, t_star) @ psi0
-        p_flip = float(np.abs(np.vdot(flipped_state, evolved)) ** 2)
-        outcome_flip = bool(rng.random() < p_flip)
-
-        eliminated = i if outcome_flip else j
-        alive.remove(eliminated)
-        measurements += 1
-        transcript.append(
-            {
-                "pair": (i, j),
-                "t_star": t_star,
-                "p_flip": p_flip,
-                "outcome_flip": outcome_flip,
-                "eliminated": eliminated,
-            }
-        )
-    return alive[0], measurements, transcript
+def _eliminate_block(gens, true_index, rngs):
+    """Pairwise elimination for every trial of a block at once, one round at a time.
+    Trial b has the candidates gens[b] of a (trials, n, d, d) stack and the true index
+    true_index[b], and draws one rng.random() per round from rngs[b]. Returns the
+    identified indices and, per round, (i, j, t_star, p_flip, outcome_flip, eliminated):
+    arrays over the block, but for the challenger j."""
+    rows, rounds = np.arange(len(gens)), []
+    truth, i = gens[rows, true_index], np.zeros_like(rows)
+    for j in range(1, gens.shape[1]):
+        # Drive with -H_i to pair the survivor i with j: the pair becomes (0, H_j - H_i).
+        drive, psi0, t_star = cancellation_strategy(gens[:, j], gens[rows, i])
+        flipped_and_true = np.stack([gens[:, j], truth]) + drive
+        flipped_state, evolved = qmath.expm_i(flipped_and_true, t_star) @ psi0[..., None]
+        p_flip = np.abs(np.sum(flipped_state.conj() * evolved, axis=(-2, -1))) ** 2
+        outcome_flip = np.array([rng.random() for rng in rngs]) < p_flip
+        rounds.append((i, j, t_star, p_flip, outcome_flip, np.where(outcome_flip, i, j)))
+        i = np.where(outcome_flip, j, i)
+    return i, rounds
 
 
 EliminateRow = NamedTuple("EliminateRow", [
@@ -564,16 +564,23 @@ def eliminate_sweep(n_hypotheses: int, dim: int, trials: int, seed: int) -> list
     draws from `qmath.spawned_rngs(seed, trials)`: n_hypotheses equally likely
     generators of sup norm 2, each (A + A^dag)/2 rescaled with A's real and imaginary
     parts from rng.normal(size=(n_hypotheses, 2, dim, dim)), the true index, and
-    then, from the same generator, the elimination's measurement outcomes."""
-    rows = []
-    for idx, rng in enumerate(qmath.spawned_rngs(seed, trials)):
-        gens = spectral_arc._random_hermitians(n_hypotheses, dim, 2.0, rng)
-        ensemble = HypothesisEnsemble(
-            tuple(Hypothesis(g, NoiseModel(), 1.0 / n_hypotheses) for g in gens)
-        )
-        true_index = int(rng.integers(n_hypotheses))
-        identified, count, _ = adaptive_eliminate(ensemble, true_index, rng)
-        rows.append(EliminateRow(idx, true_index, identified, count, int(identified == true_index)))
+    then, from the same generator, the elimination's measurement outcomes. The
+    trials run through `_eliminate_block` in blocks of at most
+    _ARC_BLOCK_ELEMS // (n_hypotheses * dim^2) trials, at least one."""
+    if n_hypotheses < 2:
+        raise ValueError("an ensemble needs at least two hypotheses")
+    rows, rngs = [], qmath.spawned_rngs(seed, trials)
+    block = max(1, spectral_arc._ARC_BLOCK_ELEMS // max(1, n_hypotheses * dim * dim))
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        gens = np.empty((size, n_hypotheses, dim, dim), dtype=complex)
+        true_index, block_rngs = np.empty(size, dtype=int), [next(rngs) for _ in range(size)]
+        for b, rng in enumerate(block_rngs):
+            spectral_arc._random_hermitians(2.0, rng, gens[b])
+            true_index[b] = rng.integers(n_hypotheses)
+        identified, rounds = _eliminate_block(gens, true_index, block_rngs)
+        for idx, (true_i, found) in enumerate(zip(true_index.tolist(), identified.tolist()), start):
+            rows.append(EliminateRow(idx, true_i, found, len(rounds), int(found == true_i)))
     return rows
 
 

@@ -116,14 +116,16 @@ def herm_eig(M):
     return w, V
 
 
-def expm_i(H, t: float) -> np.ndarray:
-    """exp(-i t H) for each Hermitian H of a stack, exact on the eigenbasis."""
+def expm_i(H, t) -> np.ndarray:
+    """exp(-i t H) for each Hermitian H of a stack, exact on the eigenbasis; t is
+    one time, or an array of the stack's shape (...) with one time per matrix."""
     return _eig_expm_i(*herm_eig(H), t)
 
 
-def _eig_expm_i(w, V, t: float) -> np.ndarray:
+def _eig_expm_i(w, V, t) -> np.ndarray:
     """exp(-i t H) rebuilt from H's eigendecomposition (w, V) as `herm_eig` returns it."""
-    return (V * np.exp(-1j * t * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    phases = np.exp(-1j * np.asarray(t)[..., None] * w)
+    return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def _folded_args(lam: np.ndarray):

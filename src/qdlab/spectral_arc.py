@@ -163,11 +163,11 @@ def _hermitian_stack(g: np.ndarray, sup):
 _ARC_BLOCK_ELEMS = 1 << 15
 
 
-def _random_hermitians(count: int, dim: int, sup: float, rng: np.random.Generator):
-    """`count` Gaussian Hermitian matrices of sup norm `sup`, matrix k built from the
-    k-th (2, dim, dim) block of normals that rng draws, with one rng.normal call per
-    stack of at most _ARC_BLOCK_ELEMS elements."""
-    out = np.empty((count, dim, dim), dtype=complex)
+def _random_hermitians(sup: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the (count, dim, dim) array `out` with Gaussian Hermitian matrices of sup
+    norm `sup`, matrix k built from the k-th (2, dim, dim) block of normals that rng
+    draws, with one rng.normal call per stack of at most _ARC_BLOCK_ELEMS elements."""
+    count, dim = out.shape[:2]
     chunk = max(1, _ARC_BLOCK_ELEMS // max(1, dim * dim))
     for start in range(0, count, chunk):
         g = rng.normal(size=(min(chunk, count - start), 2, dim, dim))
@@ -177,7 +177,7 @@ def _random_hermitians(count: int, dim: int, sup: float, rng: np.random.Generato
 
 def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to the requested sup norm."""
-    return _random_hermitians(1, dim, sup, rng)[0]
+    return _random_hermitians(sup, rng, np.empty((1, dim, dim), dtype=complex))[0]
 
 
 def _generator_blocks(dim: int, count: int, seed: int, *sup_rules):

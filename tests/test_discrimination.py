@@ -488,6 +488,24 @@ class TestCancellation:
         with pytest.raises(NoDiscriminationError):
             disc.cancellation_strategy(H, H.copy())
 
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+    def test_stack_equals_one_pair_at_a_time(self, rng, shape):
+        H1, H2 = (np.array([random_hermitian(rng, 3) for _ in range(math.prod(shape))])
+                  .reshape(*shape, 3, 3) for _ in range(2))
+        drive, psi0, t_star = disc.cancellation_strategy(H1, H2)
+        assert drive.shape == H1.shape and psi0.shape == (*shape, 3) and t_star.shape == shape
+        for k in np.ndindex(shape):
+            want_drive, want_psi0, want_t = disc.cancellation_strategy(H1[k], H2[k])
+            assert np.array_equal(drive[k], want_drive) and np.array_equal(psi0[k], want_psi0)
+            assert t_star[k] == want_t
+
+    def test_one_coinciding_pair_rejects_the_stack(self, rng):
+        H1 = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        H2 = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        H2[2] = H1[2]
+        with pytest.raises(NoDiscriminationError, match="the two Hamiltonians coincide"):
+            disc.cancellation_strategy(H1, H2)
+
 
 class TestFixedTimeOverlap:
     def test_undriven_closed_form(self, rng):

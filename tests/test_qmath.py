@@ -140,15 +140,17 @@ class TestStackedKernels:
         H = _hermitian_stack(seed, batch, dim, zero_member)
         w, V = qmath.herm_eig(H)
         U = qmath.expm_i(H, t)
+        U_rows = qmath.expm_i(H, t + np.arange(batch))  # one time per matrix
         args = qmath.unitary_args(U)
         norms = qmath.sup_norm(H)
-        assert w.shape == (batch, dim) and V.shape == U.shape == H.shape
+        assert w.shape == (batch, dim) and V.shape == U.shape == U_rows.shape == H.shape
         assert args.shape == (batch, dim) and norms.shape == (batch,)
         for i in range(batch):
             w_i, V_i = qmath.herm_eig(H[i].copy())
             U_i = qmath.expm_i(H[i].copy(), t)
             assert np.array_equal(w[i], w_i) and np.array_equal(V[i], V_i)
             assert np.array_equal(U[i], U_i)
+            assert np.array_equal(U_rows[i], qmath.expm_i(H[i].copy(), t + i))
             assert np.array_equal(args[i], qmath.unitary_args(U_i))
             assert norms[i] == qmath.sup_norm(H[i].copy())
 

@@ -119,16 +119,33 @@ def reference_fixed_time(dim, t, samples, seed, h_norm, k_norm):
     return rows, pairs
 
 
+def reference_adaptive_eliminate(gens, true_index, rng):
+    """Pairwise elimination one trial and one round at a time: (identified,
+    measurements, transcript) as adaptive_eliminate returns them."""
+    alive, transcript = list(range(len(gens))), []
+    while len(alive) > 1:
+        i, j = alive[0], alive[1]
+        drive, psi0, t_star = disc.cancellation_strategy(gens[j], gens[i])
+        flipped_state = qmath.expm_i(gens[j] + drive, t_star) @ psi0
+        evolved = qmath.expm_i(gens[true_index] + drive, t_star) @ psi0
+        p_flip = float(np.abs(np.vdot(flipped_state, evolved)) ** 2)
+        outcome_flip = bool(rng.random() < p_flip)
+        eliminated = i if outcome_flip else j
+        alive.remove(eliminated)
+        transcript.append({"pair": (i, j), "t_star": float(t_star), "p_flip": p_flip,
+                           "outcome_flip": outcome_flip, "eliminated": eliminated})
+    return alive[0], len(transcript), transcript
+
+
 def reference_eliminate(n, dim, trials, seed):
-    """eliminate_sweep one generator at a time: its rows and each trial's generators."""
+    """eliminate_sweep one generator and one trial at a time: its rows and each
+    trial's generators."""
     rows, ensembles = [], []
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
         gens = [reference_random_hermitian(dim, 2.0, rng) for _ in range(n)]
-        ensemble = disc.HypothesisEnsemble(
-            tuple(disc.Hypothesis(g, NoiseModel(), 1.0 / n) for g in gens))
         true_index = int(rng.integers(n))
-        found, count, _ = disc.adaptive_eliminate(ensemble, true_index, rng)
+        found, count, _ = reference_adaptive_eliminate(gens, true_index, rng)
         rows.append(disc.EliminateRow(idx, true_index, found, count, int(found == true_index)))
         ensembles.append(gens)
     return rows, ensembles
@@ -456,16 +473,22 @@ class TestStackedGeneratorDraws:
         return rows, pairs[::2]
 
     @staticmethod
-    def record_ensembles(monkeypatch):
-        """A list that collects the generators of each adaptive_eliminate call."""
-        run, ensembles = disc.adaptive_eliminate, []
+    def record_blocks(monkeypatch):
+        """A list that collects the (generators, true indices, generators of the
+        outcomes) of each _eliminate_block call."""
+        run, blocks = disc._eliminate_block, []
 
-        def spied(ensemble, *rest):
-            ensembles.append([h.generator for h in ensemble.hypotheses])
-            return run(ensemble, *rest)
+        def spied(gens, true_index, rngs):
+            blocks.append((gens.copy(), true_index.copy(), list(rngs)))
+            return run(gens, true_index, rngs)
 
-        monkeypatch.setattr(disc, "adaptive_eliminate", spied)
-        return ensembles
+        monkeypatch.setattr(disc, "_eliminate_block", spied)
+        return blocks
+
+    @staticmethod
+    def trial_generators(blocks):
+        """Each trial's (n, d, d) generators, in trial order, from the recorded blocks."""
+        return [gens for block, _, _ in blocks for gens in block]
 
     @pytest.mark.parametrize("norms", [(1.5, 5.0), (0.0, 5.0), (1.5, 0.0), (0.0, 0.0)])
     @pytest.mark.parametrize("budget", [None, 20])  # 20: blocks of 20, 5 and 1 samples
@@ -489,16 +512,56 @@ class TestStackedGeneratorDraws:
         if budget:
             monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
         with monkeypatch.context() as m:
-            ensembles = self.record_ensembles(m)
+            blocks = self.record_blocks(m)
             rows = disc.eliminate_sweep(23, dim, 4, 11)
         want_rows, want_ensembles = reference_eliminate(23, dim, 4, 11)
         assert rows == want_rows
-        for gens, want in zip(ensembles, want_ensembles, strict=True):
+        for gens, want in zip(self.trial_generators(blocks), want_ensembles, strict=True):
             assert len(gens) == len(want) == 23
             assert all(np.array_equal(g, w) for g, w in zip(gens, want))
 
+    # Trials per block: all 7 in one, one each, and 3, 3 and a ragged last 1.
+    @pytest.mark.parametrize("per_block, sizes", [(None, [7]), (1, [1] * 7), (3, [3, 3, 1])])
+    @pytest.mark.parametrize("n, dim", [(2, 2), (5, 3), (9, 4), (23, 2)])
+    def test_eliminate_blocks_equal_reference_loop(self, n, dim, per_block, sizes, monkeypatch):
+        if per_block:
+            monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", per_block * n * dim * dim)
+        for seed in (0, 3, 11):
+            with monkeypatch.context() as m:
+                blocks = self.record_blocks(m)
+                rows = disc.eliminate_sweep(n, dim, 7, seed)
+            want_rows, want_ensembles = reference_eliminate(n, dim, 7, seed)
+            assert rows == want_rows
+            assert [len(gens) for gens, _, _ in blocks] == sizes
+            assert [t for _, true_index, _ in blocks for t in true_index] == [
+                r.true_index for r in want_rows]
+            for gens, want in zip(self.trial_generators(blocks), want_ensembles, strict=True):
+                assert all(np.array_equal(g, w) for g, w in zip(gens, want, strict=True))
+
+    @pytest.mark.parametrize("n, dim", [(2, 2), (5, 3), (9, 4), (23, 2)])
+    def test_adaptive_eliminate_transcript_equals_reference(self, n, dim):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            gens = [arc.random_hermitian(dim, 2.0, rng) for _ in range(n)]
+            ensemble = disc.HypothesisEnsemble(
+                tuple(disc.Hypothesis(g, NoiseModel(), 1.0 / n) for g in gens))
+            for true_index in sorted({0, n // 2, n - 1}):
+                found, count, transcript = disc.adaptive_eliminate(ensemble, true_index, seed)
+                want_found, want_count, want = reference_adaptive_eliminate(
+                    gens, true_index, np.random.default_rng(seed))
+                assert (found, count) == (want_found, want_count) == (true_index, n - 1)
+                for got, ref in zip(transcript, want, strict=True):
+                    assert got.keys() == ref.keys()
+                    for key in ("pair", "eliminated", "outcome_flip"):
+                        assert got[key] == ref[key]
+                    assert type(got["outcome_flip"]) is bool
+                    assert all(type(v) is int for v in (*got["pair"], got["eliminated"]))
+                    for key in ("t_star", "p_flip"):
+                        assert type(got[key]) is float
+                        assert got[key] == pytest.approx(ref[key], rel=0.0, abs=1e-12)
+
     def test_eliminate_trial_draws_its_outcomes_from_its_own_generator(self, monkeypatch):
-        spawn, run = qmath.spawned_rngs, disc.adaptive_eliminate
+        spawn, run = qmath.spawned_rngs, disc._eliminate_block
         yielded, passed = [], []
 
         def spied_spawn(seed, count):
@@ -506,12 +569,12 @@ class TestStackedGeneratorDraws:
                 yielded.append(rng)
                 yield rng
 
-        def spied_run(ensemble, true_index, rng_seed):
-            passed.append(rng_seed)
-            return run(ensemble, true_index, rng_seed)
+        def spied_run(gens, true_index, rngs):
+            passed.extend(rngs)
+            return run(gens, true_index, rngs)
 
         monkeypatch.setattr(qmath, "spawned_rngs", spied_spawn)
-        monkeypatch.setattr(disc, "adaptive_eliminate", spied_run)
+        monkeypatch.setattr(disc, "_eliminate_block", spied_run)
         rows = disc.eliminate_sweep(5, 3, 4, 11)
         assert len(rows) == len(yielded) == len(passed) == 4
         for rng, trial_rng in zip(passed, yielded):
@@ -521,17 +584,20 @@ class TestStackedGeneratorDraws:
     def test_eliminate_draws_equal_reference_at_dim_1(self, budget, monkeypatch):
         if budget:
             monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
-        # A 1 x 1 pair has no spectral gap, so the first round refuses the ensemble.
+        # A 1 x 1 pair has no spectral gap, so the first round refuses the block.
         with monkeypatch.context() as m:
-            ensembles = self.record_ensembles(m)
+            blocks = self.record_blocks(m)
             with pytest.raises(NoDiscriminationError):
                 disc.eliminate_sweep(5, 1, 3, 11)
         with pytest.raises(NoDiscriminationError):
             reference_eliminate(5, 1, 3, 11)
-        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(3)[0])
-        want = [reference_random_hermitian(1, 2.0, rng) for _ in range(5)]
-        assert len(ensembles) == 1
-        assert all(np.array_equal(g, w) for g, w in zip(ensembles[0], want, strict=True))
+        # The first block holds all 3 trials by default, and 1 trial under budget 2.
+        assert [len(gens) for gens, _, _ in blocks] == [1 if budget else 3]
+        children = np.random.SeedSequence(11).spawn(3)
+        for gens, child in zip(self.trial_generators(blocks), children):
+            rng = np.random.default_rng(child)
+            want = [reference_random_hermitian(1, 2.0, rng) for _ in range(5)]
+            assert all(np.array_equal(g, w) for g, w in zip(gens, want, strict=True))
 
     def test_fixed_time_stacks_within_the_element_budget(self, monkeypatch):
         budget = 20  # blocks of 5 samples at d = 2
@@ -547,16 +613,19 @@ class TestStackedGeneratorDraws:
             rescales + [4] * (4 * 23))
         assert len(rows) == 23
 
-    def test_eliminate_stacks_within_the_element_budget(self, monkeypatch):
-        budget = 20  # stacks of 5 generators at d = 2
+    # 20: blocks of 1 trial, stacks of 5 and 2 generators; 56: blocks of 2 and 1 trials.
+    @pytest.mark.parametrize("budget, want", [
+        (20, [20, 8] * 3 + [4, 8] * (3 * 6)),
+        (56, [28] * 3 + [8, 16] * 6 + [4, 8] * 6)])
+    def test_eliminate_stacks_within_the_element_budget(self, budget, want, monkeypatch):
         monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
         calls = spy_kernels(monkeypatch)
         rows = disc.eliminate_sweep(7, 2, 3, 5)
         assert max(size for _, size in calls) <= budget
-        # Per trial: the rescales of 5 and 2 generators, then per elimination
-        # round one herm_eig of the pair's difference and two expm_i.
-        assert sorted(s for name, s in calls if name == "herm_eig") == sorted(
-            [20, 8] * 3 + [4] * (3 * 6 * 3))
+        # Per trial the rescales of its 7 generators, then per block and elimination
+        # round one herm_eig of the pairs' differences and one expm_i of the stacked
+        # flipped and true generators, two per trial.
+        assert sorted(s for name, s in calls if name == "herm_eig") == sorted(want)
         assert len(rows) == 3
 
     def test_eliminate_trial_holds_its_generators_and_a_few_stacks(self):
@@ -571,6 +640,23 @@ class TestStackedGeneratorDraws:
         stack_bytes = arc._ARC_BLOCK_ELEMS * 16
         # One rescale of all 256 generators would hold several copies of them.
         assert peak - n * dim * dim * 16 <= 5 * stack_bytes
+
+    def test_eliminate_memory_stays_flat_however_many_trials_run(self):
+        disc.eliminate_sweep(5, 3, 2, 0)  # so that one-time set-up is not counted
+        tracemalloc.start()
+        try:
+            rows = disc.eliminate_sweep(5, 3, 20000, 1)
+            rows_bytes, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20000
+        # What stays is the rows: per trial a list slot, a 5-tuple and its trial
+        # number, 125 bytes. A Generator object alone takes about 790 bytes.
+        assert rows_bytes <= 150 * len(rows)
+        # A block of 728 trials holds its generators (one stack), their Generator
+        # objects (about one more) and a round's stacks: 5.0 stacks in all at
+        # numpy 2.4. Holding every trial's Generator would take 15 MiB, 30 stacks.
+        assert peak - rows_bytes <= 6 * arc._ARC_BLOCK_ELEMS * 16
 
 
 class TestSupNormRanges:
