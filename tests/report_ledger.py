@@ -35,6 +35,9 @@ RUNS = [
      {"ratio_min": 0.05, "ratio_max": 2.0, "points": 6, "grid": 512}, (7,), ("csv",)),
     ("figure1-refine-grid64", "figure1",
      {"ratio_min": 0.1, "ratio_max": 0.5, "points": 5, "grid": 64}, (7,), ("csv",)),
+    # Ratios from e^{-gamma t} near 1 to values below the scan's stopping margin.
+    ("figure1-wide", "figure1",
+     {"ratio_min": 1e-4, "ratio_max": 1e4, "points": 13, "grid": 256}, (7,), ("csv",)),
     ("bench-theorem-check", "theorem-check", {"trials": 250}, (7,), ("csv",)),
     ("bench-fixed-time", "fixed-time", {"samples": 125}, (7,), ("csv",)),
 ]
