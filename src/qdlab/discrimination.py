@@ -93,6 +93,9 @@ class DiscriminationResult:
 
 # Times per objective call in the grid pre-scan (one grid point at least).
 _SCAN_ELEMS = 4096
+# How far a row's bound must clear its best grid value to stop the pre-scan: far
+# above the rounding of objectives of size 1, whose kernels round below 1e-15.
+_SCAN_MARGIN = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -148,7 +151,7 @@ def _golden_tree(a, b, c, d, lower, depth):
     return np.concatenate(points)
 
 
-def grid_golden_minimize(fn, t_max, grid_points: int = 2048):
+def grid_golden_minimize(fn, t_max, grid_points: int = 2048, *, bound):
     """Minimize smooth functions of t on (0, t_max], for every row of a batch.
 
     The batch has the shape of `t_max`; `fn` maps times whose trailing axes
@@ -158,6 +161,13 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048):
     brackets each row's global minimum (guarding against the wrong lobe of
     an oscillatory objective); golden-section then refines every row to
     1e-9 relative accuracy in t. Returns (t, fn(t)).
+
+    `bound` maps batch-shaped times t to a lower bound on each row's `fn` at
+    every time >= t, nondecreasing in t (`lambda t: -np.inf` never stops the
+    scan). Before each block after the first, the scan stops if every row's
+    bound at the block's first time exceeds its best grid value by more than
+    _SCAN_MARGIN: no later grid time could then replace that value, so the
+    bracket is the one the full scan finds.
     """
     t_max = np.asarray(t_max, dtype=float)
     if not np.all((t_max > 0) & np.isfinite(t_max)):
@@ -167,6 +177,8 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048):
     best, k_best = np.full(t_max.shape, np.inf), np.ones(t_max.shape)
     block = max(1, _SCAN_ELEMS // max(1, t_max.size))
     for k0 in range(1, grid_points + 1, block):
+        if k0 > 1 and np.all(bound(t_max * k0 / grid_points) > best + _SCAN_MARGIN):
+            break
         ks = np.arange(k0, min(k0 + block, grid_points + 1), dtype=float)
         vals = np.asarray(fn(t_max * ks.reshape((-1,) + (1,) * t_max.ndim) / grid_points))
         j = np.argmin(vals, axis=0)

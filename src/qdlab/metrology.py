@@ -195,17 +195,21 @@ def _sin_theta(entangled, omega_t):
     return np.where(entangled, s, s * np.sqrt(1.0 + np.square(np.cos(half))))
 
 
-def _error_probability(entangled, gamma, omega, t):
-    return 0.5 - 0.5 * np.exp(-gamma * t) * _sin_theta(entangled, omega * t)
+# Each objective as a function of e = e^{-gamma t} and s = |sin theta(t)|.
+def _error_probability(e, s):
+    return 0.5 - 0.5 * e * s
 
 
-def _measurement_info(entangled, gamma, omega, t):
-    e = np.exp(-gamma * t)
-    return two_outcome_gain((1.0 + e) / 4.0, 2.0 * e * _sin_theta(entangled, omega * t) / (1.0 + e))
+def _measurement_info(e, s):
+    return two_outcome_gain((1.0 + e) / 4.0, 2.0 * e * s / (1.0 + e))
 
 
-def _binary_info(entangled, gamma, omega, t):
-    return two_outcome_gain(0.5, np.exp(-gamma * t) * _sin_theta(entangled, omega * t))
+def _binary_info(e, s):
+    return two_outcome_gain(0.5, e * s)
+
+
+def _fig1_kernel(objective, entangled, gamma, omega, t):
+    return objective(np.exp(-gamma * t), _sin_theta(entangled, omega * t))
 
 
 def fig1_sin_theta(strategy, omega_t):
@@ -216,7 +220,8 @@ def fig1_sin_theta(strategy, omega_t):
 
 def fig1_error_probability(strategy, gamma, omega: float, t):
     """Minimum-error probability 1/2 - 1/2 e^{-gamma t} |sin theta|."""
-    return _error_probability(_entangled(strategy), gamma, omega, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    return _fig1_kernel(_error_probability, _entangled(strategy), gamma, omega, t)
 
 
 def fig1_measurement_info(strategy, gamma, omega: float, t):
@@ -232,13 +237,15 @@ def fig1_measurement_info(strategy, gamma, omega: float, t):
     same terms to H(Y) and H(Y|X), so I = H(Y) - H(Y|X) is the two-outcome
     gain of m and u.
     """
-    return _measurement_info(_entangled(strategy), gamma, omega, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    return _fig1_kernel(_measurement_info, _entangled(strategy), gamma, omega, t)
 
 
 def fig1_binary_info(strategy, gamma, omega: float, t):
     """1 - H2(p_error): the symmetric binary-channel reading of the gain, the
     two-outcome gain of m = 1/2 and u = e^{-gamma t} |sin theta|."""
-    return _binary_info(_entangled(strategy), gamma, omega, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    return _fig1_kernel(_binary_info, _entangled(strategy), gamma, omega, t)
 
 
 class Figure1Point(NamedTuple):
@@ -275,9 +282,11 @@ def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
     # s = |sin theta(t)| and e = e^{-gamma t} (a smaller e only mixes in uniform,
     # hypothesis-independent noise), s has period pi or 2 pi, so the optimum is
     # in (0, 2 pi]; and s(t) <= t, so t = 1 / gamma beats every t past 10 / gamma.
+    # For the same reason the objective at s = 1 bounds every later time.
     t_max = 10.0 / np.maximum(gamma, 2.5 / math.pi)
     t, value = grid_golden_minimize(
-        lambda t: sign * objective(entangled, gamma, 1.0, t), t_max, grid_points=grid
+        lambda t: sign * _fig1_kernel(objective, entangled, gamma, 1.0, t), t_max,
+        grid_points=grid, bound=lambda t: sign * objective(np.exp(-gamma * t), 1.0),
     )
     return t, sign * value
 

@@ -242,7 +242,8 @@ class TestGridGoldenMinimize:
             sizes.append(t.size)
             return (t - centers) ** 2
 
-        t, _ = disc.grid_golden_minimize(fn, 10.0 * np.ones(400), grid_points=2048)
+        t, _ = disc.grid_golden_minimize(fn, 10.0 * np.ones(400), grid_points=2048,
+                                      bound=lambda t: -np.inf)
         assert max(sizes) <= disc._SCAN_ELEMS
         np.testing.assert_allclose(t, centers, rtol=1e-6)
 
@@ -253,7 +254,7 @@ class TestGridGoldenMinimize:
             shapes.append(np.shape(t))
             return (t - 1.0) ** 2
 
-        t, _ = disc.grid_golden_minimize(fn, 3.0, grid_points=64)
+        t, _ = disc.grid_golden_minimize(fn, 3.0, grid_points=64, bound=lambda t: -np.inf)
         assert shapes[0] == (64,)
         assert set(shapes[1:]) == {()}
         assert t == pytest.approx(1.0, abs=1e-8)
@@ -262,7 +263,8 @@ class TestGridGoldenMinimize:
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan, [1.0, math.inf]])
     def test_refuses_a_window_that_is_not_positive_and_finite(self, t_max):
         with pytest.raises(ValueError, match="positive and finite"):
-            disc.grid_golden_minimize(lambda t: (t - 1.0) ** 2, t_max, grid_points=8)
+            disc.grid_golden_minimize(lambda t: (t - 1.0) ** 2, t_max, grid_points=8,
+                                      bound=lambda t: -np.inf)
 
 
 class TestOptimalTime:
@@ -281,7 +283,8 @@ class TestOptimalTime:
         assert t == pytest.approx(math.pi / (2 * omega), abs=1e-12)
         # Cross-check: it maximizes exp(-gamma t) sin(omega t / 2).
         t_num, _ = disc.grid_golden_minimize(
-            lambda s: -(np.exp(-gamma * s) * np.sin(omega * s / 2)), 2 * math.pi / omega
+            lambda s: -(np.exp(-gamma * s) * np.sin(omega * s / 2)), 2 * math.pi / omega,
+            bound=lambda t: -np.inf,
         )
         assert t == pytest.approx(t_num, abs=1e-6)
 

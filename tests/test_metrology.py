@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import math
 
 import mpmath
@@ -5,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdlab import dynamics, metrology as met, qmath
+import report_ledger
+from qdlab import cli, discrimination as disc, dynamics, metrology as met, qmath
 from qdlab.dynamics import FieldHamiltonian, NoiseKind, NoiseModel
 from qdlab.errors import UnsupportedModelError
 from qdlab.metrology import Strategy, StrategyKind
@@ -400,9 +403,9 @@ class TestFigureOneCurve:
 
     # (search-path kernel, public name-based function) for each gain.
     KERNELS = [
-        (met._measurement_info, met.fig1_measurement_info),
-        (met._binary_info, met.fig1_binary_info),
-        (met._error_probability, met.fig1_error_probability),
+        (functools.partial(met._fig1_kernel, met._measurement_info), met.fig1_measurement_info),
+        (functools.partial(met._fig1_kernel, met._binary_info), met.fig1_binary_info),
+        (functools.partial(met._fig1_kernel, met._error_probability), met.fig1_error_probability),
     ]
 
     @staticmethod
@@ -457,3 +460,144 @@ class TestFigureOneCurve:
         searches = self.count_calls(monkeypatch, "grid_golden_minimize")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
         assert len(checks) == len(searches) > 6
+
+
+class TestBoundedScan:
+    """The figure1 pre-scan stops once the decay envelope rules out every later
+    grid time; it must bracket the same optimum as the scan of the whole grid."""
+
+    # (objective of (e, s), sign) for each column family, as figure1_points searches them.
+    COLUMNS = [(met._measurement_info, -1.0), (met._binary_info, -1.0),
+               (met._error_probability, 1.0)]
+    # From the least positive double up; the window is 10 / gamma above 2.5 / pi.
+    RATIOS = [5e-324, 1e-300, *np.geomspace(1e-12, 1e12, 25), 1e100, 1e300]
+    # log10-ratio spans of batches: e^{-gamma t} near 1, the peak, the 10 / gamma
+    # window, and objective values below the stopping margin.
+    SPANS = [(-324.0, -320.0), (-12.0, -9.0), (-3.0, 0.0), (-1.0, 1.0), (0.0, 3.0),
+             (9.0, 12.0), (297.0, 300.0)]
+    FIGURE1_RUNS = [pytest.param(overrides, id=label)
+                    for label, experiment, overrides, *_ in report_ledger.RUNS
+                    if experiment == "figure1"]
+
+    @staticmethod
+    def ratio_sets(exponents):
+        return np.clip(10.0 ** np.asarray(exponents), 5e-324, 1e300)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def full_scan():
+        """Let figure1's searches scan every grid time: a bound of -inf."""
+        search = met.grid_golden_minimize
+
+        def unbounded(fn, t_max, grid_points, *, bound):
+            return search(fn, t_max, grid_points, bound=lambda t: -np.inf)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(met, "grid_golden_minimize", unbounded)
+            yield
+
+    @staticmethod
+    def count_objective_calls(run):
+        """run()'s result, with a spy on figure1's searches that counts the times
+        the pre-scans evaluate (calls with a grid axis) and the other calls,
+        on batch-shaped times."""
+        counts = {"scan_times": 0, "golden_steps": 0}
+        search = met.grid_golden_minimize
+
+        def spy(fn, t_max, grid_points, *, bound):
+            def objective(t):
+                if np.ndim(t) > np.ndim(t_max):
+                    counts["scan_times"] += np.size(t)
+                else:
+                    counts["golden_steps"] += 1
+                return fn(t)
+
+            return search(objective, t_max, grid_points, bound=bound)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(met, "grid_golden_minimize", spy)
+            return run(), counts
+
+    def bounded_and_full_scan(self, run):
+        """Counts of run() with the bounded and the full scan, whose results
+        and golden steps must be equal."""
+        bounded, counts = self.count_objective_calls(run)
+        with self.full_scan():
+            full, full_counts = self.count_objective_calls(run)
+        assert bounded == full
+        assert counts["golden_steps"] == full_counts["golden_steps"]
+        return counts, full_counts
+
+    @pytest.mark.parametrize("grid", [16, 64, 256, 2048, 8192])
+    def test_rows_equal_the_full_scan(self, grid):
+        # A pre-scan block holds about _SCAN_ELEMS times, so a batch of n rows
+        # checks the bound on grid * n / _SCAN_ELEMS blocks; take about 16 of them.
+        n = max(1, 16 * disc._SCAN_ELEMS // grid)
+        batches = [self.ratio_sets(np.linspace(lo, hi, n)) for lo, hi in self.SPANS]
+        counts, full = self.bounded_and_full_scan(
+            lambda: [[met.figure1_point(r, grid) for r in self.RATIOS],
+                     *(met.figure1_points(ratios, grid) for ratios in batches)])
+        assert counts["scan_times"] < full["scan_times"]
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(
+        center=st.floats(-323.0, 300.0),
+        width=st.floats(0.0, 3.0),
+        rows=st.sampled_from([1, 8, 32, 128]),
+        offsets=st.lists(st.floats(-3.0, 3.0), max_size=6),
+        grid=st.sampled_from([16, 128, 1024, 8192]),
+    )
+    def test_random_ratio_sets_equal_the_full_scan(self, center, width, rows, offsets, grid):
+        ratios = self.ratio_sets(np.concatenate([np.linspace(center, center + width, rows),
+                                                 center + np.array(offsets)]))
+        self.bounded_and_full_scan(lambda: met.figure1_points(ratios, grid))
+
+    @pytest.mark.parametrize("overrides", FIGURE1_RUNS)
+    def test_ledger_runs_and_their_refinements_equal_the_full_scan(self, overrides):
+        experiment = cli.EXPERIMENTS["figure1"]
+        params = cli._merge_params(experiment, overrides)
+        self.bounded_and_full_scan(lambda: experiment.runner(params, 7)[1])
+
+    def test_a_25_ratio_curve_scans_a_third_of_the_grid_times(self):
+        counts, full = self.bounded_and_full_scan(
+            lambda: met.figure1_curve(np.geomspace(0.01, 10.0, 25)))
+        assert full == {"scan_times": 647_168, "golden_steps": 922}
+        assert counts == {"scan_times": 232_666, "golden_steps": 922}
+
+    @staticmethod
+    def search_arguments(objective, strategy, ratios, sign):
+        """(fn, t_max, bound) of the one search _fig1_optimize makes."""
+        seen = []
+
+        def record(fn, t_max, grid_points, *, bound):
+            seen.append((fn, t_max, bound))
+            return t_max, t_max
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(met, "grid_golden_minimize", record)
+            met._fig1_optimize(objective, strategy, ratios, 64, sign)
+        (arguments,) = seen
+        return arguments
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        exponents=st.lists(st.floats(-323.0, 300.0), min_size=1, max_size=4),
+        probes=st.sampled_from(["entangled", "product", "mixed"]),
+        fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=16),
+    )
+    def test_each_objective_is_at_least_its_nondecreasing_envelope(self, exponents, probes,
+                                                                     fractions):
+        ratios = self.ratio_sets(exponents)
+        strategy = [met.ENTANGLED, met.PRODUCT] if probes == "mixed" else probes
+        if probes == "mixed":  # the refinement's batch: (ratio, probe) rows
+            ratios = ratios[:, None]
+        # Grid times and drawn ones, in increasing order along the leading axis.
+        fractions = np.sort(np.concatenate([np.arange(1, 257) / 256, fractions]))
+        for objective, sign in self.COLUMNS:
+            fn, t_max, bound = self.search_arguments(objective, strategy, ratios, sign)
+            t = t_max * fractions.reshape((-1,) + (1,) * t_max.ndim)
+            values, envelope = fn(t), bound(t)
+            assert values.shape == envelope.shape == t.shape
+            # Up to rounding, far below grid_golden_minimize's stopping margin.
+            assert np.all(values >= envelope - 1e-15)
+            assert np.all(np.diff(envelope, axis=0) >= 0)
