@@ -110,7 +110,7 @@ def golden_minimize(fn, a, b, rel_tol: float, lookahead: int = 1):
     would take. With lookahead k > 1, the two starting points share one `fn`
     call, and one call per k steps evaluates the 2^k - 1 points those steps
     can probe (see _golden_tree), so `fn` must also take a leading node axis;
-    the path is the same. Returns (x, fn(x)) at the bracket midpoints.
+    the path is the same. Returns the bracket midpoints x.
     """
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
     c = np.array(b - _INVPHI * (b - a))
@@ -132,8 +132,7 @@ def golden_minimize(fn, a, b, rel_tol: float, lookahead: int = 1):
                  else np.asarray(fn(np.where(lower, c, d))))
         fc[lower] = f_new[lower]
         fd[upper] = f_new[upper]
-    x = (a + b) / 2
-    return x, fn(x)
+    return (a + b) / 2
 
 
 def _golden_tree(a, b, c, d, lower, depth):
@@ -188,7 +187,8 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048, *, bound):
     # Bracket by the grid neighbours; below the first point, by half of it.
     lo = t_max * np.maximum(k_best - 1, 0.5) / grid_points
     hi = t_max * np.minimum(k_best + 1, grid_points) / grid_points
-    return golden_minimize(fn, lo, hi, 1e-9)
+    t = golden_minimize(fn, lo, hi, 1e-9)
+    return t, fn(t)
 
 
 # ---------------------------------------------------------------------------

@@ -360,5 +360,5 @@ def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
         _, info = _fig1_optimize(_measurement_info, [ENTANGLED, PRODUCT], ratios, grid, -1)
         return info[..., 1] - info[..., 0]
 
-    x, _ = golden_minimize(neg_delta, math.log(lo), math.log(hi), 1e-7, REFINE_LOOKAHEAD)
+    x = golden_minimize(neg_delta, math.log(lo), math.log(hi), 1e-7, REFINE_LOOKAHEAD)
     return figure1_point(math.exp(x), grid)

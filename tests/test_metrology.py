@@ -498,13 +498,15 @@ class TestBoundedScan:
 
     @staticmethod
     def count_objective_calls(run):
-        """run()'s result, with a spy on figure1's searches that counts the times
-        the pre-scans evaluate (calls with a grid axis) and the other calls,
-        on batch-shaped times."""
-        counts = {"scan_times": 0, "golden_steps": 0}
+        """run()'s result, with a spy on figure1's searches that counts them, the
+        times their pre-scans evaluate (calls with a grid axis) and their other
+        calls, on batch-shaped times."""
+        counts = {"searches": 0, "scan_times": 0, "golden_steps": 0}
         search = met.grid_golden_minimize
 
         def spy(fn, t_max, grid_points, *, bound):
+            counts["searches"] += 1
+
             def objective(t):
                 if np.ndim(t) > np.ndim(t_max):
                     counts["scan_times"] += np.size(t)
@@ -525,6 +527,7 @@ class TestBoundedScan:
         with self.full_scan():
             full, full_counts = self.count_objective_calls(run)
         assert bounded == full
+        assert counts["searches"] == full_counts["searches"]
         assert counts["golden_steps"] == full_counts["golden_steps"]
         return counts, full_counts
 
@@ -561,8 +564,8 @@ class TestBoundedScan:
     def test_a_25_ratio_curve_scans_a_third_of_the_grid_times(self):
         counts, full = self.bounded_and_full_scan(
             lambda: met.figure1_curve(np.geomspace(0.01, 10.0, 25)))
-        assert full == {"scan_times": 647_168, "golden_steps": 922}
-        assert counts == {"scan_times": 232_666, "golden_steps": 922}
+        assert full == {"searches": 24, "scan_times": 643_072, "golden_steps": 885}
+        assert counts == {"searches": 24, "scan_times": 228_570, "golden_steps": 885}
 
     @staticmethod
     def search_arguments(objective, strategy, ratios, sign):
