@@ -148,9 +148,10 @@ def multi_qubit_prepare(cfg: PhaseConfig) -> np.ndarray:
 
 def dft_measurement_distribution(cfg: PhaseConfig) -> np.ndarray:
     """|amplitudes|^2 after projecting the product state onto the phase
-    basis; equals exact_distribution."""
+    basis; equals exact_distribution. The amplitudes F^dagger psi of
+    dft_matrix's F are fft(psi) / sqrt(N), without building the N x N matrix."""
     psi = multi_qubit_prepare(cfg)
-    amps = dft_matrix(2**cfg.n).conj().T @ psi
+    amps = np.fft.fft(psi) / math.sqrt(psi.size)  # numpy loads numpy.fft on first use
     return np.abs(amps) ** 2
 
 

@@ -853,3 +853,9 @@ class TestImports:
         code = "import sys, qdlab.cli; assert 'numpy.random' not in sys.modules"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_cli_import_does_not_load_numpy_fft(self):
+        # numpy.fft is needed only by phase_estimation.dft_measurement_distribution.
+        code = "import sys, qdlab.cli; assert 'numpy.fft' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ class TestMultiQubitPrepare:
             np.testing.assert_allclose(
                 pe.dft_measurement_distribution(cfg), pe.exact_distribution(cfg), atol=1e-12
             )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_distribution_equals_the_dft_matrix_form(self, n, rng):
+        for omega in rng.uniform(0, 1, size=3):
+            cfg = pe.PhaseConfig(n=n, omega=float(omega))
+            amps = pe.dft_matrix(2**n).conj().T @ pe.multi_qubit_prepare(cfg)
+            np.testing.assert_allclose(
+                pe.dft_measurement_distribution(cfg), np.abs(amps) ** 2, rtol=0.0, atol=1e-14
+            )
+
+    def test_distribution_at_the_qubit_cap_builds_no_dft_matrix(self):
+        # A 4,096 x 4,096 complex matrix would be 256 MiB.
+        cfg = pe.PhaseConfig(n=pe.MAX_PREPARE_QUBITS, omega=0.3)
+        np.fft.fft(np.ones(2))  # load numpy.fft outside the traced call
+        tracemalloc.start()
+        try:
+            dist = pe.dft_measurement_distribution(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        np.testing.assert_allclose(dist, pe.exact_distribution(cfg), rtol=0.0, atol=1e-12)
 
     def test_adaptive_protocol_matches_product_state_statistics(self):
         cfg = pe.PhaseConfig(n=4, omega=1.0 / 3.0)
