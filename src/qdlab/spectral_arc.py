@@ -241,11 +241,11 @@ def arc_bound_sweep(
     return ArcBoundSweep(holds, worst, ArcBoundCases(*joined))
 
 
-def _recheck_high_precision(H, K, margin: float) -> list[bool]:
-    """Re-verify the candidate violations of the (n, d, d) stacks H and K along
-    an independent numerical path: Pade exponentials, run once per stack, and
-    Schur eigenvalues, one case at a time, instead of eigh/eig. Returns, per
-    case, whether the violation exceeds `margin`."""
+def _recheck_independently(H, K, margin: float) -> list[bool]:
+    """Re-verify the candidate violations of the (n, d, d) stacks H and K in
+    double precision along an independent numerical path: Pade exponentials,
+    run once per stack, and Schur eigenvalues, one case at a time, instead of
+    eigh/eig. Returns, per case, whether the violation exceeds `margin`."""
     import scipy.linalg  # the only use of scipy, so `import qdlab` does not load it
     W = scipy.linalg.expm(1j * K) @ scipy.linalg.expm(-1j * (H + K))
     args = np.array([np.sort(np.angle(np.diag(scipy.linalg.schur(U, output="complex")[0])))
@@ -259,12 +259,12 @@ def counterexample_search(dim: int, trials: int, rng_seed: int) -> ArcBoundCases
     one `arc_bound_sweep` over `trials` pairs, the sup norm of H uniform on
     [pi, 1.5 pi] and that of K on [0.1, 10].
 
-    Every candidate, a case past SEARCH_MARGIN, is re-verified by an independent
-    high-precision recomputation; the confirmed cases are returned as one stack in
-    trial order, possibly empty. Trial i draws from the i-th child of
+    Every candidate, a case past SEARCH_MARGIN, is re-verified by a double-precision
+    recomputation along an independent path; the confirmed cases are returned as
+    one stack in trial order, possibly empty. Trial i draws from the i-th child of
     SeedSequence(rng_seed), so the result depends on the seed alone.
     """
     margin = tolerances.SEARCH_MARGIN
     flagged = arc_bound_sweep(dim, trials, rng_seed, (math.pi, 1.5 * math.pi), (0.1, 10.0),
                               margin).flagged
-    return flagged.select(_recheck_high_precision(flagged.H, flagged.K, margin))
+    return flagged.select(_recheck_independently(flagged.H, flagged.K, margin))

@@ -841,7 +841,7 @@ class TestConfigFuzz:
 
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
-        # scipy is needed only by the spectral-arc high-precision recheck.
+        # scipy is needed only by the spectral-arc independent recheck.
         # jsonschema is not used at all: the experiment registry checks configs.
         code = ("import sys, qdlab.cli; loaded = {'scipy', 'jsonschema'} & set(sys.modules); "
                 "assert not loaded, loaded")

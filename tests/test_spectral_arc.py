@@ -55,7 +55,7 @@ def reference_arc_bound_check(H, K, w_h=None, eig_k=None, tol=tolerances.ARC_CHE
 
 
 def reference_recheck(H, K, margin):
-    """The high-precision recheck of one candidate: Pade exponentials, Schur eigenvalues."""
+    """The independent recheck of one candidate: Pade exponentials, Schur eigenvalues."""
     W = scipy.linalg.expm(1j * K) @ scipy.linalg.expm(-1j * (H + K))
     args_w = np.sort(np.angle(np.diag(scipy.linalg.schur(W, output="complex")[0])))
     U = scipy.linalg.expm(-1j * H)
@@ -443,14 +443,14 @@ class TestOneDiagonalizationPerGenerator:
         cases = arc.arc_bound_sweep(3, 60, 4, (0.5 * math.pi, 1.5 * math.pi), (0.1, 10.0),
                                     -math.inf).flagged
         H, K = (np.stack([getattr(case, side) for case in cases]) for side in "HK")
-        confirmed = arc._recheck_high_precision(H, K, 1e-6)
+        confirmed = arc._recheck_independently(H, K, 1e-6)
         assert confirmed == [reference_recheck(c.H, c.K, 1e-6) for c in cases]
         assert 0 < sum(confirmed) < len(cases)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_empty_stack_rechecks_to_nothing(self, dim):
         empty = np.zeros((0, dim, dim), dtype=complex)
-        assert arc._recheck_high_precision(empty, empty, 1e-6) == []
+        assert arc._recheck_independently(empty, empty, 1e-6) == []
 
 
 class TestStackedGeneratorDraws:
