@@ -271,9 +271,10 @@ class Figure1Result:
 
 
 def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
-    """Minimize sign * objective over t, in one batched search over the
-    broadcast of `strategy` and `ratios`, with omega = 1 (the gains depend
-    only on the ratio). Returns (t_star, sign * minimum)."""
+    """Minimize sign * objective(e^{-gamma t}, |sin theta(t)|) over t, in one
+    batched search over the broadcast of `strategy` and `ratios`, with
+    omega = 1 (the gains depend only on the ratio). Returns
+    (t_star, sign * minimum)."""
     strategy, gamma = np.broadcast_arrays(strategy, ratios)
     entangled = _entangled(strategy)  # the names are checked once per search
     if entangled.all() or not entangled.any():  # one probe: only its branch is computed
