@@ -439,8 +439,10 @@ class TestOneDiagonalizationPerGenerator:
         np.testing.assert_array_equal(cases.holds, holds)
         assert not in_regime.any() and not cases.in_regime.any()
 
-    def test_stacked_recheck_equals_one_case_rechecks(self):
-        cases = arc.arc_bound_sweep(3, 60, 4, (0.5 * math.pi, 1.5 * math.pi), (0.1, 10.0),
+    # At d = 64 a recheck block holds 8 cases, so the 60 flagged cases span 8 blocks.
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_stacked_recheck_equals_one_case_rechecks(self, dim):
+        cases = arc.arc_bound_sweep(dim, 60, 4, (0.5 * math.pi, 1.5 * math.pi), (0.1, 10.0),
                                     -math.inf).flagged
         H, K = (np.stack([getattr(case, side) for case in cases]) for side in "HK")
         confirmed = arc._recheck_independently(H, K, 1e-6)
@@ -747,6 +749,43 @@ class TestSplittingResidual:
         ]
         assert residuals[-1] < 1e-2
         assert residuals[0] > residuals[1] > residuals[2]
+
+
+class TestPadeExponential:
+    """spectral_arc._expm, the recheck's stacked Pade-13 exponential, against scipy's
+    expm one matrix at a time. The exponentials are unitary, so their entries are at
+    most 1 and an absolute tolerance fits; 1e-13 is far below SEARCH_MARGIN."""
+
+    @staticmethod
+    def assert_matches_scipy(A):
+        expected = np.array([scipy.linalg.expm(a) for a in A]).reshape(A.shape)
+        np.testing.assert_allclose(arc._expm(A), expected, rtol=0, atol=1e-13)
+
+    # The search's sup norms: H in [pi, 1.5 pi], K in [0.1, 10], H + K up to about 15,
+    # whose 1-norm exceeds theta_13, so the result is squared.
+    @pytest.mark.parametrize("sup", [0.1, math.pi, 1.5 * math.pi, 10.0, 15.0])
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_unitary_exponentials(self, dim, sup):
+        rng = np.random.default_rng([dim, round(100 * sup)])
+        H = np.stack([arc.random_hermitian(dim, sup, rng) for _ in range(4)])
+        self.assert_matches_scipy(-1j * H)
+
+    def test_tiny_norm_needs_no_squaring(self, rng):
+        H = np.stack([arc.random_hermitian(4, 1e-3, rng) for _ in range(3)])
+        assert np.abs(H).sum(axis=-2).max() < arc._THETA13
+        self.assert_matches_scipy(-1j * H)
+
+    @pytest.mark.parametrize("dim", [2, 8, 16])
+    def test_mixed_norms_share_one_scaling(self, dim, rng):
+        # The stack's largest 1-norm sets the squarings for every matrix in it.
+        H = np.stack([arc.random_hermitian(dim, sup, rng) for sup in (1e-6, 0.1, math.pi, 15.0)])
+        self.assert_matches_scipy(-1j * H)
+
+    def test_zero_stack(self):
+        self.assert_matches_scipy(np.zeros((3, 4, 4), dtype=complex))
+
+    def test_empty_stack(self):
+        assert arc._expm(np.zeros((0, 5, 5), dtype=complex)).shape == (0, 5, 5)
 
 
 class TestCounterexampleSearch:
