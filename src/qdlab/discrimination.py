@@ -236,14 +236,6 @@ def two_outcome_gain(m, u):
     return m * phi / _LN2
 
 
-def binary_info_gain(p_error: float) -> float:
-    """1 - H2(p_error) bits, the gain of a symmetric binary channel: the
-    two-outcome gain of m = 1/2 and u = |1 - 2 p_error|, p_error in [0, 1]."""
-    if not 0.0 <= p_error <= 1.0:
-        raise ValueError("p_error must lie in [0, 1]")
-    return float(two_outcome_gain(0.5, abs(1.0 - 2.0 * p_error)))
-
-
 # psi's Taylor coefficients (-1)^n / (n (n - 1)), n = 17 .. 2: at |x| < 1/8 the next is < 3e-17.
 _PSI_SERIES = [(-1.0) ** n / (n * (n - 1)) for n in range(17, 1, -1)]
 

@@ -1,9 +1,9 @@
 """Evolution engines: closed-form unitary and noisy channels.
 
-Implements pure-state evolution, the single-qubit depolarizing channel in the
-Bloch picture, the basis-free symmetric-decoherence channel in any dimension,
-and independent per-qubit depolarizing as one 4x4 local superoperator applied
-qubit by qubit, in O(n 4^n) for n qubits. Each closed form is validated in the
+Implements unitary evolution of density matrices, the single-qubit depolarizing
+channel in the Bloch picture, the basis-free symmetric-decoherence channel in any
+dimension, and independent per-qubit depolarizing as one 4x4 local superoperator
+applied qubit by qubit, in O(n 4^n) for n qubits. Each closed form is validated in the
 tests against a generic fixed-step RK4 integrator of its master equation and a
 Kraus-map oracle. The oracles (`independent_master_rhs`,
 `kraus_apply_per_qubit`) build dense 2^n x 2^n operators on purpose, so that
@@ -97,15 +97,6 @@ def _check_rate_and_time(gamma: float, t: float) -> None:
         raise ValueError("gamma must be nonnegative")
     if not t >= 0:
         raise ValueError("duration must be nonnegative")
-
-
-def evolve_pure(psi0, H, t: float) -> np.ndarray:
-    """|psi(t)> = exp(-i t H) |psi0>."""
-    psi0 = qmath.check_state(psi0)
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (psi0.size, psi0.size):
-        raise ValueError("state and Hamiltonian dimensions do not match")
-    return qmath.expm_i(H, t) @ psi0
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

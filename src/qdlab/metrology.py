@@ -1,10 +1,10 @@
 """Frequency metrology: product versus entangled probes under decoherence.
 
-Single-shot outcome probabilities for the two probe families, the
-error-propagation chain turning repeated shots into a frequency uncertainty,
-time-budget optimization of that uncertainty, and the information-gain
-improvement curve for the two-hypothesis problem (static field versus no
-field) under basis-free symmetric decoherence.
+The decay and phase rate of each probe family's single-shot outcome
+probability, the frequency uncertainty that repeated shots give by error
+propagation, time-budget optimization of that uncertainty, and the
+information-gain improvement curve for the two-hypothesis problem (static
+field versus no field) under basis-free symmetric decoherence.
 
 Information-gain semantics for the improvement curve: the gain of a strategy
 at decoherence ratio r is the mutual information between the hypothesis and
@@ -54,13 +54,6 @@ class Strategy:
 
 
 @dataclass(frozen=True)
-class PrecisionReport:
-    delta_omega: float
-    p_plus: float
-    shots: int
-
-
-@dataclass(frozen=True)
 class OptimizedPrecision:
     t_star: float
     delta_omega: float
@@ -69,7 +62,14 @@ class OptimizedPrecision:
 
 def _decay_and_rate(s: Strategy) -> tuple[float, float]:
     """Effective amplitude decay exponent gamma_eff (per unit time) and the
-    phase accumulation rate (multiples of omega) for the +/- probability."""
+    phase accumulation rate (multiples of omega) of the probability
+    (1 + e^{-gamma_eff t} cos(rate omega t)) / 2 of the + outcome of the
+    transverse parity measurement.
+
+    Product probes precess at omega and keep their single-qubit decay; the
+    cat state precesses n times faster, pays n-fold decay under independent
+    depolarizing, but only single-qubit decay under symmetric decoherence.
+    """
     g = s.noise.gamma
     if s.kind == StrategyKind.PRODUCT:
         if s.noise.kind is NoiseKind.NONE:
@@ -92,50 +92,17 @@ def _decay_and_rate(s: Strategy) -> tuple[float, float]:
     raise UnsupportedModelError(f"no closed form for ({s.kind}, {s.noise.kind.value}, n={s.n})")
 
 
-def shot_probability(s: Strategy) -> float:
-    """Probability of the + outcome of the transverse parity measurement.
-
-    Product probes precess at omega and keep their single-qubit decay; the
-    cat state precesses n times faster, pays n-fold decay under independent
-    depolarizing, but only single-qubit decay under symmetric decoherence.
-    """
-    gamma_eff, rate = _decay_and_rate(s)
-    return 0.5 * (1.0 + math.exp(-gamma_eff * s.t) * math.cos(rate * s.omega * s.t))
-
-
 def _repetitions(s: Strategy, t: float) -> float:
     if s.kind == StrategyKind.PRODUCT:
         return s.n * s.T_total / t
     return s.T_total / t
 
 
-def precision(s: Strategy) -> PrecisionReport:
-    """Frequency uncertainty from the error-propagation chain.
-
-    delta_P = sqrt(P (1 - P) / m) with m the repetition count
-    (n T/t for product probes, T/t for the cat), and
-    delta_omega = delta_P / |dP/domega|. Shots are reported rounded; the
-    chain itself uses the ideal (real) repetition rate.
-    """
-    gamma_eff, rate = _decay_and_rate(s)
-    p = shot_probability(s)
-    m = _repetitions(s, s.t)
-    if gamma_eff == 0.0:
-        # The |sin| factors of delta_P and dP/domega cancel algebraically;
-        # dividing them numerically would break down at the turning points.
-        delta_omega = 1.0 / (rate * s.t * math.sqrt(m))
-    else:
-        dp_domega = (
-            0.5 * rate * s.t * math.exp(-gamma_eff * s.t) * abs(math.sin(rate * s.omega * s.t))
-        )
-        delta_p = math.sqrt(max(p * (1.0 - p), 0.0) / m)
-        delta_omega = delta_p / dp_domega if dp_domega > 0 else math.inf
-    return PrecisionReport(delta_omega=delta_omega, p_plus=p, shots=int(round(m)))
-
-
 def precision_envelope(s: Strategy, t: float) -> float:
-    """The chain of `precision` with the shot tuned to quadrature
-    (cos(rate omega t) = 0), as a function of the per-shot duration."""
+    """Frequency uncertainty delta_P / |dP/domega| of m repeated shots of
+    duration t, P = (1 + e^{-gamma_eff t} cos(rate omega t)) / 2 and
+    delta_P = sqrt(P (1 - P) / m), with the shot tuned to quadrature
+    (cos(rate omega t) = 0): m is n T/t for product probes and T/t for the cat."""
     gamma_eff, rate = _decay_and_rate(s)
     return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(_repetitions(s, t))
 

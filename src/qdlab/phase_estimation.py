@@ -39,10 +39,6 @@ class PhaseConfig:
         if not 0.0 <= self.omega < 1.0:
             raise ValueError("omega must lie in [0, 1)")
 
-    def exposure_time(self, k: int) -> float:
-        """Exposure for the k-th bit (k = n down to 1): pi 2^k."""
-        return math.pi * (2.0**k)
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -120,14 +116,6 @@ def exact_distribution(cfg: PhaseConfig) -> np.ndarray:
     return np.array([outcome_prob(cfg.omega, j / N, cfg.n) for j in range(N)])
 
 
-def phase_state(N: int, j: int) -> np.ndarray:
-    """|phi_j> = N^{-1/2} sum_k e^{i k phi} |k> with phi = 2 pi j / N."""
-    if not 0 <= j < N:
-        raise ValueError("phase index out of range")
-    k = np.arange(N)
-    return np.exp(2j * math.pi * j * k / N) / math.sqrt(N)
-
-
 def dft_matrix(N: int) -> np.ndarray:
     """Unitary DFT, F[k, j] = e^{2 pi i k j / N} / sqrt(N); columns are the
     phase states."""
@@ -153,8 +141,3 @@ def dft_measurement_distribution(cfg: PhaseConfig) -> np.ndarray:
     psi = multi_qubit_prepare(cfg)
     amps = np.fft.fft(psi) / math.sqrt(psi.size)  # numpy loads numpy.fft on first use
     return np.abs(amps) ** 2
-
-
-def total_exposure_time(cfg: PhaseConfig) -> float:
-    """Sum of the staged exposures, < 2 pi 2^n."""
-    return sum(cfg.exposure_time(k) for k in range(1, cfg.n + 1))

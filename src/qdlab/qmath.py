@@ -1,10 +1,11 @@
 """Dense complex linear-algebra kernels for small Hilbert spaces.
 
 Eigendecompositions, matrix exponentials of Hermitian generators, tensor
-products, partial traces, the trace norm, Bloch-vector conversions and seeding.
-Everything works on plain complex ndarrays; the role of a matrix (Hermitian,
-unitary, density) is enforced by the check_* validators rather than a wrapper
-class. hbar = 1 throughout and all entries are dimensionless.
+products, partial traces, Bloch-vector conversions and seeding. Everything
+works on plain complex ndarrays, with no wrapper class for the role of a
+matrix (Hermitian, unitary, density); states, Bloch vectors and axes are
+checked by the check_* validators. hbar = 1 throughout and all entries are
+dimensionless.
 
 Conventions:
   - time evolution is U(t) = exp(-i t H)
@@ -54,25 +55,6 @@ def _as_square(M) -> np.ndarray:
     if M.ndim != 2:
         raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     return M
-
-
-def is_hermitian(M, atol: float = tolerances.SPECTRAL) -> bool:
-    M = _as_square(M)
-    return bool(np.max(np.abs(M - M.conj().T)) <= atol)
-
-
-def is_unitary(U) -> bool:
-    U = _as_square(U)
-    return bool(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) <= tolerances.ALGEBRAIC)
-
-
-def is_density(rho) -> bool:
-    rho = _as_square(rho)
-    if not is_hermitian(rho, tolerances.ALGEBRAIC):
-        return False
-    if abs(np.trace(rho) - 1.0) > tolerances.ALGEBRAIC:
-        return False
-    return bool(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -tolerances.ALGEBRAIC)
 
 
 def check_state(psi) -> np.ndarray:
@@ -194,12 +176,6 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
         reshaped = np.trace(reshaped, axis1=k, axis2=k + reshaped.ndim // 2)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return reshaped.reshape(d_keep, d_keep)
-
-
-def trace_norm(M) -> float:
-    """Sum of |eigenvalues| of a Hermitian matrix."""
-    w, _ = herm_eig(_as_square(M))
-    return float(np.sum(np.abs(w)))
 
 
 def bloch_to_density(P) -> np.ndarray:

@@ -3,7 +3,7 @@
 One of N projector Hamiltonians E|x><x| is active; adding the driving term
 E|s><s| (s the uniform superposition) confines the dynamics to the plane
 spanned by |s> and |x>, where the state flops onto |x> after
-T = pi sqrt(N) / (2 E). The naive pairwise probe is included as the baseline.
+T = pi sqrt(N) / (2 E).
 """
 
 from __future__ import annotations
@@ -73,20 +73,3 @@ def grover_run(inst: GroverInstance):
     (success_probability, T)."""
     T = inst.flop_time
     return grover_success_probability(inst, T), T
-
-
-def naive_probe(inst: GroverInstance, y: int, y_prime: int) -> float:
-    """Prepare (|y> + |y'>)/sqrt(2), evolve under the bare projector
-    Hamiltonian for pi/E, measure in the |+/-> pair. Returns the probability
-    of the |-> outcome, which is 1 iff the marked state is y or y'."""
-    if y == y_prime:
-        raise ValueError("probe indices must differ")
-    for idx in (y, y_prime):
-        if not 0 <= idx < inst.dim:
-            raise ValueError("probe index out of range")
-    T = math.pi / inst.energy
-    # H_x = E |x><x| is diagonal: phases are e^{-i T E delta_{k,x}} = -1 on x.
-    phase_y = -1.0 if y == inst.marked else 1.0
-    phase_yp = -1.0 if y_prime == inst.marked else 1.0
-    amp_minus = 0.5 * (phase_y - phase_yp)
-    return float(abs(amp_minus) ** 2)

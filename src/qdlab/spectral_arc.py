@@ -4,10 +4,8 @@ For a unitary U, maxarg/minarg are the extremal eigenvalue arguments on
 (-pi, pi]. Adding a time-independent driving term K to a Hamiltonian H with
 sup norm below pi can never widen the spectral arc of the comparison unitary
 e^{iK} e^{-i(H+K)} beyond that of e^{-iH}; this module checks the two
-inequalities on stacks of cases, sweeps them over seeded random pairs,
-verifies arc subadditivity for products, measures the first-order
-convergence of the exponential splitting, and searches for violations outside
-the sup-norm regime.
+inequalities on stacks of cases, sweeps them over seeded random pairs, and
+searches for violations outside the sup-norm regime.
 """
 
 from __future__ import annotations
@@ -66,16 +64,6 @@ class ArcBoundSweep:
     flagged: ArcBoundCases  # cases past the sweep's margin, in trial order
 
 
-@dataclass(frozen=True)
-class ArcSubadditivityCase:
-    applicable: bool
-    holds: bool
-    lhs_max: float
-    rhs_max: float
-    lhs_min: float
-    rhs_min: float
-
-
 def maxarg(U) -> float:
     """Largest eigenvalue argument of a unitary, on (-pi, pi]."""
     return float(qmath.unitary_args(U)[-1])
@@ -114,35 +102,6 @@ def _arc_cases(H, w_h, K, w_k, V_k) -> ArcBoundCases:
 def arc_bound_check(H, K) -> ArcBoundCases:
     """`arc_bound_cases` for one pair of matrices."""
     return next(iter(arc_bound_cases(np.asarray(H)[None], np.asarray(K)[None])))
-
-
-def arc_subadditivity_check(U1, U2) -> ArcSubadditivityCase:
-    """maxarg(U1 U2) <= maxarg(U1) + maxarg(U2), and the minarg counterpart,
-    valid when the summed maxargs stay below pi and the summed minargs above
-    -pi. Inapplicable inputs are flagged, not judged."""
-    # One spectrum per factor: its smallest and largest arguments.
-    (n1, m1), (n2, m2) = (qmath.unitary_args(U)[[0, -1]].tolist() for U in (U1, U2))
-    if m1 + m2 >= math.pi or n1 + n2 <= -math.pi:
-        return ArcSubadditivityCase(False, False, math.nan, m1 + m2, math.nan, n1 + n2)
-    prod_args = qmath.unitary_args(np.asarray(U1, dtype=complex) @ np.asarray(U2, dtype=complex))
-    lhs_max, lhs_min = float(prod_args[-1]), float(prod_args[0])
-    tol = tolerances.ARC_CHECK
-    holds = (lhs_max <= m1 + m2 + tol) and (lhs_min >= n1 + n2 - tol)
-    return ArcSubadditivityCase(True, holds, lhs_max, m1 + m2, lhs_min, n1 + n2)
-
-
-def splitting_residual(H, K, n: int) -> float:
-    """Sup-norm distance between (e^{-iH/n} e^{-iK/n})^n and e^{-i(H+K)}.
-
-    Converges at first order in 1/n; the commuting case is exact.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    H = np.asarray(H, dtype=complex)
-    K = np.asarray(K, dtype=complex)
-    step = qmath.expm_i(H, 1.0 / n) @ qmath.expm_i(K, 1.0 / n)
-    prod = np.linalg.matrix_power(step, n)
-    return float(np.linalg.norm(prod - qmath.expm_i(H + K, 1.0), 2))
 
 
 def _hermitian_stack(g: np.ndarray, sup):
@@ -272,7 +231,7 @@ def _recheck_independently(H, K, margin: float) -> list[bool]:
     for start in range(0, len(H), block):
         h, k = H[start:start + block], K[start:start + block]
         W = _expm(1j * k) @ _expm(-1j * (h + k))
-        args_w, args_h = (np.sort(np.angle(np.linalg.eigvals(U))) for U in (W, _expm(-1j * h)))
+        args_w, args_h = (qmath.unitary_args(U) for U in (W, _expm(-1j * h)))
         violation = np.maximum(args_w[:, -1] - args_h[:, -1], args_h[:, 0] - args_w[:, 0])
         confirmed += (violation > margin).tolist()
     return confirmed

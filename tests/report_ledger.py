@@ -14,7 +14,6 @@ import json
 import pathlib
 
 import numpy as np
-import scipy
 
 from qdlab import cli
 
@@ -46,8 +45,7 @@ RUNS = [
 def fingerprint() -> dict:
     """The numerical stack the report bytes depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def report_hashes() -> dict:

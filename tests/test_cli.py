@@ -749,6 +749,25 @@ class TestCheckFlag:
         result = qd("eliminate", "--config", str(cfg), "--check")
         assert result.returncode == 0
 
+    def test_phase_est_check_compares_the_qft_distribution(self, tmp_path, monkeypatch, capsys):
+        from qdlab import cli, phase_estimation
+
+        line = "phase-est: QFT measurement distribution equals the exact one"
+
+        def check():
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["phase-est", "--check"], standalone_mode=False)
+            return exc.value.code, capsys.readouterr().out
+
+        monkeypatch.chdir(tmp_path)
+        code, out = check()
+        assert code == 0 and f"[PASS] {line}" in out
+        dft = phase_estimation.dft_measurement_distribution
+        monkeypatch.setattr(phase_estimation, "dft_measurement_distribution",
+                            lambda cfg: dft(cfg) + 1e-9)
+        code, out = check()
+        assert code == 1 and f"[FAIL] {line}" in out
+
     def test_figure1_check_reports_known_location_failure(self, tmp_path):
         # Documented: the improvement peak reproduces the target height but
         # not the target location, so this check exits 1 with one FAIL line.

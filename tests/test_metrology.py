@@ -51,22 +51,29 @@ def simulate_shot_probability(s: Strategy) -> float:
     return float(np.trace(0.5 * (np.eye(2**s.n) + parity) @ rho).real)
 
 
+def shot_probability(s: Strategy) -> float:
+    """The + probability 0.5 (1 + e^{-gamma_eff t} cos(rate omega t)) that
+    `metrology._decay_and_rate`'s decay and rate imply."""
+    gamma_eff, rate = met._decay_and_rate(s)
+    return 0.5 * (1.0 + math.exp(-gamma_eff * s.t) * math.cos(rate * s.omega * s.t))
+
+
 class TestShotProbability:
     def test_product_noiseless(self):
         s = make_strategy(StrategyKind.PRODUCT, 3, NoiseKind.NONE, 0.0)
-        assert met.shot_probability(s) == pytest.approx(
+        assert shot_probability(s) == pytest.approx(
             0.5 * (1 + math.cos(s.omega * s.t)), abs=1e-15
         )
 
     def test_cat_independent_depolarizing(self):
         s = make_strategy(StrategyKind.CAT, 2, NoiseKind.INDEPENDENT_DEPOLARIZING, 0.3)
         expected = 0.5 * (1 + math.exp(-2 * 0.3 * s.t) * math.cos(2 * s.omega * s.t))
-        assert met.shot_probability(s) == pytest.approx(expected, abs=1e-15)
+        assert shot_probability(s) == pytest.approx(expected, abs=1e-15)
 
     def test_cat_symmetric_single_rate(self):
         s = make_strategy(StrategyKind.CAT, 2, NoiseKind.SYMMETRIC, 0.3)
         expected = 0.5 * (1 + math.exp(-0.3 * s.t) * math.cos(2 * s.omega * s.t))
-        assert met.shot_probability(s) == pytest.approx(expected, abs=1e-15)
+        assert shot_probability(s) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("kind", [StrategyKind.PRODUCT, StrategyKind.CAT])
     @pytest.mark.parametrize(
@@ -77,12 +84,12 @@ class TestShotProbability:
     def test_closed_forms_match_channel_simulation(self, kind, noise_kind, n):
         gamma = 0.0 if noise_kind is NoiseKind.NONE else 0.35
         s = make_strategy(kind, n, noise_kind, gamma)
-        assert met.shot_probability(s) == pytest.approx(simulate_shot_probability(s), abs=1e-10)
+        assert shot_probability(s) == pytest.approx(simulate_shot_probability(s), abs=1e-10)
 
     def test_unsupported_combination(self):
         s = make_strategy(StrategyKind.CAT, 3, NoiseKind.QUBIT_DEPOLARIZING, 0.2)
         with pytest.raises(UnsupportedModelError):
-            met.shot_probability(s)
+            shot_probability(s)
 
 
 class TestPrecision:
@@ -92,7 +99,7 @@ class TestPrecision:
             s = Strategy(
                 kind=StrategyKind.PRODUCT, n=n, t=0.8, T_total=0.8, omega=0.9, noise=NoiseModel()
             )
-            assert met.precision(s).delta_omega == pytest.approx(
+            assert met.precision_envelope(s, s.t) == pytest.approx(
                 1.0 / (0.8 * math.sqrt(n)), abs=1e-12
             )
 
@@ -101,38 +108,7 @@ class TestPrecision:
             s = Strategy(
                 kind=StrategyKind.CAT, n=n, t=0.8, T_total=0.8, omega=0.9, noise=NoiseModel()
             )
-            assert met.precision(s).delta_omega == pytest.approx(1.0 / (0.8 * n), abs=1e-12)
-
-    def test_derivative_matches_finite_difference(self):
-        s = make_strategy(StrategyKind.PRODUCT, 2, NoiseKind.INDEPENDENT_DEPOLARIZING, 0.25)
-        h = 1e-6
-        up = met.shot_probability(
-            Strategy(s.kind, s.n, s.t, s.T_total, s.omega + h, s.noise)
-        )
-        dn = met.shot_probability(
-            Strategy(s.kind, s.n, s.t, s.T_total, s.omega - h, s.noise)
-        )
-        numeric = abs(up - dn) / (2 * h)
-        analytic = 0.5 * s.t * math.exp(-0.25 * s.t) * abs(math.sin(s.omega * s.t))
-        assert numeric == pytest.approx(analytic, rel=1e-6)
-
-    def test_noiseless_chain_is_fringe_independent(self):
-        # For gamma = 0 the |sin| factors cancel; at a fringe extremum the
-        # simplified chain still gives 1 / (t sqrt(m)).
-        s = Strategy(
-            kind=StrategyKind.PRODUCT, n=2, t=1.0, T_total=10.0, omega=2 * math.pi,
-            noise=NoiseModel(),
-        )
-        assert met.precision(s).delta_omega == pytest.approx(
-            1.0 / math.sqrt(2 * 10.0), abs=1e-12
-        )
-
-    def test_infinite_at_stationary_point_with_noise(self):
-        s = Strategy(
-            kind=StrategyKind.PRODUCT, n=2, t=1.0, T_total=10.0, omega=math.pi,
-            noise=NoiseModel(NoiseKind.SYMMETRIC, 0.3),
-        )
-        assert met.precision(s).delta_omega > 1e10
+            assert met.precision_envelope(s, s.t) == pytest.approx(1.0 / (0.8 * n), abs=1e-12)
 
 
 class TestOptimizePrecision:

@@ -134,26 +134,23 @@ class TestOutcomeProb:
 
 
 class TestPhaseStates:
-    def test_two_dim(self):
-        np.testing.assert_allclose(pe.phase_state(2, 0), [1, 1] / np.sqrt(2), atol=1e-15)
-        np.testing.assert_allclose(pe.phase_state(2, 1), [1, -1] / np.sqrt(2), atol=1e-15)
+    """The columns of dft_matrix are the phase states
+    |phi_j> = N^{-1/2} sum_k e^{i k phi} |k>, phi = 2 pi j / N."""
 
     def test_orthonormal(self):
-        states = [pe.phase_state(8, j) for j in range(8)]
+        states = list(pe.dft_matrix(8).T)
         gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-12)
 
     def test_fourier_image_of_basis_states(self):
         n = 3
         F = pe.dft_matrix(2**n)
+        k = np.arange(2**n)
         for j in range(2**n):
             e = np.zeros(2**n)
             e[j] = 1.0
-            np.testing.assert_allclose(F @ e, pe.phase_state(2**n, j), atol=1e-12)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            pe.phase_state(4, 4)
+            phase_state = np.exp(2j * math.pi * j * k / 2**n) / math.sqrt(2**n)
+            np.testing.assert_allclose(F @ e, phase_state, atol=1e-12)
 
 
 class TestMultiQubitPrepare:
@@ -222,13 +219,3 @@ class TestMultiQubitPrepare:
     def test_size_limit(self):
         with pytest.raises(ResourceLimitError):
             pe.multi_qubit_prepare(pe.PhaseConfig(n=13, omega=0.1))
-
-
-class TestEnergyTimeTradeoff:
-    def test_exposure_budget_and_precision(self):
-        for n in (2, 5, 8, 10):
-            cfg = pe.PhaseConfig(n=n, omega=0.0)
-            T = pe.total_exposure_time(cfg)
-            assert T < math.pi * 2 ** (n + 1)
-            product = T * 2.0**-n
-            assert math.pi <= product <= 2 * math.pi

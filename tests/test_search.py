@@ -118,33 +118,3 @@ class TestRun:
         times = [GroverInstance(dim=n, marked=0, energy=1.0).flop_time for n in sizes]
         slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         assert slope == pytest.approx(0.5, abs=1e-6)
-
-
-class TestNaiveProbe:
-    def test_marked_inside_pair(self):
-        inst = GroverInstance(dim=8, marked=2, energy=1.0)
-        assert search.naive_probe(inst, 2, 5) == pytest.approx(1.0, abs=1e-12)
-        assert search.naive_probe(inst, 5, 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_marked_outside_pair(self):
-        inst = GroverInstance(dim=8, marked=2, energy=1.0)
-        assert search.naive_probe(inst, 4, 5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_full_simulation(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(3, 12))
-            x = int(rng.integers(n))
-            y, yp = rng.choice(n, size=2, replace=False)
-            inst = GroverInstance(dim=n, marked=x, energy=1.0)
-            H = np.zeros((n, n), dtype=complex)
-            H[x, x] = inst.energy
-            psi0 = (qmath.basis_state(n, y) + qmath.basis_state(n, yp)) / math.sqrt(2)
-            psi = qmath.expm_i(H, math.pi / inst.energy) @ psi0
-            minus = (qmath.basis_state(n, y) - qmath.basis_state(n, yp)) / math.sqrt(2)
-            assert search.naive_probe(inst, int(y), int(yp)) == pytest.approx(
-                abs(np.vdot(minus, psi)) ** 2, abs=1e-12
-            )
-
-    def test_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            search.naive_probe(GroverInstance(dim=4, marked=0), 1, 1)

@@ -680,77 +680,6 @@ class TestSupNormRanges:
         assert str(sweep_error.value) == str(numpy_error.value)
 
 
-class TestSubadditivity:
-    def test_one_spectrum_per_unitary(self, rng, monkeypatch):
-        U1, U2 = (qmath.expm_i(arc.random_hermitian(3, 0.5, rng), 1.0) for _ in range(2))
-        want = (arc.maxarg(U1), arc.maxarg(U2), arc.minarg(U1), arc.minarg(U2))
-        calls = []
-
-        def spied(U, *args, **kwargs):
-            calls.append(U)
-            return unitary_args(U, *args, **kwargs)
-
-        unitary_args = qmath.unitary_args
-        monkeypatch.setattr(qmath, "unitary_args", spied)
-        case = arc.arc_subadditivity_check(U1, U2)
-        assert case.applicable and len(calls) == 3  # U1, U2 and their product
-        assert (case.rhs_max, case.rhs_min) == (want[0] + want[1], want[2] + want[3])
-
-    def test_identity_factor(self, rng):
-        U = random_unitary(rng, 3)
-        if arc.maxarg(U) >= math.pi * 0.99 or arc.minarg(U) <= -math.pi * 0.99:
-            pytest.skip("arc too wide for the lemma's hypotheses")
-        case = arc.arc_subadditivity_check(U, np.eye(3))
-        assert case.applicable and case.holds
-        assert case.lhs_max == pytest.approx(case.rhs_max, abs=1e-9)
-
-    def test_random_confined_arcs(self, rng):
-        for _ in range(500):
-            dim = int(rng.integers(2, 5))
-            U1 = qmath.expm_i(arc.random_hermitian(dim, rng.uniform(0, math.pi / 4), rng), 1.0)
-            U2 = qmath.expm_i(arc.random_hermitian(dim, rng.uniform(0, math.pi / 4), rng), 1.0)
-            case = arc.arc_subadditivity_check(U1, U2)
-            assert case.applicable
-            assert case.holds
-
-    def test_equality_for_shared_eigenvectors(self, rng):
-        H = random_hermitian(rng, 3)
-        H *= 0.3 / np.max(np.abs(np.linalg.eigvalsh(H)))
-        U = qmath.expm_i(H, 1.0)
-        case = arc.arc_subadditivity_check(U, U)
-        assert case.applicable and case.holds
-        assert case.lhs_max == pytest.approx(case.rhs_max, abs=1e-9)
-
-    def test_flags_inapplicable_inputs(self):
-        U = np.diag([np.exp(1j * 2.0), 1.0])
-        case = arc.arc_subadditivity_check(U, U)
-        assert not case.applicable
-
-
-class TestSplittingResidual:
-    def test_commuting_generators(self, rng):
-        d = np.diag(rng.normal(size=4))
-        e = np.diag(rng.normal(size=4))
-        for n in (1, 4, 64):
-            assert arc.splitting_residual(d, e, n) < 1e-12
-
-    def test_first_order_convergence(self, rng):
-        H = random_hermitian(rng, 3)
-        K = random_hermitian(rng, 3)
-        r64 = arc.splitting_residual(H, K, 64)
-        r128 = arc.splitting_residual(H, K, 128)
-        r256 = arc.splitting_residual(H, K, 256)
-        assert r64 / r128 == pytest.approx(2.0, abs=0.1)
-        assert r128 / r256 == pytest.approx(2.0, abs=0.1)
-
-    def test_pauli_pair(self):
-        residuals = [
-            arc.splitting_residual(qmath.SIGMA_X, qmath.SIGMA_Z, n) for n in (64, 256, 1024)
-        ]
-        assert residuals[-1] < 1e-2
-        assert residuals[0] > residuals[1] > residuals[2]
-
-
 class TestPadeExponential:
     """spectral_arc._expm, the recheck's stacked Pade-13 exponential, against scipy's
     expm one matrix at a time. The exponentials are unitary, so their entries are at
