@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdlab import discrimination as disc
-from qdlab import qmath
+from qdlab import dynamics, qmath
 from qdlab.dynamics import FieldHamiltonian, NoiseKind, NoiseModel
 from qdlab.errors import NoDiscriminationError, UnsupportedModelError
 from conftest import random_density, random_hermitian, random_state, random_unitary
@@ -83,6 +83,56 @@ class TestHelstrom:
             axes = rng.normal(size=(1000, 3))
             axes /= np.linalg.norm(axes, axis=1, keepdims=True)
             assert p_err <= grid_measurement_error(rho1, rho2, 0.5, 0.5, axes) + 1e-12
+
+    def test_error_is_half_minus_half_trace_norm(self, rng):
+        for dim, p1 in ((2, 0.5), (3, 0.3), (4, 0.8)):
+            rho1, rho2 = random_density(rng, dim), random_density(rng, dim)
+            _, p_err = disc.helstrom(rho1, rho2, p1, 1 - p1)
+            trace_norm = np.sum(np.abs(np.linalg.eigvalsh(p1 * rho1 - (1 - p1) * rho2)))
+            assert p_err == pytest.approx(0.5 - 0.5 * trace_norm, abs=1e-12)
+
+    def test_measurement_attains_reported_error(self, rng):
+        for dim, p1 in ((2, 0.5), (3, 0.65), (5, 0.2)):
+            rho1, rho2 = random_density(rng, dim), random_density(rng, dim)
+            povm, p_err = disc.helstrom(rho1, rho2, p1, 1 - p1)
+            achieved = p1 * np.trace(povm.complement @ rho1) + (1 - p1) * np.trace(
+                povm.projector @ rho2
+            )
+            assert achieved.real == pytest.approx(p_err, abs=1e-12)
+
+    def test_commuting_states_closed_form(self, rng):
+        # Diagonal states: the best guess per outcome i errs by min(p1 a_i, p2 b_i).
+        a, b = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+        for p1 in (0.5, 0.25, 0.9):
+            _, p_err = disc.helstrom(np.diag(a), np.diag(b), p1, 1 - p1)
+            assert p_err == pytest.approx(np.sum(np.minimum(p1 * a, (1 - p1) * b)), abs=1e-12)
+
+    def test_trace_distance_triangle_inequality(self, rng):
+        # With equal priors 1 - 2 p_error is the trace distance, a metric.
+        def distance(r, s):
+            return 1.0 - 2.0 * disc.helstrom(r, s)[1]
+
+        for _ in range(20):
+            r1, r2, r3 = (random_density(rng, 3) for _ in range(3))
+            assert distance(r1, r3) <= distance(r1, r2) + distance(r2, r3) + 1e-12
+
+    def test_depolarizing_never_lowers_the_error(self, rng):
+        # Data processing: one channel applied to both states cannot help.
+        H = random_hermitian(rng, 3)
+        for _ in range(10):
+            rho1, rho2 = random_density(rng, 3), random_density(rng, 3)
+            before = disc.helstrom(rho1, rho2, 0.4, 0.6)[1]
+            after = disc.helstrom(
+                dynamics.evolve_symmetric(rho1, H, 0.7, 0.5),
+                dynamics.evolve_symmetric(rho2, H, 0.7, 0.5),
+                0.4,
+                0.6,
+            )[1]
+            assert after >= before - 1e-12
+
+    def test_rejects_mismatched_dimensions(self, rng):
+        with pytest.raises(ValueError, match="state dimensions do not match"):
+            disc.helstrom(random_density(rng, 2), random_density(rng, 3))
 
     def test_rejects_bad_priors(self, rng):
         rho = random_density(rng, 2)
@@ -635,6 +685,30 @@ class TestInfoGain:
             q = mpmath.mpf(p)
             exact = 1 + q * mpmath.log(q, 2) + (1 - q) * mpmath.log(1 - q, 2)
         assert binary_gain(p) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    def test_gain_is_linear_in_mass_and_increasing_in_u(self):
+        u = np.linspace(0.0, 1.0, 1001)
+        g = disc.two_outcome_gain(1.0, u)
+        assert g[0] == 0.0 and g[-1] == pytest.approx(2.0, abs=1e-15)
+        assert np.all(np.diff(g) > 0)
+        for m in (0.1, 0.25, 0.5):
+            np.testing.assert_allclose(disc.two_outcome_gain(m, u), m * g, rtol=1e-15, atol=0)
+
+    def test_array_arguments_match_scalar_calls(self):
+        m = np.array([0.5, 0.2, 0.4, 0.05])
+        u = np.array([0.0, 0.3, 0.5, 1.0])
+        batch = disc.two_outcome_gain(m, u)
+        assert batch.shape == (4,)
+        for i in range(4):
+            assert batch[i] == float(disc.two_outcome_gain(float(m[i]), float(u[i])))
+
+    @pytest.mark.parametrize("u", [0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.999999])
+    def test_both_forms_match_mpmath(self, u):
+        # u = 1/2 is where the evaluation switches form; 1 - 1e-6 is near the u = 1 limit.
+        with mpmath.workdps(50):
+            x = mpmath.mpf(u)
+            exact = ((1 + x) * mpmath.log(1 + x, 2) + (1 - x) * mpmath.log(1 - x, 2)) / 2
+        assert float(disc.two_outcome_gain(0.5, u)) == pytest.approx(float(exact), rel=1e-14)
 
     def test_mutual_information_symmetric_channel(self):
         for p in (0.0, 0.11, 0.25, 0.5):

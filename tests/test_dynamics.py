@@ -99,6 +99,12 @@ class TestSymmetric:
         with pytest.raises(ValueError, match="duration must be nonnegative"):
             dynamics.evolve_symmetric(random_density(rng, 4), random_hermitian(rng, 4), 0.5, -3.0)
 
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            dynamics.evolve_symmetric(random_density(rng, 2), random_hermitian(rng, 3), 0.5, 1.0)
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            dynamics.evolve_symmetric(np.eye(4)[:, :2], random_hermitian(rng, 4), 0.5, 1.0)
+
     def test_bell_state_coefficients(self):
         # Both qubits in the same z field: the xx - yy coherence oscillates at
         # twice the frequency while contracting at the bare rate.
@@ -136,6 +142,31 @@ class TestSymmetric:
             dynamics.symmetric_master_rhs(H, gamma), rho0, t, 0.01 / scale
         )
         np.testing.assert_allclose(closed, numeric, atol=1e-6)
+
+
+class TestEvolveDispatch:
+    def test_noiseless_is_unitary_conjugation(self, rng):
+        rho0, H = random_density(rng, 3), random_hermitian(rng, 3)
+        U = qmath.expm_i(H, 0.9)
+        spec = dynamics.EvolutionSpec(H, NoiseModel(), 0.9)
+        np.testing.assert_allclose(dynamics.evolve(spec, rho0), U @ rho0 @ U.conj().T, atol=1e-14)
+
+    def test_qubit_depolarizing_matches_bloch_closed_form(self):
+        field = FieldHamiltonian(0.7, (1, 0, 0))
+        P0 = np.array([0.0, 0.6, 0.3])
+        spec = dynamics.EvolutionSpec(field, NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, 0.4), 1.3)
+        rho = dynamics.evolve(spec, qmath.bloch_to_density(P0))
+        np.testing.assert_allclose(
+            qmath.density_to_bloch(rho),
+            dynamics.evolve_depolarizing_qubit(P0, field, 0.4, 1.3),
+            atol=1e-12,
+        )
+
+    def test_qubit_depolarizing_requires_a_qubit(self):
+        noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, 0.4)
+        spec = dynamics.EvolutionSpec(np.zeros((4, 4)), noise, 1.0)
+        with pytest.raises(ValueError, match="requires a single qubit"):
+            dynamics.evolve(spec, np.eye(4) / 4)
 
 
 class TestIndependentDepolarizing:

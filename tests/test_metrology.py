@@ -111,6 +111,33 @@ class TestPrecision:
             assert met.precision_envelope(s, s.t) == pytest.approx(1.0 / (0.8 * n), abs=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "kind, n, noise_kind, gamma",
+        [
+            (StrategyKind.PRODUCT, 3, NoiseKind.NONE, 0.0),
+            (StrategyKind.PRODUCT, 2, NoiseKind.SYMMETRIC, 0.35),
+            (StrategyKind.CAT, 3, NoiseKind.INDEPENDENT_DEPOLARIZING, 0.2),
+            (StrategyKind.CAT, 2, NoiseKind.SYMMETRIC, 0.35),
+        ],
+    )
+    def test_envelope_is_error_propagation_at_quadrature(self, kind, n, noise_kind, gamma):
+        # sqrt(P (1 - P) / m) / |dP/domega| with dP/domega by central difference,
+        # at the omega that puts the fringe at quadrature.
+        t = 0.7
+        _, rate = met._decay_and_rate(make_strategy(kind, n, noise_kind, gamma, t=t))
+        omega = 0.5 * math.pi / (rate * t)
+        s = make_strategy(kind, n, noise_kind, gamma, t=t, omega=omega)
+        h = 1e-6
+        slope = (
+            shot_probability(make_strategy(kind, n, noise_kind, gamma, t=t, omega=omega + h))
+            - shot_probability(make_strategy(kind, n, noise_kind, gamma, t=t, omega=omega - h))
+        ) / (2 * h)
+        P = shot_probability(s)
+        m = met._repetitions(s, t)
+        expected = math.sqrt(P * (1 - P) / m) / abs(slope)
+        assert met.precision_envelope(s, t) == pytest.approx(expected, rel=1e-8)
+
+
 class TestOptimizePrecision:
     def test_product_optimum(self):
         gamma, n, T = 0.05, 4, 1000.0

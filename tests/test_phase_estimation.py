@@ -31,6 +31,24 @@ def scalar_counts(cfg, seed, trials):
     return counts
 
 
+class TestPhaseConfig:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_bit_counts_below_one(self, n):
+        with pytest.raises(ValueError, match="at least one bit"):
+            pe.PhaseConfig(n=n, omega=0.25)
+
+    def test_rejects_frequencies_outside_the_unit_interval(self):
+        for omega in (1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"omega must lie in \[0, 1\)"):
+                pe.PhaseConfig(n=3, omega=omega)
+
+
+def test_estimate_reads_bits_least_significant_first():
+    # bits[0] is the last binary digit: (1, 0, 1) is 0.101 and (1, 1, 0) is 0.011.
+    assert pe.MeasurementRecord((1, 0, 1)).estimate == 0.625
+    assert pe.MeasurementRecord((1, 1, 0)).estimate == 0.375
+
+
 class TestSampleCounts:
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("omega", [0.0, 0.625, 1.0 / 3.0, 0.1, (math.sqrt(5) - 1) / 2])
@@ -111,6 +129,10 @@ class TestOutcomeProb:
     def test_exact_match(self):
         assert pe.outcome_prob(0.375, 0.375, 4) == pytest.approx(1.0)
 
+    def test_rejects_zero_bits(self):
+        with pytest.raises(ValueError, match="at least one bit"):
+            pe.outcome_prob(0.3, 0.25, 0)
+
     def test_normalization(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 9))
@@ -136,6 +158,11 @@ class TestOutcomeProb:
 class TestPhaseStates:
     """The columns of dft_matrix are the phase states
     |phi_j> = N^{-1/2} sum_k e^{i k phi} |k>, phi = 2 pi j / N."""
+
+    def test_two_dim(self):
+        F = pe.dft_matrix(2)
+        np.testing.assert_allclose(F[:, 0], [1, 1] / np.sqrt(2), atol=1e-15)
+        np.testing.assert_allclose(F[:, 1], [1, -1] / np.sqrt(2), atol=1e-15)
 
     def test_orthonormal(self):
         states = list(pe.dft_matrix(8).T)

@@ -62,6 +62,26 @@ class TestExpmI:
         U = qmath.expm_i(H, 2.31)
         assert np.max(np.abs(U.conj().T @ U - np.eye(4))) <= tolerances.ALGEBRAIC
 
+    def test_commuting_generators_split_exactly(self, rng):
+        d, e = np.diag(rng.normal(size=4)), np.diag(rng.normal(size=4))
+        for t in (0.3, 1.0, 5.7):
+            np.testing.assert_allclose(
+                qmath.expm_i(d + e, t), qmath.expm_i(d, t) @ qmath.expm_i(e, t), atol=1e-12
+            )
+
+    def test_lie_product_first_order(self, rng):
+        # (e^{-iH/n} e^{-iK/n})^n approaches e^{-i(H+K)} with an error that halves as n doubles.
+        H, K = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        exact = qmath.expm_i(H + K, 1.0)
+
+        def residual(n):
+            step = qmath.expm_i(H, 1.0 / n) @ qmath.expm_i(K, 1.0 / n)
+            return np.linalg.norm(np.linalg.matrix_power(step, n) - exact, 2)
+
+        r64, r128, r256 = residual(64), residual(128), residual(256)
+        assert r64 / r128 == pytest.approx(2.0, abs=0.1)
+        assert r128 / r256 == pytest.approx(2.0, abs=0.1)
+
 
 class TestUnitaryArgs:
     def test_identity(self):
@@ -264,6 +284,27 @@ class TestRoleValidators:
         qmath.check_state(qmath.KET_PLUS)
         with pytest.raises(ValueError):
             qmath.check_state(np.array([1.0, 1.0]))
+
+    def test_state_shape_gate(self):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            qmath.check_state(np.eye(2) / np.sqrt(2))
+        with pytest.raises(ValueError, match="nonempty vector"):
+            qmath.check_state(np.zeros(0))
+
+    def test_bloch_gate(self):
+        P = qmath.check_bloch([0, 0, 1])
+        assert P.dtype == float and np.array_equal(P, [0.0, 0.0, 1.0])
+        qmath.check_bloch([0, 0, 1 + 0.5 * tolerances.ALGEBRAIC])
+        with pytest.raises(ValueError, match="exceeds 1"):
+            qmath.check_bloch([0, 0, 1 + 2 * tolerances.ALGEBRAIC])
+        with pytest.raises(ValueError, match="three components"):
+            qmath.check_bloch([0.5, 0.5])
+
+    def test_axis_gate(self):
+        np.testing.assert_array_equal(qmath.check_axis((0, 1, 0)), [0.0, 1.0, 0.0])
+        for bad in ([0, 0, 0.5], [np.nan, 0, 1], [1, 0], [[1, 0, 0]]):
+            with pytest.raises(ValueError, match="unit 3-vector"):
+                qmath.check_axis(bad)
 
 
 class TestBlochConversions:

@@ -13,6 +13,15 @@ def test_instance_rejects_energy_that_is_not_positive(energy):
         GroverInstance(dim=4, marked=0, energy=energy)
 
 
+@pytest.mark.parametrize(
+    "dim, marked, message",
+    [(1, 0, "dimension must be at least 2"), (4, 4, "marked index"), (4, -1, "marked index")],
+)
+def test_instance_rejects_bad_dimension_and_marked_index(dim, marked, message):
+    with pytest.raises(ValueError, match=message):
+        GroverInstance(dim=dim, marked=marked)
+
+
 class TestHamiltonian:
     def test_spectrum_contains_split_levels(self):
         inst = GroverInstance(dim=7, marked=3, energy=2.0)
@@ -112,6 +121,19 @@ class TestRun:
             psi = qmath.expm_i(H, frac * inst.flop_time) @ s
             inside = abs(np.vdot(x, psi)) ** 2 + abs(np.vdot(r, psi)) ** 2
             assert 1.0 - inside < 1e-12
+
+    def test_zero_time_is_the_uniform_overlap(self):
+        for n in (2, 7, 64):
+            inst = GroverInstance(dim=n, marked=n - 1, energy=1.7)
+            assert search.grover_success_probability(inst, 0.0) == pytest.approx(1 / n, abs=1e-15)
+
+    def test_period_is_twice_the_flop_time(self):
+        # The levels E (1 +/- 1/sqrt(N)) beat with period pi sqrt(N) / E = 2 T.
+        inst = GroverInstance(dim=25, marked=11, energy=0.8)
+        for t in np.linspace(0.0, inst.flop_time, 9):
+            assert search.grover_success_probability(
+                inst, t + 2 * inst.flop_time
+            ) == pytest.approx(search.grover_success_probability(inst, t), abs=1e-12)
 
     def test_time_scaling_slope(self):
         sizes = [4, 16, 64, 256, 1024]

@@ -208,7 +208,43 @@ class TestMaxMinArg:
             assert shifted == pytest.approx(arc.maxarg(qmath.expm_i(H, 1.0)) - c, abs=1e-10)
 
 
+class TestProductArcs:
+    """maxarg and minarg add at most across a product of unitaries whose arcs are
+    confined: the composition lemma behind the arc bound."""
+
+    def test_random_confined_arcs(self, rng):
+        for _ in range(500):
+            dim = int(rng.integers(2, 5))
+            U1 = qmath.expm_i(arc.random_hermitian(dim, rng.uniform(0, math.pi / 4), rng), 1.0)
+            U2 = qmath.expm_i(arc.random_hermitian(dim, rng.uniform(0, math.pi / 4), rng), 1.0)
+            tol = tolerances.ARC_CHECK
+            assert arc.maxarg(U1 @ U2) <= arc.maxarg(U1) + arc.maxarg(U2) + tol
+            assert arc.minarg(U1 @ U2) >= arc.minarg(U1) + arc.minarg(U2) - tol
+
+    def test_equality_for_shared_eigenvectors(self, rng):
+        H = random_hermitian(rng, 3)
+        H *= 0.3 / np.max(np.abs(np.linalg.eigvalsh(H)))
+        U = qmath.expm_i(H, 1.0)
+        assert arc.maxarg(U @ U) == pytest.approx(2 * arc.maxarg(U), abs=1e-9)
+        assert arc.minarg(U @ U) == pytest.approx(2 * arc.minarg(U), abs=1e-9)
+
+    def test_commuting_factors_add_phases(self):
+        a, b = np.array([0.4, -0.2, 1.1]), np.array([-0.9, 0.5, 0.3])
+        U = np.diag(np.exp(1j * a)) @ np.diag(np.exp(1j * b))
+        assert arc.maxarg(U) == pytest.approx(1.4, abs=1e-12)
+        assert arc.minarg(U) == pytest.approx(-0.5, abs=1e-12)
+
+
 class TestArcBound:
+    def test_commuting_drive_equality(self, rng):
+        # With [H, K] = 0, e^{iK} e^{-i(H+K)} is e^{-iH}: both sides coincide.
+        H = np.diag(rng.uniform(-3.0, 3.0, size=4))
+        K = np.diag(rng.normal(scale=5.0, size=4))
+        case = arc.arc_bound_check(H, K)
+        assert case.holds and case.in_regime
+        assert case.lhs_max == pytest.approx(case.rhs_max, abs=1e-10)
+        assert case.lhs_min == pytest.approx(case.rhs_min, abs=1e-10)
+
     def test_zero_drive_equality(self, rng):
         H = random_hermitian(rng, 4)
         H *= 2.0 / np.max(np.abs(np.linalg.eigvalsh(H)))
