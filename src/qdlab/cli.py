@@ -176,7 +176,7 @@ def _check_grover(params, rows):
     checks = [
         ("success certainty at the flop time", ok_success, f"min={min(r.success_prob for r in rows):.2e}")
     ]
-    if len(rows) >= 2:
+    if len({r.N for r in rows}) >= 2:
         logs_n = np.log([r.N for r in rows])
         logs_t = np.log([r.T for r in rows])
         slope = np.polyfit(logs_n, logs_t, 1)[0]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmath, spectral_arc, tolerances
-from .dynamics import EvolutionSpec, NoiseKind, NoiseModel, evolve, generator_matrix
+from .dynamics import NoiseKind, NoiseModel, apply_channel, generator_matrix
 from .errors import NoDiscriminationError, UnsupportedModelError
 
 
@@ -259,35 +259,20 @@ def mutual_information(joint: np.ndarray) -> float:
     return float(np.sum(q * psi) / math.log(2.0))
 
 
-def measurement_mutual_information(povm_elements, states, priors) -> float:
-    """Mutual information between a hypothesis and a POVM outcome."""
-    joint = np.array(
-        [
-            [p * float(np.trace(E @ rho).real) for E in povm_elements]
-            for rho, p in zip(states, priors)
-        ]
-    )
-    return mutual_information(joint)
-
-
-def _binary_decision(rhos, priors, t: float) -> DiscriminationResult:
-    """The minimum-error measurement of two states at time t, and its outcomes' information."""
-    povm, p_error = helstrom(*rhos, *priors)
-    info = measurement_mutual_information([povm.projector, povm.complement], rhos, priors)
-    return DiscriminationResult(p_error, info, t, povm)
-
-
 def discriminate_superops(ensemble: HypothesisEnsemble, psi0, t: float) -> DiscriminationResult:
     """Evolve one probe state under each of two candidate channels, then
-    perform the minimum-error measurement on the outputs."""
+    perform the minimum-error measurement on the outputs; info_bits is the
+    mutual information between the hypothesis and its outcome."""
     if len(ensemble) != 2:
         raise ValueError("exactly two hypotheses are required")
     psi0 = qmath.check_state(psi0)
     rho0 = np.outer(psi0, psi0.conj())
-    h1, h2 = ensemble.hypotheses
-    out1 = evolve(EvolutionSpec(h1.generator, h1.noise, t), rho0)
-    out2 = evolve(EvolutionSpec(h2.generator, h2.noise, t), rho0)
-    return _binary_decision([out1, out2], [h1.prior, h2.prior], t)
+    rhos = [apply_channel(rho0, h.generator, h.noise, t) for h in ensemble.hypotheses]
+    priors = [h.prior for h in ensemble.hypotheses]
+    povm, p_error = helstrom(*rhos, *priors)
+    joint = np.array([[p * float(np.trace(E @ rho).real) for E in (povm.projector, povm.complement)]
+                      for rho, p in zip(rhos, priors)])
+    return DiscriminationResult(p_error, mutual_information(joint), t, povm)
 
 
 def optimal_time_qubit(omega: float, gamma: float) -> float:
@@ -340,18 +325,10 @@ def superdense_overlap(a_hat, b_hat, t):
 def symmetric_directions(n: int, cos_theta: float) -> list[np.ndarray]:
     """n unit vectors with all pairwise inner products equal to cos_theta.
 
-    n = 2: two vectors in the x-z plane. n = 3: a cone about z with
-    threefold symmetry (planar for cos_theta = -1/2). n = 4: z plus a cone,
-    which requires the tetrahedral value cos_theta = -1/3.
+    n = 3: a cone about z with threefold symmetry (planar for
+    cos_theta = -1/2). n = 4: z plus a cone, which requires the tetrahedral
+    value cos_theta = -1/3.
     """
-    if n == 2:
-        if not -1.0 <= cos_theta <= 1.0:
-            raise ValueError(f"two unit vectors need cos_theta in [-1, 1], got {cos_theta}")
-        theta = math.acos(cos_theta)
-        return [
-            np.array([math.sin(theta / 2), 0.0, math.cos(theta / 2)]),
-            np.array([-math.sin(theta / 2), 0.0, math.cos(theta / 2)]),
-        ]
     if n == 3:
         if not -0.5 <= cos_theta <= 1.0:
             raise ValueError(f"a threefold cone needs cos_theta in [-1/2, 1], got {cos_theta}")
@@ -371,28 +348,23 @@ def symmetric_directions(n: int, cos_theta: float) -> list[np.ndarray]:
             phi = 2 * math.pi * k / 3
             dirs.append(np.array([sa * math.cos(phi), sa * math.sin(phi), -1.0 / 3.0]))
         return dirs
-    raise ValueError("supported direction counts are 2, 3, 4")
+    raise ValueError("supported direction counts are 3, 4")
 
 
-def trine_discriminate(directions, priors=None) -> DiscriminationResult:
-    """Distinguish equiangular field directions with an entangled probe.
+def trine_discriminate(directions) -> DiscriminationResult:
+    """Distinguish equally likely equiangular field directions with an entangled probe.
 
     For 3 or 4 directions with pairwise inner product cos_theta in [-1/2, 0]
     (or exactly -1/3 for 4), evolving one half of a Bell pair for the time
     with cot^2 t = -cos_theta makes the probe states mutually orthogonal; an
     orthogonal measurement in that state basis then identifies the direction
-    with certainty. The degenerate 2-direction case uses the same time, which
-    minimizes the overlap, and falls back to the minimum-error binary
-    measurement.
+    with certainty.
     """
     dirs = [qmath.check_axis(d) for d in directions]
     n = len(dirs)
-    if n not in (2, 3, 4):
-        raise ValueError("supported direction counts are 2, 3, 4")
-    priors = [1.0 / n] * n if priors is None else [float(p) for p in priors]
-    if len(priors) != n:
-        raise ValueError(f"need one prior per direction, got {len(priors)} for {n}")
-    _check_priors(priors)
+    if n not in (3, 4):
+        raise ValueError("supported direction counts are 3, 4")
+    priors = [1.0 / n] * n
 
     dots = [float(dirs[i] @ dirs[j]) for i in range(n) for j in range(i + 1, n)]
     cos_theta = dots[0]
@@ -408,9 +380,6 @@ def trine_discriminate(directions, priors=None) -> DiscriminationResult:
     # and is otherwise least at pi/2.
     t_star = math.atan(1.0 / math.sqrt(-cos_theta)) if cos_theta < 0 else math.pi / 2
     states = [superdense_probe_state(d, t_star) for d in dirs]
-
-    if n == 2:
-        return _binary_decision([np.outer(s, s.conj()) for s in states], priors, t_star)
 
     # The evolved states are orthonormal by construction; complete them to a
     # basis of the two-qubit space so the measurement is a full von Neumann one.

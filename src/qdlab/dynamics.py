@@ -17,7 +17,7 @@ parameters are derived from that, not vice versa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -69,19 +69,6 @@ class FieldHamiltonian:
 
     def matrix(self) -> np.ndarray:
         return 0.5 * self.omega * qmath.axis_operator(np.asarray(self.axis))
-
-
-@dataclass(frozen=True)
-class EvolutionSpec:
-    """A generator, a noise model, and a nonnegative duration."""
-
-    hamiltonian: object  # Hermitian ndarray or FieldHamiltonian
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    duration: float = 0.0
-
-    def __post_init__(self):
-        if not self.duration >= 0:
-            raise ValueError("duration must be nonnegative")
 
 
 def generator_matrix(generator) -> np.ndarray:
@@ -173,19 +160,16 @@ def evolve_independent_depolarizing(
 
 
 def apply_channel(rho0, H, noise: NoiseModel, t: float) -> np.ndarray:
-    """Evolve a density matrix under the channel selected by `noise`."""
-    return evolve(EvolutionSpec(H, noise, t), rho0)
-
-
-def evolve(spec: EvolutionSpec, rho0) -> np.ndarray:
-    """Evolve a density matrix under the channel of an EvolutionSpec."""
+    """Evolve a density matrix for time t under the generator H (a Hermitian
+    ndarray or a FieldHamiltonian) and the channel selected by `noise`."""
     rho0 = np.asarray(rho0, dtype=complex)
-    noise, gamma, t = spec.noise, spec.noise.gamma, spec.duration
+    gamma = noise.gamma
+    _check_rate_and_time(gamma, t)
     if noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
-        if not isinstance(spec.hamiltonian, FieldHamiltonian):
+        if not isinstance(H, FieldHamiltonian):
             raise UnsupportedModelError("independent depolarizing needs a FieldHamiltonian")
-        return evolve_independent_depolarizing(rho0, noise.n_qubits, spec.hamiltonian, gamma, t)
-    H = generator_matrix(spec.hamiltonian)
+        return evolve_independent_depolarizing(rho0, noise.n_qubits, H, gamma, t)
+    H = generator_matrix(H)
     if noise.kind is NoiseKind.NONE:
         U = qmath.expm_i(H, t)
         return U @ rho0 @ U.conj().T

@@ -31,10 +31,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 I2 = np.eye(2, dtype=complex)
 
-KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 # Bell basis: phi+/phi- have even parity, psi+/psi- odd parity.
 BELL_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -29,6 +29,8 @@ class GroverInstance:
             raise ValueError("marked index out of range")
         if not self.energy > 0:
             raise ValueError("energy must be positive")
+        if not math.isfinite(self.flop_time):
+            raise ValueError(f"flop time overflows at energy {self.energy!r}")
 
     @property
     def flop_time(self) -> float:

@@ -331,6 +331,7 @@ class TestConfigHandling:
             ),
             (["figure1"], '{"parameters": {"ratio_max": 1e999}}', 2, "finite"),
             (["grover"], json.dumps({"parameters": {"sizes": [2**1100]}}), 3, "too large"),
+            (["grover"], '{"parameters": {"energy": 1e-308}}', 3, "flop time overflows"),
             (
                 ["superdense"],
                 '{"parameters": {"geometry": "lifted-trine", "cos_theta": 2.0}}',
@@ -345,7 +346,8 @@ class TestConfigHandling:
             ),
         ],
         ids=["superdense-check-geometry", "theorem-check-check-search", "literal-1e999",
-             "grover-size-overflow", "superdense-no-cone", "figure1-reversed-ratios"],
+             "grover-size-overflow", "grover-flop-time-overflow", "superdense-no-cone",
+             "figure1-reversed-ratios"],
     )
     def test_config_exits_with_code_without_traceback(self, tmp_path, args, config, code, message):
         cfg = tmp_path / "cfg.json"
@@ -742,6 +744,15 @@ class TestCheckFlag:
         assert result.returncode == 0
         assert "PASS" in result.stdout
         assert "FAIL" not in result.stdout
+
+    def test_grover_check_skips_the_slope_with_one_distinct_size(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "grover", "parameters": {"sizes": [4, 4]}}))
+        result = qd("grover", "--config", str(cfg), "--check", "--out", str(tmp_path / "r.csv"))
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == [
+            "[PASS] grover: success certainty at the flop time (min=1.00e+00)"]
+        assert "Warning" not in result.stderr
 
     def test_eliminate_check(self, tmp_path):
         cfg = tmp_path / "cfg.json"

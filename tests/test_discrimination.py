@@ -429,32 +429,11 @@ class TestTrineDiscriminate:
         assert res.p_error <= 1e-10
         assert res.info_bits == pytest.approx(math.log2(3.0), abs=1e-9)
 
-    def test_two_directions_sixty_degrees(self):
-        dirs = disc.symmetric_directions(2, 0.5)
-        res = disc.trine_discriminate(dirs)
-        # Overlap cos^2 t + 1/2 sin^2 t has minimum 1/2: imperfect.
-        min_overlap = abs(disc.superdense_overlap(dirs[0], dirs[1], res.t_star))
-        assert min_overlap == pytest.approx(0.5, abs=1e-9)
-        assert res.p_error > 0.0
-
-    @pytest.mark.parametrize(
-        "cos_theta, t_star",
-        [(-1.0, math.pi / 4), (-0.5, math.atan(math.sqrt(2.0))), (0.0, math.pi / 2),
-         (0.5, math.pi / 2), (1.0, math.pi / 2)],
-    )
-    def test_two_direction_time_is_closed_form(self, cos_theta, t_star):
-        dirs = disc.symmetric_directions(2, cos_theta)
-        res = disc.trine_discriminate(dirs)
-        assert res.t_star == pytest.approx(t_star, abs=1e-12)
-        # No time in the quarter period gives a smaller overlap.
-        ts = np.linspace(1e-6, math.pi / 2, 10**4)
-        best = np.abs(disc.superdense_overlap(*dirs, ts)).min()
-        assert abs(disc.superdense_overlap(*dirs, res.t_star)) <= best + 1e-12
-
     def test_grid_minimum_confirms_two_direction_case(self):
-        dirs = disc.symmetric_directions(2, 0.5)
+        # Two axes sixty degrees apart: the overlap cos^2 t + 1/2 sin^2 t never drops below 1/2.
+        a, b = np.array([0.5, 0, math.sqrt(3) / 2]), np.array([-0.5, 0, math.sqrt(3) / 2])
         ts = np.linspace(1e-6, math.pi / 2, 10**4)
-        overlaps = [abs(disc.superdense_overlap(dirs[0], dirs[1], t)) for t in ts]
+        overlaps = [abs(disc.superdense_overlap(a, b, t)) for t in ts]
         assert min(overlaps) == pytest.approx(0.5, abs=1e-6)
 
     def test_rejects_asymmetric_directions(self):
@@ -466,26 +445,21 @@ class TestTrineDiscriminate:
         with pytest.raises(ValueError):
             disc.trine_discriminate(dirs)
 
-    @pytest.mark.parametrize("priors", [[1.5, -0.5, 0.0], [math.nan, 0.5, 0.5]])
-    def test_rejects_priors_off_the_simplex(self, priors):
-        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
-            disc.trine_discriminate(disc.symmetric_directions(3, -0.5), priors)
-
-    @pytest.mark.parametrize("n, count", [(3, 2), (2, 3), (4, 2)])
-    def test_rejects_a_prior_count_other_than_the_direction_count(self, n, count):
-        dirs = disc.symmetric_directions(n, -1.0 / 3.0)
-        with pytest.raises(ValueError, match=f"one prior per direction, got {count} for {n}"):
-            disc.trine_discriminate(dirs, [1.0 / count] * count)
+    def test_rejects_direction_counts_other_than_three_or_four(self):
+        with pytest.raises(ValueError, match="supported direction counts are 3, 4"):
+            disc.symmetric_directions(2, 0.5)
+        with pytest.raises(ValueError, match="supported direction counts are 3, 4"):
+            disc.trine_discriminate([np.eye(3)[0], np.eye(3)[1]])
 
     def test_rejects_positive_cos_theta_trine(self):
         with pytest.raises(ValueError):
             disc.trine_discriminate(disc.symmetric_directions(3, 0.3))
-        # Outside |cos_theta| <= 1 (two vectors) or [-1/2, 1] (three) no vectors exist.
-        for n, cos_theta in [(2, 1.5), (2, -1.0001), (3, 2.0), (3, -0.6), (3, math.nan)]:
+        # Outside [-1/2, 1] no three such vectors exist.
+        for cos_theta in [2.0, -0.6, math.nan]:
             with pytest.raises(ValueError, match="cos_theta"):
-                disc.symmetric_directions(n, cos_theta)
-        for n, cos_theta in [(2, -1.0), (2, 1.0), (3, -0.5), (3, 1.0)]:
-            dirs = disc.symmetric_directions(n, cos_theta)
+                disc.symmetric_directions(3, cos_theta)
+        for cos_theta in [-0.5, 1.0]:
+            dirs = disc.symmetric_directions(3, cos_theta)
             assert dirs[0] @ dirs[1] == pytest.approx(cos_theta, abs=1e-12)
 
 

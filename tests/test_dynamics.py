@@ -144,18 +144,18 @@ class TestSymmetric:
         np.testing.assert_allclose(closed, numeric, atol=1e-6)
 
 
-class TestEvolveDispatch:
+class TestApplyChannelDispatch:
     def test_noiseless_is_unitary_conjugation(self, rng):
         rho0, H = random_density(rng, 3), random_hermitian(rng, 3)
         U = qmath.expm_i(H, 0.9)
-        spec = dynamics.EvolutionSpec(H, NoiseModel(), 0.9)
-        np.testing.assert_allclose(dynamics.evolve(spec, rho0), U @ rho0 @ U.conj().T, atol=1e-14)
+        rho = dynamics.apply_channel(rho0, H, NoiseModel(), 0.9)
+        np.testing.assert_allclose(rho, U @ rho0 @ U.conj().T, atol=1e-14)
 
     def test_qubit_depolarizing_matches_bloch_closed_form(self):
         field = FieldHamiltonian(0.7, (1, 0, 0))
         P0 = np.array([0.0, 0.6, 0.3])
-        spec = dynamics.EvolutionSpec(field, NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, 0.4), 1.3)
-        rho = dynamics.evolve(spec, qmath.bloch_to_density(P0))
+        noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, 0.4)
+        rho = dynamics.apply_channel(qmath.bloch_to_density(P0), field, noise, 1.3)
         np.testing.assert_allclose(
             qmath.density_to_bloch(rho),
             dynamics.evolve_depolarizing_qubit(P0, field, 0.4, 1.3),
@@ -164,9 +164,8 @@ class TestEvolveDispatch:
 
     def test_qubit_depolarizing_requires_a_qubit(self):
         noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, 0.4)
-        spec = dynamics.EvolutionSpec(np.zeros((4, 4)), noise, 1.0)
         with pytest.raises(ValueError, match="requires a single qubit"):
-            dynamics.evolve(spec, np.eye(4) / 4)
+            dynamics.apply_channel(np.eye(4) / 4, np.zeros((4, 4)), noise, 1.0)
 
 
 class TestIndependentDepolarizing:

@@ -230,11 +230,12 @@ class TestStackedKernels:
 
 class TestTensor:
     def test_product_state(self):
-        psi = qmath.tensor(qmath.KET_PLUS, qmath.KET_0)
+        psi = qmath.tensor(qmath.KET_PLUS, qmath.basis_state(2, 0))
         np.testing.assert_allclose(psi, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0], atol=1e-14)
 
     def test_bell_state_construction(self):
-        phi = (qmath.tensor(qmath.KET_0, qmath.KET_0) + qmath.tensor(qmath.KET_1, qmath.KET_1)) / np.sqrt(2)
+        ket0, ket1 = qmath.basis_state(2, 0), qmath.basis_state(2, 1)
+        phi = (qmath.tensor(ket0, ket0) + qmath.tensor(ket1, ket1)) / np.sqrt(2)
         np.testing.assert_allclose(phi, qmath.BELL_PHI_PLUS, atol=1e-14)
 
     def test_mixed_product_rule(self, rng):

@@ -1,10 +1,12 @@
-"""Every public top-level function and class of src/qdlab is reached by `qd`, by the
-acceptance tests or by the benchmark, or is a reference that the tests compare against.
+"""Every public top-level function, class and constant of src/qdlab is reached by `qd`,
+by the acceptance tests or by the benchmark, or is a reference that the tests compare
+against.
 
 The check is static, with `ast`, and goes by name. The roots are the names in the
 module-level code of src/qdlab (which registers the experiments and runs when `qd`
-imports the package), in tests/test_acceptance.py and in perfbench/workloads.py, the
-`module.function` spans of BENCHMARK.json's per-layer metrics, and TEST_REFERENCES.
+imports the package) other than the names its assignments bind; the names in
+tests/test_acceptance.py and in perfbench/workloads.py; the `module.function` spans
+of BENCHMARK.json's per-layer metrics; and TEST_REFERENCES.
 A definition is reached when a root or a reached definition names it; a name stands
 for every src definition of that name, so the check never flags code that is reached.
 """
@@ -47,16 +49,25 @@ def named(tree: ast.AST) -> set[str]:
     return names
 
 
+def bound(node: ast.stmt) -> set[str]:
+    """The names that a top-level assignment binds; none for any other statement."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
 def src_definitions():
-    """(module, name) -> node of every top-level def and class in src/qdlab, and the
-    names that the rest of each module's top level mentions."""
+    """(module, name) -> node of every top-level def, class and assigned name in
+    src/qdlab, and the names that the rest of each module's top level mentions."""
     definitions, module_level = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 definitions[path.stem, node.name] = node
             else:
-                module_level |= named(node)
+                definitions |= {(path.stem, name): node for name in bound(node)}
+                module_level |= named(node) - bound(node)
     return definitions, module_level
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdlab import dynamics, qmath
-from qdlab.dynamics import EvolutionSpec, FieldHamiltonian, NoiseKind, NoiseModel
+from qdlab.dynamics import FieldHamiltonian, NoiseKind, NoiseModel
 from qdlab.errors import ResourceLimitError, UnsupportedModelError
 from conftest import random_density
 
@@ -36,24 +36,18 @@ class TestNoiseModel:
             NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, 0.1, n_qubits=11)
 
 
-class TestEvolutionSpec:
-    def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
-            EvolutionSpec(hamiltonian=np.zeros((2, 2)), duration=-1.0)
-
-    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(NoiseKind.SYMMETRIC, 0.3)])
-    def test_rejects_nan_duration(self, noise):
+class TestApplyChannel:
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_rejects_negative_or_nan_duration(self, kind, t):
         with pytest.raises(ValueError, match="duration must be nonnegative"):
-            EvolutionSpec(hamiltonian=np.zeros((2, 2)), noise=noise, duration=math.nan)
+            dynamics.apply_channel(np.eye(2) / 2, FieldHamiltonian(1.0), NoiseModel(kind, 0.3, 1), t)
 
     def test_dispatches_symmetric(self, rng):
         rho0 = random_density(rng, 2)
         field = FieldHamiltonian(1.1)
-        spec = EvolutionSpec(
-            hamiltonian=field, noise=NoiseModel(NoiseKind.SYMMETRIC, 0.3), duration=0.8
-        )
         np.testing.assert_allclose(
-            dynamics.evolve(spec, rho0),
+            dynamics.apply_channel(rho0, field, NoiseModel(NoiseKind.SYMMETRIC, 0.3), 0.8),
             dynamics.evolve_symmetric(rho0, field.matrix(), 0.3, 0.8),
             atol=1e-14,
         )
@@ -61,22 +55,14 @@ class TestEvolutionSpec:
     def test_dispatches_independent(self, rng):
         rho0 = random_density(rng, 4)
         field = FieldHamiltonian(0.9)
-        spec = EvolutionSpec(
-            hamiltonian=field,
-            noise=NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, 0.2, n_qubits=2),
-            duration=1.1,
-        )
+        noise = NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, 0.2, n_qubits=2)
         np.testing.assert_allclose(
-            dynamics.evolve(spec, rho0),
+            dynamics.apply_channel(rho0, field, noise, 1.1),
             dynamics.evolve_independent_depolarizing(rho0, 2, field, 0.2, 1.1),
             atol=1e-14,
         )
 
     def test_independent_needs_local_field(self, rng):
-        spec = EvolutionSpec(
-            hamiltonian=np.zeros((4, 4)),
-            noise=NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, 0.2, n_qubits=2),
-            duration=1.0,
-        )
+        noise = NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, 0.2, n_qubits=2)
         with pytest.raises(UnsupportedModelError):
-            dynamics.evolve(spec, random_density(rng, 4))
+            dynamics.apply_channel(random_density(rng, 4), np.zeros((4, 4)), noise, 1.0)
