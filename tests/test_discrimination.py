@@ -429,6 +429,22 @@ class TestTrineDiscriminate:
         assert res.p_error <= 1e-10
         assert res.info_bits == pytest.approx(math.log2(3.0), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "n, cos_theta, t_star",
+        [(3, -0.5, math.atan(math.sqrt(2.0))), (3, -0.25, math.atan(2.0)),
+         (3, -0.1, math.atan(math.sqrt(10.0))), (3, 0.0, math.pi / 2),
+         (4, -1.0 / 3.0, math.pi / 3)],
+    )
+    def test_time_is_closed_form(self, n, cos_theta, t_star):
+        dirs = disc.symmetric_directions(n, cos_theta)
+        res = disc.trine_discriminate(dirs)
+        assert res.t_star == pytest.approx(t_star, abs=1e-12)
+        # The pairwise overlap vanishes there, so no time in the quarter period does better.
+        ts = np.linspace(1e-6, math.pi / 2, 10**4)
+        best = np.abs(disc.superdense_overlap(dirs[0], dirs[1], ts)).min()
+        at_star = abs(disc.superdense_overlap(dirs[0], dirs[1], res.t_star))
+        assert at_star <= 1e-12 and at_star <= best + 1e-12
+
     def test_grid_minimum_confirms_two_direction_case(self):
         # Two axes sixty degrees apart: the overlap cos^2 t + 1/2 sin^2 t never drops below 1/2.
         a, b = np.array([0.5, 0, math.sqrt(3) / 2]), np.array([-0.5, 0, math.sqrt(3) / 2])
@@ -445,11 +461,12 @@ class TestTrineDiscriminate:
         with pytest.raises(ValueError):
             disc.trine_discriminate(dirs)
 
-    def test_rejects_direction_counts_other_than_three_or_four(self):
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rejects_direction_counts_other_than_three_or_four(self, n):
         with pytest.raises(ValueError, match="supported direction counts are 3, 4"):
-            disc.symmetric_directions(2, 0.5)
+            disc.symmetric_directions(n, 0.5)
         with pytest.raises(ValueError, match="supported direction counts are 3, 4"):
-            disc.trine_discriminate([np.eye(3)[0], np.eye(3)[1]])
+            disc.trine_discriminate([np.eye(3)[k % 3] for k in range(n)])
 
     def test_rejects_positive_cos_theta_trine(self):
         with pytest.raises(ValueError):
