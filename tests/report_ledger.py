@@ -39,6 +39,10 @@ RUNS = [
      {"ratio_min": 1e-4, "ratio_max": 1e4, "points": 13, "grid": 256}, (7,), ("csv",)),
     ("bench-theorem-check", "theorem-check", {"trials": 250}, (7,), ("csv",)),
     ("bench-fixed-time", "fixed-time", {"samples": 125}, (7,), ("csv",)),
+    # fixed-time at the smallest dimension, a mid one and a large one.
+    ("fixed-time-d1", "fixed-time", {"dim": 1}, (7,), ("csv",)),
+    ("fixed-time-d16", "fixed-time", {"dim": 16}, (7,), ("csv",)),
+    ("fixed-time-d96", "fixed-time", {"dim": 96, "samples": 5}, (7,), ("csv",)),
 ]
 
 
