@@ -107,16 +107,14 @@ def _eig_expm_i(w, V, t) -> np.ndarray:
     return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _folded_args(lam: np.ndarray):
-    """Arguments of unit-modulus eigenvalues on (-pi, pi], and the order
-    that sorts them ascending."""
+def _folded_args(lam: np.ndarray) -> np.ndarray:
+    """Arguments of unit-modulus eigenvalues on (-pi, pi], sorted ascending."""
     moduli = np.abs(lam)
     if np.max(np.abs(moduli - 1.0)) > tolerances.SPECTRAL:
         raise ValueError("matrix is not unitary: eigenvalue moduli deviate from 1")
     args = np.angle(lam / moduli)
     args[args <= -np.pi + tolerances.BRANCH_FOLD] = np.pi
-    order = np.argsort(args, axis=-1)
-    return np.take_along_axis(args, order, axis=-1), order
+    return np.sort(args, axis=-1)
 
 
 def unitary_args(U) -> np.ndarray:
@@ -125,22 +123,12 @@ def unitary_args(U) -> np.ndarray:
     Eigenvalue moduli must be within SPECTRAL of 1, for every matrix of the
     stack; arguments within BRANCH_FOLD of -pi are folded to +pi.
     """
-    return _folded_args(np.linalg.eigvals(_as_stack(U)))[0]
+    return _folded_args(np.linalg.eigvals(_as_stack(U)))
 
 
 def _eig_unitary_args(w) -> np.ndarray:
     """`unitary_args(expm_i(H, 1))` read off H's eigenvalues w: exp(-i w), folded."""
-    return _folded_args(np.exp(-1j * np.asarray(w)))[0]
-
-
-def unitary_eig(U):
-    """Arguments as in `unitary_args`, and orthonormal eigenvector columns V
-    with U V = V diag(exp(i args)). `eig` vectors of a (nearly) repeated
-    eigenvalue need not be orthogonal; QR in ascending-argument order
-    orthonormalizes each cluster within its own span."""
-    lam, V = np.linalg.eig(_as_square(U))
-    args, order = _folded_args(lam)
-    return args, np.linalg.qr(V[:, order])[0]
+    return _folded_args(np.exp(-1j * np.asarray(w)))
 
 
 def tensor(*ops) -> np.ndarray:

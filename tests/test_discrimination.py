@@ -9,7 +9,7 @@ from qdlab import discrimination as disc
 from qdlab import dynamics, qmath
 from qdlab.dynamics import FieldHamiltonian, NoiseKind, NoiseModel
 from qdlab.errors import NoDiscriminationError, UnsupportedModelError
-from conftest import random_density, random_hermitian, random_state, random_unitary
+from conftest import eig_unitary, random_density, random_hermitian, random_state, random_unitary
 
 
 def pure(psi):
@@ -560,14 +560,14 @@ class TestFixedTimeOverlap:
         w = np.linalg.eigvalsh(H)
         gap = w[-1] - w[0]
         t = 0.8 * math.pi / gap
-        _, overlap = disc.fixed_time_overlap(H, np.zeros_like(H), t)
+        overlap = disc.fixed_time_overlap(H, np.zeros_like(H), t)
         assert overlap == pytest.approx(math.cos(t * gap / 2), abs=1e-10)
 
     def test_half_turn_vanishes(self, rng):
         H = random_hermitian(rng, 3)
         w = np.linalg.eigvalsh(H)
         t = math.pi / (w[-1] - w[0])
-        _, overlap = disc.fixed_time_overlap(H, np.zeros_like(H), t)
+        overlap = disc.fixed_time_overlap(H, np.zeros_like(H), t)
         assert overlap <= 1e-8
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
@@ -588,21 +588,56 @@ class TestFixedTimeOverlap:
             H, K = (V * [-1.2, -1.2, 0.4, 1.2]) @ V.conj().T, np.zeros((4, 4))
         elif case == "one-dim":  # one eigenvector is both extremes
             H, K = np.array([[0.3]]), np.array([[-1.1]])
-        psi0, overlap = disc.fixed_time_overlap(H, K, 1.0)
+        overlap = disc.fixed_time_overlap(H, K, 1.0)
+        # The probe: the equal superposition of W's extremal-argument eigenvectors.
+        _, V = eig_unitary(qmath.expm_i(K, -1.0) @ qmath.expm_i(H + K, 1.0))
+        psi0 = (V[:, 0] + V[:, -1]) / math.sqrt(2.0) if len(V) > 1 else V[:, 0]
         assert np.linalg.norm(psi0) == pytest.approx(1.0, abs=1e-12)
         attained = abs(
             np.vdot(qmath.expm_i(K, 1.0) @ psi0, qmath.expm_i(H + K, 1.0) @ psi0)
         )
         assert attained == pytest.approx(overlap, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", [3, 7, 1234567890])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16, 32, 64, 128])
+    def test_equals_the_eig_route_bit_for_bit(self, dim, seed):
+        # Two exponentials, W's `eig` spectrum folded and sorted, then cos(arc/2):
+        # the overlap must not depend on the eigenvalue routine or the stacking.
+        rng = np.random.default_rng(seed)
+        for _ in range(max(2, 64 // dim)):
+            H = random_hermitian(rng, dim) * rng.uniform(0.0, 2.0)
+            K = random_hermitian(rng, dim) * rng.uniform(0.0, 4.0)
+            for drive in (K, np.zeros_like(K)):
+                t = rng.uniform(0.1, 2.0)
+                args, _ = eig_unitary(qmath.expm_i(drive, -t) @ qmath.expm_i(H + drive, t))
+                arc = float(args[-1] - args[0])
+                want = 0.0 if arc >= math.pi else float(math.cos(arc / 2.0))
+                got = disc.fixed_time_overlap(H, drive, t)
+                assert type(got) is float and got == want
+
+    def test_sweep_needs_no_eigenvectors(self, monkeypatch):
+        # The overlap needs W's spectrum only: no `eig` vectors and no QR.
+        called = []
+
+        def spy(name, routine):
+            def spied(*args, **kwargs):
+                called.append(name)
+                return routine(*args, **kwargs)
+            return spied
+
+        for name in ("eig", "qr"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        rows = disc.fixed_time_sweep(4, 1.0, 20, 7, 1.5, 5.0)
+        assert len(rows) == 20 and called == []
+
     def test_driving_never_reduces_overlap(self, rng):
         # 100 random drives against the undriven probe, ||H|| < pi/2.
         H = random_hermitian(rng, 4)
         H *= (0.9 * math.pi / 2) / np.max(np.abs(np.linalg.eigvalsh(H)))
-        _, base = disc.fixed_time_overlap(H, np.zeros_like(H), 1.0)
+        base = disc.fixed_time_overlap(H, np.zeros_like(H), 1.0)
         for _ in range(100):
             K = random_hermitian(rng, 4) * rng.uniform(0, 3)
-            _, driven = disc.fixed_time_overlap(H, K, 1.0)
+            driven = disc.fixed_time_overlap(H, K, 1.0)
             assert driven >= base - 1e-9
 
     def test_monotone_in_time(self, rng):
@@ -610,7 +645,7 @@ class TestFixedTimeOverlap:
         w = np.linalg.eigvalsh(H)
         gap = w[-1] - w[0]
         ts = np.linspace(0.05, 0.95, 19) * math.pi / gap
-        overlaps = [disc.fixed_time_overlap(H, np.zeros_like(H), t)[1] for t in ts]
+        overlaps = [disc.fixed_time_overlap(H, np.zeros_like(H), t) for t in ts]
         assert all(a > b for a, b in zip(overlaps, overlaps[1:]))
 
 

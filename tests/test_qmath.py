@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdlab import qmath, tolerances
-from conftest import random_density, random_hermitian, random_state, random_unitary
+from conftest import eig_unitary, random_density, random_hermitian, random_state, random_unitary
 
 
 class TestHermEig:
@@ -116,9 +116,9 @@ class TestUnitaryArgs:
             qmath.unitary_args(np.diag([2.0, 1.0]))
 
 
-class TestUnitaryEig:
+class TestUnitaryArgsAgainstEig:
     @pytest.mark.parametrize("case", ["random", "identity", "repeated", "branch-cut"])
-    def test_orthonormal_eigenbasis_with_unitary_args(self, rng, case):
+    def test_equal_to_folded_eig_arguments(self, rng, case):
         V0 = random_unitary(rng, 4)
         phases = {
             "random": rng.uniform(-np.pi, np.pi, 4),
@@ -127,14 +127,10 @@ class TestUnitaryEig:
             "branch-cut": [np.pi, -np.pi + 1e-13, 0.5, 0.5],
         }[case]
         U = V0 @ np.diag(np.exp(1j * np.asarray(phases))) @ V0.conj().T
-        args, V = qmath.unitary_eig(U)
+        args, V = eig_unitary(U)
         assert np.max(np.abs(U @ V - V * np.exp(1j * args))) <= 1e-10
         assert np.max(np.abs(V.conj().T @ V - np.eye(4))) <= 1e-10
         np.testing.assert_allclose(args, qmath.unitary_args(U), rtol=0, atol=1e-12)
-
-    def test_rejects_nonunitary(self):
-        with pytest.raises(ValueError):
-            qmath.unitary_eig(np.diag([2.0, 1.0]))
 
 
 def _hermitian_stack(seed, batch, dim, zero_member):
@@ -216,7 +212,6 @@ class TestStackedKernels:
         stack = np.stack([np.eye(2, dtype=complex) / 2] * 3)
         for call in (
             qmath.density_to_bloch,
-            qmath.unitary_eig,
             lambda M: qmath.partial_trace(M, [2], [0]),
         ):
             with pytest.raises(ValueError):

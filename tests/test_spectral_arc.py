@@ -112,8 +112,8 @@ def reference_fixed_time(dim, t, samples, seed, h_norm, k_norm):
         rng = np.random.default_rng(child)
         H = reference_random_hermitian(dim, h_norm * rng.uniform(0.2, 1.0), rng)
         K = reference_random_hermitian(dim, k_norm * rng.uniform(0.0, 1.0), rng)
-        _, driven = disc.fixed_time_overlap(H, K, t)
-        _, undriven = disc.fixed_time_overlap(H, np.zeros_like(K), t)
+        driven = disc.fixed_time_overlap(H, K, t)
+        undriven = disc.fixed_time_overlap(H, np.zeros_like(K), t)
         rows.append(disc.FixedTimeRow(idx, dim, t, driven, undriven, driven - undriven))
         pairs.append((H, K))
     return rows, pairs
@@ -152,7 +152,7 @@ def reference_eliminate(n, dim, trials, seed):
 
 
 def spy_kernels(monkeypatch, kernels=("herm_eig", "expm_i", "_eig_expm_i", "unitary_args",
-                                      "_eig_unitary_args", "unitary_eig")):
+                                      "_eig_unitary_args")):
     """Record (kernel name, input size) of every call of the named qmath kernels."""
     calls = []
 
@@ -644,11 +644,11 @@ class TestStackedGeneratorDraws:
         rows, _ = self.fixed_time(monkeypatch, 2, 1.0, 23, 5, 1.5, 5.0)
         assert max(size for _, size in calls) <= budget
         # One herm_eig of the H stack and one of the K stack per block (4 of 5
-        # samples, 1 of 3), then expm_i of K and of H + K in each of the two
-        # fixed_time_overlap calls per sample.
+        # samples, 1 of 3), then one expm_i of the stacked K and H + K in each of
+        # the two fixed_time_overlap calls per sample.
         rescales = [20, 20] * 4 + [12, 12]
         assert sorted(s for name, s in calls if name == "herm_eig") == sorted(
-            rescales + [4] * (4 * 23))
+            rescales + [8] * (2 * 23))
         assert len(rows) == 23
 
     # 20: blocks of 1 trial, stacks of 5 and 2 generators; 56: blocks of 2 and 1 trials.
