@@ -43,6 +43,17 @@ RUNS = [
     ("fixed-time-d1", "fixed-time", {"dim": 1}, (7,), ("csv",)),
     ("fixed-time-d16", "fixed-time", {"dim": 16}, (7,), ("csv",)),
     ("fixed-time-d96", "fixed-time", {"dim": 96, "samples": 5}, (7,), ("csv",)),
+    # The three-direction trine, which the default tetrahedron never runs.
+    ("superdense-planar-trine", "superdense", {"geometry": "planar-trine"}, (7,), ("csv",)),
+    ("superdense-lifted-trine", "superdense", {"geometry": "lifted-trine", "cos_theta": -0.25},
+     (7,), ("csv",)),
+    # metrology under the noise kinds the default run does not use, and at a
+    # decay so slow that the optimum sits on the time budget.
+    ("metrology-none", "metrology", {"noise": "none"}, (7,), ("csv",)),
+    ("metrology-symmetric", "metrology", {"noise": "symmetric"}, (7,), ("csv",)),
+    ("metrology-qubit-depolarizing", "metrology", {"noise": "qubit_depolarizing", "n": 1},
+     (7,), ("csv",)),
+    ("metrology-boundary", "metrology", {"gamma": 1e-6, "t_total": 10.0}, (7,), ("csv",)),
 ]
 
 
