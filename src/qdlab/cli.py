@@ -323,11 +323,8 @@ def _metrology_strategies(params):
         raise ConfigError(f"noise {params['noise']!r} needs n = 1, got n = {n}")
     n_for_model = n if noise_kind is NoiseKind.INDEPENDENT_DEPOLARIZING else None
     noise = NoiseModel(noise_kind, params["gamma"], n_for_model)
-    common = dict(n=n, T_total=t_total, omega=params["omega"], noise=noise)
-    return (
-        metrology.Strategy(kind=metrology.StrategyKind.PRODUCT, t=t_total / 2, **common),
-        metrology.Strategy(kind=metrology.StrategyKind.CAT, t=t_total / 2, **common),
-    )
+    return tuple(metrology.Strategy(kind=kind, n=n, T_total=t_total, noise=noise)
+                 for kind in (metrology.StrategyKind.PRODUCT, metrology.StrategyKind.CAT))
 
 
 def _run_metrology(params, seed):
@@ -476,13 +473,7 @@ EXPERIMENTS = {
     ),
     "metrology": Experiment(
         "time-budget-optimized frequency precision: product versus cat probes",
-        {
-            "n": 4,
-            "omega": 1.0,
-            "gamma": 0.05,
-            "t_total": 1000.0,
-            "noise": "independent_depolarizing",
-        },
+        {"n": 4, "gamma": 0.05, "t_total": 1000.0, "noise": "independent_depolarizing"},
         _run_metrology,
         _check_metrology,
         {"noise": tuple(kind.value for kind in NoiseKind)},
@@ -507,7 +498,7 @@ EXPERIMENTS = {
         _check_theorem_check,
         {"mode": ("verify", "search")},
         check_requires={"mode": "verify"},
-        bounds={"dims": (1, 1024), "trials": _SIZE, "h_norm_max": _NONNEGATIVE,
+        bounds={"dims": (1, 1024), "trials": _SIZE, "h_norm_max": (0.0, math.pi),
                 "k_norm_max": _NONNEGATIVE},
     ),
 }

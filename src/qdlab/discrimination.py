@@ -62,29 +62,10 @@ class HypothesisEnsemble:
 
 
 @dataclass(frozen=True)
-class BinaryPOVM:
-    """Two-outcome POVM {E, I - E} with 0 <= E <= I."""
-
-    projector: np.ndarray
-
-    def __post_init__(self):
-        E = np.asarray(self.projector, dtype=complex)
-        w = np.linalg.eigvalsh((E + E.conj().T) / 2)
-        if w.min() < -tolerances.ALGEBRAIC or w.max() > 1.0 + tolerances.ALGEBRAIC:
-            raise ValueError("POVM element eigenvalues must lie in [0, 1]")
-        object.__setattr__(self, "projector", E)
-
-    @property
-    def complement(self) -> np.ndarray:
-        return np.eye(self.projector.shape[0]) - self.projector
-
-
-@dataclass(frozen=True)
 class DiscriminationResult:
     p_error: float
     info_bits: float
     t_star: float
-    measurement: object  # BinaryPOVM or an orthonormal-basis ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +182,7 @@ def helstrom(rho1, rho2, p1: float = 0.5, p2: float = 0.5):
 
     The optimal element projects onto the positive-eigenvalue subspace of
     p1 rho1 - p2 rho2; the achieved error is 1/2 - 1/2 tr|p1 rho1 - p2 rho2|.
-    Returns (BinaryPOVM, p_error).
+    Returns (E, p_error): the projector E decides for rho1, I - E for rho2.
     """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
@@ -213,7 +194,7 @@ def helstrom(rho1, rho2, p1: float = 0.5, p2: float = 0.5):
     pos = V[:, w > 0]
     E = pos @ pos.conj().T
     p_error = 0.5 - 0.5 * float(np.sum(np.abs(w)))
-    return BinaryPOVM(E), float(min(max(p_error, 0.0), 1.0))
+    return E, float(min(max(p_error, 0.0), 1.0))
 
 
 _BELOW_ONE, _LN2 = np.nextafter(1.0, 0.0), math.log(2.0)
@@ -269,10 +250,10 @@ def discriminate_superops(ensemble: HypothesisEnsemble, psi0, t: float) -> Discr
     rho0 = np.outer(psi0, psi0.conj())
     rhos = [apply_channel(rho0, h.generator, h.noise, t) for h in ensemble.hypotheses]
     priors = [h.prior for h in ensemble.hypotheses]
-    povm, p_error = helstrom(*rhos, *priors)
-    joint = np.array([[p * float(np.trace(E @ rho).real) for E in (povm.projector, povm.complement)]
+    E, p_error = helstrom(*rhos, *priors)
+    joint = np.array([[p * float(np.trace(F @ rho).real) for F in (E, np.eye(len(E)) - E)]
                       for rho, p in zip(rhos, priors)])
-    return DiscriminationResult(p_error, mutual_information(joint), t, povm)
+    return DiscriminationResult(p_error, mutual_information(joint), t)
 
 
 def optimal_time_qubit(omega: float, gamma: float) -> float:
@@ -379,26 +360,16 @@ def trine_discriminate(directions) -> DiscriminationResult:
     # The overlap 1 - (1 - cos_theta) sin^2 t vanishes where cot^2 t = -cos_theta,
     # and is otherwise least at pi/2.
     t_star = math.atan(1.0 / math.sqrt(-cos_theta)) if cos_theta < 0 else math.pi / 2
-    states = [superdense_probe_state(d, t_star) for d in dirs]
-
-    # The evolved states are orthonormal by construction; complete them to a
-    # basis of the two-qubit space so the measurement is a full von Neumann one.
-    basis = np.zeros((4, 4), dtype=complex)
-    basis[:, :n] = np.column_stack(states)
-    if n < 4:
-        # Deterministic completion: eigenvectors of the complement projector.
-        comp = np.eye(4, dtype=complex)
-        for k in range(n):
-            comp -= np.outer(states[k], states[k].conj())
-        w, V = np.linalg.eigh(comp)
-        basis[:, n:] = V[:, w > 0.5][:, : 4 - n]
-
-    probs = np.abs(basis.conj().T @ np.column_stack(states)) ** 2  # p[outcome, hyp]
+    # The evolved states are orthonormal by construction; measuring in their
+    # basis identifies the direction (a third direction's missing basis vector
+    # has probability 0 under every hypothesis).
+    S = np.column_stack([superdense_probe_state(d, t_star) for d in dirs])
+    probs = np.abs(S.conj().T @ S) ** 2  # p[outcome, hyp]
     joint = probs.T * np.asarray(priors)[:, None]
     success = sum(priors[a] * probs[a, a] for a in range(n))
     p_error = float(min(max(1.0 - success, 0.0), 1.0))
     info = mutual_information(joint)
-    return DiscriminationResult(p_error, info, t_star, basis)
+    return DiscriminationResult(p_error, info, t_star)
 
 
 # ---------------------------------------------------------------------------

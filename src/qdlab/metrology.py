@@ -35,13 +35,11 @@ class StrategyKind:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Probe family, qubit count, per-shot duration, and time budget."""
+    """Probe family, qubit count, time budget, and noise."""
 
     kind: str
     n: int
-    t: float
     T_total: float
-    omega: float
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
@@ -49,8 +47,8 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        if not 0 < self.t <= self.T_total:
-            raise ValueError("need 0 < t <= T_total")
+        if not self.T_total > 0:
+            raise ValueError("need T_total > 0")
 
 
 @dataclass(frozen=True)
@@ -66,36 +64,19 @@ def _decay_and_rate(s: Strategy) -> tuple[float, float]:
     (1 + e^{-gamma_eff t} cos(rate omega t)) / 2 of the + outcome of the
     transverse parity measurement.
 
-    Product probes precess at omega and keep their single-qubit decay; the
-    cat state precesses n times faster, pays n-fold decay under independent
-    depolarizing, but only single-qubit decay under symmetric decoherence.
+    Product probes precess at omega and keep their single-qubit decay (none
+    without noise); the cat state precesses n times faster, pays n-fold decay
+    under independent depolarizing, but only single-qubit decay otherwise.
+    Under qubit depolarizing the cat has a closed form on one qubit only.
     """
-    g = s.noise.gamma
+    g = 0.0 if s.noise.kind is NoiseKind.NONE else s.noise.gamma
     if s.kind == StrategyKind.PRODUCT:
-        if s.noise.kind is NoiseKind.NONE:
-            return 0.0, 1.0
-        if s.noise.kind in (
-            NoiseKind.QUBIT_DEPOLARIZING,
-            NoiseKind.INDEPENDENT_DEPOLARIZING,
-            NoiseKind.SYMMETRIC,
-        ):
-            return g, 1.0
-    else:  # cat
-        if s.noise.kind is NoiseKind.NONE:
-            return 0.0, float(s.n)
-        if s.noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
-            return s.n * g, float(s.n)
-        if s.noise.kind is NoiseKind.SYMMETRIC:
-            return g, float(s.n)
-        if s.noise.kind is NoiseKind.QUBIT_DEPOLARIZING and s.n == 1:
-            return g, 1.0
-    raise UnsupportedModelError(f"no closed form for ({s.kind}, {s.noise.kind.value}, n={s.n})")
-
-
-def _repetitions(s: Strategy, t: float) -> float:
-    if s.kind == StrategyKind.PRODUCT:
-        return s.n * s.T_total / t
-    return s.T_total / t
+        return g, 1.0
+    if s.noise.kind is NoiseKind.QUBIT_DEPOLARIZING and s.n != 1:
+        raise UnsupportedModelError(f"no closed form for ({s.kind}, {s.noise.kind.value}, n={s.n})")
+    if s.noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
+        return s.n * g, float(s.n)
+    return g, float(s.n)
 
 
 def precision_envelope(s: Strategy, t: float) -> float:
@@ -104,7 +85,8 @@ def precision_envelope(s: Strategy, t: float) -> float:
     delta_P = sqrt(P (1 - P) / m), with the shot tuned to quadrature
     (cos(rate omega t) = 0): m is n T/t for product probes and T/t for the cat."""
     gamma_eff, rate = _decay_and_rate(s)
-    return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(_repetitions(s, t))
+    m = s.n * s.T_total / t if s.kind == StrategyKind.PRODUCT else s.T_total / t
+    return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(m)
 
 
 def optimize_precision(s: Strategy) -> OptimizedPrecision:
@@ -116,13 +98,8 @@ def optimize_precision(s: Strategy) -> OptimizedPrecision:
     a flag.
     """
     gamma_eff, _ = _decay_and_rate(s)
-    if gamma_eff == 0.0:
-        t_star = s.T_total
-        return OptimizedPrecision(t_star, precision_envelope(s, t_star), at_boundary=True)
-    t_star = 1.0 / (2.0 * gamma_eff)
-    if t_star >= s.T_total:
-        return OptimizedPrecision(s.T_total, precision_envelope(s, s.T_total), at_boundary=True)
-    return OptimizedPrecision(t_star, precision_envelope(s, t_star), at_boundary=False)
+    t_star = min(1.0 / (2.0 * gamma_eff), s.T_total) if gamma_eff else s.T_total
+    return OptimizedPrecision(t_star, precision_envelope(s, t_star), t_star == s.T_total)
 
 
 # ---------------------------------------------------------------------------

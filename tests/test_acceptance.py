@@ -173,8 +173,8 @@ def test_criterion_06_sqft():
 def test_criterion_07_metrology_equivalence():
     gamma, n, T = 0.04, 5, 2000.0
     noise = NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, gamma, n)
-    product = Strategy(StrategyKind.PRODUCT, n=n, t=1.0, T_total=T, omega=1.0, noise=noise)
-    cat = Strategy(StrategyKind.CAT, n=n, t=1.0, T_total=T, omega=1.0, noise=noise)
+    product = Strategy(StrategyKind.PRODUCT, n=n, T_total=T, noise=noise)
+    cat = Strategy(StrategyKind.CAT, n=n, T_total=T, noise=noise)
     p_opt = met.optimize_precision(product)
     c_opt = met.optimize_precision(cat)
     expect = math.sqrt(2 * math.e * gamma / (n * T))

@@ -201,6 +201,9 @@ class TestConfigHandling:
             # ... or ran and wrote a report.
             ("fixed-time", {"k_norm": -3}),
             ("fixed-time", {"h_norm": -1e-300}),
+            # Past pi, 194 of these 800 cases left the theorem's regime, counted as
+            # violations, and failed --check.
+            ("theorem-check", {"h_norm_max": 4.5, "dims": [2, 3], "trials": 400}),
         ],
     )
     def test_negative_norms_and_times_refused_before_any_draw(self, experiment, parameters,
@@ -403,6 +406,18 @@ class TestConfigHandling:
         assert out.exists() == (code == 0)
         assert len(built) == (2 if code == 0 else 0)
         assert ("config error" in capsys.readouterr().err) == (code == 2)
+
+    def test_metrology_has_no_field_frequency(self, tmp_path, capsys):
+        # The quadrature-tuned precision does not depend on omega, so no omega is read.
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"omega": 1.0}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["metrology", "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == 2
+        assert "unknown parameter 'omega'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_precondition_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"

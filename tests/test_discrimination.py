@@ -33,6 +33,21 @@ def grid_measurement_error(rho1, rho2, p1, p2, axes):
     return float(np.min(err_up + err_dn))
 
 
+def spy_eigendecompositions(monkeypatch):
+    """Record the name of every numpy eigendecomposition called from now on."""
+    called = []
+
+    def spy(name, routine):
+        def spied(*args, **kwargs):
+            called.append(name)
+            return routine(*args, **kwargs)
+        return spied
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return called
+
+
 def fibonacci_sphere(n):
     k = np.arange(n)
     phi = math.pi * (3.0 - math.sqrt(5.0))
@@ -59,7 +74,7 @@ class TestHelstrom:
             psi1 = random_state(rng, 2)
             psi2 = random_state(rng, 2)
             c = abs(np.vdot(psi1, psi2))
-            povm, p_err = disc.helstrom(pure(psi1), pure(psi2))
+            _, p_err = disc.helstrom(pure(psi1), pure(psi2))
             expected = 0.5 * (1 - math.sqrt(1 - c**2))
             assert p_err == pytest.approx(expected, abs=1e-10)
             grid_best = grid_measurement_error(pure(psi1), pure(psi2), 0.5, 0.5, axes)
@@ -94,11 +109,19 @@ class TestHelstrom:
     def test_measurement_attains_reported_error(self, rng):
         for dim, p1 in ((2, 0.5), (3, 0.65), (5, 0.2)):
             rho1, rho2 = random_density(rng, dim), random_density(rng, dim)
-            povm, p_err = disc.helstrom(rho1, rho2, p1, 1 - p1)
-            achieved = p1 * np.trace(povm.complement @ rho1) + (1 - p1) * np.trace(
-                povm.projector @ rho2
-            )
+            E, p_err = disc.helstrom(rho1, rho2, p1, 1 - p1)
+            achieved = p1 * np.trace((np.eye(dim) - E) @ rho1) + (1 - p1) * np.trace(E @ rho2)
             assert achieved.real == pytest.approx(p_err, abs=1e-12)
+
+    def test_one_eigendecomposition_per_call(self, rng, monkeypatch):
+        # The element projects onto p1 rho1 - p2 rho2's positive eigenspace: a
+        # projector by construction, which no second decomposition rechecks.
+        states = [(random_density(rng, dim), random_density(rng, dim)) for dim in (2, 3, 5)]
+        called = spy_eigendecompositions(monkeypatch)
+        results = [disc.helstrom(rho1, rho2, 0.3, 0.7) for rho1, rho2 in states]
+        assert called == ["eigh"] * 3
+        for E, _ in results:
+            assert np.allclose(E @ E, E, atol=1e-12) and np.allclose(E, E.conj().T, atol=1e-12)
 
     def test_commuting_states_closed_form(self, rng):
         # Diagonal states: the best guess per outcome i errs by min(p1 a_i, p2 b_i).
@@ -444,6 +467,16 @@ class TestTrineDiscriminate:
         best = np.abs(disc.superdense_overlap(dirs[0], dirs[1], ts)).min()
         at_star = abs(disc.superdense_overlap(dirs[0], dirs[1], res.t_star))
         assert at_star <= 1e-12 and at_star <= best + 1e-12
+
+    @pytest.mark.parametrize("n, cos_theta", [(3, -0.5), (3, -0.25), (4, -1.0 / 3.0)])
+    def test_needs_no_eigendecomposition(self, n, cos_theta, monkeypatch):
+        # Outcome k is the evolved state k itself: three directions leave one
+        # basis vector unused, and nothing has to complete the basis.
+        dirs = disc.symmetric_directions(n, cos_theta)
+        called = spy_eigendecompositions(monkeypatch)
+        res = disc.trine_discriminate(dirs)
+        assert called == []
+        assert res.info_bits == pytest.approx(math.log2(n), abs=1e-9)
 
     def test_grid_minimum_confirms_two_direction_case(self):
         # Two axes sixty degrees apart: the overlap cos^2 t + 1/2 sin^2 t never drops below 1/2.

@@ -14,66 +14,69 @@ from qdlab.errors import UnsupportedModelError
 from qdlab.metrology import Strategy, StrategyKind
 
 
-def make_strategy(kind, n, noise_kind, gamma, t=0.7, T=100.0, omega=1.1):
+# The shot duration and field frequency of the shot-probability tests.
+T_SHOT, OMEGA = 0.7, 1.1
+
+
+def make_strategy(kind, n, noise_kind, gamma, T=100.0):
     n_decl = n if noise_kind is NoiseKind.INDEPENDENT_DEPOLARIZING else None
-    return Strategy(
-        kind=kind, n=n, t=t, T_total=T, omega=omega, noise=NoiseModel(noise_kind, gamma, n_decl)
-    )
+    return Strategy(kind=kind, n=n, T_total=T, noise=NoiseModel(noise_kind, gamma, n_decl))
 
 
-def simulate_shot_probability(s: Strategy) -> float:
+def simulate_shot_probability(s: Strategy, t: float, omega: float) -> float:
     """Full-channel recomputation of the + probability of the transverse
-    parity observable (sigma_x on every qubit; plain sigma_x for product)."""
-    field = FieldHamiltonian(s.omega)
+    parity observable (sigma_x on every qubit; plain sigma_x for product)
+    after a shot of duration t in a field of frequency omega."""
+    field = FieldHamiltonian(omega)
     if s.kind == StrategyKind.PRODUCT:
         rho0 = qmath.bloch_to_density([1.0, 0.0, 0.0])
         if s.noise.kind is NoiseKind.NONE:
-            rho = dynamics.apply_channel(rho0, field.matrix(), NoiseModel(), s.t)
+            rho = dynamics.apply_channel(rho0, field.matrix(), NoiseModel(), t)
         elif s.noise.kind is NoiseKind.SYMMETRIC:
-            rho = dynamics.evolve_symmetric(rho0, field.matrix(), s.noise.gamma, s.t)
+            rho = dynamics.evolve_symmetric(rho0, field.matrix(), s.noise.gamma, t)
         else:
-            rho = dynamics.evolve_independent_depolarizing(rho0, 1, field, s.noise.gamma, s.t)
+            rho = dynamics.evolve_independent_depolarizing(rho0, 1, field, s.noise.gamma, t)
         return float(np.trace(0.5 * (qmath.I2 + qmath.SIGMA_X) @ rho).real)
 
     cat = np.zeros(2**s.n, dtype=complex)
     cat[0] = cat[-1] = 1 / math.sqrt(2)
     rho0 = np.outer(cat, cat.conj())
     if s.noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
-        rho = dynamics.evolve_independent_depolarizing(rho0, s.n, field, s.noise.gamma, s.t)
+        rho = dynamics.evolve_independent_depolarizing(rho0, s.n, field, s.noise.gamma, t)
     else:
         h = field.matrix()
         H = sum(
             qmath.tensor(*[h if q == k else qmath.I2 for q in range(s.n)]) for k in range(s.n)
         )
         gamma = s.noise.gamma if s.noise.kind is NoiseKind.SYMMETRIC else 0.0
-        rho = dynamics.evolve_symmetric(rho0, H, gamma, s.t)
+        rho = dynamics.evolve_symmetric(rho0, H, gamma, t)
     parity = qmath.tensor(*([qmath.SIGMA_X] * s.n))
     return float(np.trace(0.5 * (np.eye(2**s.n) + parity) @ rho).real)
 
 
-def shot_probability(s: Strategy) -> float:
+def shot_probability(s: Strategy, t: float, omega: float) -> float:
     """The + probability 0.5 (1 + e^{-gamma_eff t} cos(rate omega t)) that
     `metrology._decay_and_rate`'s decay and rate imply."""
     gamma_eff, rate = met._decay_and_rate(s)
-    return 0.5 * (1.0 + math.exp(-gamma_eff * s.t) * math.cos(rate * s.omega * s.t))
+    return 0.5 * (1.0 + math.exp(-gamma_eff * t) * math.cos(rate * omega * t))
 
 
 class TestShotProbability:
     def test_product_noiseless(self):
         s = make_strategy(StrategyKind.PRODUCT, 3, NoiseKind.NONE, 0.0)
-        assert shot_probability(s) == pytest.approx(
-            0.5 * (1 + math.cos(s.omega * s.t)), abs=1e-15
+        assert shot_probability(s, T_SHOT, OMEGA) == pytest.approx(
+            0.5 * (1 + math.cos(OMEGA * T_SHOT)), abs=1e-15
         )
 
     def test_cat_independent_depolarizing(self):
         s = make_strategy(StrategyKind.CAT, 2, NoiseKind.INDEPENDENT_DEPOLARIZING, 0.3)
-        expected = 0.5 * (1 + math.exp(-2 * 0.3 * s.t) * math.cos(2 * s.omega * s.t))
-        assert shot_probability(s) == pytest.approx(expected, abs=1e-15)
+        expected = 0.5 * (1 + math.exp(-2 * 0.3 * T_SHOT) * math.cos(2 * OMEGA * T_SHOT))
+        assert shot_probability(s, T_SHOT, OMEGA) == pytest.approx(expected, abs=1e-15)
 
     def test_cat_symmetric_single_rate(self):
         s = make_strategy(StrategyKind.CAT, 2, NoiseKind.SYMMETRIC, 0.3)
-        expected = 0.5 * (1 + math.exp(-0.3 * s.t) * math.cos(2 * s.omega * s.t))
-        assert shot_probability(s) == pytest.approx(expected, abs=1e-15)
+        expected = 0.5 * (1 + math.exp(-0.3 * T_SHOT) * math.cos(2 * OMEGA * T_SHOT))
+        assert shot_probability(s, T_SHOT, OMEGA) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("kind", [StrategyKind.PRODUCT, StrategyKind.CAT])
     @pytest.mark.parametrize(
@@ -84,31 +87,29 @@ class TestShotProbability:
     def test_closed_forms_match_channel_simulation(self, kind, noise_kind, n):
         gamma = 0.0 if noise_kind is NoiseKind.NONE else 0.35
         s = make_strategy(kind, n, noise_kind, gamma)
-        assert shot_probability(s) == pytest.approx(simulate_shot_probability(s), abs=1e-10)
+        assert shot_probability(s, T_SHOT, OMEGA) == pytest.approx(
+            simulate_shot_probability(s, T_SHOT, OMEGA), abs=1e-10
+        )
 
     def test_unsupported_combination(self):
         s = make_strategy(StrategyKind.CAT, 3, NoiseKind.QUBIT_DEPOLARIZING, 0.2)
         with pytest.raises(UnsupportedModelError):
-            shot_probability(s)
+            shot_probability(s, T_SHOT, OMEGA)
 
 
 class TestPrecision:
     def test_product_shot_noise_scaling(self):
         # Budget of one shot per qubit: delta_omega = 1 / (t sqrt(n)).
         for n in (1, 4, 9):
-            s = Strategy(
-                kind=StrategyKind.PRODUCT, n=n, t=0.8, T_total=0.8, omega=0.9, noise=NoiseModel()
-            )
-            assert met.precision_envelope(s, s.t) == pytest.approx(
+            s = Strategy(kind=StrategyKind.PRODUCT, n=n, T_total=0.8, noise=NoiseModel())
+            assert met.precision_envelope(s, 0.8) == pytest.approx(
                 1.0 / (0.8 * math.sqrt(n)), abs=1e-12
             )
 
     def test_cat_linear_scaling(self):
         for n in (1, 4, 9):
-            s = Strategy(
-                kind=StrategyKind.CAT, n=n, t=0.8, T_total=0.8, omega=0.9, noise=NoiseModel()
-            )
-            assert met.precision_envelope(s, s.t) == pytest.approx(1.0 / (0.8 * n), abs=1e-12)
+            s = Strategy(kind=StrategyKind.CAT, n=n, T_total=0.8, noise=NoiseModel())
+            assert met.precision_envelope(s, 0.8) == pytest.approx(1.0 / (0.8 * n), abs=1e-12)
 
 
     @pytest.mark.parametrize(
@@ -124,16 +125,13 @@ class TestPrecision:
         # sqrt(P (1 - P) / m) / |dP/domega| with dP/domega by central difference,
         # at the omega that puts the fringe at quadrature.
         t = 0.7
-        _, rate = met._decay_and_rate(make_strategy(kind, n, noise_kind, gamma, t=t))
+        s = make_strategy(kind, n, noise_kind, gamma)
+        _, rate = met._decay_and_rate(s)
         omega = 0.5 * math.pi / (rate * t)
-        s = make_strategy(kind, n, noise_kind, gamma, t=t, omega=omega)
         h = 1e-6
-        slope = (
-            shot_probability(make_strategy(kind, n, noise_kind, gamma, t=t, omega=omega + h))
-            - shot_probability(make_strategy(kind, n, noise_kind, gamma, t=t, omega=omega - h))
-        ) / (2 * h)
-        P = shot_probability(s)
-        m = met._repetitions(s, t)
+        slope = (shot_probability(s, t, omega + h) - shot_probability(s, t, omega - h)) / (2 * h)
+        P = shot_probability(s, t, omega)
+        m = (s.n if kind == StrategyKind.PRODUCT else 1) * s.T_total / t
         expected = math.sqrt(P * (1 - P) / m) / abs(slope)
         assert met.precision_envelope(s, t) == pytest.approx(expected, rel=1e-8)
 
@@ -166,6 +164,63 @@ class TestOptimizePrecision:
         opt = met.optimize_precision(s)
         assert opt.at_boundary
         assert opt.t_star == 50.0
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+    def test_budget_must_be_positive(self, T):
+        with pytest.raises(ValueError, match="need T_total > 0"):
+            make_strategy(StrategyKind.PRODUCT, 2, NoiseKind.NONE, 0.0, T=T)
+
+    @staticmethod
+    def branch_ladder(s):
+        """optimize_precision as one branch per (kind, noise kind) pair:
+        (t_star, delta_omega, at_boundary)."""
+        g = s.noise.gamma
+        ladder = {
+            (StrategyKind.PRODUCT, NoiseKind.NONE): (0.0, 1.0),
+            (StrategyKind.CAT, NoiseKind.NONE): (0.0, float(s.n)),
+            (StrategyKind.CAT, NoiseKind.INDEPENDENT_DEPOLARIZING): (s.n * g, float(s.n)),
+            (StrategyKind.CAT, NoiseKind.SYMMETRIC): (g, float(s.n)),
+        }
+        for kind in NoiseKind:
+            ladder.setdefault((StrategyKind.PRODUCT, kind), (g, 1.0))
+        if s.n == 1:
+            ladder[(StrategyKind.CAT, NoiseKind.QUBIT_DEPOLARIZING)] = (g, 1.0)
+        if (s.kind, s.noise.kind) not in ladder:
+            raise UnsupportedModelError("no closed form")
+        gamma_eff, rate = ladder[(s.kind, s.noise.kind)]
+
+        def envelope(t):
+            m = s.n * s.T_total / t if s.kind == StrategyKind.PRODUCT else s.T_total / t
+            return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(m)
+
+        if gamma_eff == 0.0:
+            return s.T_total, envelope(s.T_total), True
+        t_star = 1.0 / (2.0 * gamma_eff)
+        if t_star >= s.T_total:
+            return s.T_total, envelope(s.T_total), True
+        return t_star, envelope(t_star), False
+
+    def test_equals_the_branch_ladder_bit_for_bit(self):
+        # Every (kind, noise kind) pair, with budgets below, at and beyond the optimum.
+        rng = np.random.default_rng(29)
+        for i in range(2000):
+            kind = (StrategyKind.PRODUCT, StrategyKind.CAT)[i % 2]
+            noise_kind = list(NoiseKind)[i // 2 % 4]
+            n = int(rng.integers(1, 9))
+            gamma = (0.0, 1e-6, float(10 ** rng.uniform(-6, 2)))[i // 8 % 3]
+            T = float(10 ** rng.uniform(-3, 6))
+            if i // 24 % 2 and gamma:  # at the optimum of either decay, or one ulp past it
+                T = 1.0 / (2.0 * gamma * (n if i // 48 % 2 else 1))
+                T = math.nextafter(T, math.inf) if i // 96 % 2 else T
+            s = make_strategy(kind, n, noise_kind, gamma, T=T)
+            try:
+                want = self.branch_ladder(s)
+            except UnsupportedModelError:
+                with pytest.raises(UnsupportedModelError):
+                    met.optimize_precision(s)
+                continue
+            opt = met.optimize_precision(s)
+            assert (opt.t_star, opt.delta_omega, opt.at_boundary) == want
 
 
 class TestFigureOneCurve:
