@@ -80,7 +80,7 @@ _SCAN_MARGIN = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_minimize(fn, a, b, rel_tol: float, lookahead: int = 1):
+def golden_minimize(fn, a, b, rel_tol: float):
     """Golden-section search for the minimum of a unimodal function on
     [a, b], for every row of a batch at once.
 
@@ -88,47 +88,23 @@ def golden_minimize(fn, a, b, rel_tol: float, lookahead: int = 1):
     arrays); `fn` maps an array of that shape to its rows' values. A row
     stops once its bracket is narrower than rel_tol * max(1, |b|) and is not
     updated after that, so it takes the path a search on that row alone
-    would take. With lookahead k > 1, the two starting points share one `fn`
-    call, and one call per k steps evaluates the 2^k - 1 points those steps
-    can probe (see _golden_tree), so `fn` must also take a leading node axis;
-    the path is the same. Returns the bracket midpoints x.
+    would take. Returns the bracket midpoints x.
     """
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
     c = np.array(b - _INVPHI * (b - a))
     d = np.array(a + _INVPHI * (b - a))
-    f0 = fn(np.stack([c, d])) if lookahead > 1 else (fn(c), fn(d))
-    fc, fd = (np.array(f, dtype=float) for f in f0)
-    # Each row's heap index in the evaluated tree; past its end, a step evaluates the next.
-    node = np.full(a.shape, 2**lookahead)
+    fc, fd = (np.array(f, dtype=float) for f in (fn(c), fn(d)))
     while (active := (b - a) > rel_tol * np.maximum(1.0, np.abs(b))).any():
         lower = active & (fc < fd)
         upper = active & ~lower
-        if lookahead > 1 and ((node := 2 * node + 1 + upper) >= 2**lookahead - 1).any():
-            tree, node = np.asarray(fn(_golden_tree(a, b, c, d, lower, lookahead))), 0 * node
         b[lower], d[lower], fd[lower] = d[lower], c[lower], fc[lower]
         c[lower] = b[lower] - _INVPHI * (b[lower] - a[lower])
         a[upper], c[upper], fc[upper] = c[upper], d[upper], fd[upper]
         d[upper] = a[upper] + _INVPHI * (b[upper] - a[upper])
-        f_new = (np.take_along_axis(tree, node[None], axis=0)[0] if lookahead > 1
-                 else np.asarray(fn(np.where(lower, c, d))))
+        f_new = np.asarray(fn(np.where(lower, c, d)))
         fc[lower] = f_new[lower]
         fd[upper] = f_new[upper]
     return (a + b) / 2
-
-
-def _golden_tree(a, b, c, d, lower, depth):
-    """The 2^depth - 1 points the next `depth` golden steps can probe, on a
-    leading node axis in heap order: node 0 is the next step's (`lower` is its
-    fc < fd); node i's children 2i + 1 and 2i + 2 follow fc < fd and its failure."""
-    a, b, c, d, lower = (np.asarray(v)[None] for v in (a, b, c, d, lower))
-    points = []
-    for _ in range(depth):
-        a, b = np.where(lower, a, c), np.where(lower, d, b)
-        c, d = np.where(lower, b - _INVPHI * (b - a), d), np.where(lower, c, a + _INVPHI * (b - a))
-        points.append(np.where(lower, c, d))
-        a, b, c, d = (np.repeat(v, 2, axis=0) for v in (a, b, c, d))
-        lower = (np.arange(len(a)) % 2 == 0).reshape((-1,) + (1,) * (a.ndim - 1))
-    return np.concatenate(points)
 
 
 def grid_golden_minimize(fn, t_max, grid_points: int = 2048, *, bound):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrimination import golden_minimize, grid_golden_minimize, two_outcome_gain
+from .discrimination import grid_golden_minimize, two_outcome_gain
 from .dynamics import NoiseKind, NoiseModel
 from .errors import UnsupportedModelError
 
@@ -95,11 +95,15 @@ def optimize_precision(s: Strategy) -> OptimizedPrecision:
     With decay gamma_eff the envelope exp(gamma_eff t)/sqrt(t) has its
     interior optimum at gamma_eff t = 1/2; without decay the objective
     improves monotonically with t and the budget boundary is returned with
-    a flag.
+    a flag. Raises OverflowError when the uncertainty is not finite (a budget
+    so small that it overflows).
     """
     gamma_eff, _ = _decay_and_rate(s)
     t_star = min(1.0 / (2.0 * gamma_eff), s.T_total) if gamma_eff else s.T_total
-    return OptimizedPrecision(t_star, precision_envelope(s, t_star), t_star == s.T_total)
+    delta_omega = precision_envelope(s, t_star)
+    if not math.isfinite(delta_omega):
+        raise OverflowError(f"delta_omega {delta_omega} is not finite at t_star {t_star!r}")
+    return OptimizedPrecision(t_star, delta_omega, t_star == s.T_total)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,7 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
     """Information-gain improvement over a set of decoherence ratios.
 
     Evaluates every requested ratio, optionally refines the peak of the
-    improvement by golden section on the log-ratio axis, and returns the
+    improvement on the log-ratio axis (refine_log_peak), and returns the
     ratio-ordered points together with the located peak.
     """
     points = figure1_points(ratios, grid)
@@ -290,20 +294,24 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
     return Figure1Result(points=tuple(points), peak_ratio=best.ratio, peak_bits=best.delta_bits)
 
 
-# Golden steps per objective call in refine_log_peak: 2^k - 1 log-ratio nodes,
-# two probe rows each, in one time search. k = 3 measured faster than 2 and 4.
-REFINE_LOOKAHEAD = 3
+# Interior log-ratios per search in refine_log_peak: keeping the two intervals
+# around the best of them shrinks the bracket (REFINE_POINTS + 1) / 2 = 8 times.
+REFINE_POINTS = 15
 
 
 def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
-    """Golden-section maximization of delta_bits on the log-ratio interval.
-    Each objective call is one measurement-information search over both
-    probes at every log-ratio node of a REFINE_LOOKAHEAD-step lookahead."""
+    """Maximize delta_bits on the log-ratio interval [log lo, log hi].
 
-    def neg_delta(x):
-        ratios = np.exp(x)[..., None]
-        _, info = _fig1_optimize(_measurement_info, [ENTANGLED, PRODUCT], ratios, grid, -1)
-        return info[..., 1] - info[..., 0]
-
-    x = golden_minimize(neg_delta, math.log(lo), math.log(hi), 1e-7, REFINE_LOOKAHEAD)
-    return figure1_point(math.exp(x), grid)
+    Each step is one measurement-information search over both probes at
+    REFINE_POINTS evenly spaced interior log-ratios, and keeps the two
+    intervals around the best (the first of equal values), until the bracket
+    [a, b] is narrower than 1e-7 * max(1, |b|). Returns the row at its
+    midpoint."""
+    a, b = math.log(lo), math.log(hi)
+    while b - a > 1e-7 * max(1.0, abs(b)):
+        x = np.linspace(a, b, REFINE_POINTS + 2)
+        _, info = _fig1_optimize(_measurement_info, [ENTANGLED, PRODUCT],
+                                 np.exp(x[1:-1])[:, None], grid, -1)
+        i = int(np.argmax(info[:, 0] - info[:, 1])) + 1
+        a, b = float(x[i - 1]), float(x[i + 1])
+    return figure1_point(math.exp((a + b) / 2), grid)

@@ -347,10 +347,12 @@ class TestConfigHandling:
                 2,
                 "ratio_min 5.0 exceeds ratio_max 1.0",
             ),
+            # The uncertainty 1 / (0.5 t) overflows at this budget.
+            (["metrology"], '{"parameters": {"t_total": 1e-323}}', 3, "is not finite"),
         ],
         ids=["superdense-check-geometry", "theorem-check-check-search", "literal-1e999",
              "grover-size-overflow", "grover-flop-time-overflow", "superdense-no-cone",
-             "figure1-reversed-ratios"],
+             "figure1-reversed-ratios", "metrology-overflowing-budget"],
     )
     def test_config_exits_with_code_without_traceback(self, tmp_path, args, config, code, message):
         cfg = tmp_path / "cfg.json"

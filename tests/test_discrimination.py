@@ -251,7 +251,6 @@ class TestGoldenMinimize:
                 fd = fn(d)
         return (a + b) / 2
 
-    @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         rows=st.lists(
@@ -266,7 +265,7 @@ class TestGoldenMinimize:
         ),
         rel_tol=st.sampled_from([1e-3, 1e-7, 1e-9]),
     )
-    def test_batch_rows_follow_the_scalar_loop(self, lookahead, rows, rel_tol):
+    def test_batch_rows_follow_the_scalar_loop(self, rows, rel_tol):
         a = np.array([r[0] for r in rows])
         b = a + np.array([r[1] for r in rows])
         m = a + (b - a) * np.array([r[2] for r in rows])
@@ -277,7 +276,7 @@ class TestGoldenMinimize:
             calls.append(np.shape(x))
             return (x - m) * (x - m) + k * np.abs(x - m)
 
-        x = disc.golden_minimize(fn, a, b, rel_tol, lookahead)
+        x = disc.golden_minimize(fn, a, b, rel_tol)
         steps = 0
         for i in range(len(rows)):
             mi, ki, row_calls = float(m[i]), float(k[i]), []
@@ -288,24 +287,8 @@ class TestGoldenMinimize:
 
             assert x[i] == self.scalar_golden(fn_i, float(a[i]), float(b[i]), rel_tol)
             steps = max(steps, len(row_calls) - 2)
-        # The two first points and one call per `lookahead` steps; a lookahead
-        # stacks the first points and a step tree on a node axis.
-        n = len(rows)
-        if lookahead == 1:
-            expected = [(n,)] * (2 + steps)
-        else:
-            expected = [(2, n)] + [(2**lookahead - 1, n)] * -(-steps // lookahead)
-        assert calls == expected
-
-    def test_calls_fall_as_the_lookahead_grows(self):
-        counts = []
-        for lookahead in (1, 2, 3, 4):
-            calls = []
-            x = disc.golden_minimize(lambda x: calls.append(x) or (x - 1.3) ** 2, 0.0, 4.0,
-                                     1e-9, lookahead)
-            assert abs(x - 1.3) <= 4e-9
-            counts.append(len(calls))
-        assert counts == [48, 24, 17, 13]
+        # The two first points, then one call per step, each on the whole batch.
+        assert calls == [(len(rows),)] * (2 + steps)
 
 
 class TestGridGoldenMinimize:

@@ -61,6 +61,12 @@ def shot_probability(s: Strategy, t: float, omega: float) -> float:
     return 0.5 * (1.0 + math.exp(-gamma_eff * t) * math.cos(rate * omega * t))
 
 
+# The parameter overrides of the ledger's figure1 runs.
+FIGURE1_RUNS = [pytest.param(overrides, id=label)
+                for label, experiment, overrides, *_ in report_ledger.RUNS
+                if experiment == "figure1"]
+
+
 class TestShotProbability:
     def test_product_noiseless(self):
         s = make_strategy(StrategyKind.PRODUCT, 3, NoiseKind.NONE, 0.0)
@@ -169,6 +175,12 @@ class TestOptimizePrecision:
     def test_budget_must_be_positive(self, T):
         with pytest.raises(ValueError, match="need T_total > 0"):
             make_strategy(StrategyKind.PRODUCT, 2, NoiseKind.NONE, 0.0, T=T)
+
+    @pytest.mark.parametrize("kind", [StrategyKind.PRODUCT, StrategyKind.CAT])
+    def test_an_overflowing_uncertainty_is_refused(self, kind):
+        s = make_strategy(kind, 2, NoiseKind.NONE, 0.0, T=1e-323)
+        with pytest.raises(OverflowError, match="not finite"):
+            met.optimize_precision(s)
 
     @staticmethod
     def branch_ladder(s):
@@ -289,19 +301,77 @@ class TestFigureOneCurve:
         monkeypatch.setattr(met, name, counting)
         return calls
 
-    def test_refined_curve_searches_at_most_31_times(self, monkeypatch):
+    def test_refined_curve_searches_20_times(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "grid_golden_minimize")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
-        # Six each for the 25 ratios and the refined row; a one-step refinement
-        # searches 35 times more, two steps or more per call at most 19.
-        assert len(calls) <= 31
+        # Six for the 25 ratios, six for the refined row, and one per 8-fold
+        # shrink of the bracket (two ratio steps wide) down to 1e-7: eight.
+        assert len(calls) == 20
 
-    @pytest.mark.parametrize("grid", [64, 512, 2048])
-    def test_refinement_is_the_one_step_refinement(self, monkeypatch, grid):
-        lo, hi = 0.1, 0.4
-        point = met.refine_log_peak(lo, hi, grid)
-        monkeypatch.setattr(met, "REFINE_LOOKAHEAD", 1)
-        assert point == met.refine_log_peak(lo, hi, grid)
+    @staticmethod
+    def refinement_of(overrides):
+        """(lo, hi, grid, refined row) of the peak refinement of a figure1 run."""
+        experiment = cli.EXPERIMENTS["figure1"]
+        seen, refine = [], met.refine_log_peak
+
+        def spy(lo, hi, grid):
+            seen.append((lo, hi, grid, refine(lo, hi, grid)))
+            return seen[-1][-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(met, "refine_log_peak", spy)
+            experiment.runner(cli._merge_params(experiment, overrides), 7)
+        (refinement,) = seen
+        return refinement
+
+    @staticmethod
+    def stopping_tolerance(lo, hi):
+        """The refinement stops below 1e-7 * max(1, |b|), with b in [log lo, log hi]."""
+        return 1e-7 * max(1.0, abs(math.log(lo)), abs(math.log(hi)))
+
+    @pytest.mark.parametrize("overrides", FIGURE1_RUNS)
+    def test_refinement_is_within_its_tolerance_of_a_tight_golden_search(self, overrides):
+        lo, hi, grid, point = self.refinement_of(overrides)
+
+        def neg_delta(x):  # one log-ratio per call: both probes in one search
+            _, info = met._fig1_optimize(met._measurement_info, [met.ENTANGLED, met.PRODUCT],
+                                         np.exp(x), grid, -1)
+            return info[1] - info[0]
+
+        reference = float(disc.golden_minimize(neg_delta, math.log(lo), math.log(hi), 1e-12))
+        assert abs(math.log(point.ratio) - reference) <= self.stopping_tolerance(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi, edge", [(0.25, 0.4, 0.25), (0.05, 0.19, 0.19)])
+    def test_a_peak_outside_the_bracket_refines_to_the_nearer_edge(self, lo, hi, edge):
+        # delta_bits peaks near ratio 0.202, so it is monotone on each bracket.
+        point = met.refine_log_peak(lo, hi, 64)
+        assert abs(math.log(point.ratio) - math.log(edge)) <= self.stopping_tolerance(lo, hi)
+
+    def test_each_shrink_is_one_search_of_15_by_2_rows(self, monkeypatch):
+        lo, hi, searches = 0.1, 0.4, []
+        optimize = met._fig1_optimize
+
+        def spy(objective, strategy, ratios, grid, sign):
+            shape = np.broadcast_shapes(np.shape(strategy), np.shape(ratios))
+            t, info = optimize(objective, strategy, ratios, grid, sign)
+            searches.append((objective, shape, np.log(ratios), info))
+            return t, info
+
+        monkeypatch.setattr(met, "_fig1_optimize", spy)
+        point = met.refine_log_peak(lo, hi, 64)
+        # Brackets shrink from log(4) by 8 per search, and stop below
+        # 1e-7 * |log 0.2|: after 8 searches. Then the refined row's six.
+        assert [shape for _, shape, *_ in searches] == [(15, 2)] * 8 + [()] * 6
+        width, a = math.log(hi / lo), math.log(lo)
+        for objective, _, x, info in searches[:8]:
+            assert objective is met._measurement_info
+            x = x[:, 0]  # 15 evenly spaced log-ratios strictly inside the bracket
+            np.testing.assert_allclose(np.diff(x), width / 16, rtol=1e-6)
+            assert a < x[0] and x[-1] < a + width
+            # The next bracket is the two intervals around the best of them.
+            i = int(np.argmax(info[:, 0] - info[:, 1]))
+            a, width = x[i] - width / 16, width / 8
+        assert a < math.log(point.ratio) < a + width
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-3, 1e3, 1e5])
     def test_rows_match_brute_force_optimum(self, ratio):
@@ -491,7 +561,7 @@ class TestFigureOneCurve:
 
     @pytest.mark.parametrize("m", [1, 64])
     def test_mixed_batch_kernels_equal_the_public_path(self, m, rng):
-        # The refinement's batch: (m, nodes, probe) times against (nodes, probe) ratios.
+        # The refinement's batch: (m, log-ratio, probe) times against (log-ratio, probe) ratios.
         strategy, gamma = np.broadcast_arrays(
             [met.ENTANGLED, met.PRODUCT], np.geomspace(0.05, 2.0, 7)[:, None]
         )
@@ -533,9 +603,6 @@ class TestBoundedScan:
     # window, and objective values below the stopping margin.
     SPANS = [(-324.0, -320.0), (-12.0, -9.0), (-3.0, 0.0), (-1.0, 1.0), (0.0, 3.0),
              (9.0, 12.0), (297.0, 300.0)]
-    FIGURE1_RUNS = [pytest.param(overrides, id=label)
-                    for label, experiment, overrides, *_ in report_ledger.RUNS
-                    if experiment == "figure1"]
 
     @staticmethod
     def ratio_sets(exponents):
@@ -622,8 +689,8 @@ class TestBoundedScan:
     def test_a_25_ratio_curve_scans_a_third_of_the_grid_times(self):
         counts, full = self.bounded_and_full_scan(
             lambda: met.figure1_curve(np.geomspace(0.01, 10.0, 25)))
-        assert full == {"searches": 24, "scan_times": 643_072, "golden_steps": 885}
-        assert counts == {"searches": 24, "scan_times": 228_570, "golden_steps": 885}
+        assert full == {"searches": 20, "scan_times": 811_008, "golden_steps": 737}
+        assert counts == {"searches": 20, "scan_times": 232_458, "golden_steps": 737}
 
     @staticmethod
     def search_arguments(objective, strategy, ratios, sign):
