@@ -559,7 +559,7 @@ def rows_to_csv(columns, rows) -> bytes:
 def rows_to_json(experiment: str, seed: int, params: dict, rows) -> bytes:
     doc = {"experiment": experiment, "seed": seed, "parameters": params,
            "rows": [row._asdict() for row in rows]}
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def write_atomic(path: str, payload: bytes) -> None:
@@ -648,6 +648,9 @@ def main(experiment, config_path, seed, out_path, fmt, check, workers):
         started = time.monotonic()
         row_type, rows, summary = exp.runner(params, run_seed)
         elapsed = time.monotonic() - started
+        for name, value in ((k, v) for row in rows for k, v in zip(row_type._fields, row)):
+            if isinstance(value, float) and not math.isfinite(value):  # before --check and writing
+                raise ArithmeticError(f"report column {name} is {value}, not finite")
         results = exp.checker(params, rows) if check else []
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrimination import grid_golden_minimize, two_outcome_gain
+from .discrimination import golden_minimize, grid_golden_minimize, two_outcome_gain
 from .dynamics import NoiseKind, NoiseModel
 from .errors import UnsupportedModelError
 
@@ -280,15 +280,11 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
     ratio-ordered points together with the located peak.
     """
     points = figure1_points(ratios, grid)
-
-    if refine_peak and len(points) >= 3:
-        deltas = [p.delta_bits for p in points]
-        i = int(np.argmax(deltas))
-        lo = points[max(i - 1, 0)].ratio
-        hi = points[min(i + 1, len(points) - 1)].ratio
-        if lo < hi:
-            points.append(refine_log_peak(lo, hi, grid))
-            points.sort(key=lambda p: p.ratio)
+    i = int(np.argmax([p.delta_bits for p in points]))
+    # An end point is not refined: its bracket could only converge back to it.
+    if refine_peak and 0 < i < len(points) - 1 and points[i - 1].ratio < points[i + 1].ratio:
+        points.append(refine_log_peak(points[i - 1], points[i + 1], grid))
+        points.sort(key=lambda p: p.ratio)
 
     best = max(points, key=lambda p: p.delta_bits)
     return Figure1Result(points=tuple(points), peak_ratio=best.ratio, peak_bits=best.delta_bits)
@@ -299,19 +295,29 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
 REFINE_POINTS = 15
 
 
-def refine_log_peak(lo: float, hi: float, grid: int) -> Figure1Point:
-    """Maximize delta_bits on the log-ratio interval [log lo, log hi].
+def refine_log_peak(lo: Figure1Point, hi: Figure1Point, grid: int) -> Figure1Point:
+    """Maximize delta_bits on the log-ratio interval between two curve rows.
 
-    Each step is one measurement-information search over both probes at
-    REFINE_POINTS evenly spaced interior log-ratios, and keeps the two
-    intervals around the best (the first of equal values), until the bracket
-    [a, b] is narrower than 1e-7 * max(1, |b|). Returns the row at its
-    midpoint."""
-    a, b = math.log(lo), math.log(hi)
+    Each step evaluates REFINE_POINTS evenly spaced interior log-ratios and
+    keeps the two intervals around the best (the first of equal values),
+    until the bracket [a, b] is narrower than 1e-7 * max(1, |b|). Each probe's
+    measurement-information optimum time falls as the ratio grows, so the
+    times at the ends bracket the interior ones: a step is one golden search
+    of REFINE_POINTS x 2 (log-ratio, probe) rows between them, with no grid
+    scan. Returns the row at the final midpoint."""
+    a, b = math.log(lo.ratio), math.log(hi.ratio)
+    ends = np.array([lo[1:3], hi[1:3]])  # (t_star_ent, t_star_prod) at a and at b
+    entangled = np.array([True, False])
     while b - a > 1e-7 * max(1.0, abs(b)):
         x = np.linspace(a, b, REFINE_POINTS + 2)
-        _, info = _fig1_optimize(_measurement_info, [ENTANGLED, PRODUCT],
-                                 np.exp(x[1:-1])[:, None], grid, -1)
+        gamma = np.exp(x[1:-1])[:, None]
+        bracket = np.sort(ends, axis=0)  # each probe's shorter and longer end time
+        # Widened by 4e-9 * max(1, t): 8 times the half-width of a 1e-9 search's last bracket.
+        bracket += [[-4e-9], [4e-9]] * np.maximum(1.0, bracket)
+        t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
+                            np.tile(bracket[0], (REFINE_POINTS, 1)), bracket[1], 1e-9)
+        info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
         i = int(np.argmax(info[:, 0] - info[:, 1])) + 1
         a, b = float(x[i - 1]), float(x[i + 1])
+        ends = np.concatenate([ends[:1], t, ends[1:]])[[i - 1, i + 1]]
     return figure1_point(math.exp((a + b) / 2), grid)

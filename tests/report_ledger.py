@@ -34,7 +34,7 @@ RUNS = [
      {"ratio_min": 0.05, "ratio_max": 2.0, "points": 6, "grid": 512}, (7,), ("csv",)),
     ("figure1-refine-grid64", "figure1",
      {"ratio_min": 0.1, "ratio_max": 0.5, "points": 5, "grid": 64}, (7,), ("csv",)),
-    # The best point is the first, so the refinement converges to a bracket edge.
+    # The best point is the first, an end point, so the peak is not refined.
     ("figure1-refine-edge", "figure1", {"ratio_min": 0.5, "ratio_max": 5.0, "points": 4}, (7,),
      ("csv",)),
     # Ratios from e^{-gamma t} near 1 to values below the scan's stopping margin.

@@ -349,10 +349,15 @@ class TestConfigHandling:
             ),
             # The uncertainty 1 / (0.5 t) overflows at this budget.
             (["metrology"], '{"parameters": {"t_total": 1e-323}}', 3, "is not finite"),
+            # The Hamiltonian's symmetrization overflows, so success_prob is NaN at N = 2;
+            # the report is refused before --check runs, and before it is written.
+            (["grover"], '{"parameters": {"energy": 6e307}}', 3, "success_prob is nan"),
+            (["grover", "--check"], '{"parameters": {"energy": 6e307}}', 3, "not finite"),
         ],
         ids=["superdense-check-geometry", "theorem-check-check-search", "literal-1e999",
              "grover-size-overflow", "grover-flop-time-overflow", "superdense-no-cone",
-             "figure1-reversed-ratios", "metrology-overflowing-budget"],
+             "figure1-reversed-ratios", "metrology-overflowing-budget", "grover-nan-report",
+             "grover-nan-report-check"],
     )
     def test_config_exits_with_code_without_traceback(self, tmp_path, args, config, code, message):
         cfg = tmp_path / "cfg.json"
@@ -537,6 +542,13 @@ class TestReports:
         from qdlab import cli
 
         assert cli.rows_to_csv(["a", "b"], []) == b"a,b\n"
+
+    def test_json_refuses_values_that_are_not_finite(self):
+        from qdlab import cli
+
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli.rows_to_json("grover", 3, {}, [cli.GroverRow(2, 1.0, 1.0, value)])
 
     def test_csv_report(self, tmp_path):
         out = tmp_path / "grover.csv"

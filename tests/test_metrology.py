@@ -65,6 +65,8 @@ def shot_probability(s: Strategy, t: float, omega: float) -> float:
 FIGURE1_RUNS = [pytest.param(overrides, id=label)
                 for label, experiment, overrides, *_ in report_ledger.RUNS
                 if experiment == "figure1"]
+# Those whose best curve point has a neighbour on each side, so that its peak is refined.
+REFINED_RUNS = [run for run in FIGURE1_RUNS if run.id != "figure1-refine-edge"]
 
 
 class TestShotProbability:
@@ -301,21 +303,25 @@ class TestFigureOneCurve:
         monkeypatch.setattr(met, name, counting)
         return calls
 
-    def test_refined_curve_searches_20_times(self, monkeypatch):
+    def test_refined_curve_searches_12_times(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "grid_golden_minimize")
+        warm = self.count_calls(monkeypatch, "golden_minimize")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
-        # Six for the 25 ratios, six for the refined row, and one per 8-fold
-        # shrink of the bracket (two ratio steps wide) down to 1e-7: eight.
-        assert len(calls) == 20
+        # Six for the 25 ratios and six for the refined row. The refinement's
+        # one search per 8-fold shrink of the bracket (two ratio steps wide)
+        # down to 1e-7, eight, starts from its end rows' times and scans no grid.
+        assert len(calls) == 12
+        assert len(warm) == 8
 
     @staticmethod
     def refinement_of(overrides):
-        """(lo, hi, grid, refined row) of the peak refinement of a figure1 run."""
+        """(lo, hi, grid, refined row) of the peak refinement of a figure1 run,
+        with lo and hi the ratios of the two rows it starts from."""
         experiment = cli.EXPERIMENTS["figure1"]
         seen, refine = [], met.refine_log_peak
 
         def spy(lo, hi, grid):
-            seen.append((lo, hi, grid, refine(lo, hi, grid)))
+            seen.append((lo.ratio, hi.ratio, grid, refine(lo, hi, grid)))
             return seen[-1][-1]
 
         with pytest.MonkeyPatch.context() as patch:
@@ -324,12 +330,21 @@ class TestFigureOneCurve:
         (refinement,) = seen
         return refinement
 
+    def test_an_end_point_is_not_refined(self, monkeypatch):
+        # The ledger's figure1-refine-edge run: the best of its four rows is the first.
+        ratios = np.logspace(math.log10(0.5), 1.0, 4)
+        refinements = self.count_calls(monkeypatch, "refine_log_peak")
+        result = met.figure1_curve(ratios)
+        assert refinements == []
+        assert list(result.points) == met.figure1_points(ratios)
+        assert result.peak_ratio == result.points[0].ratio
+
     @staticmethod
     def stopping_tolerance(lo, hi):
         """The refinement stops below 1e-7 * max(1, |b|), with b in [log lo, log hi]."""
         return 1e-7 * max(1.0, abs(math.log(lo)), abs(math.log(hi)))
 
-    @pytest.mark.parametrize("overrides", FIGURE1_RUNS)
+    @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_refinement_is_within_its_tolerance_of_a_tight_golden_search(self, overrides):
         lo, hi, grid, point = self.refinement_of(overrides)
 
@@ -344,34 +359,84 @@ class TestFigureOneCurve:
     @pytest.mark.parametrize("lo, hi, edge", [(0.25, 0.4, 0.25), (0.05, 0.19, 0.19)])
     def test_a_peak_outside_the_bracket_refines_to_the_nearer_edge(self, lo, hi, edge):
         # delta_bits peaks near ratio 0.202, so it is monotone on each bracket.
-        point = met.refine_log_peak(lo, hi, 64)
+        point = met.refine_log_peak(*met.figure1_points([lo, hi], 64), 64)
         assert abs(math.log(point.ratio) - math.log(edge)) <= self.stopping_tolerance(lo, hi)
 
+    @staticmethod
+    def warm_searches(run):
+        """run()'s result and, for each golden search that refine_log_peak makes,
+        (its ratios, its lower and upper time brackets, the times it returns and
+        the measurement information there). The objective it searches is the
+        negated information of _fig1_kernel, whose ratios the spy records."""
+        searches, ratios = [], []
+        golden, kernel = met.golden_minimize, met._fig1_kernel
+
+        def kernel_spy(objective, entangled, gamma, omega, t):
+            ratios.append(gamma)
+            return kernel(objective, entangled, gamma, omega, t)
+
+        def golden_spy(fn, a, b, rel_tol):
+            ratios.clear()
+            t = golden(fn, a, b, rel_tol)
+            (gamma,) = {id(g): g for g in ratios}.values()  # one ratio array per search
+            searches.append((gamma, *np.broadcast_arrays(a, b), t, -fn(t)))
+            return t
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(met, "_fig1_kernel", kernel_spy)
+            patch.setattr(met, "golden_minimize", golden_spy)
+            return run(), searches
+
     def test_each_shrink_is_one_search_of_15_by_2_rows(self, monkeypatch):
-        lo, hi, searches = 0.1, 0.4, []
-        optimize = met._fig1_optimize
-
-        def spy(objective, strategy, ratios, grid, sign):
-            shape = np.broadcast_shapes(np.shape(strategy), np.shape(ratios))
-            t, info = optimize(objective, strategy, ratios, grid, sign)
-            searches.append((objective, shape, np.log(ratios), info))
-            return t, info
-
-        monkeypatch.setattr(met, "_fig1_optimize", spy)
-        point = met.refine_log_peak(lo, hi, 64)
+        ends = met.figure1_points([0.1, 0.4], 64)
+        grid_searches = self.count_calls(monkeypatch, "_fig1_optimize")
+        point, searches = self.warm_searches(lambda: met.refine_log_peak(*ends, 64))
         # Brackets shrink from log(4) by 8 per search, and stop below
-        # 1e-7 * |log 0.2|: after 8 searches. Then the refined row's six.
-        assert [shape for _, shape, *_ in searches] == [(15, 2)] * 8 + [()] * 6
-        width, a = math.log(hi / lo), math.log(lo)
-        for objective, _, x, info in searches[:8]:
-            assert objective is met._measurement_info
-            x = x[:, 0]  # 15 evenly spaced log-ratios strictly inside the bracket
+        # 1e-7 * |log 0.2|: after 8 searches. Only the refined row's six scan a grid.
+        assert [np.shape(a) for _, a, *_ in searches] == [(15, 2)] * 8
+        assert [np.shape(args[2]) for args in grid_searches] == [()] * 6
+        width, a = math.log(4.0), math.log(0.1)
+        times = np.array([row[1:3] for row in ends])  # (entangled, product) at each end
+        for gamma, lower, upper, t, info in searches:
+            assert gamma.shape == (15, 1)
+            x = np.log(gamma[:, 0])  # 15 evenly spaced log-ratios strictly inside the bracket
             np.testing.assert_allclose(np.diff(x), width / 16, rtol=1e-6)
             assert a < x[0] and x[-1] < a + width
-            # The next bracket is the two intervals around the best of them.
+            # Each probe searches between its end times, widened by 4e-9 * max(1, t).
+            shorter, longer = np.sort(times, axis=0)
+            for bracket, end in ((lower, shorter - 4e-9 * np.maximum(1.0, shorter)),
+                                 (upper, longer + 4e-9 * np.maximum(1.0, longer))):
+                np.testing.assert_array_equal(bracket, np.broadcast_to(end, (15, 2)))
+            assert np.all((lower < t) & (t < upper))
+            # The next bracket is the two intervals around the best of them, and
+            # its ends keep their times.
             i = int(np.argmax(info[:, 0] - info[:, 1]))
+            times = np.concatenate([times[:1], t, times[1:]])[[i, i + 2]]
             a, width = x[i] - width / 16, width / 8
         assert a < math.log(point.ratio) < a + width
+
+    @pytest.mark.parametrize("overrides", REFINED_RUNS)
+    def test_warm_searches_match_the_grid_search(self, overrides):
+        experiment = cli.EXPERIMENTS["figure1"]
+        params = cli._merge_params(experiment, overrides)
+        _, searches = self.warm_searches(lambda: experiment.runner(params, 7))
+        assert len(searches) >= 7
+        for gamma, _, _, t, info in searches:
+            t_grid, info_grid = met._fig1_optimize(met._measurement_info,
+                                                   [met.ENTANGLED, met.PRODUCT], gamma,
+                                                   params["grid"], -1)
+            # Each optimum is flat, so a 1e-9 search fixes its time only to
+            # about sqrt(eps) and its value to a few ulps.
+            np.testing.assert_allclose(t, t_grid, rtol=1e-7, atol=0.0)
+            np.testing.assert_allclose(info, info_grid, rtol=1e-14, atol=0.0)
+
+    def test_optimum_times_fall_strictly_with_the_ratio(self):
+        # The premise of the warm brackets: the times at two ratios bracket the
+        # optimum time of every ratio between them, for both probes.
+        ratios = np.geomspace(1e-4, 1e4, 2001)
+        for probe in (met.ENTANGLED, met.PRODUCT):
+            t, _ = met._fig1_optimize(met._measurement_info, probe, ratios, 2048, -1)
+            assert np.all(np.diff(t) < 0), probe
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-3, 1e3, 1e5])
     def test_rows_match_brute_force_optimum(self, ratio):
@@ -689,8 +754,10 @@ class TestBoundedScan:
     def test_a_25_ratio_curve_scans_a_third_of_the_grid_times(self):
         counts, full = self.bounded_and_full_scan(
             lambda: met.figure1_curve(np.geomspace(0.01, 10.0, 25)))
-        assert full == {"searches": 20, "scan_times": 811_008, "golden_steps": 737}
-        assert counts == {"searches": 20, "scan_times": 232_458, "golden_steps": 737}
+        # The six searches of the 25 ratios and the six of the refined row; the
+        # refinement's own searches scan no grid.
+        assert full == {"searches": 12, "scan_times": 319_488, "golden_steps": 441}
+        assert counts == {"searches": 12, "scan_times": 134_538, "golden_steps": 441}
 
     @staticmethod
     def search_arguments(objective, strategy, ratios, sign):
