@@ -480,7 +480,7 @@ def eliminate_sweep(n_hypotheses: int, dim: int, trials: int, seed: int) -> list
     """`adaptive_eliminate` over `trials` random noiseless ensembles. Trial i
     draws from `qmath.spawned_rngs(seed, trials)`: n_hypotheses equally likely
     generators of sup norm 2, each (A + A^dag)/2 rescaled with A's real and imaginary
-    parts from rng.normal(size=(n_hypotheses, 2, dim, dim)), the true index, and
+    parts from rng.standard_normal((n_hypotheses, 2, dim, dim)), the true index, and
     then, from the same generator, the elimination's measurement outcomes. The
     trials run through `_eliminate_block` in blocks of at most
     _ARC_BLOCK_ELEMS // (n_hypotheses * dim^2) trials, at least one."""
@@ -488,13 +488,18 @@ def eliminate_sweep(n_hypotheses: int, dim: int, trials: int, seed: int) -> list
         raise ValueError("an ensemble needs at least two hypotheses")
     rows, rngs = [], qmath.spawned_rngs(seed, trials)
     block = max(1, spectral_arc._ARC_BLOCK_ELEMS // max(1, n_hypotheses * dim * dim))
+    chunk = max(1, spectral_arc._ARC_BLOCK_ELEMS // max(1, dim * dim))  # generators per rescale
     for start in range(0, trials, block):
         size = min(block, trials - start)
+        block_rngs = [next(rngs) for _ in range(size)]
         gens = np.empty((size, n_hypotheses, dim, dim), dtype=complex)
-        true_index, block_rngs = np.empty(size, dtype=int), [next(rngs) for _ in range(size)]
-        for b, rng in enumerate(block_rngs):
-            spectral_arc._random_hermitians(2.0, rng, gens[b])
-            true_index[b] = rng.integers(n_hypotheses)
+        # The normals fill the generators' bytes; one rescale per block (per chunk of a big trial).
+        g = gens.view(float).reshape(-1, 2, dim, dim)
+        for rng, normals in zip(block_rngs, g.reshape(size, n_hypotheses, 2, dim, dim)):
+            rng.standard_normal(out=normals)
+        for k in range(0, len(g), chunk):
+            spectral_arc._hermitian_stack(g[k:k + chunk], 2.0)
+        true_index = np.array([rng.integers(n_hypotheses) for rng in block_rngs])
         identified, rounds = _eliminate_block(gens, true_index, block_rngs)
         for idx, (true_i, found) in enumerate(zip(true_index.tolist(), identified.tolist()), start):
             rows.append(EliminateRow(idx, true_i, found, len(rounds), int(found == true_i)))

@@ -240,6 +240,26 @@ def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
     return t, sign * value
 
 
+def _fig1_information(ratios, grid: int):
+    """(ratios, t_star, info): the checked ratios and their (probe, ratio) information optima."""
+    ratios = np.asarray(ratios, dtype=float)
+    if ratios.size == 0 or not np.all((ratios > 0) & np.isfinite(ratios)):
+        raise ValueError("ratios must be positive and finite")
+    return ratios, *np.reshape([_fig1_optimize(_measurement_info, p, ratios, grid, -1)
+                                for p in (ENTANGLED, PRODUCT)], (2, 2, -1)).swapaxes(0, 1)
+
+
+def _fig1_rows(ratios, t_star, info, grid: int) -> list[Figure1Point]:
+    """The rows of `ratios` from their information columns and their binary and error searches."""
+    binary, p_err = np.reshape([_fig1_optimize(objective, p, ratios, grid, sign)[1]
+                                for objective, sign in ((_binary_info, -1), (_error_probability, 1))
+                                for p in (ENTANGLED, PRODUCT)], (2, 2, -1))
+    # Figure1Point's columns, in its field order.
+    table = np.stack([ratios.reshape(-1), *t_star, *info, info[0] - info[1], *binary,
+                      binary[0] - binary[1], *p_err, p_err[1] - p_err[0]])
+    return [Figure1Point(*map(float, row)) for row in table.T]
+
+
 def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     """Evaluate both strategies at every decoherence-to-frequency ratio.
 
@@ -249,22 +269,7 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     error-minimizing times. Each column of each probe is one batched search
     over all ratios; a scalar `ratios` is searched on 0-d arrays.
     """
-    ratios = np.asarray(ratios, dtype=float)
-    if ratios.size == 0 or not np.all((ratios > 0) & np.isfinite(ratios)):
-        raise ValueError("ratios must be positive and finite")
-    columns = ((_measurement_info, -1), (_binary_info, -1), (_error_probability, 1))
-    searches = [
-        _fig1_optimize(objective, strategy, ratios, grid, sign)
-        for objective, sign in columns
-        for strategy in (ENTANGLED, PRODUCT)
-    ]
-    # Axes: objective, probe (entangled first), (t_star, value), ratio.
-    s = np.reshape(searches, (3, 2, 2, -1))
-    t_star, info, binary, p_err = s[0, :, 0], s[0, :, 1], s[1, :, 1], s[2, :, 1]
-    # Figure1Point's columns, in its field order.
-    table = np.stack([ratios.reshape(-1), *t_star, *info, info[0] - info[1], *binary,
-                      binary[0] - binary[1], *p_err, p_err[1] - p_err[0]])
-    return [Figure1Point(*map(float, row)) for row in table.T]
+    return _fig1_rows(*_fig1_information(ratios, grid), grid)
 
 
 def figure1_point(ratio: float, grid: int = 2048) -> Figure1Point:
@@ -279,13 +284,14 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
     improvement on the log-ratio axis (refine_log_peak), and returns the
     ratio-ordered points together with the located peak.
     """
-    points = figure1_points(ratios, grid)
-    i = int(np.argmax([p.delta_bits for p in points]))
+    ratios, t_star, info = _fig1_information(ratios, grid)
+    i, flat = int(np.argmax(info[0] - info[1])), ratios.reshape(-1)
     # An end point is not refined: its bracket could only converge back to it.
-    if refine_peak and 0 < i < len(points) - 1 and points[i - 1].ratio < points[i + 1].ratio:
-        points.append(refine_log_peak(points[i - 1], points[i + 1], grid))
-        points.sort(key=lambda p: p.ratio)
-
+    if refine_peak and 0 < i < flat.size - 1 and flat[i - 1] < flat[i + 1]:
+        ratio, t, value = refine_log_peak(flat[[i - 1, i + 1]], t_star[:, [i - 1, i + 1]].T)
+        ratios = np.append(flat, ratio)
+        t_star, info = np.column_stack([t_star, t]), np.column_stack([info, value])
+    points = sorted(_fig1_rows(ratios, t_star, info, grid), key=lambda p: p.ratio)
     best = max(points, key=lambda p: p.delta_bits)
     return Figure1Result(points=tuple(points), peak_ratio=best.ratio, peak_bits=best.delta_bits)
 
@@ -295,20 +301,19 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
 REFINE_POINTS = 15
 
 
-def refine_log_peak(lo: Figure1Point, hi: Figure1Point, grid: int) -> Figure1Point:
-    """Maximize delta_bits on the log-ratio interval between two curve rows.
+def refine_log_peak(ratios, times):
+    """Maximize delta_bits on the log-ratio interval between two curve ratios.
 
-    Each step evaluates REFINE_POINTS evenly spaced interior log-ratios and
-    keeps the two intervals around the best (the first of equal values),
-    until the bracket [a, b] is narrower than 1e-7 * max(1, |b|). Each probe's
-    measurement-information optimum time falls as the ratio grows, so the
-    times at the ends bracket the interior ones: a step is one golden search
-    of REFINE_POINTS x 2 (log-ratio, probe) rows between them, with no grid
-    scan. Returns the row at the final midpoint."""
-    a, b = math.log(lo.ratio), math.log(hi.ratio)
-    ends = np.array([lo[1:3], hi[1:3]])  # (t_star_ent, t_star_prod) at a and at b
+    `times` holds a (t_star_ent, t_star_prod) row per end of `ratios`. Each step
+    evaluates REFINE_POINTS evenly spaced interior log-ratios and keeps the two
+    intervals around the best (the first of equal values), until the bracket [a, b]
+    is narrower than 1e-7 * max(1, |b|). Each probe's information optimum time falls
+    as the ratio grows, so a step is one golden search of the REFINE_POINTS x 2
+    (log-ratio, probe) rows between the end times. Returns the last step's best
+    ratio, and its (entangled, product) times and measurement information there."""
+    (a, b), ends = map(math.log, ratios), np.asarray(times, dtype=float)
     entangled = np.array([True, False])
-    while b - a > 1e-7 * max(1.0, abs(b)):
+    while True:
         x = np.linspace(a, b, REFINE_POINTS + 2)
         gamma = np.exp(x[1:-1])[:, None]
         bracket = np.sort(ends, axis=0)  # each probe's shorter and longer end time
@@ -317,7 +322,8 @@ def refine_log_peak(lo: Figure1Point, hi: Figure1Point, grid: int) -> Figure1Poi
         t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
                             np.tile(bracket[0], (REFINE_POINTS, 1)), bracket[1], 1e-9)
         info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
-        i = int(np.argmax(info[:, 0] - info[:, 1])) + 1
-        a, b = float(x[i - 1]), float(x[i + 1])
-        ends = np.concatenate([ends[:1], t, ends[1:]])[[i - 1, i + 1]]
-    return figure1_point(math.exp((a + b) / 2), grid)
+        i = int(np.argmax(info[:, 0] - info[:, 1]))
+        a, b = float(x[i]), float(x[i + 2])
+        if b - a <= 1e-7 * max(1.0, abs(b)):
+            return float(gamma[i, 0]), t[i], info[i]
+        ends = np.concatenate([ends[:1], t, ends[1:]])[[i, i + 2]]

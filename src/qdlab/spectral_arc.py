@@ -105,16 +105,17 @@ def arc_bound_check(H, K) -> ArcBoundCases:
 
 
 def _hermitian_stack(g: np.ndarray, sup):
-    """The Hermitian matrices (A + A^dag)/2, A = g[:, 0] + 1j g[:, 1], of the (n, 2, d, d)
-    standard normals g, matrix i rescaled to sup norm `sup[i]` (or `sup`), their spectra
-    and the unscaled matrices' eigenvectors, from one `herm_eig`; a zero matrix stays zero."""
-    Hm = g[:, 0] + 1j * g[:, 1]
+    """The Hermitian matrices (A + A^dag)/2, A = g[:, 0] + 1j g[:, 1], of the C-contiguous
+    (n, 2, d, d) standard normals g, built in g's own bytes, matrix i rescaled to sup norm
+    `sup[i]` (or `sup`), their spectra and the unscaled matrices' eigenvectors, from one
+    `herm_eig`; a zero matrix stays zero."""
+    Hm = np.add(g[:, 0], 1j * g[:, 1], out=g.reshape(-1).view(complex).reshape(g[:, 0].shape))
     Hm += Hm.conj().swapaxes(-1, -2)
     Hm /= 2  # in place, so that fewer (n, d, d) temporaries coexist
     w, V = qmath.herm_eig(Hm)
     current = np.max(np.abs(w), axis=-1)
     scale = sup / np.where(current == 0.0, 1.0, current)
-    return Hm * scale[:, None, None], w * scale[:, None], V
+    return np.multiply(Hm, scale[:, None, None], out=Hm), w * scale[:, None], V
 
 
 # Largest n * d * d of one (n, d, d) generator stack in the seeded sweeps: 512 KiB
@@ -122,21 +123,9 @@ def _hermitian_stack(g: np.ndarray, sup):
 _ARC_BLOCK_ELEMS = 1 << 15
 
 
-def _random_hermitians(sup: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the (count, dim, dim) array `out` with Gaussian Hermitian matrices of sup
-    norm `sup`, matrix k built from the k-th (2, dim, dim) block of normals that rng
-    draws, with one rng.normal call per stack of at most _ARC_BLOCK_ELEMS elements."""
-    count, dim = out.shape[:2]
-    chunk = max(1, _ARC_BLOCK_ELEMS // max(1, dim * dim))
-    for start in range(0, count, chunk):
-        g = rng.normal(size=(min(chunk, count - start), 2, dim, dim))
-        out[start:start + len(g)] = _hermitian_stack(g, sup)[0]
-    return out
-
-
 def random_hermitian(dim: int, sup: float, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to the requested sup norm."""
-    return _random_hermitians(sup, rng, np.empty((1, dim, dim), dtype=complex))[0]
+    return _hermitian_stack(rng.standard_normal((1, 2, dim, dim)), sup)[0][0]
 
 
 def _generator_blocks(dim: int, count: int, seed: int, *sup_rules):

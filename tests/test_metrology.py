@@ -303,32 +303,36 @@ class TestFigureOneCurve:
         monkeypatch.setattr(met, name, counting)
         return calls
 
-    def test_refined_curve_searches_12_times(self, monkeypatch):
+    def test_refined_curve_makes_6_grid_and_8_warm_searches(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "grid_golden_minimize")
         warm = self.count_calls(monkeypatch, "golden_minimize")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
-        # Six for the 25 ratios and six for the refined row. The refinement's
-        # one search per 8-fold shrink of the bracket (two ratio steps wide)
-        # down to 1e-7, eight, starts from its end rows' times and scans no grid.
-        assert len(calls) == 12
+        # Six for the 25 ratios, the refined row's binary and error columns
+        # included. The refinement's one search per 8-fold shrink of the bracket
+        # (two ratio steps wide) down to 1e-7, eight, starts from its end rows'
+        # times and scans no grid, and its last one gives the refined row's
+        # information columns.
+        assert len(calls) == 6
         assert len(warm) == 8
 
     @staticmethod
     def refinement_of(overrides):
-        """(lo, hi, grid, refined row) of the peak refinement of a figure1 run,
-        with lo and hi the ratios of the two rows it starts from."""
+        """(lo, hi, grid, (ratio, t, info), rows) of the peak refinement of a
+        figure1 run: lo and hi are the ratios of the two rows it starts from,
+        (ratio, t, info) what refine_log_peak returns, rows the run's rows."""
         experiment = cli.EXPERIMENTS["figure1"]
+        params = cli._merge_params(experiment, overrides)
         seen, refine = [], met.refine_log_peak
 
-        def spy(lo, hi, grid):
-            seen.append((lo.ratio, hi.ratio, grid, refine(lo, hi, grid)))
+        def spy(ratios, times):
+            seen.append((*ratios, params["grid"], refine(ratios, times)))
             return seen[-1][-1]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(met, "refine_log_peak", spy)
-            experiment.runner(cli._merge_params(experiment, overrides), 7)
+            _, rows, _ = experiment.runner(params, 7)
         (refinement,) = seen
-        return refinement
+        return (*refinement, rows)
 
     def test_an_end_point_is_not_refined(self, monkeypatch):
         # The ledger's figure1-refine-edge run: the best of its four rows is the first.
@@ -346,7 +350,7 @@ class TestFigureOneCurve:
 
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_refinement_is_within_its_tolerance_of_a_tight_golden_search(self, overrides):
-        lo, hi, grid, point = self.refinement_of(overrides)
+        lo, hi, grid, (ratio, _, _), _ = self.refinement_of(overrides)
 
         def neg_delta(x):  # one log-ratio per call: both probes in one search
             _, info = met._fig1_optimize(met._measurement_info, [met.ENTANGLED, met.PRODUCT],
@@ -354,13 +358,29 @@ class TestFigureOneCurve:
             return info[1] - info[0]
 
         reference = float(disc.golden_minimize(neg_delta, math.log(lo), math.log(hi), 1e-12))
-        assert abs(math.log(point.ratio) - reference) <= self.stopping_tolerance(lo, hi)
+        assert abs(math.log(ratio) - reference) <= self.stopping_tolerance(lo, hi)
+
+    @staticmethod
+    def end_times(ratios, grid=64):
+        """The (t_star_ent, t_star_prod) rows of the curve points at `ratios`."""
+        return [(p.t_star_ent, p.t_star_prod) for p in met.figure1_points(ratios, grid)]
 
     @pytest.mark.parametrize("lo, hi, edge", [(0.25, 0.4, 0.25), (0.05, 0.19, 0.19)])
     def test_a_peak_outside_the_bracket_refines_to_the_nearer_edge(self, lo, hi, edge):
         # delta_bits peaks near ratio 0.202, so it is monotone on each bracket.
-        point = met.refine_log_peak(*met.figure1_points([lo, hi], 64), 64)
-        assert abs(math.log(point.ratio) - math.log(edge)) <= self.stopping_tolerance(lo, hi)
+        ratio, _, _ = met.refine_log_peak([lo, hi], self.end_times([lo, hi]))
+        assert abs(math.log(ratio) - math.log(edge)) <= self.stopping_tolerance(lo, hi)
+
+    def test_neighbours_closer_than_the_tolerance_still_take_one_step(self):
+        lo, hi = 0.2, 0.2 * (1.0 + 1e-8)  # 1e-8 apart in log-ratio, below 1e-7 * |log 0.2|
+        (ratio, t, info), searches = self.warm_searches(
+            lambda: met.refine_log_peak([lo, hi], self.end_times([lo, hi])))
+        assert len(searches) == 1
+        assert lo < ratio < hi
+        gamma, _, _, t_warm, info_warm = searches[0]
+        (j,) = np.flatnonzero(gamma[:, 0] == ratio)
+        np.testing.assert_array_equal(t, t_warm[j])
+        np.testing.assert_array_equal(info, info_warm[j])
 
     @staticmethod
     def warm_searches(run):
@@ -388,15 +408,16 @@ class TestFigureOneCurve:
             return run(), searches
 
     def test_each_shrink_is_one_search_of_15_by_2_rows(self, monkeypatch):
-        ends = met.figure1_points([0.1, 0.4], 64)
+        ends = self.end_times([0.1, 0.4])
         grid_searches = self.count_calls(monkeypatch, "_fig1_optimize")
-        point, searches = self.warm_searches(lambda: met.refine_log_peak(*ends, 64))
+        (ratio, _, _), searches = self.warm_searches(
+            lambda: met.refine_log_peak([0.1, 0.4], ends))
         # Brackets shrink from log(4) by 8 per search, and stop below
-        # 1e-7 * |log 0.2|: after 8 searches. Only the refined row's six scan a grid.
+        # 1e-7 * |log 0.2|: after 8 searches. None scans a grid.
         assert [np.shape(a) for _, a, *_ in searches] == [(15, 2)] * 8
-        assert [np.shape(args[2]) for args in grid_searches] == [()] * 6
+        assert grid_searches == []
         width, a = math.log(4.0), math.log(0.1)
-        times = np.array([row[1:3] for row in ends])  # (entangled, product) at each end
+        times = np.array(ends)  # (entangled, product) at each end
         for gamma, lower, upper, t, info in searches:
             assert gamma.shape == (15, 1)
             x = np.log(gamma[:, 0])  # 15 evenly spaced log-ratios strictly inside the bracket
@@ -413,7 +434,7 @@ class TestFigureOneCurve:
             i = int(np.argmax(info[:, 0] - info[:, 1]))
             times = np.concatenate([times[:1], t, times[1:]])[[i, i + 2]]
             a, width = x[i] - width / 16, width / 8
-        assert a < math.log(point.ratio) < a + width
+        assert a < math.log(ratio) < a + width
 
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_warm_searches_match_the_grid_search(self, overrides):
@@ -429,6 +450,46 @@ class TestFigureOneCurve:
             # about sqrt(eps) and its value to a few ulps.
             np.testing.assert_allclose(t, t_grid, rtol=1e-7, atol=0.0)
             np.testing.assert_allclose(info, info_grid, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("overrides", REFINED_RUNS)
+    def test_the_refined_row_keeps_the_last_warm_step(self, overrides):
+        experiment = cli.EXPERIMENTS["figure1"]
+        params = cli._merge_params(experiment, overrides)
+        (_, rows, _), searches = self.warm_searches(lambda: experiment.runner(params, 7))
+        gamma, _, _, t, info = searches[-1]
+        (row,) = [r for r in rows if r.ratio in gamma[:, 0]]
+        (j,) = np.flatnonzero(gamma[:, 0] == row.ratio)
+        assert (row.t_star_ent, row.t_star_prod) == tuple(t[j])
+        assert (row.info_ent, row.info_prod) == tuple(info[j])
+        assert row.delta_bits == info[j, 0] - info[j, 1]
+
+    @pytest.mark.parametrize("overrides", REFINED_RUNS)
+    def test_the_refined_row_matches_its_grid_search_row(self, overrides):
+        _, _, grid, (ratio, _, _), rows = self.refinement_of(overrides)
+        (row,) = [r for r in rows if r.ratio == ratio]
+        reference = met.figure1_point(ratio, grid)
+        # As in test_warm_searches_match_the_grid_search: flat optima.
+        np.testing.assert_allclose([row.t_star_ent, row.t_star_prod],
+                                   [reference.t_star_ent, reference.t_star_prod],
+                                   rtol=1e-7, atol=0.0)
+        np.testing.assert_allclose([row.info_ent, row.info_prod],
+                                   [reference.info_ent, reference.info_prod], rtol=1e-14, atol=0.0)
+        # Its binary and error columns come from the same searches as a row of its own.
+        for name in ("info_ent_binary", "info_prod_binary", "delta_bits_binary", "p_err_ent",
+                     "p_err_prod", "delta_p_err"):
+            assert getattr(row, name) == getattr(reference, name), name
+
+    @pytest.mark.parametrize("overrides", REFINED_RUNS)
+    def test_the_other_rows_equal_figure1_points(self, overrides):
+        _, _, grid, (ratio, _, _), rows = self.refinement_of(overrides)
+        others = [r for r in rows if r.ratio != ratio]
+        assert len(others) == len(rows) - 1
+        assert others == met.figure1_points([r.ratio for r in others], grid)
+
+    def test_an_unrefined_curve_equals_figure1_points(self):
+        ratios = np.geomspace(0.01, 10.0, 25)
+        result = met.figure1_curve(ratios, 64, refine_peak=False)
+        assert list(result.points) == met.figure1_points(ratios, 64)
 
     def test_optimum_times_fall_strictly_with_the_ratio(self):
         # The premise of the warm brackets: the times at two ratios bracket the
@@ -652,7 +713,7 @@ class TestFigureOneCurve:
         checks.clear()
         searches = self.count_calls(monkeypatch, "grid_golden_minimize")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
-        assert len(checks) == len(searches) > 6
+        assert len(checks) == len(searches) == 6
 
 
 class TestBoundedScan:
@@ -754,10 +815,10 @@ class TestBoundedScan:
     def test_a_25_ratio_curve_scans_a_third_of_the_grid_times(self):
         counts, full = self.bounded_and_full_scan(
             lambda: met.figure1_curve(np.geomspace(0.01, 10.0, 25)))
-        # The six searches of the 25 ratios and the six of the refined row; the
-        # refinement's own searches scan no grid.
-        assert full == {"searches": 12, "scan_times": 319_488, "golden_steps": 441}
-        assert counts == {"searches": 12, "scan_times": 134_538, "golden_steps": 441}
+        # The six searches of the 25 ratios, four of them with the refined row;
+        # the refinement's own searches scan no grid.
+        assert full == {"searches": 6, "scan_times": 315_392, "golden_steps": 222}
+        assert counts == {"searches": 6, "scan_times": 122_390, "golden_steps": 222}
 
     @staticmethod
     def search_arguments(objective, strategy, ratios, sign):

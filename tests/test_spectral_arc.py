@@ -651,16 +651,17 @@ class TestStackedGeneratorDraws:
             rescales + [8] * (2 * 23))
         assert len(rows) == 23
 
-    # 20: blocks of 1 trial, stacks of 5 and 2 generators; 56: blocks of 2 and 1 trials.
+    # 20: blocks of 1 trial, stacks of 5 and 2 generators; 56: blocks of 2 and 1 trials,
+    # one stack each.
     @pytest.mark.parametrize("budget, want", [
         (20, [20, 8] * 3 + [4, 8] * (3 * 6)),
-        (56, [28] * 3 + [8, 16] * 6 + [4, 8] * 6)])
+        (56, [56, 28] + [8, 16] * 6 + [4, 8] * 6)])
     def test_eliminate_stacks_within_the_element_budget(self, budget, want, monkeypatch):
         monkeypatch.setattr(arc, "_ARC_BLOCK_ELEMS", budget)
         calls = spy_kernels(monkeypatch)
         rows = disc.eliminate_sweep(7, 2, 3, 5)
         assert max(size for _, size in calls) <= budget
-        # Per trial the rescales of its 7 generators, then per block and elimination
+        # Per block the rescales of its trials' 7 generators each, then per block and elimination
         # round one herm_eig of the pairs' differences and one expm_i of the stacked
         # flipped and true generators, two per trial.
         assert sorted(s for name, s in calls if name == "herm_eig") == sorted(want)
