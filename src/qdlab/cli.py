@@ -192,18 +192,12 @@ TwoHamRow = NamedTuple("TwoHamRow", [
     ("p_error_formula", float), ("info_bits", float)])
 
 
-def _two_ham_ensemble(omega: float, gamma: float):
-    noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, gamma)
-    trivial = discrimination.Hypothesis(np.zeros((2, 2)), noise, 0.5)
-    driven = discrimination.Hypothesis(FieldHamiltonian(omega, (0, 0, 1)), noise, 0.5)
-    return discrimination.HypothesisEnsemble((trivial, driven))
-
-
 def _run_two_ham(params, seed):
     omega, gamma = params["omega"], params["gamma"]
     t_star = discrimination.optimal_time_qubit(omega, gamma)
-    ensemble = _two_ham_ensemble(omega, gamma)
-    result = discrimination.discriminate_superops(ensemble, qmath.KET_PLUS, t_star)
+    generators = (np.zeros((2, 2)), FieldHamiltonian(omega, (0, 0, 1)))
+    noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, gamma)
+    result = discrimination.discriminate_superops(generators, noise, qmath.KET_PLUS, t_star)
     formula = 0.5 - 0.5 * math.exp(-gamma * t_star) * abs(math.sin(omega * t_star / 2.0))
     row = TwoHamRow(omega, gamma, t_star, result.p_error, formula, result.info_bits)
     return TwoHamRow, [row], (

@@ -9,56 +9,19 @@ and information-gain accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qmath, spectral_arc, tolerances
-from .dynamics import NoiseKind, NoiseModel, apply_channel, generator_matrix
-from .errors import NoDiscriminationError, UnsupportedModelError
+from .dynamics import NoiseModel, apply_channel
+from .errors import NoDiscriminationError
 
 
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """One candidate generator with its noise model and prior probability."""
-
-    generator: object  # Hermitian ndarray or FieldHamiltonian
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    prior: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.prior <= 1.0:
-            raise ValueError("prior must lie in [0, 1]")
-
-
-def _check_priors(priors) -> None:
-    # Written so that a NaN prior fails every comparison and is refused.
-    if not all(p >= 0 for p in priors) or not abs(sum(priors) - 1.0) <= tolerances.NORM:
-        raise ValueError("priors must be nonnegative and sum to 1")
-
-
-@dataclass(frozen=True)
-class HypothesisEnsemble:
-    hypotheses: tuple[Hypothesis, ...]
-
-    def __post_init__(self):
-        hyps = tuple(self.hypotheses)
-        object.__setattr__(self, "hypotheses", hyps)
-        if len(hyps) < 2:
-            raise ValueError("an ensemble needs at least two hypotheses")
-        _check_priors([h.prior for h in hyps])
-        dims = {generator_matrix(h.generator).shape[0] for h in hyps}
-        if len(dims) != 1:
-            raise ValueError("all generators must share one dimension")
-
-    def __len__(self) -> int:
-        return len(self.hypotheses)
 
 
 @dataclass(frozen=True)
@@ -153,19 +116,18 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048, *, bound):
 # ---------------------------------------------------------------------------
 
 
-def helstrom(rho1, rho2, p1: float = 0.5, p2: float = 0.5):
-    """Minimum-error two-outcome measurement for a pair of density matrices.
+def helstrom(rho1, rho2):
+    """Minimum-error two-outcome measurement for two equally likely density matrices.
 
     The optimal element projects onto the positive-eigenvalue subspace of
-    p1 rho1 - p2 rho2; the achieved error is 1/2 - 1/2 tr|p1 rho1 - p2 rho2|.
+    delta = rho1 / 2 - rho2 / 2; the achieved error is 1/2 - 1/2 tr|delta|.
     Returns (E, p_error): the projector E decides for rho1, I - E for rho2.
     """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError("state dimensions do not match")
-    _check_priors((p1, p2))
-    delta = p1 * rho1 - p2 * rho2
+    delta = 0.5 * rho1 - 0.5 * rho2
     w, V = qmath.herm_eig(delta)
     pos = V[:, w > 0]
     E = pos @ pos.conj().T
@@ -216,19 +178,19 @@ def mutual_information(joint: np.ndarray) -> float:
     return float(np.sum(q * psi) / math.log(2.0))
 
 
-def discriminate_superops(ensemble: HypothesisEnsemble, psi0, t: float) -> DiscriminationResult:
-    """Evolve one probe state under each of two candidate channels, then
+def discriminate_superops(generators, noise: NoiseModel, psi0, t: float) -> DiscriminationResult:
+    """Evolve one probe state under each of two equally likely generators
+    (Hermitian ndarrays or FieldHamiltonians) with the same noise, then
     perform the minimum-error measurement on the outputs; info_bits is the
     mutual information between the hypothesis and its outcome."""
-    if len(ensemble) != 2:
-        raise ValueError("exactly two hypotheses are required")
+    if len(generators) != 2:
+        raise ValueError("exactly two generators are required")
     psi0 = qmath.check_state(psi0)
     rho0 = np.outer(psi0, psi0.conj())
-    rhos = [apply_channel(rho0, h.generator, h.noise, t) for h in ensemble.hypotheses]
-    priors = [h.prior for h in ensemble.hypotheses]
-    E, p_error = helstrom(*rhos, *priors)
-    joint = np.array([[p * float(np.trace(F @ rho).real) for F in (E, np.eye(len(E)) - E)]
-                      for rho, p in zip(rhos, priors)])
+    rhos = [apply_channel(rho0, g, noise, t) for g in generators]
+    E, p_error = helstrom(*rhos)
+    joint = np.array([[0.5 * float(np.trace(F @ rho).real) for F in (E, np.eye(len(E)) - E)]
+                      for rho in rhos])
     return DiscriminationResult(p_error, mutual_information(joint), t)
 
 
@@ -321,8 +283,6 @@ def trine_discriminate(directions) -> DiscriminationResult:
     n = len(dirs)
     if n not in (3, 4):
         raise ValueError("supported direction counts are 3, 4")
-    priors = [1.0 / n] * n
-
     dots = [float(dirs[i] @ dirs[j]) for i in range(n) for j in range(i + 1, n)]
     cos_theta = dots[0]
     if max(dots) - min(dots) > tolerances.GEOMETRY:
@@ -341,8 +301,8 @@ def trine_discriminate(directions) -> DiscriminationResult:
     # has probability 0 under every hypothesis).
     S = np.column_stack([superdense_probe_state(d, t_star) for d in dirs])
     probs = np.abs(S.conj().T @ S) ** 2  # p[outcome, hyp]
-    joint = probs.T * np.asarray(priors)[:, None]
-    success = sum(priors[a] * probs[a, a] for a in range(n))
+    joint = probs.T * (1.0 / n)
+    success = sum((1.0 / n) * probs[a, a] for a in range(n))
     p_error = float(min(max(1.0 - success, 0.0), 1.0))
     info = mutual_information(joint)
     return DiscriminationResult(p_error, info, t_star)
@@ -423,8 +383,9 @@ def fixed_time_sweep(
 # ---------------------------------------------------------------------------
 
 
-def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed):
-    """Identify one of N noiseless Hamiltonians by pairwise elimination.
+def adaptive_eliminate(gens, true_index: int, rng_seed):
+    """Identify one of the N noiseless Hamiltonians of an (N, d, d) stack,
+    N >= 2, by pairwise elimination.
 
     Each round drives to cancel the first of the two leading candidates,
     prepares the cancellation probe for the pair, evolves for the pair's
@@ -436,13 +397,11 @@ def adaptive_eliminate(ensemble: HypothesisEnsemble, true_index: int, rng_seed):
 
     Returns (identified_index, measurement_count, transcript).
     """
-    n = len(ensemble)
-    if not 0 <= true_index < n:
+    gens = np.asarray(gens, dtype=complex)
+    if gens.ndim != 3 or len(gens) < 2 or gens.shape[1] != gens.shape[2]:
+        raise ValueError(f"expected a stack of two or more square generators, got {gens.shape}")
+    if not 0 <= true_index < len(gens):
         raise ValueError("true_index out of range")
-    for h in ensemble.hypotheses:
-        if h.noise.kind is not NoiseKind.NONE:
-            raise UnsupportedModelError("adaptive elimination assumes noiseless hypotheses")
-    gens = np.stack([generator_matrix(h.generator) for h in ensemble.hypotheses])
     identified, rounds = _eliminate_block(
         gens[None], np.array([true_index]), [np.random.default_rng(rng_seed)])
     transcript = [{"pair": (int(i[0]), j), "t_star": float(t[0]), "p_flip": float(p[0]),
@@ -521,7 +480,6 @@ def sampled_adaptive_two_qubit_info(directions, rng_seed: int, samples: int = 10
     """
     dirs = [np.asarray(d, dtype=float) for d in directions]
     n = len(dirs)
-    priors = np.full(n, 1.0 / n)
     rng = np.random.default_rng(rng_seed)
     ops = [qmath.axis_operator(d) for d in dirs]
 
@@ -554,6 +512,6 @@ def sampled_adaptive_two_qubit_info(directions, rng_seed: int, samples: int = 10
                 out2 = evolved(a, psi2, t2)
                 p2 = np.abs(basis2.conj().T @ out2) ** 2
                 for r2 in range(2):
-                    joint[a, 2 * r1 + r2] = priors[a] * p1[r1] * p2[r2]
+                    joint[a, 2 * r1 + r2] = (1.0 / n) * p1[r1] * p2[r2]
         best = max(best, mutual_information(joint))
     return best

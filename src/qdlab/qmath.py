@@ -86,12 +86,14 @@ def check_axis(axis) -> np.ndarray:
 def herm_eig(M):
     """Eigendecomposition of each Hermitian matrix of a (..., d, d) stack.
 
-    The input is symmetrized via (M + M^dag)/2 before the decomposition.
+    The input is symmetrized as M/2 + M^dag/2 before the decomposition: halving
+    first keeps entries above half the largest float from overflowing.
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns)
     with M = V diag(w) V^dag.
     """
-    M = _as_stack(M)
-    w, V = np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2)
+    half = _as_stack(M) / 2
+    half += half.conj().swapaxes(-1, -2)  # conj() copies: the add reads no updated entry
+    w, V = np.linalg.eigh(half)
     return w, V
 
 

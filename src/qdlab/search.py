@@ -34,8 +34,9 @@ class GroverInstance:
 
     @property
     def flop_time(self) -> float:
-        """Half-period of the |s> <-> |x> oscillation: pi sqrt(N) / (2 E)."""
-        return math.pi * math.sqrt(self.dim) / (2.0 * self.energy)
+        """Half-period of the |s> <-> |x> oscillation: pi sqrt(N) / (2 E),
+        formed as (pi / 2) sqrt(N) / E so that no 2 E overflows."""
+        return (math.pi / 2.0) * math.sqrt(self.dim) / self.energy
 
 
 def uniform_state(dim: int) -> np.ndarray:

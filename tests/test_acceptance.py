@@ -286,12 +286,9 @@ def test_criterion_10_adaptive_elimination():
     for trial in range(100):
         n = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 5))
-        gens = [arc.random_hermitian(dim, 2.0, rng) for _ in range(n)]
-        ensemble = disc.HypothesisEnsemble(
-            tuple(disc.Hypothesis(g, NoiseModel(), 1.0 / n) for g in gens)
-        )
+        gens = np.stack([arc.random_hermitian(dim, 2.0, rng) for _ in range(n)])
         true_index = int(rng.integers(n))
-        identified, count, _ = disc.adaptive_eliminate(ensemble, true_index, trial)
+        identified, count, _ = disc.adaptive_eliminate(gens, true_index, trial)
         if identified != true_index or count > n - 1:
             all_ok = False
     ok = report("10", all_ok, "100/100 ensembles identified within N-1 measurements")

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -349,10 +350,10 @@ class TestConfigHandling:
             ),
             # The uncertainty 1 / (0.5 t) overflows at this budget.
             (["metrology"], '{"parameters": {"t_total": 1e-323}}', 3, "is not finite"),
-            # The Hamiltonian's symmetrization overflows, so success_prob is NaN at N = 2;
+            # The Hamiltonian's entry E (1 + 1/N) overflows, so success_prob is NaN at N = 2;
             # the report is refused before --check runs, and before it is written.
-            (["grover"], '{"parameters": {"energy": 6e307}}', 3, "success_prob is nan"),
-            (["grover", "--check"], '{"parameters": {"energy": 6e307}}', 3, "not finite"),
+            (["grover"], '{"parameters": {"energy": 1.7e308}}', 3, "success_prob is nan"),
+            (["grover", "--check"], '{"parameters": {"energy": 1.7e308}}', 3, "not finite"),
         ],
         ids=["superdense-check-geometry", "theorem-check-check-search", "literal-1e999",
              "grover-size-overflow", "grover-flop-time-overflow", "superdense-no-cone",
@@ -368,6 +369,18 @@ class TestConfigHandling:
         assert message in result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("energy", [6e307, 9e307])
+    def test_grover_near_the_largest_float_energy_runs(self, tmp_path, energy):
+        # At both energies the Hamiltonian's entry E (1 + 1/N) passes half the largest float,
+        # and at 9e307 so does 2 E: neither the symmetrization nor the flop time may overflow.
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"energy": energy}}))
+        result = qd("grover", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+        assert len(rows) == 5
+        assert all(math.isfinite(float(row["success_prob"])) for row in rows)
 
     def test_phase_est_over_qubit_cap_exits_3(self, tmp_path):
         from qdlab.phase_estimation import MAX_PREPARE_QUBITS
@@ -841,6 +854,27 @@ class TestCheckFlag:
 SMALL = {"trials": 3, "samples": 3, "points": 3, "grid": 16, "dims": [2]}
 
 
+# The values a numeric parameter without a registry bound draws besides its default.
+EXTREMES = {
+    float: [5e-324, -5e-324, 1e-308, -1e-308, 1.0, 1e308, sys.float_info.max],
+    int: [-1, 0, 1, 2**63],
+}
+
+
+def report_numbers(node):
+    """Every number in a parsed report, as floats: JSON numbers, and CSV cells that parse."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in report_numbers(item)]
+    if isinstance(node, str):
+        try:
+            return [float(node)]
+        except ValueError:
+            return []
+    return [] if node is None or isinstance(node, bool) else [float(node)]
+
+
 def edge_values(default, bound):
     """Values at, just inside and just outside the lower bound, and just outside the upper.
 
@@ -862,7 +896,10 @@ def fuzz_configs(draw):
     for key in draw(st.lists(st.sampled_from(sorted(exp.defaults)), max_size=2, unique=True)):
         default = exp.defaults[key]
         item = default[0] if isinstance(default, list) else default
-        values = edge_values(item, exp.bounds[key]) if key in exp.bounds else [item]
+        if key in exp.bounds:
+            values = edge_values(item, exp.bounds[key])
+        else:
+            values = [item] + EXTREMES.get(type(item), [])
         values += list(exp.choices.get(key, ()))
         value = draw(st.sampled_from(values))
         params[key] = [value] if isinstance(default, list) else value
@@ -878,14 +915,20 @@ def fuzz_configs(draw):
     return name, value if key is None else {**config, key: value}
 
 
+# The numeric parameters without a registry bound, which draw from EXTREMES.
+UNBOUNDED = [("superdense", "cos_theta"), ("grover", "sizes"), ("grover", "energy"),
+             ("two-ham", "omega"), ("two-ham", "gamma"), ("phase-est", "n"),
+             ("phase-est", "omega"), ("metrology", "n"), ("metrology", "gamma"),
+             ("metrology", "t_total")]
+
+
 class TestConfigFuzz:
-    @settings(max_examples=40, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=fuzz_configs())
-    def test_any_config_exits_cleanly(self, tmp_path, capsys, case):
+    @staticmethod
+    def exits_cleanly(tmp_path, capsys, name, config):
+        """Run one config in-process: it exits 0-4, leaves a report only on exit 0, and
+        that report holds only finite numbers."""
         from qdlab import cli
 
-        name, config = case
         cfg, out = tmp_path / "cfg.json", tmp_path / "r.out"
         cfg.write_text(json.dumps(config))
         if out.exists():
@@ -896,6 +939,48 @@ class TestConfigFuzz:
         capsys.readouterr()
         assert exc.value.code in range(5)
         assert exc.value.code == 0 or not out.exists()
+        if exc.value.code == 0:
+            text = out.read_text(encoding="utf-8")
+            try:
+                report = json.loads(text)
+            except json.JSONDecodeError:
+                report = list(csv.reader(io.StringIO(text)))
+            assert all(math.isfinite(x) for x in report_numbers(report)), text
+        return exc.value.code
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=fuzz_configs())
+    def test_any_config_exits_cleanly(self, tmp_path, capsys, case):
+        self.exits_cleanly(tmp_path, capsys, *case)
+
+    def test_unbounded_lists_every_numeric_parameter_without_a_bound(self):
+        from qdlab import cli
+
+        found = [(name, key) for name, exp in cli.EXPERIMENTS.items()
+                 for key, default in exp.defaults.items() if key not in exp.bounds
+                 and type(default[0] if isinstance(default, list) else default) in EXTREMES]
+        assert sorted(found) == sorted(UNBOUNDED)
+
+    @pytest.mark.parametrize("name, key", UNBOUNDED)
+    def test_every_extreme_of_an_unbounded_parameter_exits_cleanly(
+            self, tmp_path, capsys, name, key):
+        from qdlab import cli
+
+        exp = cli.EXPERIMENTS[name]
+        default = exp.defaults[key]
+        for value in EXTREMES[type(default[0] if isinstance(default, list) else default)]:
+            params = {k: v for k, v in SMALL.items() if k in exp.defaults}
+            params[key] = [value] if isinstance(default, list) else value
+            for fmt in ("csv", "json"):
+                config = {"experiment": name, "parameters": params,
+                          "output": {"path": "ignored.csv", "format": fmt}}
+                # numpy's overflow warnings are printed by qd, not raised: here they are
+                # recorded, and allowed only in a run that then refuses its result.
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", RuntimeWarning)
+                    code = self.exits_cleanly(tmp_path, capsys, name, config)
+                assert code != 0 or not caught, [str(w.message) for w in caught]
 
 
 class TestImports:

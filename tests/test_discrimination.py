@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qdlab import discrimination as disc
 from qdlab import dynamics, qmath
 from qdlab.dynamics import FieldHamiltonian, NoiseKind, NoiseModel
-from qdlab.errors import NoDiscriminationError, UnsupportedModelError
+from qdlab.errors import NoDiscriminationError
 from conftest import eig_unitary, random_density, random_hermitian, random_state, random_unitary
 
 
@@ -58,15 +58,13 @@ def fibonacci_sphere(n):
 
 class TestHelstrom:
     def test_orthogonal_pure_states(self):
-        for p1 in (0.5, 0.2, 0.9):
-            _, p_err = disc.helstrom(np.diag([1.0, 0]), np.diag([0, 1.0]), p1, 1 - p1)
-            assert p_err == pytest.approx(0.0, abs=1e-14)
+        _, p_err = disc.helstrom(np.diag([1.0, 0]), np.diag([0, 1.0]))
+        assert p_err == pytest.approx(0.0, abs=1e-14)
 
     def test_identical_states(self, rng):
         rho = random_density(rng, 3)
-        for p1 in (0.5, 0.3, 0.85):
-            _, p_err = disc.helstrom(rho, rho, p1, 1 - p1)
-            assert p_err == pytest.approx(min(p1, 1 - p1), abs=1e-12)
+        _, p_err = disc.helstrom(rho, rho)
+        assert p_err == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_state_formula_and_grid(self, rng):
         axes = fibonacci_sphere(10**4)
@@ -83,12 +81,11 @@ class TestHelstrom:
 
     def test_swap_symmetry_and_unitary_invariance(self, rng):
         rho1, rho2 = random_density(rng, 3), random_density(rng, 3)
-        p1 = 0.37
-        _, a = disc.helstrom(rho1, rho2, p1, 1 - p1)
-        _, b = disc.helstrom(rho2, rho1, 1 - p1, p1)
+        _, a = disc.helstrom(rho1, rho2)
+        _, b = disc.helstrom(rho2, rho1)
         assert a == pytest.approx(b, abs=1e-10)
         V = random_unitary(rng, 3)
-        _, c = disc.helstrom(V @ rho1 @ V.conj().T, V @ rho2 @ V.conj().T, p1, 1 - p1)
+        _, c = disc.helstrom(V @ rho1 @ V.conj().T, V @ rho2 @ V.conj().T)
         assert a == pytest.approx(c, abs=1e-10)
 
     def test_beats_random_projective_measurements(self, rng):
@@ -100,35 +97,34 @@ class TestHelstrom:
             assert p_err <= grid_measurement_error(rho1, rho2, 0.5, 0.5, axes) + 1e-12
 
     def test_error_is_half_minus_half_trace_norm(self, rng):
-        for dim, p1 in ((2, 0.5), (3, 0.3), (4, 0.8)):
+        for dim in (2, 3, 4):
             rho1, rho2 = random_density(rng, dim), random_density(rng, dim)
-            _, p_err = disc.helstrom(rho1, rho2, p1, 1 - p1)
-            trace_norm = np.sum(np.abs(np.linalg.eigvalsh(p1 * rho1 - (1 - p1) * rho2)))
+            _, p_err = disc.helstrom(rho1, rho2)
+            trace_norm = np.sum(np.abs(np.linalg.eigvalsh(0.5 * rho1 - 0.5 * rho2)))
             assert p_err == pytest.approx(0.5 - 0.5 * trace_norm, abs=1e-12)
 
     def test_measurement_attains_reported_error(self, rng):
-        for dim, p1 in ((2, 0.5), (3, 0.65), (5, 0.2)):
+        for dim in (2, 3, 5):
             rho1, rho2 = random_density(rng, dim), random_density(rng, dim)
-            E, p_err = disc.helstrom(rho1, rho2, p1, 1 - p1)
-            achieved = p1 * np.trace((np.eye(dim) - E) @ rho1) + (1 - p1) * np.trace(E @ rho2)
+            E, p_err = disc.helstrom(rho1, rho2)
+            achieved = 0.5 * np.trace((np.eye(dim) - E) @ rho1) + 0.5 * np.trace(E @ rho2)
             assert achieved.real == pytest.approx(p_err, abs=1e-12)
 
     def test_one_eigendecomposition_per_call(self, rng, monkeypatch):
-        # The element projects onto p1 rho1 - p2 rho2's positive eigenspace: a
+        # The element projects onto rho1 / 2 - rho2 / 2's positive eigenspace: a
         # projector by construction, which no second decomposition rechecks.
         states = [(random_density(rng, dim), random_density(rng, dim)) for dim in (2, 3, 5)]
         called = spy_eigendecompositions(monkeypatch)
-        results = [disc.helstrom(rho1, rho2, 0.3, 0.7) for rho1, rho2 in states]
+        results = [disc.helstrom(rho1, rho2) for rho1, rho2 in states]
         assert called == ["eigh"] * 3
         for E, _ in results:
             assert np.allclose(E @ E, E, atol=1e-12) and np.allclose(E, E.conj().T, atol=1e-12)
 
     def test_commuting_states_closed_form(self, rng):
-        # Diagonal states: the best guess per outcome i errs by min(p1 a_i, p2 b_i).
+        # Diagonal states: the best guess per outcome i errs by min(a_i, b_i) / 2.
         a, b = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-        for p1 in (0.5, 0.25, 0.9):
-            _, p_err = disc.helstrom(np.diag(a), np.diag(b), p1, 1 - p1)
-            assert p_err == pytest.approx(np.sum(np.minimum(p1 * a, (1 - p1) * b)), abs=1e-12)
+        _, p_err = disc.helstrom(np.diag(a), np.diag(b))
+        assert p_err == pytest.approx(np.sum(np.minimum(0.5 * a, 0.5 * b)), abs=1e-12)
 
     def test_trace_distance_triangle_inequality(self, rng):
         # With equal priors 1 - 2 p_error is the trace distance, a metric.
@@ -144,12 +140,10 @@ class TestHelstrom:
         H = random_hermitian(rng, 3)
         for _ in range(10):
             rho1, rho2 = random_density(rng, 3), random_density(rng, 3)
-            before = disc.helstrom(rho1, rho2, 0.4, 0.6)[1]
+            before = disc.helstrom(rho1, rho2)[1]
             after = disc.helstrom(
                 dynamics.evolve_symmetric(rho1, H, 0.7, 0.5),
                 dynamics.evolve_symmetric(rho2, H, 0.7, 0.5),
-                0.4,
-                0.6,
             )[1]
             assert after >= before - 1e-12
 
@@ -157,68 +151,47 @@ class TestHelstrom:
         with pytest.raises(ValueError, match="state dimensions do not match"):
             disc.helstrom(random_density(rng, 2), random_density(rng, 3))
 
-    def test_rejects_bad_priors(self, rng):
-        rho = random_density(rng, 2)
-        with pytest.raises(ValueError):
-            disc.helstrom(rho, rho, 0.6, 0.6)
-
-    @pytest.mark.parametrize("priors", [(math.nan, 0.5), (0.5, math.nan)])
-    def test_rejects_nan_priors(self, priors):
-        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
-            disc.helstrom(np.diag([1.0, 0]), np.diag([0, 1.0]), *priors)
-
 
 class TestDiscriminateSuperops:
-    def _ensemble(self, omega, gamma):
-        noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, gamma)
-        return disc.HypothesisEnsemble(
-            (
-                disc.Hypothesis(np.zeros((2, 2)), noise, 0.5),
-                disc.Hypothesis(FieldHamiltonian(omega), noise, 0.5),
-            )
-        )
+    def _args(self, omega, gamma):
+        """The trivial and the field generator, and their depolarizing noise."""
+        return (np.zeros((2, 2)), FieldHamiltonian(omega)), NoiseModel(
+            NoiseKind.QUBIT_DEPOLARIZING, gamma)
 
     def test_trivial_vs_field_formula(self):
         omega, gamma = 1.3, 0.4
         for t in (0.3, 1.0, 2.7):
-            res = disc.discriminate_superops(self._ensemble(omega, gamma), qmath.KET_PLUS, t)
+            res = disc.discriminate_superops(*self._args(omega, gamma), qmath.KET_PLUS, t)
             expected = 0.5 - 0.5 * math.exp(-gamma * t) * abs(math.sin(omega * t / 2))
             assert res.p_error == pytest.approx(expected, abs=1e-12)
 
     def test_identical_hypotheses(self):
         noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, 0.2)
-        ensemble = disc.HypothesisEnsemble(
-            (
-                disc.Hypothesis(FieldHamiltonian(1.0), noise, 0.5),
-                disc.Hypothesis(FieldHamiltonian(1.0), noise, 0.5),
-            )
-        )
-        res = disc.discriminate_superops(ensemble, qmath.KET_PLUS, 1.0)
+        generators = (FieldHamiltonian(1.0), FieldHamiltonian(1.0))
+        res = disc.discriminate_superops(generators, noise, qmath.KET_PLUS, 1.0)
         assert res.p_error == pytest.approx(0.5, abs=1e-12)
         assert res.info_bits == pytest.approx(0.0, abs=1e-12)
 
     def test_noiseless_half_turn_is_perfect(self):
         omega = 2.0
-        res = disc.discriminate_superops(self._ensemble(omega, 0.0), qmath.KET_PLUS, math.pi / omega)
+        res = disc.discriminate_superops(*self._args(omega, 0.0), qmath.KET_PLUS, math.pi / omega)
         assert res.p_error == pytest.approx(0.0, abs=1e-12)
         assert res.info_bits == pytest.approx(1.0, abs=1e-10)
 
     def test_symmetric_case_info_equals_binary_gain(self):
         # Equal-length Bloch vectors give a symmetric channel, where the
         # joint-distribution information reduces to 1 - H2(p_error).
-        res = disc.discriminate_superops(self._ensemble(1.1, 0.3), qmath.KET_PLUS, 0.9)
+        res = disc.discriminate_superops(*self._args(1.1, 0.3), qmath.KET_PLUS, 0.9)
         assert res.info_bits == pytest.approx(binary_gain(res.p_error), abs=1e-12)
 
     def test_requires_two_hypotheses(self):
         with pytest.raises(ValueError):
-            hyps = tuple(
-                disc.Hypothesis(np.zeros((2, 2)), NoiseModel(), 1 / 3.0) for _ in range(3)
-            )
-            disc.discriminate_superops(disc.HypothesisEnsemble(hyps), qmath.KET_PLUS, 1.0)
+            generators = (np.zeros((2, 2)),) * 3
+            disc.discriminate_superops(generators, NoiseModel(), qmath.KET_PLUS, 1.0)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            disc.discriminate_superops(self._ensemble(1.0, 0.1), qmath.KET_PLUS, -0.5)
+            disc.discriminate_superops(*self._args(1.0, 0.1), qmath.KET_PLUS, -0.5)
 
 
 class TestGoldenMinimize:
@@ -667,10 +640,7 @@ class TestFixedTimeOverlap:
 
 class TestAdaptiveEliminate:
     def _ensemble(self, rng, n, dim):
-        gens = [random_hermitian(rng, dim) for _ in range(n)]
-        return disc.HypothesisEnsemble(
-            tuple(disc.Hypothesis(g, NoiseModel(), 1.0 / n) for g in gens)
-        )
+        return np.stack([random_hermitian(rng, dim) for _ in range(n)])
 
     def test_two_hypotheses(self, rng):
         ensemble = self._ensemble(rng, 2, 2)
@@ -696,16 +666,11 @@ class TestAdaptiveEliminate:
             assert identified == true_index
             assert count <= n - 1
 
-    def test_rejects_noisy_hypotheses(self, rng):
-        noise = NoiseModel(NoiseKind.QUBIT_DEPOLARIZING, 0.1)
-        ensemble = disc.HypothesisEnsemble(
-            (
-                disc.Hypothesis(random_hermitian(rng, 2), noise, 0.5),
-                disc.Hypothesis(random_hermitian(rng, 2), noise, 0.5),
-            )
-        )
-        with pytest.raises(UnsupportedModelError):
-            disc.adaptive_eliminate(ensemble, 0, 3)
+    @pytest.mark.parametrize("gens", [np.eye(2)[None], np.eye(2), np.zeros((2, 2, 3))],
+                             ids=["one-generator", "2-d", "non-square"])
+    def test_rejects_anything_but_two_or_more_square_generators(self, gens):
+        with pytest.raises(ValueError, match="expected a stack of two or more square generators"):
+            disc.adaptive_eliminate(gens, 0, 1)
 
 
 class TestInfoGain:

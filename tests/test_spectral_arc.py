@@ -8,7 +8,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qdlab import cli, discrimination as disc, qmath, spectral_arc as arc, tolerances
-from qdlab.dynamics import NoiseModel
 from qdlab.errors import NoDiscriminationError
 from conftest import random_hermitian, random_unitary
 
@@ -581,10 +580,9 @@ class TestStackedGeneratorDraws:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             gens = [arc.random_hermitian(dim, 2.0, rng) for _ in range(n)]
-            ensemble = disc.HypothesisEnsemble(
-                tuple(disc.Hypothesis(g, NoiseModel(), 1.0 / n) for g in gens))
             for true_index in sorted({0, n // 2, n - 1}):
-                found, count, transcript = disc.adaptive_eliminate(ensemble, true_index, seed)
+                found, count, transcript = disc.adaptive_eliminate(
+                    np.stack(gens), true_index, seed)
                 want_found, want_count, want = reference_adaptive_eliminate(
                     gens, true_index, np.random.default_rng(seed))
                 assert (found, count) == (want_found, want_count) == (true_index, n - 1)
