@@ -315,8 +315,7 @@ def _metrology_strategies(params):
     if noise_kind is NoiseKind.QUBIT_DEPOLARIZING and n != 1:
         # The cat probe has no closed form on more than one qubit under this noise.
         raise ConfigError(f"noise {params['noise']!r} needs n = 1, got n = {n}")
-    n_for_model = n if noise_kind is NoiseKind.INDEPENDENT_DEPOLARIZING else None
-    noise = NoiseModel(noise_kind, params["gamma"], n_for_model)
+    noise = NoiseModel(noise_kind, params["gamma"])
     return tuple(metrology.Strategy(kind=kind, n=n, T_total=t_total, noise=noise)
                  for kind in (metrology.StrategyKind.PRODUCT, metrology.StrategyKind.CAT))
 
@@ -342,7 +341,7 @@ def _check_metrology(params, rows):
         checks.append(("product and cat optima agree", rel <= 1e-6, f"rel diff {rel:.2e}"))
     gamma = params["gamma"]
     if gamma > 0:
-        expect = math.sqrt(2 * math.e * gamma / (params["n"] * params["t_total"]))
+        expect = math.sqrt(2 * math.e * gamma / params["n"]) / math.sqrt(params["t_total"])
         rel = abs(rows[0].delta_omega - expect) / expect
         checks.append(("product optimum matches sqrt(2 e gamma / nT)", rel <= 1e-6, f"rel {rel:.2e}"))
     return checks

@@ -206,7 +206,7 @@ def optimal_time_qubit(omega: float, gamma: float) -> float:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0:
         return math.pi / omega
-    return (2.0 / omega) * math.atan(omega / (2.0 * gamma))
+    return 2.0 * math.atan(omega / (2.0 * gamma)) / omega
 
 
 # ---------------------------------------------------------------------------

@@ -37,24 +37,14 @@ class NoiseKind(Enum):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Decoherence specification: a kind plus a nonnegative rate.
-
-    independent_depolarizing additionally declares the qubit count the rate
-    applies to (one local channel per qubit).
-    """
+    """Decoherence specification: a kind plus a nonnegative rate."""
 
     kind: NoiseKind = NoiseKind.NONE
     gamma: float = 0.0
-    n_qubits: int | None = None
 
     def __post_init__(self):
         if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if self.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
-            if self.n_qubits is None or self.n_qubits < 1:
-                raise ValueError("independent depolarizing requires a qubit count")
-            if self.n_qubits > MAX_QUBITS:
-                raise ResourceLimitError(f"qubit count {self.n_qubits} exceeds {MAX_QUBITS}")
 
 
 @dataclass(frozen=True)
@@ -161,23 +151,20 @@ def evolve_independent_depolarizing(
 
 def apply_channel(rho0, H, noise: NoiseModel, t: float) -> np.ndarray:
     """Evolve a density matrix for time t under the generator H (a Hermitian
-    ndarray or a FieldHamiltonian) and the channel selected by `noise`."""
+    ndarray or a FieldHamiltonian) and the channel selected by `noise`. The closed
+    forms check the rate, the time and the state; n qubits have dimension 2^n."""
     rho0 = np.asarray(rho0, dtype=complex)
-    gamma = noise.gamma
-    _check_rate_and_time(gamma, t)
     if noise.kind is NoiseKind.INDEPENDENT_DEPOLARIZING:
         if not isinstance(H, FieldHamiltonian):
             raise UnsupportedModelError("independent depolarizing needs a FieldHamiltonian")
-        return evolve_independent_depolarizing(rho0, noise.n_qubits, H, gamma, t)
-    H = generator_matrix(H)
-    if noise.kind is NoiseKind.NONE:
-        U = qmath.expm_i(H, t)
-        return U @ rho0 @ U.conj().T
+        n_qubits = rho0.shape[0].bit_length() - 1 if rho0.ndim else 0
+        return evolve_independent_depolarizing(rho0, n_qubits, H, noise.gamma, t)
     if noise.kind is NoiseKind.QUBIT_DEPOLARIZING and rho0.shape != (2, 2):
         raise ValueError("qubit depolarizing requires a single qubit")
-    # SYMMETRIC, and QUBIT_DEPOLARIZING: on a qubit the uniform contraction
-    # and the Bloch closed form agree.
-    return evolve_symmetric(rho0, H, gamma, t)
+    # NONE is the uniform contraction at rate 0. SYMMETRIC, and QUBIT_DEPOLARIZING:
+    # on a qubit the uniform contraction and the Bloch closed form agree.
+    gamma = 0.0 if noise.kind is NoiseKind.NONE else noise.gamma
+    return evolve_symmetric(rho0, generator_matrix(H), gamma, t)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def precision_envelope(s: Strategy, t: float) -> float:
     delta_P = sqrt(P (1 - P) / m), with the shot tuned to quadrature
     (cos(rate omega t) = 0): m is n T/t for product probes and T/t for the cat."""
     gamma_eff, rate = _decay_and_rate(s)
-    m = s.n * s.T_total / t if s.kind == StrategyKind.PRODUCT else s.T_total / t
+    m = s.n * (s.T_total / t) if s.kind == StrategyKind.PRODUCT else s.T_total / t
     return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(m)
 
 
@@ -96,11 +96,14 @@ def optimize_precision(s: Strategy) -> OptimizedPrecision:
     interior optimum at gamma_eff t = 1/2; without decay the objective
     improves monotonically with t and the budget boundary is returned with
     a flag. Raises OverflowError when the uncertainty is not finite (a budget
-    so small that it overflows).
+    so small, or a decay so fast, that it overflows or its shot time is 0).
     """
     gamma_eff, _ = _decay_and_rate(s)
     t_star = min(1.0 / (2.0 * gamma_eff), s.T_total) if gamma_eff else s.T_total
-    delta_omega = precision_envelope(s, t_star)
+    try:
+        delta_omega = precision_envelope(s, t_star)
+    except ZeroDivisionError:
+        delta_omega = math.inf
     if not math.isfinite(delta_omega):
         raise OverflowError(f"delta_omega {delta_omega} is not finite at t_star {t_star!r}")
     return OptimizedPrecision(t_star, delta_omega, t_star == s.T_total)

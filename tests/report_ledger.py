@@ -57,6 +57,8 @@ RUNS = [
     ("metrology-qubit-depolarizing", "metrology", {"noise": "qubit_depolarizing", "n": 1},
      (7,), ("csv",)),
     ("metrology-boundary", "metrology", {"gamma": 1e-6, "t_total": 10.0}, (7,), ("csv",)),
+    # More qubits than a dense 2^n state could hold: the closed form builds no array.
+    ("metrology-n16", "metrology", {"n": 16}, (7,), ("csv",)),
 ]
 
 

@@ -172,7 +172,7 @@ def test_criterion_06_sqft():
 
 def test_criterion_07_metrology_equivalence():
     gamma, n, T = 0.04, 5, 2000.0
-    noise = NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, gamma, n)
+    noise = NoiseModel(NoiseKind.INDEPENDENT_DEPOLARIZING, gamma)
     product = Strategy(StrategyKind.PRODUCT, n=n, T_total=T, noise=noise)
     cat = Strategy(StrategyKind.CAT, n=n, T_total=T, noise=noise)
     p_opt = met.optimize_precision(product)

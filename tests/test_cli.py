@@ -427,6 +427,22 @@ class TestConfigHandling:
         assert len(built) == (2 if code == 0 else 0)
         assert ("config error" in capsys.readouterr().err) == (code == 2)
 
+    # The closed form builds no 2^n array, so n may exceed what a dense state holds; and at
+    # the largest budget n T overflows, but neither the product's n (T / t) nor the check's
+    # sqrt(2 e gamma / n) / sqrt(T) does.
+    @pytest.mark.parametrize("parameters", [{"n": 11}, {"n": 16}, {"t_total": sys.float_info.max}],
+                             ids=["n11", "n16", "largest-budget"])
+    def test_metrology_runs_and_passes_check(self, parameters, tmp_path, capsys):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        for args in (["--out", str(out)], ["--check"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["metrology", "--config", str(cfg), *args], standalone_mode=False)
+            assert exc.value.code == 0, capsys.readouterr().err
+        assert out.exists()
+
     def test_metrology_has_no_field_frequency(self, tmp_path, capsys):
         # The quadrature-tuned precision does not depend on omega, so no omega is read.
         from qdlab import cli
@@ -915,6 +931,10 @@ def fuzz_configs(draw):
     return name, value if key is None else {**config, key: value}
 
 
+# Python's own messages for a float operation that failed, which name no parameter.
+BARE_ARITHMETIC = ["division by zero", "math domain error", "math range error"]
+
+
 # The numeric parameters without a registry bound, which draw from EXTREMES.
 UNBOUNDED = [("superdense", "cos_theta"), ("grover", "sizes"), ("grover", "energy"),
              ("two-ham", "omega"), ("two-ham", "gamma"), ("phase-est", "n"),
@@ -926,7 +946,7 @@ class TestConfigFuzz:
     @staticmethod
     def exits_cleanly(tmp_path, capsys, name, config):
         """Run one config in-process: it exits 0-4, leaves a report only on exit 0, and
-        that report holds only finite numbers."""
+        that report holds only finite numbers. Returns the exit code and stderr."""
         from qdlab import cli
 
         cfg, out = tmp_path / "cfg.json", tmp_path / "r.out"
@@ -936,7 +956,7 @@ class TestConfigFuzz:
         # Any exception other than SystemExit fails the test: a traceback is no exit code.
         with pytest.raises(SystemExit) as exc:
             cli.main([name, "--config", str(cfg), "--out", str(out)], standalone_mode=False)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert exc.value.code in range(5)
         assert exc.value.code == 0 or not out.exists()
         if exc.value.code == 0:
@@ -946,7 +966,7 @@ class TestConfigFuzz:
             except json.JSONDecodeError:
                 report = list(csv.reader(io.StringIO(text)))
             assert all(math.isfinite(x) for x in report_numbers(report)), text
-        return exc.value.code
+        return exc.value.code, err
 
     @settings(max_examples=40, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -979,8 +999,10 @@ class TestConfigFuzz:
                 # recorded, and allowed only in a run that then refuses its result.
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always", RuntimeWarning)
-                    code = self.exits_cleanly(tmp_path, capsys, name, config)
+                    code, err = self.exits_cleanly(tmp_path, capsys, name, config)
                 assert code != 0 or not caught, [str(w.message) for w in caught]
+                # A refusal names what is wrong, not the arithmetic that broke.
+                assert code != 3 or not any(bare in err for bare in BARE_ARITHMETIC), err
 
 
 class TestImports:

@@ -308,6 +308,11 @@ class TestOptimalTime:
         omega, gamma = 1.0, 300.0
         assert disc.optimal_time_qubit(omega, gamma) == pytest.approx(1.0 / gamma, rel=1e-4)
 
+    @pytest.mark.parametrize("omega", [1e-308, 5e-324])
+    def test_the_slowest_fields_take_the_decay_time(self, omega):
+        # 2 / omega overflows here, but 2 atan(omega / 2 gamma) / omega is 1 / gamma.
+        assert disc.optimal_time_qubit(omega, 0.1) == 10.0
+
     def test_tan_condition_and_root_finder(self):
         omega = 1.7
         gamma = omega / 2.0

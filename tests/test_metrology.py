@@ -19,8 +19,7 @@ T_SHOT, OMEGA = 0.7, 1.1
 
 
 def make_strategy(kind, n, noise_kind, gamma, T=100.0):
-    n_decl = n if noise_kind is NoiseKind.INDEPENDENT_DEPOLARIZING else None
-    return Strategy(kind=kind, n=n, T_total=T, noise=NoiseModel(noise_kind, gamma, n_decl))
+    return Strategy(kind=kind, n=n, T_total=T, noise=NoiseModel(noise_kind, gamma))
 
 
 def simulate_shot_probability(s: Strategy, t: float, omega: float) -> float:
@@ -184,6 +183,14 @@ class TestOptimizePrecision:
         with pytest.raises(OverflowError, match="not finite"):
             met.optimize_precision(s)
 
+    @pytest.mark.parametrize("kind", [StrategyKind.PRODUCT, StrategyKind.CAT])
+    @pytest.mark.parametrize("gamma, T", [(0.0, 5e-324), (1e308, 1000.0)])
+    def test_a_zero_shot_phase_is_refused_as_overflow(self, kind, gamma, T):
+        # At T 5e-324 the phase 0.5 rate t rounds to 0; at gamma 1e308, n gamma is inf and t_star 0.
+        s = make_strategy(kind, 2, NoiseKind.INDEPENDENT_DEPOLARIZING, gamma, T=T)
+        with pytest.raises(OverflowError, match="delta_omega inf is not finite"):
+            met.optimize_precision(s)
+
     @staticmethod
     def branch_ladder(s):
         """optimize_precision as one branch per (kind, noise kind) pair:
@@ -204,7 +211,7 @@ class TestOptimizePrecision:
         gamma_eff, rate = ladder[(s.kind, s.noise.kind)]
 
         def envelope(t):
-            m = s.n * s.T_total / t if s.kind == StrategyKind.PRODUCT else s.T_total / t
+            m = s.n * (s.T_total / t) if s.kind == StrategyKind.PRODUCT else s.T_total / t
             return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(m)
 
         if gamma_eff == 0.0:
