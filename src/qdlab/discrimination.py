@@ -198,15 +198,16 @@ def optimal_time_qubit(omega: float, gamma: float) -> float:
     """Measurement time maximizing the gain for a precessing, damped qubit.
 
     Smallest t > 0 with tan(omega t / 2) = omega / (2 gamma); the undamped
-    limit is the half-turn pi/omega.
+    limit is the half-turn pi/omega. Raises OverflowError if t is not finite.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
     if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
-    if gamma == 0:
-        return math.pi / omega
-    return 2.0 * math.atan(omega / (2.0 * gamma)) / omega
+    t = math.pi / omega if gamma == 0 else 2.0 * math.atan(omega / (2.0 * gamma)) / omega
+    if not math.isfinite(t):
+        raise OverflowError(f"the optimal time is not finite at omega {omega!r}")
+    return t
 
 
 # ---------------------------------------------------------------------------

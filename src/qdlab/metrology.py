@@ -80,13 +80,14 @@ def _decay_and_rate(s: Strategy) -> tuple[float, float]:
 
 
 def precision_envelope(s: Strategy, t: float) -> float:
-    """Frequency uncertainty delta_P / |dP/domega| of m repeated shots of
-    duration t, P = (1 + e^{-gamma_eff t} cos(rate omega t)) / 2 and
-    delta_P = sqrt(P (1 - P) / m), with the shot tuned to quadrature
-    (cos(rate omega t) = 0): m is n T/t for product probes and T/t for the cat."""
+    """Frequency uncertainty delta_P / |dP/domega| of m shots of duration t,
+    P = (1 + e^{-gamma_eff t} cos(rate omega t)) / 2 and delta_P = sqrt(P (1 - P) / m), tuned
+    to quadrature (cos(rate omega t) = 0): m is n T/t for product probes and T/t for the cat,
+    and 1 / sqrt(m) is formed from the roots of t, T and n, since m itself can overflow."""
     gamma_eff, rate = _decay_and_rate(s)
-    m = s.n * (s.T_total / t) if s.kind == StrategyKind.PRODUCT else s.T_total / t
-    return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(m)
+    n = s.n if s.kind == StrategyKind.PRODUCT else 1
+    shot = 0.5 * math.sqrt(t) / math.sqrt(s.T_total) / math.sqrt(n)
+    return math.exp(gamma_eff * t) / (0.5 * rate * t) * shot
 
 
 def optimize_precision(s: Strategy) -> OptimizedPrecision:
@@ -302,6 +303,11 @@ def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1
 # Interior log-ratios per search in refine_log_peak: keeping the two intervals
 # around the best of them shrinks the bracket (REFINE_POINTS + 1) / 2 = 8 times.
 REFINE_POINTS = 15
+# A step on the log-ratio bracket [a, b] searches its times to REFINE_TIME_TOL * (b - a) /
+# max(1, |b|), 1e-9 at the finest: the information error is quadratic in the time error, so
+# it stays far below the delta_bits differences compared at spacing (b - a) / 16. The last
+# step starts below 8e-7 * max(1, |b|), so its 1e-9 search gives the refined row.
+REFINE_TIME_TOL = 1e-3
 
 
 def refine_log_peak(ratios, times):
@@ -321,9 +327,11 @@ def refine_log_peak(ratios, times):
         gamma = np.exp(x[1:-1])[:, None]
         bracket = np.sort(ends, axis=0)  # each probe's shorter and longer end time
         # Widened by 4e-9 * max(1, t): 8 times the half-width of a 1e-9 search's last bracket.
+        # Later ends carry a looser step's error, but the interior optima still lie inside.
         bracket += [[-4e-9], [4e-9]] * np.maximum(1.0, bracket)
         t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
-                            np.tile(bracket[0], (REFINE_POINTS, 1)), bracket[1], 1e-9)
+                            np.tile(bracket[0], (REFINE_POINTS, 1)), bracket[1],
+                            max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b))))
         info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
         i = int(np.argmax(info[:, 0] - info[:, 1]))
         a, b = float(x[i]), float(x[i + 2])

@@ -382,6 +382,18 @@ class TestConfigHandling:
         assert len(rows) == 5
         assert all(math.isfinite(float(row["success_prob"])) for row in rows)
 
+    @pytest.mark.parametrize("omega", [1e-308, 5e-324])
+    def test_two_ham_half_turn_overflow_exits_3_naming_omega(self, tmp_path, omega):
+        # Without decay the optimal time is the half-turn pi / omega, which overflows here.
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"omega": omega, "gamma": 0.0}}))
+        result = qd("two-ham", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 3
+        assert f"omega {omega!r}" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_phase_est_over_qubit_cap_exits_3(self, tmp_path):
         from qdlab.phase_estimation import MAX_PREPARE_QUBITS
 
@@ -442,6 +454,22 @@ class TestConfigHandling:
                 cli.main(["metrology", "--config", str(cfg), *args], standalone_mode=False)
             assert exc.value.code == 0, capsys.readouterr().err
         assert out.exists()
+
+    def test_metrology_with_shots_past_the_largest_float_runs_and_passes_check(self, tmp_path,
+                                                                                capsys):
+        # t* = 1 / (2 gamma), so the product's shot count n T / t* is 8e600, but the roots
+        # of t*, T and n are finite: delta_omega = sqrt(2 e gamma / n T) = sqrt(e / 2).
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"gamma": 1e300, "t_total": 1e300}}))
+        for args in (["--out", str(out)], ["--check"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["metrology", "--config", str(cfg), *args], standalone_mode=False)
+            assert exc.value.code == 0, capsys.readouterr().err
+        rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+        assert [float(row["delta_omega"]) for row in rows] == [1.1658219907985623] * 2
+        assert 1.1658219907985623 == pytest.approx(math.sqrt(math.e / 2), rel=1e-15)
 
     def test_metrology_has_no_field_frequency(self, tmp_path, capsys):
         # The quadrature-tuned precision does not depend on omega, so no omega is read.

@@ -313,6 +313,11 @@ class TestOptimalTime:
         # 2 / omega overflows here, but 2 atan(omega / 2 gamma) / omega is 1 / gamma.
         assert disc.optimal_time_qubit(omega, 0.1) == 10.0
 
+    @pytest.mark.parametrize("omega", [1e-308, 5e-324])
+    def test_an_overflowing_half_turn_names_omega(self, omega):
+        with pytest.raises(OverflowError, match=f"omega {omega!r}"):
+            disc.optimal_time_qubit(omega, 0.0)
+
     def test_tan_condition_and_root_finder(self):
         omega = 1.7
         gamma = omega / 2.0

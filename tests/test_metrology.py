@@ -210,9 +210,10 @@ class TestOptimizePrecision:
             raise UnsupportedModelError("no closed form")
         gamma_eff, rate = ladder[(s.kind, s.noise.kind)]
 
-        def envelope(t):
-            m = s.n * (s.T_total / t) if s.kind == StrategyKind.PRODUCT else s.T_total / t
-            return math.exp(gamma_eff * t) / (0.5 * rate * t) * 0.5 / math.sqrt(m)
+        def envelope(t):  # 0.5 / sqrt(m) from the roots of t, T and n: m can overflow
+            n = s.n if s.kind == StrategyKind.PRODUCT else 1
+            shot = 0.5 * math.sqrt(t) / math.sqrt(s.T_total) / math.sqrt(n)
+            return math.exp(gamma_eff * t) / (0.5 * rate * t) * shot
 
         if gamma_eff == 0.0:
             return s.T_total, envelope(s.T_total), True
@@ -443,20 +444,77 @@ class TestFigureOneCurve:
             a, width = x[i] - width / 16, width / 8
         assert a < math.log(ratio) < a + width
 
+    def warm_searches_and_tolerances(self, monkeypatch, run):
+        """warm_searches(run), with the rel_tol that each golden search is given."""
+        calls = self.count_calls(monkeypatch, "golden_minimize")
+        result, searches = self.warm_searches(run)
+        assert len(calls) == len(searches)
+        return result, searches, [rel_tol for _, _, _, rel_tol in calls]
+
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
-    def test_warm_searches_match_the_grid_search(self, overrides):
+    def test_warm_searches_match_the_grid_search(self, overrides, monkeypatch):
         experiment = cli.EXPERIMENTS["figure1"]
         params = cli._merge_params(experiment, overrides)
-        _, searches = self.warm_searches(lambda: experiment.runner(params, 7))
+        _, searches, rel_tols = self.warm_searches_and_tolerances(
+            monkeypatch, lambda: experiment.runner(params, 7))
         assert len(searches) >= 7
-        for gamma, _, _, t, info in searches:
-            t_grid, info_grid = met._fig1_optimize(met._measurement_info,
-                                                   [met.ENTANGLED, met.PRODUCT], gamma,
+        probes = [met.ENTANGLED, met.PRODUCT]
+        for (gamma, _, upper, t, info), rel_tol in zip(searches[:-1], rel_tols):
+            t_grid, info_grid = met._fig1_optimize(met._measurement_info, probes, gamma,
                                                    params["grid"], -1)
-            # Each optimum is flat, so a 1e-9 search fixes its time only to
-            # about sqrt(eps) and its value to a few ulps.
-            np.testing.assert_allclose(t, t_grid, rtol=1e-7, atol=0.0)
-            np.testing.assert_allclose(info, info_grid, rtol=1e-14, atol=0.0)
+            # A search stops once its bracket is narrower than rel_tol * max(1, |upper|),
+            # so its midpoint lies within half that of the optimum, here up to the
+            # grid search's own 1e-7 (below). The information is unimodal around the
+            # optimum, so it is at least its value at either end of that interval.
+            half_width = 0.5 * rel_tol * np.maximum(1.0, upper) + 1e-7 * t_grid
+            assert np.all(np.abs(t - t_grid) <= half_width)
+            ends = np.minimum(*(met.fig1_measurement_info(probes, gamma, 1.0, t_grid + d)
+                                for d in (-half_width, half_width)))
+            assert np.all(ends * (1.0 - 1e-14) <= info)
+            assert np.all(info <= info_grid * (1.0 + 1e-14))
+        gamma, _, _, t, info = searches[-1]
+        t_grid, info_grid = met._fig1_optimize(met._measurement_info, probes, gamma,
+                                               params["grid"], -1)
+        # The last search is a 1e-9 one. Each optimum is flat, so it fixes its time only
+        # to about sqrt(eps) and its value to a few ulps.
+        np.testing.assert_allclose(t, t_grid, rtol=1e-7, atol=0.0)
+        np.testing.assert_allclose(info, info_grid, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("overrides", REFINED_RUNS)
+    def test_each_step_searches_its_times_to_its_bracket_s_tolerance(self, overrides,
+                                                                     monkeypatch):
+        experiment = cli.EXPERIMENTS["figure1"]
+        params = cli._merge_params(experiment, overrides)
+        _, searches, rel_tols = self.warm_searches_and_tolerances(
+            monkeypatch, lambda: experiment.runner(params, 7))
+        for (gamma, *_), rel_tol in zip(searches, rel_tols):
+            # The step's log-ratio bracket [a, b] holds its ratios at spacing (b - a) / 16.
+            x = np.log(gamma[:, 0])
+            spacing = (x[-1] - x[0]) / (met.REFINE_POINTS - 1)
+            a, b = x[0] - spacing, x[-1] + spacing
+            rule = max(1e-9, met.REFINE_TIME_TOL * (b - a) / max(1.0, abs(b)))
+            assert rel_tol == pytest.approx(rule, rel=1e-6)
+        # The step that ends the loop starts below 8e-7 * max(1, |b|): a 1e-9 search.
+        assert rel_tols[-1] == 1e-9
+        assert all(rel_tol > 1e-9 for rel_tol in rel_tols[:-2])
+
+    def test_a_25_ratio_curve_makes_116_warm_objective_calls(self, monkeypatch):
+        calls, golden = [], met.golden_minimize
+
+        def spy(fn, a, b, rel_tol):
+            calls.append(0)
+
+            def objective(t):
+                calls[-1] += 1
+                return fn(t)
+
+            return golden(objective, a, b, rel_tol)
+
+        monkeypatch.setattr(met, "golden_minimize", spy)
+        met.figure1_curve(np.geomspace(0.01, 10.0, 25))
+        # Each step's time bracket and tolerance shrink with its log-ratio bracket, so
+        # the seven looser steps take 15 calls each; the last, at 1e-9, takes 11.
+        assert calls == [15] * 7 + [11]
 
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_the_refined_row_keeps_the_last_warm_step(self, overrides):
