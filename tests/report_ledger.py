@@ -40,6 +40,9 @@ RUNS = [
     # Ratios from e^{-gamma t} near 1 to values below the scan's stopping margin.
     ("figure1-wide", "figure1",
      {"ratio_min": 1e-4, "ratio_max": 1e4, "points": 13, "grid": 256}, (7,), ("csv",)),
+    # Neighbours so far apart that e^{-gamma t} is 0 over most of a refinement row's bracket.
+    ("figure1-sparse-wide", "figure1", {"ratio_min": 1e-30, "ratio_max": 1e30, "points": 3},
+     (7,), ("csv",)),
     ("bench-theorem-check", "theorem-check", {"trials": 250}, (7,), ("csv",)),
     ("bench-fixed-time", "fixed-time", {"samples": 125}, (7,), ("csv",)),
     # fixed-time at the smallest dimension, a mid one and a large one.
