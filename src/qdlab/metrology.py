@@ -222,23 +222,23 @@ class Figure1Result:
     peak_bits: float
 
 
-def _fig1_optimize(objective, strategy, ratios, grid: int, sign: float):
-    """Minimize sign * objective(e^{-gamma t}, |sin theta(t)|) over t, in one
-    batched search over the broadcast of `strategy` and `ratios`, with
-    omega = 1 (the gains depend only on the ratio). Returns
-    (t_star, sign * minimum)."""
-    strategy, gamma = np.broadcast_arrays(strategy, ratios)
-    entangled = _entangled(strategy)  # the names are checked once per search
-    if entangled.all() or not entangled.any():  # one probe: only its branch is computed
-        entangled = bool(entangled.all())
-    # min(4 pi, 10 / gamma) holds every optimum: each objective improves with
-    # s = |sin theta(t)| and e = e^{-gamma t} (a smaller e only mixes in uniform,
-    # hypothesis-independent noise), s has period pi or 2 pi, so the optimum is
-    # in (0, 2 pi]; and s(t) <= t, so t = 1 / gamma beats every t past 10 / gamma.
-    # For the same reason the objective at s = 1 bounds every later time.
-    t_max = 10.0 / np.maximum(gamma, 2.5 / math.pi)
+def _fig1_window(gamma):
+    """(0, 10 / max(gamma, 2.5 / pi)] holds every figure1 optimum: each objective improves
+    with s = |sin theta(t)| and e = e^{-gamma t} (a smaller e only mixes in uniform,
+    hypothesis-independent noise), s has period pi or 2 pi, so the optimum is in (0, 2 pi];
+    and s(t) <= t, so t = 1 / gamma beats every t past 10 / gamma. Inside it e >= e^{-10},
+    so no search compares values that have all underflowed to 0."""
+    return 10.0 / np.maximum(gamma, 2.5 / math.pi)
+
+
+def _fig1_optimize(objective, entangled, ratios, grid: int, sign: float):
+    """Minimize sign * objective(e^{-gamma t}, |sin theta(t)|) over t in _fig1_window, in one
+    batched search over the broadcast of `entangled` (one probe's bool, or a mask) and `ratios`,
+    with omega = 1 (the gains depend only on the ratio). Returns (t_star, sign * minimum)."""
+    gamma = np.broadcast_arrays(entangled, ratios)[1]
+    # As with the window, the objective at s = 1 bounds every later time.
     t, value = grid_golden_minimize(
-        lambda t: sign * _fig1_kernel(objective, entangled, gamma, 1.0, t), t_max,
+        lambda t: sign * _fig1_kernel(objective, entangled, gamma, 1.0, t), _fig1_window(gamma),
         grid_points=grid, bound=lambda t: sign * objective(np.exp(-gamma * t), 1.0),
     )
     return t, sign * value
@@ -250,14 +250,14 @@ def _fig1_information(ratios, grid: int):
     if ratios.size == 0 or not np.all((ratios > 0) & np.isfinite(ratios)):
         raise ValueError("ratios must be positive and finite")
     return ratios, *np.reshape([_fig1_optimize(_measurement_info, p, ratios, grid, -1)
-                                for p in (ENTANGLED, PRODUCT)], (2, 2, -1)).swapaxes(0, 1)
+                                for p in (True, False)], (2, 2, -1)).swapaxes(0, 1)
 
 
 def _fig1_rows(ratios, t_star, info, grid: int) -> list[Figure1Point]:
     """The rows of `ratios` from their information columns and their binary and error searches."""
     binary, p_err = np.reshape([_fig1_optimize(objective, p, ratios, grid, sign)[1]
                                 for objective, sign in ((_binary_info, -1), (_error_probability, 1))
-                                for p in (ENTANGLED, PRODUCT)], (2, 2, -1))
+                                for p in (True, False)], (2, 2, -1))
     # Figure1Point's columns, in its field order.
     table = np.stack([ratios.reshape(-1), *t_star, *info, info[0] - info[1], *binary,
                       binary[0] - binary[1], *p_err, p_err[1] - p_err[0]])
@@ -326,11 +326,11 @@ def refine_log_peak(ratios, times):
         x = np.linspace(a, b, REFINE_POINTS + 2)
         gamma = np.exp(x[1:-1])[:, None]
         bracket = np.sort(ends, axis=0)  # each probe's shorter and longer end time
-        # Widened by 4e-9 * max(1, t): 8 times the half-width of a 1e-9 search's last bracket.
-        # Later ends carry a looser step's error, but the interior optima still lie inside.
+        # Widened by 4e-9 * max(1, t), 8 times the half-width of a 1e-9 search's last bracket
+        # (later ends carry a looser step's error), and clamped to each row's [0, window].
         bracket += [[-4e-9], [4e-9]] * np.maximum(1.0, bracket)
         t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
-                            np.tile(bracket[0], (REFINE_POINTS, 1)), bracket[1],
+                            np.maximum(bracket[0], 0.0), np.minimum(bracket[1], _fig1_window(gamma)),
                             max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b))))
         info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
         i = int(np.argmax(info[:, 0] - info[:, 1]))

@@ -66,6 +66,14 @@ FIGURE1_RUNS = [pytest.param(overrides, id=label)
                 if experiment == "figure1"]
 # Those whose best curve point has a neighbour on each side, so that its peak is refined.
 REFINED_RUNS = [run for run in FIGURE1_RUNS if run.id != "figure1-refine-edge"]
+# Curves whose neighbours are so far apart that e^{-gamma t} underflows to 0 over most
+# of a first refinement step's time bracket; the last one's neighbours are closer.
+SPARSE_WIDE_RUNS = [
+    pytest.param({"ratio_min": lo, "ratio_max": hi, "points": n, "grid": 256},
+                 id=f"sparse-wide-{lo:g}-{hi:g}-{n}")
+    for lo, hi, n in [(1e-30, 1e30, 3), (1e-16, 1e21, 3), (1e-40, 1e17, 3), (1e-40, 1e20, 4),
+                      (1e-25, 1e35, 4), (1e-34, 1e11, 3), (1e-8, 1e8, 3)]
+]
 
 
 class TestShotProbability:
@@ -361,7 +369,7 @@ class TestFigureOneCurve:
         lo, hi, grid, (ratio, _, _), _ = self.refinement_of(overrides)
 
         def neg_delta(x):  # one log-ratio per call: both probes in one search
-            _, info = met._fig1_optimize(met._measurement_info, [met.ENTANGLED, met.PRODUCT],
+            _, info = met._fig1_optimize(met._measurement_info, np.array([True, False]),
                                          np.exp(x), grid, -1)
             return info[1] - info[0]
 
@@ -459,21 +467,24 @@ class TestFigureOneCurve:
             monkeypatch, lambda: experiment.runner(params, 7))
         assert len(searches) >= 7
         probes = [met.ENTANGLED, met.PRODUCT]
-        for (gamma, _, upper, t, info), rel_tol in zip(searches[:-1], rel_tols):
-            t_grid, info_grid = met._fig1_optimize(met._measurement_info, probes, gamma,
+        entangled = np.array([True, False])
+        for (gamma, lower, upper, t, info), rel_tol in zip(searches[:-1], rel_tols):
+            t_grid, info_grid = met._fig1_optimize(met._measurement_info, entangled, gamma,
                                                    params["grid"], -1)
             # A search stops once its bracket is narrower than rel_tol * max(1, |upper|),
             # so its midpoint lies within half that of the optimum, here up to the
             # grid search's own 1e-7 (below). The information is unimodal around the
-            # optimum, so it is at least its value at either end of that interval.
+            # optimum, so it is at least its value at either end of that interval, each
+            # taken no further out than the search's bracket (which holds t).
             half_width = 0.5 * rel_tol * np.maximum(1.0, upper) + 1e-7 * t_grid
             assert np.all(np.abs(t - t_grid) <= half_width)
-            ends = np.minimum(*(met.fig1_measurement_info(probes, gamma, 1.0, t_grid + d)
-                                for d in (-half_width, half_width)))
+            ends = np.minimum(*(met.fig1_measurement_info(
+                probes, gamma, 1.0, np.clip(t_grid + d, lower, upper))
+                for d in (-half_width, half_width)))
             assert np.all(ends * (1.0 - 1e-14) <= info)
             assert np.all(info <= info_grid * (1.0 + 1e-14))
         gamma, _, _, t, info = searches[-1]
-        t_grid, info_grid = met._fig1_optimize(met._measurement_info, probes, gamma,
+        t_grid, info_grid = met._fig1_optimize(met._measurement_info, entangled, gamma,
                                                params["grid"], -1)
         # The last search is a 1e-9 one. Each optimum is flat, so it fixes its time only
         # to about sqrt(eps) and its value to a few ulps.
@@ -528,7 +539,7 @@ class TestFigureOneCurve:
         assert (row.info_ent, row.info_prod) == tuple(info[j])
         assert row.delta_bits == info[j, 0] - info[j, 1]
 
-    @pytest.mark.parametrize("overrides", REFINED_RUNS)
+    @pytest.mark.parametrize("overrides", REFINED_RUNS + SPARSE_WIDE_RUNS)
     def test_the_refined_row_matches_its_grid_search_row(self, overrides):
         _, _, grid, (ratio, _, _), rows = self.refinement_of(overrides)
         (row,) = [r for r in rows if r.ratio == ratio]
@@ -551,6 +562,17 @@ class TestFigureOneCurve:
         assert len(others) == len(rows) - 1
         assert others == met.figure1_points([r.ratio for r in others], grid)
 
+    @pytest.mark.parametrize("overrides", SPARSE_WIDE_RUNS + REFINED_RUNS)
+    def test_every_refinement_bracket_lies_in_its_row_s_window(self, overrides):
+        experiment = cli.EXPERIMENTS["figure1"]
+        params = cli._merge_params(experiment, overrides)
+        _, searches = self.warm_searches(lambda: experiment.runner(params, 7))
+        assert searches
+        for gamma, lower, upper, t, _ in searches:
+            assert np.all(lower >= 0.0)
+            assert np.all(upper <= met._fig1_window(gamma))
+            assert np.all((lower <= t) & (t <= upper))
+
     def test_an_unrefined_curve_equals_figure1_points(self):
         ratios = np.geomspace(0.01, 10.0, 25)
         result = met.figure1_curve(ratios, 64, refine_peak=False)
@@ -560,9 +582,9 @@ class TestFigureOneCurve:
         # The premise of the warm brackets: the times at two ratios bracket the
         # optimum time of every ratio between them, for both probes.
         ratios = np.geomspace(1e-4, 1e4, 2001)
-        for probe in (met.ENTANGLED, met.PRODUCT):
-            t, _ = met._fig1_optimize(met._measurement_info, probe, ratios, 2048, -1)
-            assert np.all(np.diff(t) < 0), probe
+        for entangled in (True, False):
+            t, _ = met._fig1_optimize(met._measurement_info, entangled, ratios, 2048, -1)
+            assert np.all(np.diff(t) < 0), entangled
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-3, 1e3, 1e5])
     def test_rows_match_brute_force_optimum(self, ratio):
@@ -771,14 +793,16 @@ class TestFigureOneCurve:
             assert met.fig1_sin_theta([probe] * 3, 0.5).shape == (3,)
             assert met.fig1_measurement_info([probe] * 3, 0.3, 1.0, 0.5).shape == (3,)
 
-    def test_a_search_checks_the_probe_names_once(self, monkeypatch):
+    def test_only_the_public_wrappers_check_probe_names(self, monkeypatch):
+        # The searches take each probe as a flag: no name reaches them to be checked.
         checks = self.count_calls(monkeypatch, "_entangled")
-        met.figure1_point(0.3, grid=64)
-        assert len(checks) == 6
-        checks.clear()
-        searches = self.count_calls(monkeypatch, "grid_golden_minimize")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
-        assert len(checks) == len(searches) == 6
+        met.figure1_point(0.3, grid=64)
+        assert checks == []
+        for fig1 in (met.fig1_measurement_info, met.fig1_binary_info, met.fig1_error_probability):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                fig1("bell", 0.3, 1.0, 0.5)
+        assert len(checks) == 3
 
 
 class TestBoundedScan:
@@ -886,7 +910,7 @@ class TestBoundedScan:
         assert counts == {"searches": 6, "scan_times": 122_390, "golden_steps": 222}
 
     @staticmethod
-    def search_arguments(objective, strategy, ratios, sign):
+    def search_arguments(objective, entangled, ratios, sign):
         """(fn, t_max, bound) of the one search _fig1_optimize makes."""
         seen = []
 
@@ -896,7 +920,7 @@ class TestBoundedScan:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(met, "grid_golden_minimize", record)
-            met._fig1_optimize(objective, strategy, ratios, 64, sign)
+            met._fig1_optimize(objective, entangled, ratios, 64, sign)
         (arguments,) = seen
         return arguments
 
@@ -909,13 +933,13 @@ class TestBoundedScan:
     def test_each_objective_is_at_least_its_nondecreasing_envelope(self, exponents, probes,
                                                                      fractions):
         ratios = self.ratio_sets(exponents)
-        strategy = [met.ENTANGLED, met.PRODUCT] if probes == "mixed" else probes
+        entangled = np.array([True, False]) if probes == "mixed" else probes == "entangled"
         if probes == "mixed":  # the refinement's batch: (ratio, probe) rows
             ratios = ratios[:, None]
         # Grid times and drawn ones, in increasing order along the leading axis.
         fractions = np.sort(np.concatenate([np.arange(1, 257) / 256, fractions]))
         for objective, sign in self.COLUMNS:
-            fn, t_max, bound = self.search_arguments(objective, strategy, ratios, sign)
+            fn, t_max, bound = self.search_arguments(objective, entangled, ratios, sign)
             t = t_max * fractions.reshape((-1,) + (1,) * t_max.ndim)
             values, envelope = fn(t), bound(t)
             assert values.shape == envelope.shape == t.shape
