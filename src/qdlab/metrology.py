@@ -321,17 +321,17 @@ def refine_log_peak(ratios, times):
     (log-ratio, probe) rows between the end times. Returns the last step's best
     ratio, and its (entangled, product) times and measurement information there."""
     (a, b), ends = map(math.log, ratios), np.asarray(times, dtype=float)
-    entangled = np.array([True, False])
+    entangled, tol = np.array([True, False]), 1e-9  # tol: that of the end times' searches
     while True:
         x = np.linspace(a, b, REFINE_POINTS + 2)
         gamma = np.exp(x[1:-1])[:, None]
         bracket = np.sort(ends, axis=0)  # each probe's shorter and longer end time
-        # Widened by 4e-9 * max(1, t), 8 times the half-width of a 1e-9 search's last bracket
-        # (later ends carry a looser step's error), and clamped to each row's [0, window].
-        bracket += [[-4e-9], [4e-9]] * np.maximum(1.0, bracket)
+        # Widened by 4 * tol * max(1, t), 8 times the half-width of the end searches' last
+        # brackets, so the interior optima lie inside; and clamped to each row's [0, window].
+        bracket += [[-4 * tol], [4 * tol]] * np.maximum(1.0, bracket)
         t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
                             np.maximum(bracket[0], 0.0), np.minimum(bracket[1], _fig1_window(gamma)),
-                            max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b))))
+                            tol := max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b))))
         info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
         i = int(np.argmax(info[:, 0] - info[:, 1]))
         a, b = float(x[i]), float(x[i + 2])

@@ -426,29 +426,31 @@ class TestFigureOneCurve:
     def test_each_shrink_is_one_search_of_15_by_2_rows(self, monkeypatch):
         ends = self.end_times([0.1, 0.4])
         grid_searches = self.count_calls(monkeypatch, "_fig1_optimize")
-        (ratio, _, _), searches = self.warm_searches(
-            lambda: met.refine_log_peak([0.1, 0.4], ends))
+        (ratio, _, _), searches, rel_tols = self.warm_searches_and_tolerances(
+            monkeypatch, lambda: met.refine_log_peak([0.1, 0.4], ends))
         # Brackets shrink from log(4) by 8 per search, and stop below
         # 1e-7 * |log 0.2|: after 8 searches. None scans a grid.
         assert [np.shape(a) for _, a, *_ in searches] == [(15, 2)] * 8
         assert grid_searches == []
         width, a = math.log(4.0), math.log(0.1)
-        times = np.array(ends)  # (entangled, product) at each end
-        for gamma, lower, upper, t, info in searches:
+        # (entangled, product) at each end, and the rel_tol of the searches that gave them.
+        times, tol = np.array(ends), 1e-9
+        for (gamma, lower, upper, t, info), rel_tol in zip(searches, rel_tols):
             assert gamma.shape == (15, 1)
             x = np.log(gamma[:, 0])  # 15 evenly spaced log-ratios strictly inside the bracket
             np.testing.assert_allclose(np.diff(x), width / 16, rtol=1e-6)
             assert a < x[0] and x[-1] < a + width
-            # Each probe searches between its end times, widened by 4e-9 * max(1, t).
+            # Each probe searches between its end times, widened by 4 * tol * max(1, t):
+            # 8 times the half-width of the last brackets of the searches that gave them.
             shorter, longer = np.sort(times, axis=0)
-            for bracket, end in ((lower, shorter - 4e-9 * np.maximum(1.0, shorter)),
-                                 (upper, longer + 4e-9 * np.maximum(1.0, longer))):
+            for bracket, end in ((lower, shorter - 4 * tol * np.maximum(1.0, shorter)),
+                                 (upper, longer + 4 * tol * np.maximum(1.0, longer))):
                 np.testing.assert_array_equal(bracket, np.broadcast_to(end, (15, 2)))
             assert np.all((lower < t) & (t < upper))
             # The next bracket is the two intervals around the best of them, and
             # its ends keep their times.
             i = int(np.argmax(info[:, 0] - info[:, 1]))
-            times = np.concatenate([times[:1], t, times[1:]])[[i, i + 2]]
+            times, tol = np.concatenate([times[:1], t, times[1:]])[[i, i + 2]], rel_tol
             a, width = x[i] - width / 16, width / 8
         assert a < math.log(ratio) < a + width
 
