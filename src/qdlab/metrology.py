@@ -83,11 +83,12 @@ def precision_envelope(s: Strategy, t: float) -> float:
     """Frequency uncertainty delta_P / |dP/domega| of m shots of duration t,
     P = (1 + e^{-gamma_eff t} cos(rate omega t)) / 2 and delta_P = sqrt(P (1 - P) / m), tuned
     to quadrature (cos(rate omega t) = 0): m is n T/t for product probes and T/t for the cat,
-    and 1 / sqrt(m) is formed from the roots of t, T and n, since m itself can overflow."""
+    and 1 / sqrt(m) is formed from the roots of t, T and n, since m itself can overflow. For
+    the same reason the rate divides last: the cat's phase 0.5 rate t can overflow."""
     gamma_eff, rate = _decay_and_rate(s)
     n = s.n if s.kind == StrategyKind.PRODUCT else 1
     shot = 0.5 * math.sqrt(t) / math.sqrt(s.T_total) / math.sqrt(n)
-    return math.exp(gamma_eff * t) / (0.5 * rate * t) * shot
+    return math.exp(gamma_eff * t) / (0.5 * t) / rate * shot
 
 
 def optimize_precision(s: Strategy) -> OptimizedPrecision:

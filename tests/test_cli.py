@@ -1,6 +1,7 @@
 import csv
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -470,6 +471,96 @@ class TestConfigHandling:
         rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
         assert [float(row["delta_omega"]) for row in rows] == [1.1658219907985623] * 2
         assert 1.1658219907985623 == pytest.approx(math.sqrt(math.e / 2), rel=1e-15)
+
+    # Each row is checked against the closed form of its own regime: the ledger's noiseless
+    # and slow-decay runs, no decay, a budget below the interior optimum (t* = T, 1.0512710963760241
+    # = e^{0.05}), and a decay whose interior closed form underflows to 0.
+    @pytest.mark.parametrize("parameters", [
+        {"noise": "none"}, {"gamma": 1e-6, "t_total": 10.0}, {"gamma": 0.0},
+        {"n": 1, "t_total": 1.0}, {"n": 64, "gamma": 5e-324},
+    ], ids=["metrology-none", "metrology-boundary", "no-decay", "one-qubit-budget",
+            "least-positive-decay"])
+    def test_metrology_check_follows_each_row_s_regime(self, parameters, tmp_path, capsys):
+        from qdlab import cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["metrology", "--config", str(cfg), "--check"], standalone_mode=False)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0, out
+        for kind in ("product", "cat"):
+            assert f"[PASS] metrology: {kind} budget optimum" in out
+
+    def test_metrology_cat_phase_past_the_largest_float_keeps_its_uncertainty(self, tmp_path):
+        # Without noise the cat's optimum is the budget, where its phase 0.5 n T overflows:
+        # delta_omega = 1 / (n T) is 2.5e-309, a subnormal, not 0.
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"noise": "none", "t_total": 1e308}}))
+        for args in (["--out", str(out)], ["--check"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["metrology", "--config", str(cfg), *args], standalone_mode=False)
+            assert exc.value.code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+        # Subnormal: about 2e-15 relative resolution there.
+        assert [float(row["delta_omega"]) for row in rows] == pytest.approx([5e-309, 2.5e-309],
+                                                                            rel=1e-14, abs=0.0)
+
+    # Past t * h_norm = pi the theorem does not hold (h_norm 3.15, dim 2 and 3,000 samples
+    # failed --check with margin -0.888 at seed 1); past t * k_norm = 1e10 the phases' rounding
+    # gives margins beyond a tenth of the check's 1e-9 (1e11 measured -3.3e-9).
+    @pytest.mark.parametrize("parameters, message", [
+        ({"h_norm": 3.15, "dim": 2, "samples": 3000}, "t * h_norm must be at most pi"),
+        ({"t": 2.0, "h_norm": 1.6}, "t * h_norm must be at most pi"),
+        ({"t": 1e308, "h_norm": 1e308}, "t * h_norm must be at most pi"),
+        ({"k_norm": 1e16}, "t * k_norm must be at most 1e10"),
+        ({"t": 100.0, "h_norm": 0.01, "k_norm": 1e9}, "t * k_norm must be at most 1e10"),
+    ])
+    def test_fixed_time_outside_its_regime_refused_before_any_draw(self, parameters, message,
+                                                                  no_draws, tmp_path, capsys):
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fixed-time", "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("fixed-time", {"h_norm": math.pi, "dim": 2, "samples": 3000}),
+        ("fixed-time", {"h_norm": 1e-6, "k_norm": 1e10, "samples": 300}),
+        ("theorem-check", {"h_norm_max": 1e-8, "k_norm_max": 1e5}),
+    ])
+    def test_norms_at_the_regime_edges_run_and_pass_check(self, experiment, parameters,
+                                                          tmp_path, capsys):
+        from qdlab import cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameters": parameters}))
+        for seed in ("1", "2"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([experiment, "--config", str(cfg), "--check", "--seed", seed],
+                         standalone_mode=False)
+            assert exc.value.code == 0, capsys.readouterr().out
+
+    def test_theorem_check_k_norm_max_past_the_float_resolution_refused(self, no_draws, tmp_path,
+                                                                       capsys):
+        # At h_norm_max 1e-8 and 400 trials, 3e6 failed --check with slack 2.8e-9: a phase of
+        # size k_norm_max is resolved to about eps k_norm_max. 1e5 stays below 6e-11.
+        from qdlab import cli
+
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"parameters": {"h_norm_max": 1e-8, "k_norm_max": 3e6}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorem-check", "--config", str(cfg), "--out", str(out)],
+                     standalone_mode=False)
+        assert exc.value.code == 2
+        assert "parameter 'k_norm_max' must be in [0.0, 100000.0]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metrology_has_no_field_frequency(self, tmp_path, capsys):
         # The quadrature-tuned precision does not depend on omega, so no omega is read.
@@ -970,6 +1061,34 @@ UNBOUNDED = [("superdense", "cos_theta"), ("grover", "sizes"), ("grover", "energ
              ("metrology", "t_total")]
 
 
+# The values each numeric parameter takes in the pairwise --check sweep: the float extremes,
+# values past the regime edges of fixed-time (t * h_norm = pi, t * k_norm = 1e10) and
+# theorem-check (k_norm_max = 1e5), and sizes from negative to past every cap.
+SWEEP_VALUES = {
+    float: [-1.0, 0.0, 5e-324, -5e-324, 1e-308, 1e-8, 1.0, 3.15, 1e6, 1e16, 1e308,
+            sys.float_info.max],
+    int: [-1, 0, 1, 2, 3, 7, 2**63],
+}
+
+
+def pairwise_sweep(name):
+    """Parameter overrides that set every pair of the experiment's numeric and choice
+    parameters to every pair of their sweep values, with the sizes of SMALL otherwise."""
+    from qdlab import cli
+
+    exp = cli.EXPERIMENTS[name]
+    values = {}
+    for key, default in exp.defaults.items():
+        item = default[0] if isinstance(default, list) else default
+        choices = exp.choices.get(key) or SWEEP_VALUES.get(type(item), ())
+        if choices:
+            values[key] = [[v] if isinstance(default, list) else v for v in choices]
+    for first, second in itertools.combinations(values, 2):
+        for pair in itertools.product(values[first], values[second]):
+            yield {**{k: v for k, v in SMALL.items() if k in exp.defaults},
+                   **dict(zip((first, second), pair))}
+
+
 class TestConfigFuzz:
     @staticmethod
     def exits_cleanly(tmp_path, capsys, name, config):
@@ -1031,6 +1150,35 @@ class TestConfigFuzz:
                 assert code != 0 or not caught, [str(w.message) for w in caught]
                 # A refusal names what is wrong, not the arithmetic that broke.
                 assert code != 3 or not any(bare in err for bare in BARE_ARITHMETIC), err
+
+
+    # figure1's --check asserts the paper's peak on the default curve, so it fails elsewhere.
+    @pytest.mark.parametrize("name", ["superdense", "grover", "two-ham", "fixed-time",
+                                      "eliminate", "phase-est", "metrology", "theorem-check"])
+    def test_every_run_that_exits_0_passes_check(self, tmp_path, capsys, name):
+        from qdlab import cli
+
+        def run(cfg, *args):
+            # numpy's overflow warnings are recorded, and allowed only in a refused run.
+            with (warnings.catch_warnings(record=True) as caught,
+                  pytest.raises(SystemExit) as exc):
+                warnings.simplefilter("always", RuntimeWarning)
+                cli.main([name, "--config", str(cfg), *args], standalone_mode=False)
+            assert exc.value.code != 0 or not caught, [str(w.message) for w in caught]
+            return exc.value.code, capsys.readouterr().err
+
+        failures = []
+        for i, params in enumerate(pairwise_sweep(name)):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"parameters": params}))
+            code, err = run(cfg, "--check")
+            # A run refused with exit 3 is refused without --check too, and names what is wrong.
+            if code == 3 and (run(cfg, "--out", str(tmp_path / "r.csv"))[0] != 3
+                              or any(bare in err for bare in BARE_ARITHMETIC)):
+                failures.append((params, code, err))
+            elif code not in (0, 2, 3):
+                failures.append((params, code, err))
+        assert not failures, failures[:5]
 
 
 class TestImports:

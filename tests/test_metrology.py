@@ -221,7 +221,7 @@ class TestOptimizePrecision:
         def envelope(t):  # 0.5 / sqrt(m) from the roots of t, T and n: m can overflow
             n = s.n if s.kind == StrategyKind.PRODUCT else 1
             shot = 0.5 * math.sqrt(t) / math.sqrt(s.T_total) / math.sqrt(n)
-            return math.exp(gamma_eff * t) / (0.5 * rate * t) * shot
+            return math.exp(gamma_eff * t) / (0.5 * t) / rate * shot  # so can 0.5 rate t
 
         if gamma_eff == 0.0:
             return s.T_total, envelope(s.T_total), True
