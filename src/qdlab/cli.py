@@ -221,8 +221,8 @@ def _check_two_ham(params, rows):
 
 def _run_fixed_time(params, seed):
     t, h_norm, k_norm = params["t"], params["h_norm"], params["k_norm"]
-    # The theorem covers t * h_norm up to pi; past t * k_norm = 1e10 the phases' rounding
-    # (about eps t k_norm) makes margins of up to a tenth of --check's 1e-9.
+    # The theorem covers t * h_norm up to pi. Up to t * k_norm = 1e10 the phases' rounding
+    # (about eps t k_norm) keeps the margins within a tenth of --check's 1e-9.
     if t * h_norm > math.pi:
         raise ConfigError(f"t * h_norm must be at most pi, got {t * h_norm!r}")
     if t * k_norm > 1e10:
@@ -341,9 +341,10 @@ def _run_metrology(params, seed):
 
 def _check_metrology(params, rows):
     """Each row against the closed form of its regime. A probe with decay g, phase rate r and
-    s shots per unit time (product: the qubit decay, 1 and n; cat: n or 1 times it, n and 1)
-    has sqrt(2 e g / (s T)) / r at the interior optimum t* = 1 / (2 g) and e^{g T} / (r T sqrt s)
-    on the budget t* = T. Under independent noise the two interior optima are equal."""
+    s T / t shots has sqrt(2 e g / (s T)) / r at the interior optimum t* = 1 / (2 g), and
+    e^{g T} / (r T sqrt s) on the budget t* = T. The product has g = gamma, r = 1, s = n; the
+    cat r = n, s = 1 and g = n gamma under independent noise, gamma otherwise; without noise
+    g = 0. Under independent noise the two interior optima are equal."""
     n, t_total, noise = params["n"], params["t_total"], NoiseKind(params["noise"])
     gamma = 0.0 if noise is NoiseKind.NONE else params["gamma"]
     cat_gamma = n * gamma if noise is NoiseKind.INDEPENDENT_DEPOLARIZING else gamma
