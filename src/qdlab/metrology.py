@@ -331,7 +331,7 @@ def refine_log_peak(ratios, times):
         # brackets, so the interior optima lie inside; and clamped to each row's [0, window].
         bracket += [[-4 * tol], [4 * tol]] * np.maximum(1.0, bracket)
         t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
-                            np.maximum(bracket[0], 0.0), np.minimum(bracket[1], _fig1_window(gamma)),
+                            np.maximum(bracket[0], 0), np.minimum(bracket[1], _fig1_window(gamma)),
                             tol := max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b))))
         info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
         i = int(np.argmax(info[:, 0] - info[:, 1]))

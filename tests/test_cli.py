@@ -476,8 +476,9 @@ class TestConfigHandling:
         assert 1.1658219907985623 == pytest.approx(math.sqrt(math.e / 2), rel=1e-15)
 
     # Each row is checked against the closed form of its own regime: the ledger's noiseless
-    # and slow-decay runs, no decay, a budget below the interior optimum (t* = T, 1.0512710963760241
-    # = e^{0.05}), and a decay whose interior closed form underflows to 0.
+    # and slow-decay runs, no decay, a budget below the interior optimum (t* = T, where
+    # delta_omega is 1.0512710963760241 = e^{0.05}), and a decay whose interior closed form
+    # underflows to 0. Every row here lies on its budget.
     @pytest.mark.parametrize("parameters", [
         {"noise": "none"}, {"gamma": 1e-6, "t_total": 10.0}, {"gamma": 0.0},
         {"n": 1, "t_total": 1.0}, {"n": 64, "gamma": 5e-324},
@@ -1155,9 +1156,8 @@ class TestConfigFuzz:
             assert exc.value.code != 0 or not caught, [str(w.message) for w in caught]
             return exc.value.code, capsys.readouterr().err
 
-        failures = []
-        for i, params in enumerate(pairwise_sweep(name)):
-            cfg = tmp_path / f"cfg{i}.json"
+        failures, cfg = [], tmp_path / "cfg.json"
+        for params in pairwise_sweep(name):
             cfg.write_text(json.dumps({"parameters": params}))
             code, err = run(cfg, "--check")
             # A run refused with exit 3 is refused without --check too, and names what is wrong.
