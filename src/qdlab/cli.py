@@ -344,13 +344,19 @@ def _check_metrology(params, rows):
     s T / t shots has sqrt(2 e g / (s T)) / r at the interior optimum t* = 1 / (2 g), and
     e^{g T} / (r T sqrt s) on the budget t* = T. The product has g = gamma, r = 1, s = n; the
     cat r = n, s = 1 and g = n gamma under independent noise, gamma otherwise; without noise
-    g = 0. Under independent noise the two interior optima are equal."""
+    g = 0. Under independent noise the two interior optima are equal. The regime comes from
+    the inputs, not from the row's flag: the budget when 1 / (2 g) >= T, formed as 0.5 / g,
+    which is 1 / (2 g) to the bit and decides exactly as the optimizer does at the edge."""
     n, t_total, noise = params["n"], params["t_total"], NoiseKind(params["noise"])
     gamma = 0.0 if noise is NoiseKind.NONE else params["gamma"]
     cat_gamma = n * gamma if noise is NoiseKind.INDEPENDENT_DEPOLARIZING else gamma
-    checks = []
+    checks, interior = [], []
     for row, (g, rate, shots) in zip(rows, ((gamma, 1, n), (cat_gamma, n, 1))):
-        if row.at_boundary:
+        boundary = not g or 0.5 / g >= t_total
+        interior.append(not boundary)
+        checks.append((f"{row.kind} at_boundary is {int(boundary)}",
+                       bool(row.at_boundary) == boundary, f"at_boundary {row.at_boundary}"))
+        if boundary:
             label = "budget optimum e^{gT} / (r T sqrt s)"
             expect = math.exp(g * t_total) / t_total / math.sqrt(shots) / rate
         else:
@@ -360,9 +366,8 @@ def _check_metrology(params, rows):
         gap = abs(row.delta_omega - expect)
         checks.append((f"{row.kind} {label}", gap <= 1e-6 * expect,
                        f"|diff| {gap:.2e} at {expect:.6e}"))
-    product, cat = rows
-    if noise is NoiseKind.INDEPENDENT_DEPOLARIZING and not (product.at_boundary or cat.at_boundary):
-        a, b = product.delta_omega, cat.delta_omega
+    if noise is NoiseKind.INDEPENDENT_DEPOLARIZING and all(interior):
+        a, b = (row.delta_omega for row in rows)
         checks.append(("product and cat optima agree", abs(a - b) <= 1e-6 * max(a, b),
                        f"|diff| {abs(a - b):.2e} at {max(a, b):.6e}"))
     return checks

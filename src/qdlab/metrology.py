@@ -322,20 +322,23 @@ def refine_log_peak(ratios, times):
     (log-ratio, probe) rows between the end times. Returns the last step's best
     ratio, and its (entangled, product) times and measurement information there."""
     (a, b), ends = map(math.log, ratios), np.asarray(times, dtype=float)
-    entangled, tol = np.array([True, False]), 1e-9  # tol: that of the end times' searches
+    entangled, tols = np.array([True, False]), np.full(2, 1e-9)  # each end's search rel_tol
     while True:
         x = np.linspace(a, b, REFINE_POINTS + 2)
         gamma = np.exp(x[1:-1])[:, None]
         bracket = np.sort(ends, axis=0)  # each probe's shorter and longer end time
-        # Widened by 4 * tol * max(1, t), 8 times the half-width of the end searches' last
-        # brackets, so the interior optima lie inside; and clamped to each row's [0, window].
-        bracket += [[-4 * tol], [4 * tol]] * np.maximum(1.0, bracket)
+        # Widened by 4 * tol * max(1, t), 8 times the half-width of the loosest end search's
+        # last bracket, so the interior optima lie inside; and clamped to each row's window.
+        bracket += [[-4.0], [4.0]] * np.maximum(1.0, bracket) * tols.max()
+        rel_tol = max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b)))
         t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
                             np.maximum(bracket[0], 0), np.minimum(bracket[1], _fig1_window(gamma)),
-                            tol := max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b))))
+                            rel_tol)
         info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
         i = int(np.argmax(info[:, 0] - info[:, 1]))
         a, b = float(x[i]), float(x[i + 2])
         if b - a <= 1e-7 * max(1.0, abs(b)):
             return float(gamma[i, 0]), t[i], info[i]
+        # An end kept from the last bracket keeps the tolerance it was searched to.
         ends = np.concatenate([ends[:1], t, ends[1:]])[[i, i + 2]]
+        tols = np.concatenate([tols[:1], np.full(REFINE_POINTS, rel_tol), tols[1:]])[[i, i + 2]]

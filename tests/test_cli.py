@@ -494,7 +494,29 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert exc.value.code == 0, out
         for kind in ("product", "cat"):
+            assert f"[PASS] metrology: {kind} at_boundary is 1" in out
             assert f"[PASS] metrology: {kind} budget optimum" in out
+
+    def test_metrology_check_takes_each_row_s_regime_from_the_inputs(self, monkeypatch,
+                                                                   tmp_path, capsys):
+        # An optimizer that returns the budget t* = T, with its flag, where the optimum is
+        # interior (the default run: 2 gamma T = 2) fails --check on every row.
+        from qdlab import cli, metrology
+
+        def budget(s):
+            return metrology.OptimizedPrecision(
+                s.T_total, metrology.precision_envelope(s, s.T_total), True)
+
+        monkeypatch.setattr(metrology, "optimize_precision", budget)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameters": {}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["metrology", "--config", str(cfg), "--check"], standalone_mode=False)
+        out = capsys.readouterr().out
+        assert exc.value.code == 1, out
+        for kind in ("product", "cat"):
+            assert f"[FAIL] metrology: {kind} at_boundary is 0" in out
+            assert f"[FAIL] metrology: {kind} interior optimum" in out
 
     def test_metrology_cat_phase_past_the_largest_float_keeps_its_uncertainty(self, tmp_path):
         # Without noise the cat's optimum is the budget, where its phase 0.5 n T overflows:
@@ -1052,12 +1074,18 @@ UNBOUNDED = [("superdense", "cos_theta"), ("grover", "sizes"), ("grover", "energ
 
 # The values each numeric parameter takes in the pairwise --check sweep: the float extremes,
 # values past the regime edges of fixed-time (t * h_norm = pi, t * k_norm = 1e10) and
-# theorem-check (k_norm_max = 1e5), and sizes from negative to past every cap.
+# theorem-check (k_norm_max = 1e5), and sizes from negative to past every cap, 5 and 64 among
+# them (the sizes that show the phase-est fault below).
 SWEEP_VALUES = {
     float: [-1.0, 0.0, 5e-324, -5e-324, 1e-308, 1e-8, 1.0, 3.15, 1e6, 1e16, 1e308,
             sys.float_info.max],
-    int: [-1, 0, 1, 2, 3, 7, 2**63],
+    int: [-1, 0, 1, 2, 3, 5, 7, 64, 2**63],
 }
+
+
+# Correct phase-est runs that fail --check at the default seed: its per-outcome 3-sigma rule
+# fails on one count in a bin of probability about 1e-3 (CHANGES.md, FOUND, PR 36).
+PHASE_EST_CHECK_FAULTS = [{"n": 5, "trials": 64}, {"n": 7, "trials": 64}]
 
 
 def pairwise_sweep(name):
@@ -1164,9 +1192,22 @@ class TestConfigFuzz:
             if code == 3 and (run(cfg, "--out", str(tmp_path / "r.csv"))[0] != 3
                               or any(bare in err for bare in BARE_ARITHMETIC)):
                 failures.append((params, code, err))
-            elif code not in (0, 2, 3):
+            elif code not in (0, 2, 3) and not (code == 1 and name == "phase-est"
+                                                and params in PHASE_EST_CHECK_FAULTS):
                 failures.append((params, code, err))
         assert not failures, failures[:5]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="phase-est's 3-sigma check fails correct runs at few trials")
+    @pytest.mark.parametrize("params", PHASE_EST_CHECK_FAULTS, ids=["n5-trials64", "n7-trials64"])
+    def test_phase_est_check_passes_a_correct_run_at_few_trials(self, params, tmp_path, capsys):
+        from qdlab import cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameters": params}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["phase-est", "--config", str(cfg), "--check"], standalone_mode=False)
+        assert exc.value.code == 0, capsys.readouterr().out
 
 
 class TestImports:

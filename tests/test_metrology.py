@@ -433,26 +433,58 @@ class TestFigureOneCurve:
         assert [np.shape(a) for _, a, *_ in searches] == [(15, 2)] * 8
         assert grid_searches == []
         width, a = math.log(4.0), math.log(0.1)
-        # (entangled, product) at each end, and the rel_tol of the searches that gave them.
-        times, tol = np.array(ends), 1e-9
+        # (entangled, product) at each end, and the rel_tol of the search that gave each end.
+        times, tols = np.array(ends), np.full(2, 1e-9)
         for (gamma, lower, upper, t, info), rel_tol in zip(searches, rel_tols):
             assert gamma.shape == (15, 1)
             x = np.log(gamma[:, 0])  # 15 evenly spaced log-ratios strictly inside the bracket
             np.testing.assert_allclose(np.diff(x), width / 16, rtol=1e-6)
             assert a < x[0] and x[-1] < a + width
             # Each probe searches between its end times, widened by 4 * tol * max(1, t):
-            # 8 times the half-width of the last brackets of the searches that gave them.
+            # 8 times the half-width of the last bracket of the loosest search that gave them.
             shorter, longer = np.sort(times, axis=0)
+            tol = tols.max()
             for bracket, end in ((lower, shorter - 4 * tol * np.maximum(1.0, shorter)),
                                  (upper, longer + 4 * tol * np.maximum(1.0, longer))):
                 np.testing.assert_array_equal(bracket, np.broadcast_to(end, (15, 2)))
             assert np.all((lower < t) & (t < upper))
             # The next bracket is the two intervals around the best of them, and
-            # its ends keep their times.
+            # its ends keep their times and tolerances.
             i = int(np.argmax(info[:, 0] - info[:, 1]))
-            times, tol = np.concatenate([times[:1], t, times[1:]])[[i, i + 2]], rel_tol
+            times = np.concatenate([times[:1], t, times[1:]])[[i, i + 2]]
+            tols = np.concatenate([tols[:1], np.full(15, rel_tol), tols[1:]])[[i, i + 2]]
             a, width = x[i] - width / 16, width / 8
         assert a < math.log(ratio) < a + width
+
+    def test_an_end_kept_from_an_earlier_bracket_keeps_its_tolerance(self, monkeypatch):
+        # A stand-in kernel: each probe's information is -(t - t0)^2 plus, for the entangled
+        # probe, two narrow bumps in the log-ratio x. The first search (spacing h) sees only
+        # the bump at its middle row, x1; the second (spacing h / 8) picks its first row,
+        # x1 - 7h / 8, where the higher bump lies. So the third bracket keeps the first
+        # search's end at x1 - h, which was searched to the first, looser rel_tol.
+        lo, hi = 0.1, 0.4
+        h = math.log(hi / lo) / 16
+        x1 = math.log(lo) + 8 * h
+        x2, w = x1 - 7 * h / 8, h / 100
+
+        def kernel(objective, entangled, gamma, omega, t):
+            x = np.log(gamma)
+            bumps = np.exp(-np.square((x - x1) / w)) + 2 * np.exp(-np.square((x - x2) / w))
+            return np.where(entangled, bumps, 0.0) - np.square(t - np.array([0.5, 0.6]) / gamma)
+
+        monkeypatch.setattr(met, "_fig1_kernel", kernel)
+        ends = [[0.5 / lo, 0.6 / lo], [0.5 / hi, 0.6 / hi]]
+        (ratio, _, _), searches, rel_tols = self.warm_searches_and_tolerances(
+            monkeypatch, lambda: met.refine_log_peak([lo, hi], ends))
+        assert [int(np.argmax(info[:, 0] - info[:, 1])) for *_, info in searches[:2]] == [7, 0]
+        assert abs(math.log(ratio) - x2) <= self.stopping_tolerance(lo, hi)
+        (_, _, _, t1, _), (_, _, _, t2, _), (_, lower, upper, _, _) = searches[:3]
+        shorter, longer = np.sort([t1[6], t2[1]], axis=0)
+        tol = rel_tols[0]
+        assert tol > rel_tols[1]
+        for bracket, end in ((lower, shorter - 4 * tol * np.maximum(1.0, shorter)),
+                             (upper, longer + 4 * tol * np.maximum(1.0, longer))):
+            np.testing.assert_array_equal(bracket, np.broadcast_to(end, (15, 2)))
 
     def warm_searches_and_tolerances(self, monkeypatch, run):
         """warm_searches(run), with the rel_tol that each golden search is given."""
