@@ -1084,7 +1084,7 @@ SWEEP_VALUES = {
 
 
 # Correct phase-est runs that fail --check at the default seed: its per-outcome 3-sigma rule
-# fails on one count in a bin of probability about 1e-3 (CHANGES.md, FOUND, PR 36).
+# fails on one count in a bin of probability about 1e-3 (a FOUND line in CHANGES.md).
 PHASE_EST_CHECK_FAULTS = [{"n": 5, "trials": 64}, {"n": 7, "trials": 64}]
 
 
