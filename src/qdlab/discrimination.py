@@ -52,21 +52,31 @@ def golden_minimize(fn, a, b, rel_tol: float):
     stops once its bracket is narrower than rel_tol * max(1, |b|) and is not
     updated after that, so it takes the path a search on that row alone
     would take. Returns the bracket midpoints x.
+
+    Refuses with ValueError, before any call of `fn`, a bracket with a
+    non-finite end or width or with a > b, and a rel_tol below (or NaN
+    against) tolerances.GOLDEN_REL_TOL, where rounding could stall the loop.
     """
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
-    c = np.array(b - _INVPHI * (b - a))
-    d = np.array(a + _INVPHI * (b - a))
+    span = b - a
+    if not np.all((span >= 0) & (span < np.inf)):
+        raise ValueError("golden_minimize needs finite brackets with a <= b")
+    if not rel_tol >= tolerances.GOLDEN_REL_TOL:
+        raise ValueError(f"rel_tol must be at least {tolerances.GOLDEN_REL_TOL:g}")
+    c, d = np.array(b - _INVPHI * span), np.array(a + _INVPHI * span)
     fc, fd = (np.array(f, dtype=float) for f in (fn(c), fn(d)))
-    while (active := (b - a) > rel_tol * np.maximum(1.0, np.abs(b))).any():
+    # Each step moves only the active rows, in place, to the points a one-row
+    # search would take; `fn` still sees every row.
+    while (active := span > rel_tol * np.maximum(1.0, np.abs(b))).any():
         lower = active & (fc < fd)
-        upper = active & ~lower
-        b[lower], d[lower], fd[lower] = d[lower], c[lower], fc[lower]
-        c[lower] = b[lower] - _INVPHI * (b[lower] - a[lower])
-        a[upper], c[upper], fc[upper] = c[upper], d[upper], fd[upper]
-        d[upper] = a[upper] + _INVPHI * (b[upper] - a[upper])
-        f_new = np.asarray(fn(np.where(lower, c, d)))
-        fc[lower] = f_new[lower]
-        fd[upper] = f_new[upper]
+        upper = active ^ lower
+        np.copyto(b, d, where=lower), np.copyto(d, c, where=lower), np.copyto(fd, fc, where=lower)
+        np.copyto(a, c, where=upper), np.copyto(c, d, where=upper), np.copyto(fc, fd, where=upper)
+        span = b - a
+        w = _INVPHI * span
+        np.copyto(c, b - w, where=lower), np.copyto(d, a + w, where=upper)
+        f_new = fn(np.where(lower, c, d))
+        np.copyto(fc, f_new, where=lower), np.copyto(fd, f_new, where=upper)
     return (a + b) / 2
 
 
@@ -100,8 +110,7 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048, *, bound):
             break
         ks = np.arange(k0, min(k0 + block, grid_points + 1), dtype=float)
         vals = np.asarray(fn(t_max * ks.reshape((-1,) + (1,) * t_max.ndim) / grid_points))
-        j = np.argmin(vals, axis=0)
-        v = np.take_along_axis(vals, j[None], axis=0)[0]
+        j, v = np.argmin(vals, axis=0), np.min(vals, axis=0)
         improved = v < best
         best, k_best = np.where(improved, v, best), np.where(improved, ks[j], k_best)
     # Bracket by the grid neighbours; below the first point, by half of it.

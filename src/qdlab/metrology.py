@@ -154,7 +154,8 @@ def _error_probability(e, s):
 
 
 def _measurement_info(e, s):
-    return two_outcome_gain((1.0 + e) / 4.0, 2.0 * e * s / (1.0 + e))
+    e1 = 1.0 + e
+    return two_outcome_gain(e1 / 4.0, 2.0 * e * s / e1)
 
 
 def _binary_info(e, s):

@@ -26,3 +26,7 @@ GEOMETRY = 1e-9
 
 # How far past the arc bound a counterexample must be, in the sweep and the recheck.
 SEARCH_MARGIN = 1e-6
+
+# Smallest golden-section rel_tol: a few ulps of the bracket, which rounding
+# still shrinks to; below it the search can stall forever.
+GOLDEN_REL_TOL = 1e-15

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdlab import discrimination as disc
-from qdlab import dynamics, qmath
+from qdlab import dynamics, qmath, tolerances
 from qdlab.dynamics import FieldHamiltonian, NoiseKind, NoiseModel
 from qdlab.errors import NoDiscriminationError
 from conftest import eig_unitary, random_density, random_hermitian, random_state, random_unitary
@@ -224,7 +224,17 @@ class TestGoldenMinimize:
                 fd = fn(d)
         return (a + b) / 2
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @staticmethod
+    def objective(kind, x, m, k, q):
+        """A kinked bowl, a flat-bottomed bowl or a staircase. The last two tie
+        fc == fd on whole intervals, where a search must walk right."""
+        if kind == "kink":
+            return (x - m) * (x - m) + k * np.abs(x - m)
+        if kind == "plateau":
+            return np.maximum(np.abs(x - m) - q, 0.0)
+        return np.floor(np.abs(x - m) / q)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
         rows=st.lists(
             st.tuples(
@@ -232,36 +242,90 @@ class TestGoldenMinimize:
                 st.floats(1e-3, 100.0),  # bracket width
                 st.floats(-0.2, 1.2),  # minimizer position, relative to the bracket
                 st.floats(0.0, 5.0),  # weight of the kink at the minimizer
+                st.floats(1e-3, 50.0),  # plateau half-width or stair height
             ),
             min_size=1,
             max_size=8,
         ),
+        kind=st.sampled_from(["kink", "plateau", "step"]),
+        zero_d=st.booleans(),
         rel_tol=st.sampled_from([1e-3, 1e-7, 1e-9]),
     )
-    def test_batch_rows_follow_the_scalar_loop(self, rows, rel_tol):
-        a = np.array([r[0] for r in rows])
-        b = a + np.array([r[1] for r in rows])
-        m = a + (b - a) * np.array([r[2] for r in rows])
-        k = np.array([r[3] for r in rows])
+    def test_batch_rows_follow_the_scalar_loop(self, rows, kind, zero_d, rel_tol):
+        rows = rows[:1] if zero_d else rows
+        a, width, pos, k, q = (np.array([r[j] for r in rows]) for j in range(5))
+        b = a + width
+        m = a + (b - a) * pos
+        if zero_d:  # scalar ends give a 0-d batch
+            a, b, m, k, q = (v[0] for v in (a, b, m, k, q))
+        points = []
+
+        def fn(x):
+            points.append(np.array(x))
+            return self.objective(kind, x, m, k, q)
+
+        x = disc.golden_minimize(fn, a, b, rel_tol)
+        assert np.shape(x) == np.shape(a)
+        # The two first points, then one call per step, each on the whole batch.
+        assert all(np.shape(p) == np.shape(a) for p in points)
+        batch_points = np.reshape(points, (len(points), -1))
+        steps = 0
+        for i in range(len(rows)):
+            ai, bi, mi, ki, qi = (float(np.ravel(v)[i]) for v in (a, b, m, k, q))
+            row_points = []
+
+            def fn_i(x):
+                row_points.append(x)
+                return self.objective(kind, x, mi, ki, qi)
+
+            xi = self.scalar_golden(fn_i, ai, bi, rel_tol)
+            assert np.ravel(x)[i].tobytes() == np.float64(xi).tobytes()
+            # While the row is active, the batch evaluates it where a one-row
+            # search does, bit for bit.
+            assert batch_points[: len(row_points), i].tobytes() == np.array(row_points).tobytes()
+            steps = max(steps, len(row_points) - 2)
+        assert len(points) == 2 + steps
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(3.0, 1.0), ([0.0, 2.0], [1.0, 1.0]), (0.0, math.inf), (-math.inf, 1.0),
+         (math.nan, 1.0), (-1e308, 1e308)],
+        ids=["reversed", "one-row-reversed", "inf-end", "minus-inf-end", "nan-end",
+             "width-overflows"],
+    )
+    def test_refuses_a_bracket_that_is_not_finite_and_ordered(self, a, b):
+        calls = []
+        # Ends of +/-1e308 overflow the width (a numpy warning), then are refused.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite brackets"):
+            disc.golden_minimize(calls.append, a, b, 1e-9)
+        assert calls == []
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1e-16, 1e-17, math.nan])
+    def test_refuses_a_rel_tol_below_the_floor(self, rel_tol):
+        calls = []
+        with pytest.raises(ValueError, match="rel_tol must be at least 1e-15"):
+            disc.golden_minimize(calls.append, 1.0, 3.0, rel_tol)
+        assert calls == []
+
+    def test_the_floor_rel_tol_ends_on_random_brackets(self):
+        rng = np.random.default_rng(37)
+        scale = 10.0 ** rng.uniform(-3.0, 8.0, 2000)
+        a = rng.uniform(-1.0, 1.0, 2000) * scale
+        b = a + scale * 10.0 ** rng.uniform(-6.0, 0.3, 2000)
+        # A quarter of the brackets straddle a power of two, where the ulp doubles.
+        p = 2.0 ** rng.integers(-5, 27, 500) * rng.choice([-1.0, 1.0], 500)
+        a[:500], b[:500] = p - np.abs(p) * 5e-9, p + np.abs(p) * 5e-9
+        m = a + (b - a) * rng.uniform(-0.2, 1.2, 2000)
         calls = []
 
         def fn(x):
-            calls.append(np.shape(x))
-            return (x - m) * (x - m) + k * np.abs(x - m)
+            calls.append(x)
+            if len(calls) > 400:  # a stalled search fails here instead of hanging
+                raise RuntimeError("the search did not end")
+            return np.abs(x - m) + (x - m) * (x - m)
 
-        x = disc.golden_minimize(fn, a, b, rel_tol)
-        steps = 0
-        for i in range(len(rows)):
-            mi, ki, row_calls = float(m[i]), float(k[i]), []
-
-            def fn_i(x):
-                row_calls.append(x)
-                return (x - mi) * (x - mi) + ki * abs(x - mi)
-
-            assert x[i] == self.scalar_golden(fn_i, float(a[i]), float(b[i]), rel_tol)
-            steps = max(steps, len(row_calls) - 2)
-        # The two first points, then one call per step, each on the whole batch.
-        assert calls == [(len(rows),)] * (2 + steps)
+        x = disc.golden_minimize(fn, a, b, tolerances.GOLDEN_REL_TOL)
+        assert np.all((a <= x) & (x <= b))
 
 
 class TestGridGoldenMinimize:
