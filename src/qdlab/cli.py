@@ -285,23 +285,25 @@ def _run_phase_est(params, seed):
     )
 
 
+def _bernoulli_kl(f, p):
+    """KL(f || p) in nats between Bernoulli distributions; inf where f > 0 = p or f < 1 = p."""
+    return sum(x * (math.log(x) - math.log(y)) if y > 0 else math.inf
+               for x, y in ((f, p), (1.0 - f, 1.0 - p)) if x > 0)
+
+
 def _check_phase_est(params, rows):
-    trials = rows[0].trials
-    ok = True
-    worst = 0.0
-    for r in rows:
-        sigma = math.sqrt(max(r.exact_prob * (1 - r.exact_prob), 1e-12) / trials)
-        dev = abs(r.empirical_freq - r.exact_prob) / (3 * sigma + 1e-15)
-        worst = max(worst, dev)
-        if dev > 1.0:
-            ok = False
+    # Chernoff: a bin's frequency f has trials * KL(f || p) > c with probability at most 2 e^{-c},
+    # so c = ln(2 * 2^n / alpha) fails a correct run with probability at most alpha = 1e-3.
+    trials, limit = rows[0].trials, math.log(2 * len(rows) / 1e-3)
+    worst = max(trials * _bernoulli_kl(r.empirical_freq, r.exact_prob) for r in rows)
     # The paper's equivalence: a DFT measurement of the n-qubit product state has the
     # adaptive protocol's exact distribution.
     cfg = phase_estimation.PhaseConfig(n=params["n"], omega=params["omega"])
     dft = phase_estimation.dft_measurement_distribution(cfg)
     qft_gap = float(np.max(np.abs(dft - [r.exact_prob for r in rows])))
     return [
-        ("empirical frequencies within 3 sigma", ok, f"worst dev/3sigma {worst:.3f}"),
+        ("empirical frequencies within the Chernoff bound", worst <= limit,
+         f"worst trials * KL {worst:.3f} of {limit:.3f}"),
         ("QFT measurement distribution equals the exact one", qft_gap <= 1e-12,
          f"max abs diff {qft_gap:.2e}"),
     ]
@@ -499,7 +501,8 @@ EXPERIMENTS = {
     ),
     "figure1": Experiment(
         "information-gain improvement of the entangled probe under symmetric decoherence",
-        {"ratio_min": 0.01, "ratio_max": 10.0, "points": 200, "grid": 2048, "refine_peak": True},
+        {"ratio_min": 0.01, "ratio_max": 10.0, "points": 200, "grid": metrology.FIGURE1_GRID,
+         "refine_peak": True},
         _run_figure1,
         _check_figure1,
         bounds={"ratio_min": _POSITIVE, "ratio_max": _POSITIVE, "points": _SIZE, "grid": _SIZE},

@@ -37,9 +37,6 @@ class DiscriminationResult:
 
 # Times per objective call in the grid pre-scan (one grid point at least).
 _SCAN_ELEMS = 4096
-# How far a row's bound must clear its best grid value to stop the pre-scan: far
-# above the rounding of objectives of size 1, whose kernels round below 1e-15.
-_SCAN_MARGIN = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -80,23 +77,15 @@ def golden_minimize(fn, a, b, rel_tol: float):
     return (a + b) / 2
 
 
-def grid_golden_minimize(fn, t_max, grid_points: int = 2048, *, bound):
-    """Minimize smooth functions of t on (0, t_max], for every row of a batch.
+def grid_golden_minimize(fn, t_max, grid_points: int):
+    """Minimize functions of t that are unimodal on (0, t_max], for every row of a batch.
 
-    The batch has the shape of `t_max`; `fn` maps times whose trailing axes
-    are the batch axes to values of the same shape, so per-row parameters
-    broadcast against them. A pre-scan of t_max * k / grid_points
-    (k = 1..grid_points), in (m,) + batch blocks of about _SCAN_ELEMS times,
-    brackets each row's global minimum (guarding against the wrong lobe of
-    an oscillatory objective); golden-section then refines every row to
-    1e-9 relative accuracy in t. Returns (t, fn(t)).
-
-    `bound` maps batch-shaped times t to a lower bound on each row's `fn` at
-    every time >= t, nondecreasing in t (`lambda t: -np.inf` never stops the
-    scan). Before each block after the first, the scan stops if every row's
-    bound at the block's first time exceeds its best grid value by more than
-    _SCAN_MARGIN: no later grid time could then replace that value, so the
-    bracket is the one the full scan finds.
+    The batch has the shape of `t_max`; `fn` maps times whose trailing axes are the batch axes
+    to values of the same shape, so per-row parameters broadcast against them. A pre-scan of
+    t_max * k / grid_points (k = 1..grid_points), in (m,) + batch blocks of about _SCAN_ELEMS
+    times, brackets each row's minimum by its best grid time's neighbours (0 below the first;
+    golden-section evaluates no bracket end), then golden-section refines every row to 1e-9
+    relative accuracy in t. Returns (t, fn(t)).
     """
     t_max = np.asarray(t_max, dtype=float)
     if not np.all((t_max > 0) & np.isfinite(t_max)):
@@ -106,15 +95,12 @@ def grid_golden_minimize(fn, t_max, grid_points: int = 2048, *, bound):
     best, k_best = np.full(t_max.shape, np.inf), np.ones(t_max.shape)
     block = max(1, _SCAN_ELEMS // max(1, t_max.size))
     for k0 in range(1, grid_points + 1, block):
-        if k0 > 1 and np.all(bound(t_max * k0 / grid_points) > best + _SCAN_MARGIN):
-            break
         ks = np.arange(k0, min(k0 + block, grid_points + 1), dtype=float)
         vals = np.asarray(fn(t_max * ks.reshape((-1,) + (1,) * t_max.ndim) / grid_points))
         j, v = np.argmin(vals, axis=0), np.min(vals, axis=0)
         improved = v < best
         best, k_best = np.where(improved, v, best), np.where(improved, ks[j], k_best)
-    # Bracket by the grid neighbours; below the first point, by half of it.
-    lo = t_max * np.maximum(k_best - 1, 0.5) / grid_points
+    lo = t_max * (k_best - 1) / grid_points
     hi = t_max * np.minimum(k_best + 1, grid_points) / grid_points
     t = golden_minimize(fn, lo, hi, 1e-9)
     return t, fn(t)

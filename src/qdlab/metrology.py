@@ -125,6 +125,7 @@ def optimize_precision(s: Strategy) -> OptimizedPrecision:
 
 ENTANGLED = "entangled"
 PRODUCT = "product"
+FIGURE1_GRID = 64  # pre-scan points: on _fig1_window they only seed golden-section's bracket
 
 
 def _entangled(strategy):
@@ -224,26 +225,26 @@ class Figure1Result:
     peak_bits: float
 
 
-def _fig1_window(gamma):
-    """(0, 10 / max(gamma, 2.5 / pi)] holds every figure1 optimum: each objective improves
-    with s = |sin theta(t)| and e = e^{-gamma t} (a smaller e only mixes in uniform,
-    hypothesis-independent noise), s has period pi or 2 pi, so the optimum is in (0, 2 pi];
-    and s(t) <= t, so t = 1 / gamma beats every t past 10 / gamma. Inside it e >= e^{-10},
-    so no search compares values that have all underflowed to 0."""
-    return 10.0 / np.maximum(gamma, 2.5 / math.pi)
+def _fig1_window(entangled, gamma):
+    """The first rise of s = |sin theta(t)|, (0, pi / 2] entangled or (0, pi] product, up to
+    10 / max(gamma, 1), holds every figure1 optimum, and each objective has one lobe on it: each
+    improves with s and with e = e^{-gamma t}, and s is symmetric within each period. s(t) <= t,
+    so t = 1 / gamma beats every t past 10 / gamma; the cap keeps e >= e^{-10}, so no search
+    compares values that have all underflowed to 0. max(gamma, 1) keeps it finite at 5e-324."""
+    return np.minimum(np.where(entangled, math.pi / 2, math.pi), 10.0 / np.maximum(gamma, 1.0))
 
 
 def _fig1_optimize(objective, entangled, ratios, grid: int, sign: float):
     """Minimize sign * objective(e^{-gamma t}, |sin theta(t)|) over t in _fig1_window, in one
     batched search over the broadcast of `entangled` (one probe's bool, or a mask) and `ratios`,
-    with omega = 1 (the gains depend only on the ratio). Returns (t_star, sign * minimum)."""
+    at omega = 1 (the gains depend only on the ratio), in tau = t max(gamma, 1) so that its 1e-9
+    is relative to t* ~ 1 / gamma too. Returns (t_star, sign * minimum)."""
     gamma = np.broadcast_arrays(entangled, ratios)[1]
-    # As with the window, the objective at s = 1 bounds every later time.
-    t, value = grid_golden_minimize(
-        lambda t: sign * _fig1_kernel(objective, entangled, gamma, 1.0, t), _fig1_window(gamma),
-        grid_points=grid, bound=lambda t: sign * objective(np.exp(-gamma * t), 1.0),
-    )
-    return t, sign * value
+    scale = np.maximum(gamma, 1.0)
+    tau, value = grid_golden_minimize(
+        lambda tau: sign * _fig1_kernel(objective, entangled, gamma, 1.0, tau / scale),
+        _fig1_window(entangled, gamma) * scale, grid_points=grid)
+    return tau / scale, sign * value
 
 
 def _fig1_information(ratios, grid: int):
@@ -266,7 +267,7 @@ def _fig1_rows(ratios, t_star, info, grid: int) -> list[Figure1Point]:
     return [Figure1Point(*map(float, row)) for row in table.T]
 
 
-def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
+def figure1_points(ratios, grid: int = FIGURE1_GRID) -> list[Figure1Point]:
     """Evaluate both strategies at every decoherence-to-frequency ratio.
 
     The information and its optimal times come from maximizing the
@@ -278,12 +279,12 @@ def figure1_points(ratios, grid: int = 2048) -> list[Figure1Point]:
     return _fig1_rows(*_fig1_information(ratios, grid), grid)
 
 
-def figure1_point(ratio: float, grid: int = 2048) -> Figure1Point:
+def figure1_point(ratio: float, grid: int = FIGURE1_GRID) -> Figure1Point:
     """figure1_points at a single ratio."""
     return figure1_points(float(ratio), grid)[0]
 
 
-def figure1_curve(ratios, grid: int = 2048, refine_peak: bool = True) -> Figure1Result:
+def figure1_curve(ratios, grid: int = FIGURE1_GRID, refine_peak: bool = True) -> Figure1Result:
     """Information-gain improvement over a set of decoherence ratios.
 
     Evaluates every requested ratio, optionally refines the peak of the
@@ -333,8 +334,8 @@ def refine_log_peak(ratios, times):
         bracket += [[-4.0], [4.0]] * np.maximum(1.0, bracket) * tols.max()
         rel_tol = max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b)))
         t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
-                            np.maximum(bracket[0], 0), np.minimum(bracket[1], _fig1_window(gamma)),
-                            rel_tol)
+                            np.maximum(bracket[0], 0),
+                            np.minimum(bracket[1], _fig1_window(entangled, gamma)), rel_tol)
         info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
         i = int(np.argmax(info[:, 0] - info[:, 1]))
         a, b = float(x[i]), float(x[i + 2])

@@ -967,6 +967,29 @@ class TestCheckFlag:
         code, out = check()
         assert code == 1 and f"[FAIL] {line}" in out
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_phase_est_check_fails_counts_from_a_wrong_omega(self, seed, tmp_path, monkeypatch,
+                                                             capsys):
+        from qdlab import cli, phase_estimation
+
+        line = "phase-est: empirical frequencies within the Chernoff bound"
+        sample_counts = phase_estimation.sample_counts
+
+        def check():
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["phase-est", "--check", "--seed", str(seed)], standalone_mode=False)
+            return exc.value.code, capsys.readouterr().out
+
+        monkeypatch.chdir(tmp_path)
+        code, out = check()
+        assert code == 0 and f"[PASS] {line}" in out
+        # At the default n = 4 and 2,000 trials, counts drawn an eighth of a bin off omega.
+        monkeypatch.setattr(phase_estimation, "sample_counts", lambda cfg, seed, trials: (
+            sample_counts(phase_estimation.PhaseConfig(cfg.n, cfg.omega + 2.0**-(cfg.n + 3)),
+                          seed, trials)))
+        code, out = check()
+        assert code == 1 and f"[FAIL] {line}" in out
+
     def test_figure1_check_reports_known_location_failure(self, tmp_path):
         # Documented: the improvement peak reproduces the target height but
         # not the target location, so this check exits 1 with one FAIL line.
@@ -1075,17 +1098,12 @@ UNBOUNDED = [("superdense", "cos_theta"), ("grover", "sizes"), ("grover", "energ
 # The values each numeric parameter takes in the pairwise --check sweep: the float extremes,
 # values past the regime edges of fixed-time (t * h_norm = pi, t * k_norm = 1e10) and
 # theorem-check (k_norm_max = 1e5), and sizes from negative to past every cap, 5 and 64 among
-# them (the sizes that show the phase-est fault below).
+# them (few-trial phase-est runs, where a bin of probability about 1e-3 gets one count).
 SWEEP_VALUES = {
     float: [-1.0, 0.0, 5e-324, -5e-324, 1e-308, 1e-8, 1.0, 3.15, 1e6, 1e16, 1e308,
             sys.float_info.max],
     int: [-1, 0, 1, 2, 3, 5, 7, 64, 2**63],
 }
-
-
-# Correct phase-est runs that fail --check at the default seed: its per-outcome 3-sigma rule
-# fails on one count in a bin of probability about 1e-3 (a FOUND line in CHANGES.md).
-PHASE_EST_CHECK_FAULTS = [{"n": 5, "trials": 64}, {"n": 7, "trials": 64}]
 
 
 def pairwise_sweep(name):
@@ -1192,14 +1210,13 @@ class TestConfigFuzz:
             if code == 3 and (run(cfg, "--out", str(tmp_path / "r.csv"))[0] != 3
                               or any(bare in err for bare in BARE_ARITHMETIC)):
                 failures.append((params, code, err))
-            elif code not in (0, 2, 3) and not (code == 1 and name == "phase-est"
-                                                and params in PHASE_EST_CHECK_FAULTS):
+            elif code not in (0, 2, 3):
                 failures.append((params, code, err))
         assert not failures, failures[:5]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="phase-est's 3-sigma check fails correct runs at few trials")
-    @pytest.mark.parametrize("params", PHASE_EST_CHECK_FAULTS, ids=["n5-trials64", "n7-trials64"])
+    # Correct runs with one count in a bin of probability about 1e-3 at the default seed.
+    @pytest.mark.parametrize("params", [{"n": 5, "trials": 64}, {"n": 7, "trials": 64}],
+                             ids=["n5-trials64", "n7-trials64"])
     def test_phase_est_check_passes_a_correct_run_at_few_trials(self, params, tmp_path, capsys):
         from qdlab import cli
 

@@ -338,8 +338,7 @@ class TestGridGoldenMinimize:
             sizes.append(t.size)
             return (t - centers) ** 2
 
-        t, _ = disc.grid_golden_minimize(fn, 10.0 * np.ones(400), grid_points=2048,
-                                      bound=lambda t: -np.inf)
+        t, _ = disc.grid_golden_minimize(fn, 10.0 * np.ones(400), grid_points=2048)
         assert max(sizes) <= disc._SCAN_ELEMS
         np.testing.assert_allclose(t, centers, rtol=1e-6)
 
@@ -350,17 +349,23 @@ class TestGridGoldenMinimize:
             shapes.append(np.shape(t))
             return (t - 1.0) ** 2
 
-        t, _ = disc.grid_golden_minimize(fn, 3.0, grid_points=64, bound=lambda t: -np.inf)
+        t, _ = disc.grid_golden_minimize(fn, 3.0, grid_points=64)
         assert shapes[0] == (64,)
         assert set(shapes[1:]) == {()}
         assert t == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("grid_points", range(1, 9))
+    def test_a_minimum_below_the_first_grid_time_is_found_at_every_grid(self, grid_points):
+        # The best grid time is the first, t_max / grid_points, and the bracket
+        # [0, 2 t_max / grid_points] (all of (0, t_max] at one point) holds the minimum.
+        t, value = disc.grid_golden_minimize(lambda t: (t - 0.01) ** 2, 1.0, grid_points)
+        assert t == pytest.approx(0.01, abs=1e-9)  # golden-section's 1e-9 * max(1, |b|)
+        assert value == (t - 0.01) ** 2
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan, [1.0, math.inf]])
     def test_refuses_a_window_that_is_not_positive_and_finite(self, t_max):
         with pytest.raises(ValueError, match="positive and finite"):
-            disc.grid_golden_minimize(lambda t: (t - 1.0) ** 2, t_max, grid_points=8,
-                                      bound=lambda t: -np.inf)
+            disc.grid_golden_minimize(lambda t: (t - 1.0) ** 2, t_max, grid_points=8)
 
 
 class TestOptimalTime:
@@ -390,7 +395,7 @@ class TestOptimalTime:
         # Cross-check: it maximizes exp(-gamma t) sin(omega t / 2).
         t_num, _ = disc.grid_golden_minimize(
             lambda s: -(np.exp(-gamma * s) * np.sin(omega * s / 2)), 2 * math.pi / omega,
-            bound=lambda t: -np.inf,
+            grid_points=2048,
         )
         assert t == pytest.approx(t_num, abs=1e-6)
 

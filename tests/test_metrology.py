@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import math
 
@@ -470,10 +469,10 @@ class TestFigureOneCurve:
         def kernel(objective, entangled, gamma, omega, t):
             x = np.log(gamma)
             bumps = np.exp(-np.square((x - x1) / w)) + 2 * np.exp(-np.square((x - x2) / w))
-            return np.where(entangled, bumps, 0.0) - np.square(t - np.array([0.5, 0.6]) / gamma)
+            return np.where(entangled, bumps, 0.0) - np.square(t - np.array([0.05, 0.06]) / gamma)
 
         monkeypatch.setattr(met, "_fig1_kernel", kernel)
-        ends = [[0.5 / lo, 0.6 / lo], [0.5 / hi, 0.6 / hi]]
+        ends = [[0.05 / lo, 0.06 / lo], [0.05 / hi, 0.06 / hi]]
         (ratio, _, _), searches, rel_tols = self.warm_searches_and_tolerances(
             monkeypatch, lambda: met.refine_log_peak([lo, hi], ends))
         assert [int(np.argmax(info[:, 0] - info[:, 1])) for *_, info in searches[:2]] == [7, 0]
@@ -604,7 +603,7 @@ class TestFigureOneCurve:
         assert searches
         for gamma, lower, upper, t, _ in searches:
             assert np.all(lower >= 0.0)
-            assert np.all(upper <= met._fig1_window(gamma))
+            assert np.all(upper <= met._fig1_window(np.array([True, False]), gamma))
             assert np.all((lower <= t) & (t <= upper))
 
     def test_an_unrefined_curve_equals_figure1_points(self):
@@ -839,144 +838,98 @@ class TestFigureOneCurve:
         assert len(checks) == 3
 
 
-class TestBoundedScan:
-    """The figure1 pre-scan stops once the decay envelope rules out every later
-    grid time; it must bracket the same optimum as the scan of the whole grid."""
+class TestFirstRiseSearch:
+    """Each figure1 search runs on its probe's first rise, where every objective has
+    one lobe, so every grid finds the same optimum."""
 
     # (objective of (e, s), sign) for each column family, as figure1_points searches them.
     COLUMNS = [(met._measurement_info, -1.0), (met._binary_info, -1.0),
                (met._error_probability, 1.0)]
-    # From the least positive double up; the window is 10 / gamma above 2.5 / pi.
-    RATIOS = [5e-324, 1e-300, *np.geomspace(1e-12, 1e12, 25), 1e100, 1e300]
-    # log10-ratio spans of batches: e^{-gamma t} near 1, the peak, the 10 / gamma
-    # window, and objective values below the stopping margin.
-    SPANS = [(-324.0, -320.0), (-12.0, -9.0), (-3.0, 0.0), (-1.0, 1.0), (0.0, 3.0),
-             (9.0, 12.0), (297.0, 300.0)]
+    MP_RATIOS = [1e-4, 1e-3, 1e-2, 0.2, 1.0, 10.0, 1e2, 1e3, 1e4]
 
     @staticmethod
-    def ratio_sets(exponents):
-        return np.clip(10.0 ** np.asarray(exponents), 5e-324, 1e300)
+    def mp_optima(strategy, ratio):
+        """(t*, measurement information at t*, e s at its own optimum) in 40-digit
+        arithmetic: each is the root of the derivative on the first rise of s."""
+        gamma = mpmath.mpf(ratio)
+
+        def e_s(t):
+            if strategy == met.ENTANGLED:
+                s = mpmath.sin(t)
+            else:
+                s = mpmath.sin(t / 2) * mpmath.sqrt(1 + mpmath.cos(t / 2) ** 2)
+            return mpmath.exp(-gamma * t), s
+
+        def xlog2x(p):
+            return p * mpmath.log(p, 2) if p > 0 else mpmath.mpf(0)
+
+        def info(t):
+            e, s = e_s(t)
+            return (xlog2x(e * (1 + s) / 2 + (1 - e) / 4) + xlog2x(e * (1 - s) / 2 + (1 - e) / 4)
+                    - 2 * xlog2x((1 + e) / 4))
+
+        def u(t):
+            e, s = e_s(t)
+            return e * s
+
+        half_period = mpmath.pi / 2 if strategy == met.ENTANGLED else mpmath.pi
+        window = min(half_period, 10 / max(gamma, 1))
+
+        def argmax(f):  # the derivative is positive near 0 and negative at the window's end
+            return mpmath.findroot(lambda t: mpmath.diff(f, t), (window * 1e-6, window),
+                                   solver="illinois")
+
+        t_info = argmax(info)
+        return t_info, info(t_info), u(argmax(u))
+
+    @pytest.mark.parametrize("ratio", MP_RATIOS)
+    def test_columns_match_40_digit_optima(self, ratio):
+        row = met.figure1_point(ratio)
+        for probe, suffix in ((met.ENTANGLED, "ent"), (met.PRODUCT, "prod")):
+            with mpmath.workdps(40):
+                t_star, info, u = self.mp_optima(probe, ratio)
+                p_err = (1 - u) / 2
+                binary = 1 + p_err * mpmath.log(p_err, 2) + (1 - p_err) * mpmath.log(1 - p_err, 2)
+            # The searches stop at 1e-9 relative in tau = t max(gamma, 1); the information is
+            # flat at its optimum, so its error is quadratic in t's and the columns round only.
+            assert getattr(row, "t_star_" + suffix) == pytest.approx(float(t_star), rel=1e-7,
+                                                                     abs=0.0)
+            assert getattr(row, "info_" + suffix) == pytest.approx(float(info), rel=1e-14,
+                                                                   abs=0.0)
+            assert getattr(row, f"info_{suffix}_binary") == pytest.approx(
+                float(binary), rel=1e-14, abs=0.0)
+            # p = (1 - e s) / 2 is formed from e and s, each good to an ulp or two, so its error
+            # is a few ulps of 1/2; relative to p it is 1e-12 where p is 8e-5 (ratio 1e-4).
+            assert getattr(row, "p_err_" + suffix) == pytest.approx(float(p_err), rel=0.0,
+                                                                    abs=2.0**-51)
 
     @staticmethod
-    @contextlib.contextmanager
-    def full_scan():
-        """Let figure1's searches scan every grid time: a bound of -inf."""
-        search = met.grid_golden_minimize
+    @functools.cache
+    def curve_peak(grid):
+        result = met.figure1_curve(np.logspace(-2, 1, 200), grid)
+        return result.peak_ratio, result.peak_bits
 
-        def unbounded(fn, t_max, grid_points, *, bound):
-            return search(fn, t_max, grid_points, bound=lambda t: -np.inf)
+    @pytest.mark.parametrize("grid", range(1, 9))
+    def test_every_grid_finds_the_peak_of_the_finest(self, grid):
+        ratio, bits = self.curve_peak(grid)
+        reference_ratio, reference_bits = self.curve_peak(4096)
+        # Each refinement stops within 1e-7 * max(1, |log ratio|) of the peak in log-ratio,
+        # where delta_bits is flat: it then differs by rounding only.
+        assert abs(math.log(ratio / reference_ratio)) <= 2e-7 * max(1.0, abs(math.log(ratio)))
+        assert bits == pytest.approx(reference_bits, rel=1e-14, abs=0.0)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(met, "grid_golden_minimize", unbounded)
-            yield
-
-    @staticmethod
-    def count_objective_calls(run):
-        """run()'s result, with a spy on figure1's searches that counts them, the
-        times their pre-scans evaluate (calls with a grid axis) and their other
-        calls, on batch-shaped times."""
-        counts = {"searches": 0, "scan_times": 0, "golden_steps": 0}
-        search = met.grid_golden_minimize
-
-        def spy(fn, t_max, grid_points, *, bound):
-            counts["searches"] += 1
-
-            def objective(t):
-                if np.ndim(t) > np.ndim(t_max):
-                    counts["scan_times"] += np.size(t)
-                else:
-                    counts["golden_steps"] += 1
-                return fn(t)
-
-            return search(objective, t_max, grid_points, bound=bound)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(met, "grid_golden_minimize", spy)
-            return run(), counts
-
-    def bounded_and_full_scan(self, run):
-        """Counts of run() with the bounded and the full scan, whose results
-        and golden steps must be equal."""
-        bounded, counts = self.count_objective_calls(run)
-        with self.full_scan():
-            full, full_counts = self.count_objective_calls(run)
-        assert bounded == full
-        assert counts["searches"] == full_counts["searches"]
-        assert counts["golden_steps"] == full_counts["golden_steps"]
-        return counts, full_counts
-
-    @pytest.mark.parametrize("grid", [16, 64, 256, 2048, 8192])
-    def test_rows_equal_the_full_scan(self, grid):
-        # A pre-scan block holds about _SCAN_ELEMS times, so a batch of n rows
-        # checks the bound on grid * n / _SCAN_ELEMS blocks; take about 16 of them.
-        n = max(1, 16 * disc._SCAN_ELEMS // grid)
-        batches = [self.ratio_sets(np.linspace(lo, hi, n)) for lo, hi in self.SPANS]
-        counts, full = self.bounded_and_full_scan(
-            lambda: [[met.figure1_point(r, grid) for r in self.RATIOS],
-                     *(met.figure1_points(ratios, grid) for ratios in batches)])
-        assert counts["scan_times"] < full["scan_times"]
-
-    @settings(derandomize=True, deadline=None, max_examples=20)
-    @given(
-        center=st.floats(-323.0, 300.0),
-        width=st.floats(0.0, 3.0),
-        rows=st.sampled_from([1, 8, 32, 128]),
-        offsets=st.lists(st.floats(-3.0, 3.0), max_size=6),
-        grid=st.sampled_from([16, 128, 1024, 8192]),
-    )
-    def test_random_ratio_sets_equal_the_full_scan(self, center, width, rows, offsets, grid):
-        ratios = self.ratio_sets(np.concatenate([np.linspace(center, center + width, rows),
-                                                 center + np.array(offsets)]))
-        self.bounded_and_full_scan(lambda: met.figure1_points(ratios, grid))
-
-    @pytest.mark.parametrize("overrides", FIGURE1_RUNS)
-    def test_ledger_runs_and_their_refinements_equal_the_full_scan(self, overrides):
-        experiment = cli.EXPERIMENTS["figure1"]
-        params = cli._merge_params(experiment, overrides)
-        self.bounded_and_full_scan(lambda: experiment.runner(params, 7)[1])
-
-    def test_a_25_ratio_curve_scans_a_third_of_the_grid_times(self):
-        counts, full = self.bounded_and_full_scan(
-            lambda: met.figure1_curve(np.geomspace(0.01, 10.0, 25)))
-        # The six searches of the 25 ratios, four of them with the refined row;
-        # the refinement's own searches scan no grid.
-        assert full == {"searches": 6, "scan_times": 315_392, "golden_steps": 222}
-        assert counts == {"searches": 6, "scan_times": 122_390, "golden_steps": 222}
-
-    @staticmethod
-    def search_arguments(objective, entangled, ratios, sign):
-        """(fn, t_max, bound) of the one search _fig1_optimize makes."""
-        seen = []
-
-        def record(fn, t_max, grid_points, *, bound):
-            seen.append((fn, t_max, bound))
-            return t_max, t_max
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(met, "grid_golden_minimize", record)
-            met._fig1_optimize(objective, entangled, ratios, 64, sign)
-        (arguments,) = seen
-        return arguments
-
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(
-        exponents=st.lists(st.floats(-323.0, 300.0), min_size=1, max_size=4),
-        probes=st.sampled_from(["entangled", "product", "mixed"]),
-        fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=16),
-    )
-    def test_each_objective_is_at_least_its_nondecreasing_envelope(self, exponents, probes,
-                                                                     fractions):
-        ratios = self.ratio_sets(exponents)
-        entangled = np.array([True, False]) if probes == "mixed" else probes == "entangled"
-        if probes == "mixed":  # the refinement's batch: (ratio, probe) rows
-            ratios = ratios[:, None]
-        # Grid times and drawn ones, in increasing order along the leading axis.
-        fractions = np.sort(np.concatenate([np.arange(1, 257) / 256, fractions]))
-        for objective, sign in self.COLUMNS:
-            fn, t_max, bound = self.search_arguments(objective, entangled, ratios, sign)
-            t = t_max * fractions.reshape((-1,) + (1,) * t_max.ndim)
-            values, envelope = fn(t), bound(t)
-            assert values.shape == envelope.shape == t.shape
-            # Up to rounding, far below grid_golden_minimize's stopping margin.
-            assert np.all(values >= envelope - 1e-15)
-            assert np.all(np.diff(envelope, axis=0) >= 0)
+    @pytest.mark.parametrize("probe", [met.ENTANGLED, met.PRODUCT])
+    @pytest.mark.parametrize("objective, sign", COLUMNS)
+    def test_each_objective_changes_slope_at_most_once_on_its_window(self, objective, sign,
+                                                                      probe):
+        ratios = np.logspace(-12, 12, 97)
+        entangled = probe == met.ENTANGLED
+        t = met._fig1_window(entangled, ratios) * (np.arange(1, 4097) / 4096)[:, None]
+        values = sign * met._fig1_kernel(objective, entangled, ratios, 1.0, t)
+        steps = np.diff(values, axis=0)
+        # Steps within rounding of the row's largest value count as neither.
+        rounding = 1e-14 * np.max(np.abs(values), axis=0)
+        for j in range(ratios.size):
+            signs = np.sign(steps[:, j])[np.abs(steps[:, j]) > rounding[j]]
+            # A minimum of sign * objective: falling, then rising, never falling again.
+            assert np.all(np.diff(signs) >= 0), ratios[j]
