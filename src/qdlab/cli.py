@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -586,7 +585,8 @@ def rows_to_json(experiment: str, seed: int, params: dict, rows) -> bytes:
 
 def write_atomic(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".qd-tmp-")
+    tmp_path = os.path.join(directory, f".qd-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)  # less the umask
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

@@ -38,6 +38,9 @@ class DiscriminationResult:
 # Times per objective call in the grid pre-scan (one grid point at least).
 _SCAN_ELEMS = 4096
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden section's last relative width in _golden_finish: at x +/- h = _FINISH_TOL max(1, |b|)
+# an analytic objective's values still resolve its curvature, and a parabola's error is ~h^2.
+_FINISH_TOL = 1e-5
 
 
 def golden_minimize(fn, a, b, rel_tol: float):
@@ -77,6 +80,28 @@ def golden_minimize(fn, a, b, rel_tol: float):
     return (a + b) / 2
 
 
+def _golden_finish(fn, lo, hi, rel_tol: float, domain):
+    """(x, fn(x)) of golden_minimize(fn, lo, hi, rel_tol), fn defined on [0, domain]. Below
+    _FINISH_TOL, a parabolic step through x and x +/- h in [0, domain] ends each row; rows it
+    does not model to rel_tol (kinks, plateaus, underflows, bounds) go on with golden section."""
+    x = golden_minimize(fn, lo, hi, max(rel_tol, _FINISH_TOL))
+    if rel_tol >= _FINISH_TOL:
+        return x, fn(x)
+    h = _FINISH_TOL * np.maximum(1.0, np.abs(hi))
+    p, q, fx = np.maximum(x - h, 0.0), np.minimum(x + h, domain), fn(x)
+    dp, dq = fn(p) - fx, fn(q) - fx
+    rise = dp + dq  # twice the parabola's rise over h: > 0 iff it is convex
+    ok = (p == x - h) & (q == x + h) & (np.abs(dp - dq) < 2.0 * rise)  # vertex inside (p, q)
+    v = np.divide(h * (dp - dq), 2.0 * rise, out=np.zeros_like(x), where=ok)
+    ft = fn(t := np.clip(x + v, lo, hi))
+    d = (t - x) / h  # a parabola has 2 (fn(x + d h) - fx) = d (dq - dp + rise d)
+    ok &= np.abs(2.0 * (ft - fx) - d * (dq - dp + rise * d)) <= rel_tol / _FINISH_TOL * rise
+    if not ok.all():  # the other rows go on with golden section to rel_tol, on [p, q] in [lo, hi]
+        t = golden_minimize(fn, *(np.where(ok, t, e) for e in np.clip([p, q], lo, hi)), rel_tol)
+        ft = np.where(ok, ft, fn(t))
+    return t, ft
+
+
 def grid_golden_minimize(fn, t_max, grid_points: int):
     """Minimize functions of t that are unimodal on (0, t_max], for every row of a batch.
 
@@ -84,8 +109,8 @@ def grid_golden_minimize(fn, t_max, grid_points: int):
     to values of the same shape, so per-row parameters broadcast against them. A pre-scan of
     t_max * k / grid_points (k = 1..grid_points), in (m,) + batch blocks of about _SCAN_ELEMS
     times, brackets each row's minimum by its best grid time's neighbours (0 below the first;
-    golden-section evaluates no bracket end), then golden-section refines every row to 1e-9
-    relative accuracy in t. Returns (t, fn(t)).
+    golden-section evaluates no bracket end), then _golden_finish refines every row to 1e-9
+    relative accuracy in t, by golden section and one parabolic step. Returns (t, fn(t)).
     """
     t_max = np.asarray(t_max, dtype=float)
     if not np.all((t_max > 0) & np.isfinite(t_max)):
@@ -102,8 +127,7 @@ def grid_golden_minimize(fn, t_max, grid_points: int):
         best, k_best = np.where(improved, v, best), np.where(improved, ks[j], k_best)
     lo = t_max * (k_best - 1) / grid_points
     hi = t_max * np.minimum(k_best + 1, grid_points) / grid_points
-    t = golden_minimize(fn, lo, hi, 1e-9)
-    return t, fn(t)
+    return _golden_finish(fn, lo, hi, 1e-9, t_max)
 
 
 # ---------------------------------------------------------------------------

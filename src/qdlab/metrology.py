@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrimination import golden_minimize, grid_golden_minimize, two_outcome_gain
+from .discrimination import _golden_finish, grid_golden_minimize, two_outcome_gain
 from .dynamics import NoiseKind, NoiseModel
 from .errors import UnsupportedModelError
 
@@ -320,9 +320,10 @@ def refine_log_peak(ratios, times):
     evaluates REFINE_POINTS evenly spaced interior log-ratios and keeps the two
     intervals around the best (the first of equal values), until the bracket [a, b]
     is narrower than 1e-7 * max(1, |b|). Each probe's information optimum time falls
-    as the ratio grows, so a step is one golden search of the REFINE_POINTS x 2
-    (log-ratio, probe) rows between the end times. Returns the last step's best
-    ratio, and its (entangled, product) times and measurement information there."""
+    as the ratio grows, so a step is one _golden_finish (golden section, then a parabolic
+    step below _FINISH_TOL) of the REFINE_POINTS x 2 (log-ratio, probe) rows between the
+    end times. Returns the last step's best ratio, and its (entangled, product) times and
+    measurement information there."""
     (a, b), ends = map(math.log, ratios), np.asarray(times, dtype=float)
     entangled, tols = np.array([True, False]), np.full(2, 1e-9)  # each end's search rel_tol
     while True:
@@ -333,14 +334,14 @@ def refine_log_peak(ratios, times):
         # last bracket, so the interior optima lie inside; and clamped to each row's window.
         bracket += [[-4.0], [4.0]] * np.maximum(1.0, bracket) * tols.max()
         rel_tol = max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b)))
-        t = golden_minimize(lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
-                            np.maximum(bracket[0], 0),
-                            np.minimum(bracket[1], _fig1_window(entangled, gamma)), rel_tol)
-        info = _fig1_kernel(_measurement_info, entangled, gamma, 1.0, t)
-        i = int(np.argmax(info[:, 0] - info[:, 1]))
+        window = _fig1_window(entangled, gamma)
+        t, neg_info = _golden_finish(
+            lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
+            np.maximum(bracket[0], 0), np.minimum(bracket[1], window), rel_tol, window)
+        i = int(np.argmax(neg_info[:, 1] - neg_info[:, 0]))  # the best delta_bits
         a, b = float(x[i]), float(x[i + 2])
         if b - a <= 1e-7 * max(1.0, abs(b)):
-            return float(gamma[i, 0]), t[i], info[i]
+            return float(gamma[i, 0]), t[i], -neg_info[i]
         # An end kept from the last bracket keeps the tolerance it was searched to.
         ends = np.concatenate([ends[:1], t, ends[1:]])[[i, i + 2]]
         tols = np.concatenate([tols[:1], np.full(REFINE_POINTS, rel_tol), tols[1:]])[[i, i + 2]]

@@ -1,7 +1,7 @@
 """Named tolerances of the library's numerical gates and their property tests.
 
-The `--check` margins in `cli.py` and the figure1 searches' stopping widths
-(1e-9 in time, 1e-7 in log-ratio) are not here: each is set where it is used.
+The `--check` margins in `cli.py` and the figure1 searches' stopping widths (1e-9 in
+time, by golden section and one parabolic step; 1e-7 in log-ratio) are set where used.
 """
 
 # Plain linear-algebra identities (unitarity drift, trace preservation,

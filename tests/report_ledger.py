@@ -6,7 +6,9 @@ the ledger with
 
     PYTHONPATH=src python tests/report_ledger.py
 
-and lists each moved report, with its reason, in CHANGES.md.
+which first prints each moved, added and removed report as `name old12 -> new12`
+(the first 12 hex digits of each hash, `-` for none), for CHANGES.md's list of
+moved reports and their reasons.
 """
 
 import hashlib
@@ -87,11 +89,22 @@ def report_hashes() -> dict:
     return hashes
 
 
-def write_ledger() -> None:
-    ledger = {"fingerprint": fingerprint(), "reports": report_hashes()}
+def moved_reports(old: dict, new: dict) -> list[str]:
+    """`name old12 -> new12` for each report whose hash differs between two
+    {name: sha256} maps, in name order; `-` stands for an added or removed one."""
+    return [f"{name} {old.get(name, '-')[:12]} -> {new.get(name, '-')[:12]}"
+            for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
+def write_ledger(reports: dict) -> None:
+    ledger = {"fingerprint": fingerprint(), "reports": reports}
     LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    write_ledger()
+    reports = report_hashes()
+    old = json.loads(LEDGER.read_text(encoding="utf-8"))["reports"] if LEDGER.exists() else {}
+    for line in moved_reports(old, reports):
+        print(line)
+    write_ledger(reports)
     print(f"wrote {LEDGER}")

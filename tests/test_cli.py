@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -725,6 +726,22 @@ class TestReports:
         assert doc["experiment"] == "grover"
         assert doc["seed"] == 7
         assert len(doc["rows"]) == 5
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["umask022", "umask002"])
+    @pytest.mark.parametrize("earlier", [None, 0o644], ids=["new", "over0644"])
+    def test_a_report_takes_the_mode_the_umask_gives(self, tmp_path, umask, earlier):
+        out = tmp_path / "g.csv"
+        if earlier is not None:  # a report of that mode, which the run overwrites
+            out.write_bytes(b"")
+            out.chmod(earlier)
+        old = os.umask(umask)  # the qd process inherits it
+        try:
+            result = qd("grover", "--out", str(out))
+        finally:
+            os.umask(old)
+        assert result.returncode == 0, result.stderr
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
 
     def test_default_output_dir_env(self, tmp_path):
         result = qd("superdense", env_extra={"QD_OUT_DIR": str(tmp_path)})

@@ -362,6 +362,45 @@ class TestGridGoldenMinimize:
         assert t == pytest.approx(0.01, abs=1e-9)  # golden-section's 1e-9 * max(1, |b|)
         assert value == (t - 0.01) ** 2
 
+    def test_a_smooth_minimum_takes_one_parabolic_step(self, monkeypatch):
+        tols, golden = [], disc.golden_minimize
+
+        def spy(fn, a, b, rel_tol):
+            tols.append(rel_tol)
+            return golden(fn, a, b, rel_tol)
+
+        monkeypatch.setattr(disc, "golden_minimize", spy)
+        t, value = disc.grid_golden_minimize(lambda t: -np.exp(-0.7 * t) * np.sin(t), 3.0, 64)
+        assert tols == [disc._FINISH_TOL]  # no golden section below it
+        # The optimum of e^{-0.7 t} sin t is at tan t = 1 / 0.7.
+        assert t == pytest.approx(math.atan(1.0 / 0.7), rel=1e-10, abs=0.0)
+        assert value == -np.exp(-0.7 * t) * np.sin(t)
+
+    # (objective on (0, 1], whether a time lies within 1e-9 of one of its minimizers), for
+    # objectives that the parabola through x - h, x, x + h does not model to 1e-9.
+    FALLBACKS = {
+        "kink": (lambda t: np.maximum(1 / 3 - t, 3.0 * (t - 1 / 3)),
+                 lambda t: abs(t - 1 / 3) <= 1e-9),
+        "plateau": (lambda t: np.maximum(np.abs(t - 0.4) - 0.1, 0.0),
+                    lambda t: 0.3 - 1e-9 <= t <= 0.5 + 1e-9),
+        "constant": (lambda t: np.full(np.shape(t), 2.0), lambda t: True),
+        # Exactly 0.0 on an interval around 0.6 (|t - 0.6| < 3.4e-4), where every time is a
+        # minimizer of the computed objective; so one of t and t +/- 1e-9 lies in it.
+        "underflow": (lambda t: np.exp(-1.0 / (np.abs(t - 0.6) + 1e-3)),
+                      lambda t: np.exp(-1.0 / (np.abs(t + np.array([-1e-9, 0.0, 1e-9]) - 0.6)
+                                              + 1e-3)).min() == 0.0),
+        "decreasing at t_max": (lambda t: -t, lambda t: 1.0 - t <= 1e-9),
+        "convex past t_max": (lambda t: np.square(t - 2.0), lambda t: 1.0 - t <= 1e-9),
+    }
+
+    @pytest.mark.parametrize("case", FALLBACKS)
+    def test_objectives_the_parabola_does_not_model_end_within_1e_9(self, case):
+        fn, near_a_minimizer = self.FALLBACKS[case]
+        t, value = disc.grid_golden_minimize(fn, 1.0, 64)
+        assert 0.0 < t <= 1.0
+        assert near_a_minimizer(float(t))  # golden-section's 1e-9 * max(1, |b|), b <= 1
+        assert value == fn(t)
+
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan, [1.0, math.inf]])
     def test_refuses_a_window_that_is_not_positive_and_finite(self, t_max):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -320,7 +320,7 @@ class TestFigureOneCurve:
 
     def test_refined_curve_makes_6_grid_and_8_warm_searches(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "grid_golden_minimize")
-        warm = self.count_calls(monkeypatch, "golden_minimize")
+        warm = self.count_calls(monkeypatch, "_golden_finish")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
         # Six for the 25 ratios, the refined row's binary and error columns
         # included. The refinement's one search per 8-fold shrink of the bracket
@@ -399,27 +399,27 @@ class TestFigureOneCurve:
 
     @staticmethod
     def warm_searches(run):
-        """run()'s result and, for each golden search that refine_log_peak makes,
-        (its ratios, its lower and upper time brackets, the times it returns and
+        """run()'s result and, for each search that refine_log_peak makes, (its
+        ratios, its lower and upper time brackets, the finished times it returns and
         the measurement information there). The objective it searches is the
         negated information of _fig1_kernel, whose ratios the spy records."""
         searches, ratios = [], []
-        golden, kernel = met.golden_minimize, met._fig1_kernel
+        finish, kernel = met._golden_finish, met._fig1_kernel
 
         def kernel_spy(objective, entangled, gamma, omega, t):
             ratios.append(gamma)
             return kernel(objective, entangled, gamma, omega, t)
 
-        def golden_spy(fn, a, b, rel_tol):
+        def finish_spy(fn, a, b, rel_tol, domain):
             ratios.clear()
-            t = golden(fn, a, b, rel_tol)
+            t, value = finish(fn, a, b, rel_tol, domain)
             (gamma,) = {id(g): g for g in ratios}.values()  # one ratio array per search
-            searches.append((gamma, *np.broadcast_arrays(a, b), t, -fn(t)))
-            return t
+            searches.append((gamma, *np.broadcast_arrays(a, b), t, -value))
+            return t, value
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(met, "_fig1_kernel", kernel_spy)
-            patch.setattr(met, "golden_minimize", golden_spy)
+            patch.setattr(met, "_golden_finish", finish_spy)
             return run(), searches
 
     def test_each_shrink_is_one_search_of_15_by_2_rows(self, monkeypatch):
@@ -486,11 +486,11 @@ class TestFigureOneCurve:
             np.testing.assert_array_equal(bracket, np.broadcast_to(end, (15, 2)))
 
     def warm_searches_and_tolerances(self, monkeypatch, run):
-        """warm_searches(run), with the rel_tol that each golden search is given."""
-        calls = self.count_calls(monkeypatch, "golden_minimize")
+        """warm_searches(run), with the rel_tol that each search is given."""
+        calls = self.count_calls(monkeypatch, "_golden_finish")
         result, searches = self.warm_searches(run)
         assert len(calls) == len(searches)
-        return result, searches, [rel_tol for _, _, _, rel_tol in calls]
+        return result, searches, [rel_tol for _, _, _, rel_tol, _ in calls]
 
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_warm_searches_match_the_grid_search(self, overrides, monkeypatch):
@@ -504,12 +504,13 @@ class TestFigureOneCurve:
         for (gamma, lower, upper, t, info), rel_tol in zip(searches[:-1], rel_tols):
             t_grid, info_grid = met._fig1_optimize(met._measurement_info, entangled, gamma,
                                                    params["grid"], -1)
-            # A search stops once its bracket is narrower than rel_tol * max(1, |upper|),
-            # so its midpoint lies within half that of the optimum, here up to the
-            # grid search's own 1e-7 (below). The information is unimodal around the
-            # optimum, so it is at least its value at either end of that interval, each
-            # taken no further out than the search's bracket (which holds t).
-            half_width = 0.5 * rel_tol * np.maximum(1.0, upper) + 1e-7 * t_grid
+            # A search's golden section stops once its bracket is narrower than
+            # rel_tol * max(1, |upper|), and its midpoint, or the parabolic step's vertex
+            # below _FINISH_TOL, lies within half that of the optimum, here up to the grid
+            # search's own 1e-9 (below). The information is unimodal around the optimum,
+            # so it is at least its value at either end of that interval, each taken no
+            # further out than the search's bracket (which holds t).
+            half_width = 0.5 * rel_tol * np.maximum(1.0, upper) + 1e-9 * t_grid
             assert np.all(np.abs(t - t_grid) <= half_width)
             ends = np.minimum(*(met.fig1_measurement_info(
                 probes, gamma, 1.0, np.clip(t_grid + d, lower, upper))
@@ -519,9 +520,10 @@ class TestFigureOneCurve:
         gamma, _, _, t, info = searches[-1]
         t_grid, info_grid = met._fig1_optimize(met._measurement_info, entangled, gamma,
                                                params["grid"], -1)
-        # The last search is a 1e-9 one. Each optimum is flat, so it fixes its time only
-        # to about sqrt(eps) and its value to a few ulps.
-        np.testing.assert_allclose(t, t_grid, rtol=1e-7, atol=0.0)
+        # The last search is a 1e-9 one. Both it and the grid search end with a parabolic
+        # step, which places each flat optimum to about h^2 = 1e-10 of its width, where
+        # golden section alone fixed it only to about sqrt(eps); the values agree to ulps.
+        np.testing.assert_allclose(t, t_grid, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(info, info_grid, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
@@ -542,23 +544,26 @@ class TestFigureOneCurve:
         assert rel_tols[-1] == 1e-9
         assert all(rel_tol > 1e-9 for rel_tol in rel_tols[:-2])
 
-    def test_a_25_ratio_curve_makes_116_warm_objective_calls(self, monkeypatch):
-        calls, golden = [], met.golden_minimize
+    def test_a_25_ratio_curve_makes_91_warm_objective_calls(self, monkeypatch):
+        calls, finish = [], met._golden_finish
 
-        def spy(fn, a, b, rel_tol):
+        def spy(fn, a, b, rel_tol, domain):
             calls.append(0)
 
             def objective(t):
                 calls[-1] += 1
                 return fn(t)
 
-            return golden(objective, a, b, rel_tol)
+            return finish(objective, a, b, rel_tol, domain)
 
-        monkeypatch.setattr(met, "golden_minimize", spy)
+        monkeypatch.setattr(met, "_golden_finish", spy)
         met.figure1_curve(np.geomspace(0.01, 10.0, 25))
-        # Each step's time bracket and tolerance shrink with its log-ratio bracket, so
-        # the seven looser steps take 15 calls each; the last, at 1e-9, takes 11.
-        assert calls == [15] * 7 + [11]
+        # Each step's time bracket and tolerance shrink with its log-ratio bracket. The two
+        # steps at a rel_tol of _FINISH_TOL or more take 15 golden-section calls and one at
+        # the result. The six below it stop golden section at _FINISH_TOL and take three
+        # calls for the parabolic step and one at its vertex; the last three brackets are
+        # narrower than that already, so golden section makes only its first two calls.
+        assert calls == [16, 16, 18, 14, 9, 6, 6, 6]
 
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_the_refined_row_keeps_the_last_warm_step(self, overrides):
@@ -577,10 +582,10 @@ class TestFigureOneCurve:
         _, _, grid, (ratio, _, _), rows = self.refinement_of(overrides)
         (row,) = [r for r in rows if r.ratio == ratio]
         reference = met.figure1_point(ratio, grid)
-        # As in test_warm_searches_match_the_grid_search: flat optima.
+        # As in test_warm_searches_match_the_grid_search: flat optima, parabolic steps.
         np.testing.assert_allclose([row.t_star_ent, row.t_star_prod],
                                    [reference.t_star_ent, reference.t_star_prod],
-                                   rtol=1e-7, atol=0.0)
+                                   rtol=1e-9, atol=0.0)
         np.testing.assert_allclose([row.info_ent, row.info_prod],
                                    [reference.info_ent, reference.info_prod], rtol=1e-14, atol=0.0)
         # Its binary and error columns come from the same searches as a row of its own.
@@ -890,9 +895,11 @@ class TestFirstRiseSearch:
                 t_star, info, u = self.mp_optima(probe, ratio)
                 p_err = (1 - u) / 2
                 binary = 1 + p_err * mpmath.log(p_err, 2) + (1 - p_err) * mpmath.log(1 - p_err, 2)
-            # The searches stop at 1e-9 relative in tau = t max(gamma, 1); the information is
-            # flat at its optimum, so its error is quadratic in t's and the columns round only.
-            assert getattr(row, "t_star_" + suffix) == pytest.approx(float(t_star), rel=1e-7,
+            # The searches end with a parabolic step in tau = t max(gamma, 1), good to about
+            # h^2 = 1e-10 of the window (2.1e-9 relative at worst, product at 1e-4); the
+            # information is flat at its optimum, so its error is quadratic in t's and the
+            # columns round only.
+            assert getattr(row, "t_star_" + suffix) == pytest.approx(float(t_star), rel=5e-9,
                                                                      abs=0.0)
             assert getattr(row, "info_" + suffix) == pytest.approx(float(info), rel=1e-14,
                                                                    abs=0.0)

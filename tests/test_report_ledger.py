@@ -32,3 +32,11 @@ def test_search_report_without_scipy(tmp_path):
     ledger = json.loads(report_ledger.LEDGER.read_text(encoding="utf-8"))
     expected = ledger["reports"]["theorem-check-search-300-seed7.csv"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_moved_reports_lists_each_moved_added_and_removed_report():
+    old = {"a.csv": "1" * 64, "b.csv": "2" * 64, "c.csv": "3" * 64}
+    new = {"a.csv": "1" * 64, "b.csv": "4" * 64, "d.csv": "5" * 64}
+    assert report_ledger.moved_reports(old, new) == [
+        f"b.csv {'2' * 12} -> {'4' * 12}", f"c.csv {'3' * 12} -> -", f"d.csv - -> {'5' * 12}"]
+    assert report_ledger.moved_reports(old, old) == []
