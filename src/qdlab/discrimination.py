@@ -41,6 +41,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden section's last relative width in _golden_finish: at x +/- h = _FINISH_TOL max(1, |b|)
 # an analytic objective's values still resolve its curvature, and a parabola's error is ~h^2.
 _FINISH_TOL = 1e-5
+_TIME_TOL = 1e-9  # the relative accuracy in t of every _golden_finish search
 
 
 def golden_minimize(fn, a, b, rel_tol: float):
@@ -51,7 +52,8 @@ def golden_minimize(fn, a, b, rel_tol: float):
     arrays); `fn` maps an array of that shape to its rows' values. A row
     stops once its bracket is narrower than rel_tol * max(1, |b|) and is not
     updated after that, so it takes the path a search on that row alone
-    would take. Returns the bracket midpoints x.
+    would take. Returns the bracket midpoints x, without a call of `fn` when
+    every bracket is that narrow already.
 
     Refuses with ValueError, before any call of `fn`, a bracket with a
     non-finite end or width or with a > b, and a rel_tol below (or NaN
@@ -63,6 +65,8 @@ def golden_minimize(fn, a, b, rel_tol: float):
         raise ValueError("golden_minimize needs finite brackets with a <= b")
     if not rel_tol >= tolerances.GOLDEN_REL_TOL:
         raise ValueError(f"rel_tol must be at least {tolerances.GOLDEN_REL_TOL:g}")
+    if not np.any(span > rel_tol * np.maximum(1.0, np.abs(b))):
+        return (a + b) / 2
     c, d = np.array(b - _INVPHI * span), np.array(a + _INVPHI * span)
     fc, fd = (np.array(f, dtype=float) for f in (fn(c), fn(d)))
     # Each step moves only the active rows, in place, to the points a one-row
@@ -80,13 +84,12 @@ def golden_minimize(fn, a, b, rel_tol: float):
     return (a + b) / 2
 
 
-def _golden_finish(fn, lo, hi, rel_tol: float, domain):
-    """(x, fn(x)) of golden_minimize(fn, lo, hi, rel_tol), fn defined on [0, domain]. Below
-    _FINISH_TOL, a parabolic step through x and x +/- h in [0, domain] ends each row; rows it
-    does not model to rel_tol (kinks, plateaus, underflows, bounds) go on with golden section."""
-    x = golden_minimize(fn, lo, hi, max(rel_tol, _FINISH_TOL))
-    if rel_tol >= _FINISH_TOL:
-        return x, fn(x)
+def _golden_finish(fn, lo, hi, domain):
+    """(x, fn(x)) of golden_minimize(fn, lo, hi, _TIME_TOL), fn defined on [0, domain]. Golden
+    section stops at _FINISH_TOL, and a parabolic step through x and x +/- h in [0, domain] ends
+    each row; rows it does not model to _TIME_TOL (kinks, plateaus, underflows, bounds) go on
+    with golden section. At least 4 calls of fn, however narrow the brackets."""
+    x = golden_minimize(fn, lo, hi, _FINISH_TOL)
     h = _FINISH_TOL * np.maximum(1.0, np.abs(hi))
     p, q, fx = np.maximum(x - h, 0.0), np.minimum(x + h, domain), fn(x)
     dp, dq = fn(p) - fx, fn(q) - fx
@@ -95,9 +98,9 @@ def _golden_finish(fn, lo, hi, rel_tol: float, domain):
     v = np.divide(h * (dp - dq), 2.0 * rise, out=np.zeros_like(x), where=ok)
     ft = fn(t := np.clip(x + v, lo, hi))
     d = (t - x) / h  # a parabola has 2 (fn(x + d h) - fx) = d (dq - dp + rise d)
-    ok &= np.abs(2.0 * (ft - fx) - d * (dq - dp + rise * d)) <= rel_tol / _FINISH_TOL * rise
-    if not ok.all():  # the other rows go on with golden section to rel_tol, on [p, q] in [lo, hi]
-        t = golden_minimize(fn, *(np.where(ok, t, e) for e in np.clip([p, q], lo, hi)), rel_tol)
+    ok &= np.abs(2.0 * (ft - fx) - d * (dq - dp + rise * d)) <= _TIME_TOL / _FINISH_TOL * rise
+    if not ok.all():  # the other rows go on with golden section, on [p, q] clipped to [lo, hi]
+        t = golden_minimize(fn, *(np.where(ok, t, e) for e in np.clip([p, q], lo, hi)), _TIME_TOL)
         ft = np.where(ok, ft, fn(t))
     return t, ft
 
@@ -109,7 +112,7 @@ def grid_golden_minimize(fn, t_max, grid_points: int):
     to values of the same shape, so per-row parameters broadcast against them. A pre-scan of
     t_max * k / grid_points (k = 1..grid_points), in (m,) + batch blocks of about _SCAN_ELEMS
     times, brackets each row's minimum by its best grid time's neighbours (0 below the first;
-    golden-section evaluates no bracket end), then _golden_finish refines every row to 1e-9
+    golden-section evaluates no bracket end), then _golden_finish refines every row to _TIME_TOL
     relative accuracy in t, by golden section and one parabolic step. Returns (t, fn(t)).
     """
     t_max = np.asarray(t_max, dtype=float)
@@ -127,7 +130,7 @@ def grid_golden_minimize(fn, t_max, grid_points: int):
         best, k_best = np.where(improved, v, best), np.where(improved, ks[j], k_best)
     lo = t_max * (k_best - 1) / grid_points
     hi = t_max * np.minimum(k_best + 1, grid_points) / grid_points
-    return _golden_finish(fn, lo, hi, 1e-9, t_max)
+    return _golden_finish(fn, lo, hi, t_max)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrimination import _golden_finish, grid_golden_minimize, two_outcome_gain
+from .discrimination import _TIME_TOL, _golden_finish, grid_golden_minimize, two_outcome_gain
 from .dynamics import NoiseKind, NoiseModel
 from .errors import UnsupportedModelError
 
@@ -287,16 +287,16 @@ def figure1_point(ratio: float, grid: int = FIGURE1_GRID) -> Figure1Point:
 def figure1_curve(ratios, grid: int = FIGURE1_GRID, refine_peak: bool = True) -> Figure1Result:
     """Information-gain improvement over a set of decoherence ratios.
 
-    Evaluates every requested ratio, optionally refines the peak of the
-    improvement on the log-ratio axis (refine_log_peak), and returns the
-    ratio-ordered points together with the located peak.
+    Evaluates every requested ratio, in ratio order, optionally refines the
+    peak of the improvement between its neighbours on the log-ratio axis
+    (refine_log_peak), and returns the points together with the located peak.
     """
-    ratios, t_star, info = _fig1_information(ratios, grid)
-    i, flat = int(np.argmax(info[0] - info[1])), ratios.reshape(-1)
+    ratios, t_star, info = _fig1_information(np.sort(ratios, axis=None), grid)
+    i = int(np.argmax(info[0] - info[1]))
     # An end point is not refined: its bracket could only converge back to it.
-    if refine_peak and 0 < i < flat.size - 1 and flat[i - 1] < flat[i + 1]:
-        ratio, t, value = refine_log_peak(flat[[i - 1, i + 1]], t_star[:, [i - 1, i + 1]].T)
-        ratios = np.append(flat, ratio)
+    if refine_peak and 0 < i < ratios.size - 1 and ratios[i - 1] < ratios[i + 1]:
+        ratio, t, value = refine_log_peak(ratios[[i - 1, i + 1]], t_star[:, [i - 1, i + 1]].T)
+        ratios = np.append(ratios, ratio)
         t_star, info = np.column_stack([t_star, t]), np.column_stack([info, value])
     points = sorted(_fig1_rows(ratios, t_star, info, grid), key=lambda p: p.ratio)
     best = max(points, key=lambda p: p.delta_bits)
@@ -304,13 +304,8 @@ def figure1_curve(ratios, grid: int = FIGURE1_GRID, refine_peak: bool = True) ->
 
 
 # Interior log-ratios per search in refine_log_peak: keeping the two intervals
-# around the best of them shrinks the bracket (REFINE_POINTS + 1) / 2 = 8 times.
-REFINE_POINTS = 15
-# A step on the log-ratio bracket [a, b] searches its times to REFINE_TIME_TOL * (b - a) /
-# max(1, |b|), 1e-9 at the finest: the information error is quadratic in the time error, so
-# it stays far below the delta_bits differences compared at spacing (b - a) / 16. The last
-# step starts below 8e-7 * max(1, |b|), so its 1e-9 search gives the refined row.
-REFINE_TIME_TOL = 1e-3
+# around the best of them shrinks the bracket (REFINE_POINTS + 1) / 2 = 32 times.
+REFINE_POINTS = 63
 
 
 def refine_log_peak(ratios, times):
@@ -321,27 +316,24 @@ def refine_log_peak(ratios, times):
     intervals around the best (the first of equal values), until the bracket [a, b]
     is narrower than 1e-7 * max(1, |b|). Each probe's information optimum time falls
     as the ratio grows, so a step is one _golden_finish (golden section, then a parabolic
-    step below _FINISH_TOL) of the REFINE_POINTS x 2 (log-ratio, probe) rows between the
-    end times. Returns the last step's best ratio, and its (entangled, product) times and
-    measurement information there."""
+    step below _FINISH_TOL, to _TIME_TOL) of the REFINE_POINTS x 2 (log-ratio, probe) rows
+    between the end times. Returns the last step's best ratio, and its (entangled, product)
+    times and measurement information there."""
     (a, b), ends = map(math.log, ratios), np.asarray(times, dtype=float)
-    entangled, tols = np.array([True, False]), np.full(2, 1e-9)  # each end's search rel_tol
+    entangled = np.array([True, False])
     while True:
         x = np.linspace(a, b, REFINE_POINTS + 2)
         gamma = np.exp(x[1:-1])[:, None]
         bracket = np.sort(ends, axis=0)  # each probe's shorter and longer end time
-        # Widened by 4 * tol * max(1, t), 8 times the half-width of the loosest end search's
-        # last bracket, so the interior optima lie inside; and clamped to each row's window.
-        bracket += [[-4.0], [4.0]] * np.maximum(1.0, bracket) * tols.max()
-        rel_tol = max(1e-9, REFINE_TIME_TOL * (b - a) / max(1.0, abs(b)))
+        # Widened by 4 _TIME_TOL max(1, t), 8 times the half-width of the last bracket of the
+        # search that gave each end, so the interior optima lie inside; clamped to each window.
+        bracket += [[-4.0], [4.0]] * np.maximum(1.0, bracket) * _TIME_TOL
         window = _fig1_window(entangled, gamma)
         t, neg_info = _golden_finish(
             lambda t: -_fig1_kernel(_measurement_info, entangled, gamma, 1.0, t),
-            np.maximum(bracket[0], 0), np.minimum(bracket[1], window), rel_tol, window)
+            np.maximum(bracket[0], 0), np.minimum(bracket[1], window), window)
         i = int(np.argmax(neg_info[:, 1] - neg_info[:, 0]))  # the best delta_bits
         a, b = float(x[i]), float(x[i + 2])
         if b - a <= 1e-7 * max(1.0, abs(b)):
             return float(gamma[i, 0]), t[i], -neg_info[i]
-        # An end kept from the last bracket keeps the tolerance it was searched to.
         ends = np.concatenate([ends[:1], t, ends[1:]])[[i, i + 2]]
-        tols = np.concatenate([tols[:1], np.full(REFINE_POINTS, rel_tol), tols[1:]])[[i, i + 2]]

@@ -209,6 +209,8 @@ class TestGoldenMinimize:
     @staticmethod
     def scalar_golden(fn, a, b, rel_tol):
         """The one-row loop the batched search must reproduce row by row."""
+        if (b - a) <= rel_tol * max(1.0, abs(b)):
+            return (a + b) / 2  # narrow already: no call
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
@@ -266,10 +268,11 @@ class TestGoldenMinimize:
 
         x = disc.golden_minimize(fn, a, b, rel_tol)
         assert np.shape(x) == np.shape(a)
-        # The two first points, then one call per step, each on the whole batch.
+        # The two first points, then one call per step, each on the whole batch;
+        # no call when every row is narrow already.
         assert all(np.shape(p) == np.shape(a) for p in points)
-        batch_points = np.reshape(points, (len(points), -1))
-        steps = 0
+        batch_points = np.reshape(points, (len(points), np.size(a)))
+        longest = 0
         for i in range(len(rows)):
             ai, bi, mi, ki, qi = (float(np.ravel(v)[i]) for v in (a, b, m, k, q))
             row_points = []
@@ -283,8 +286,18 @@ class TestGoldenMinimize:
             # While the row is active, the batch evaluates it where a one-row
             # search does, bit for bit.
             assert batch_points[: len(row_points), i].tobytes() == np.array(row_points).tobytes()
-            steps = max(steps, len(row_points) - 2)
-        assert len(points) == 2 + steps
+            longest = max(longest, len(row_points))
+        assert len(points) == longest
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1e-3), ([0.0, 5.0, -7.0], [1e-3, 5.0 + 4e-3, -7.0])],
+                             ids=["0-d", "batch"])
+    def test_brackets_narrow_already_make_no_call(self, a, b):
+        # Each width is at most 1e-3 * max(1, |b|).
+        calls = []
+        x = disc.golden_minimize(calls.append, a, b, 1e-3)
+        assert calls == []
+        assert np.shape(x) == np.shape(a)
+        np.testing.assert_array_equal(x, (np.asarray(a) + np.asarray(b)) / 2)
 
     @pytest.mark.parametrize(
         "a, b",

@@ -318,17 +318,24 @@ class TestFigureOneCurve:
         monkeypatch.setattr(met, name, counting)
         return calls
 
-    def test_refined_curve_makes_6_grid_and_8_warm_searches(self, monkeypatch):
+    def test_refined_curve_makes_6_grid_and_5_warm_searches(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "grid_golden_minimize")
         warm = self.count_calls(monkeypatch, "_golden_finish")
         met.figure1_curve(np.geomspace(0.01, 10.0, 25), grid=64)
         # Six for the 25 ratios, the refined row's binary and error columns
-        # included. The refinement's one search per 8-fold shrink of the bracket
-        # (two ratio steps wide) down to 1e-7, eight, starts from its end rows'
+        # included. The refinement's one search per 32-fold shrink of the bracket
+        # (two ratio steps wide) down to 1e-7, five, starts from its end rows'
         # times and scans no grid, and its last one gives the refined row's
         # information columns.
         assert len(calls) == 6
-        assert len(warm) == 8
+        assert len(warm) == 5
+
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_ratios_in_any_order_give_the_ascending_curve(self, order):
+        ratios = np.geomspace(0.01, 10.0, 25)
+        rng = np.random.default_rng(5)
+        given = ratios[::-1] if order == "descending" else rng.permutation(ratios)
+        assert met.figure1_curve(given) == met.figure1_curve(ratios)
 
     @staticmethod
     def refinement_of(overrides):
@@ -410,9 +417,9 @@ class TestFigureOneCurve:
             ratios.append(gamma)
             return kernel(objective, entangled, gamma, omega, t)
 
-        def finish_spy(fn, a, b, rel_tol, domain):
+        def finish_spy(fn, a, b, domain):
             ratios.clear()
-            t, value = finish(fn, a, b, rel_tol, domain)
+            t, value = finish(fn, a, b, domain)
             (gamma,) = {id(g): g for g in ratios}.values()  # one ratio array per search
             searches.append((gamma, *np.broadcast_arrays(a, b), t, -value))
             return t, value
@@ -422,148 +429,92 @@ class TestFigureOneCurve:
             patch.setattr(met, "_golden_finish", finish_spy)
             return run(), searches
 
-    def test_each_shrink_is_one_search_of_15_by_2_rows(self, monkeypatch):
+    def test_each_shrink_is_one_search_of_63_by_2_rows(self, monkeypatch):
         ends = self.end_times([0.1, 0.4])
         grid_searches = self.count_calls(monkeypatch, "_fig1_optimize")
-        (ratio, _, _), searches, rel_tols = self.warm_searches_and_tolerances(
-            monkeypatch, lambda: met.refine_log_peak([0.1, 0.4], ends))
-        # Brackets shrink from log(4) by 8 per search, and stop below
-        # 1e-7 * |log 0.2|: after 8 searches. None scans a grid.
-        assert [np.shape(a) for _, a, *_ in searches] == [(15, 2)] * 8
+        (ratio, _, _), searches = self.warm_searches(
+            lambda: met.refine_log_peak([0.1, 0.4], ends))
+        # Brackets shrink from log(4) by 32 per search, and stop below
+        # 1e-7 * |log 0.2|: after 5 searches. None scans a grid.
+        assert [np.shape(a) for _, a, *_ in searches] == [(63, 2)] * 5
         assert grid_searches == []
         width, a = math.log(4.0), math.log(0.1)
-        # (entangled, product) at each end, and the rel_tol of the search that gave each end.
-        times, tols = np.array(ends), np.full(2, 1e-9)
-        for (gamma, lower, upper, t, info), rel_tol in zip(searches, rel_tols):
-            assert gamma.shape == (15, 1)
-            x = np.log(gamma[:, 0])  # 15 evenly spaced log-ratios strictly inside the bracket
-            np.testing.assert_allclose(np.diff(x), width / 16, rtol=1e-6)
+        times = np.array(ends)  # (entangled, product) at each end
+        for gamma, lower, upper, t, info in searches:
+            assert gamma.shape == (63, 1)
+            x = np.log(gamma[:, 0])  # 63 evenly spaced log-ratios strictly inside the bracket
+            np.testing.assert_allclose(np.diff(x), width / 64, rtol=1e-6)
             assert a < x[0] and x[-1] < a + width
-            # Each probe searches between its end times, widened by 4 * tol * max(1, t):
-            # 8 times the half-width of the last bracket of the loosest search that gave them.
+            # Each probe searches between its end times, widened by 4e-9 * max(1, t):
+            # 8 times the half-width of the last bracket of the 1e-9 search that gave each.
             shorter, longer = np.sort(times, axis=0)
-            tol = tols.max()
-            for bracket, end in ((lower, shorter - 4 * tol * np.maximum(1.0, shorter)),
-                                 (upper, longer + 4 * tol * np.maximum(1.0, longer))):
-                np.testing.assert_array_equal(bracket, np.broadcast_to(end, (15, 2)))
+            for bracket, end in ((lower, shorter - 4e-9 * np.maximum(1.0, shorter)),
+                                 (upper, longer + 4e-9 * np.maximum(1.0, longer))):
+                np.testing.assert_array_equal(bracket, np.broadcast_to(end, (63, 2)))
             assert np.all((lower < t) & (t < upper))
             # The next bracket is the two intervals around the best of them, and
-            # its ends keep their times and tolerances.
+            # its ends keep their times.
             i = int(np.argmax(info[:, 0] - info[:, 1]))
             times = np.concatenate([times[:1], t, times[1:]])[[i, i + 2]]
-            tols = np.concatenate([tols[:1], np.full(15, rel_tol), tols[1:]])[[i, i + 2]]
-            a, width = x[i] - width / 16, width / 8
+            a, width = x[i] - width / 64, width / 32
         assert a < math.log(ratio) < a + width
 
-    def test_an_end_kept_from_an_earlier_bracket_keeps_its_tolerance(self, monkeypatch):
-        # A stand-in kernel: each probe's information is -(t - t0)^2 plus, for the entangled
-        # probe, two narrow bumps in the log-ratio x. The first search (spacing h) sees only
-        # the bump at its middle row, x1; the second (spacing h / 8) picks its first row,
-        # x1 - 7h / 8, where the higher bump lies. So the third bracket keeps the first
-        # search's end at x1 - h, which was searched to the first, looser rel_tol.
-        lo, hi = 0.1, 0.4
-        h = math.log(hi / lo) / 16
-        x1 = math.log(lo) + 8 * h
-        x2, w = x1 - 7 * h / 8, h / 100
-
-        def kernel(objective, entangled, gamma, omega, t):
-            x = np.log(gamma)
-            bumps = np.exp(-np.square((x - x1) / w)) + 2 * np.exp(-np.square((x - x2) / w))
-            return np.where(entangled, bumps, 0.0) - np.square(t - np.array([0.05, 0.06]) / gamma)
-
-        monkeypatch.setattr(met, "_fig1_kernel", kernel)
-        ends = [[0.05 / lo, 0.06 / lo], [0.05 / hi, 0.06 / hi]]
-        (ratio, _, _), searches, rel_tols = self.warm_searches_and_tolerances(
-            monkeypatch, lambda: met.refine_log_peak([lo, hi], ends))
-        assert [int(np.argmax(info[:, 0] - info[:, 1])) for *_, info in searches[:2]] == [7, 0]
-        assert abs(math.log(ratio) - x2) <= self.stopping_tolerance(lo, hi)
-        (_, _, _, t1, _), (_, _, _, t2, _), (_, lower, upper, _, _) = searches[:3]
-        shorter, longer = np.sort([t1[6], t2[1]], axis=0)
-        tol = rel_tols[0]
-        assert tol > rel_tols[1]
-        for bracket, end in ((lower, shorter - 4 * tol * np.maximum(1.0, shorter)),
-                             (upper, longer + 4 * tol * np.maximum(1.0, longer))):
-            np.testing.assert_array_equal(bracket, np.broadcast_to(end, (15, 2)))
-
-    def warm_searches_and_tolerances(self, monkeypatch, run):
-        """warm_searches(run), with the rel_tol that each search is given."""
-        calls = self.count_calls(monkeypatch, "_golden_finish")
-        result, searches = self.warm_searches(run)
-        assert len(calls) == len(searches)
-        return result, searches, [rel_tol for _, _, _, rel_tol, _ in calls]
-
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
-    def test_warm_searches_match_the_grid_search(self, overrides, monkeypatch):
+    def test_warm_searches_match_the_grid_search(self, overrides):
         experiment = cli.EXPERIMENTS["figure1"]
         params = cli._merge_params(experiment, overrides)
-        _, searches, rel_tols = self.warm_searches_and_tolerances(
-            monkeypatch, lambda: experiment.runner(params, 7))
-        assert len(searches) >= 7
+        _, searches = self.warm_searches(lambda: experiment.runner(params, 7))
+        assert len(searches) >= 4
         probes = [met.ENTANGLED, met.PRODUCT]
         entangled = np.array([True, False])
-        for (gamma, lower, upper, t, info), rel_tol in zip(searches[:-1], rel_tols):
+        for gamma, lower, upper, t, info in searches:
             t_grid, info_grid = met._fig1_optimize(met._measurement_info, entangled, gamma,
                                                    params["grid"], -1)
-            # A search's golden section stops once its bracket is narrower than
-            # rel_tol * max(1, |upper|), and its midpoint, or the parabolic step's vertex
-            # below _FINISH_TOL, lies within half that of the optimum, here up to the grid
-            # search's own 1e-9 (below). The information is unimodal around the optimum,
+            # Every step is a 1e-9 search. Both it and the grid search end with a parabolic
+            # step, which places each flat optimum to about h^2 = 1e-10 of its width, where
+            # golden section alone fixed it only to about sqrt(eps); the values agree to ulps.
+            # Only figure1-sparse-wide's first step has rows outside ratios [1e-4, 1]. Below,
+            # the optimum lies within 1e-3 of one bit, where the information is not analytic
+            # in t, so neither parabola models it; above, t* < 1, where the search in t (to
+            # 1e-9 * max(1, upper), with h = 1e-5 * max(1, upper)) is coarser than the grid
+            # search in tau = t * gamma.
+            tight = np.broadcast_to((gamma >= 1e-4) & (gamma <= 1.0), t.shape)
+            assert tight.any()
+            np.testing.assert_allclose(t[tight], t_grid[tight], rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(info[tight], info_grid[tight], rtol=1e-14, atol=0.0)
+            # Every row: the search's time lies within half its golden section's last width,
+            # or within the parabola's model error of about h^2 / t*, of the optimum, here up
+            # to the grid search's own 1e-9. The information is unimodal around the optimum,
             # so it is at least its value at either end of that interval, each taken no
-            # further out than the search's bracket (which holds t).
-            half_width = 0.5 * rel_tol * np.maximum(1.0, upper) + 1e-9 * t_grid
-            assert np.all(np.abs(t - t_grid) <= half_width)
+            # further out than the search's bracket (which holds t); and at most the grid
+            # search's optimum.
+            scale = np.maximum(1.0, upper)
+            half_width = 0.5e-9 * scale + np.square(1e-5 * scale) / t_grid + 1e-9 * t_grid
             ends = np.minimum(*(met.fig1_measurement_info(
                 probes, gamma, 1.0, np.clip(t_grid + d, lower, upper))
                 for d in (-half_width, half_width)))
             assert np.all(ends * (1.0 - 1e-14) <= info)
             assert np.all(info <= info_grid * (1.0 + 1e-14))
-        gamma, _, _, t, info = searches[-1]
-        t_grid, info_grid = met._fig1_optimize(met._measurement_info, entangled, gamma,
-                                               params["grid"], -1)
-        # The last search is a 1e-9 one. Both it and the grid search end with a parabolic
-        # step, which places each flat optimum to about h^2 = 1e-10 of its width, where
-        # golden section alone fixed it only to about sqrt(eps); the values agree to ulps.
-        np.testing.assert_allclose(t, t_grid, rtol=1e-9, atol=0.0)
-        np.testing.assert_allclose(info, info_grid, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("overrides", REFINED_RUNS)
-    def test_each_step_searches_its_times_to_its_bracket_s_tolerance(self, overrides,
-                                                                     monkeypatch):
-        experiment = cli.EXPERIMENTS["figure1"]
-        params = cli._merge_params(experiment, overrides)
-        _, searches, rel_tols = self.warm_searches_and_tolerances(
-            monkeypatch, lambda: experiment.runner(params, 7))
-        for (gamma, *_), rel_tol in zip(searches, rel_tols):
-            # The step's log-ratio bracket [a, b] holds its ratios at spacing (b - a) / 16.
-            x = np.log(gamma[:, 0])
-            spacing = (x[-1] - x[0]) / (met.REFINE_POINTS - 1)
-            a, b = x[0] - spacing, x[-1] + spacing
-            rule = max(1e-9, met.REFINE_TIME_TOL * (b - a) / max(1.0, abs(b)))
-            assert rel_tol == pytest.approx(rule, rel=1e-6)
-        # The step that ends the loop starts below 8e-7 * max(1, |b|): a 1e-9 search.
-        assert rel_tols[-1] == 1e-9
-        assert all(rel_tol > 1e-9 for rel_tol in rel_tols[:-2])
-
-    def test_a_25_ratio_curve_makes_91_warm_objective_calls(self, monkeypatch):
+    def test_a_25_ratio_curve_makes_65_warm_objective_calls(self, monkeypatch):
         calls, finish = [], met._golden_finish
 
-        def spy(fn, a, b, rel_tol, domain):
+        def spy(fn, a, b, domain):
             calls.append(0)
 
             def objective(t):
                 calls[-1] += 1
                 return fn(t)
 
-            return finish(objective, a, b, rel_tol, domain)
+            return finish(objective, a, b, domain)
 
         monkeypatch.setattr(met, "_golden_finish", spy)
         met.figure1_curve(np.geomspace(0.01, 10.0, 25))
-        # Each step's time bracket and tolerance shrink with its log-ratio bracket. The two
-        # steps at a rel_tol of _FINISH_TOL or more take 15 golden-section calls and one at
-        # the result. The six below it stop golden section at _FINISH_TOL and take three
-        # calls for the parabolic step and one at its vertex; the last three brackets are
-        # narrower than that already, so golden section makes only its first two calls.
-        assert calls == [16, 16, 18, 14, 9, 6, 6, 6]
+        # Each step's time bracket shrinks with its log-ratio bracket. Every step stops
+        # golden section at _FINISH_TOL and takes three calls for the parabolic step and
+        # one at its vertex; the last two brackets are narrower than that already, so
+        # golden section makes no call there.
+        assert calls == [26, 19, 12, 4, 4]
 
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_the_refined_row_keeps_the_last_warm_step(self, overrides):
