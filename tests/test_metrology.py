@@ -459,6 +459,70 @@ class TestFigureOneCurve:
             a, width = x[i] - width / 64, width / 32
         assert a < math.log(ratio) < a + width
 
+    def test_an_end_kept_from_an_earlier_bracket_keeps_its_time(self, monkeypatch):
+        # A stand-in kernel: each probe's information is -(t - t0)^2 plus, for the entangled
+        # probe, two narrow bumps in the log-ratio x. The first search (spacing h) sees only
+        # the bump at its middle row, x1; the second (spacing h / 32) picks its first row,
+        # x1 - 31h / 32, where the higher bump lies. So the third bracket keeps the first
+        # search's end at x1 - h, and that search's time there.
+        lo, hi, n = 0.1, 0.4, met.REFINE_POINTS
+        h = math.log(hi / lo) / (n + 1)
+        x1 = math.log(lo) + (n + 1) // 2 * h
+        x2, w = x1 - h + 2 * h / (n + 1), h / 100
+
+        def kernel(objective, entangled, gamma, omega, t):
+            x = np.log(gamma)
+            bumps = np.exp(-np.square((x - x1) / w)) + 2 * np.exp(-np.square((x - x2) / w))
+            return np.where(entangled, bumps, 0.0) - np.square(t - np.array([0.05, 0.06]) / gamma)
+
+        monkeypatch.setattr(met, "_fig1_kernel", kernel)
+        ends = [[0.05 / lo, 0.06 / lo], [0.05 / hi, 0.06 / hi]]
+        (ratio, _, _), searches = self.warm_searches(
+            lambda: met.refine_log_peak([lo, hi], ends))
+        middle = (n - 1) // 2
+        assert [int(np.argmax(info[:, 0] - info[:, 1])) for *_, info in searches[:2]] == [
+            middle, 0]
+        assert abs(math.log(ratio) - x2) <= self.stopping_tolerance(lo, hi)
+        (_, _, _, t1, _), (_, _, _, t2, _), (_, lower, upper, _, _) = searches[:3]
+        shorter, longer = np.sort([t1[middle - 1], t2[1]], axis=0)
+        for bracket, end in ((lower, shorter - 4e-9 * np.maximum(1.0, shorter)),
+                             (upper, longer + 4e-9 * np.maximum(1.0, longer))):
+            np.testing.assert_array_equal(bracket, np.broadcast_to(end, (n, 2)))
+
+    @pytest.mark.parametrize("overrides", REFINED_RUNS)
+    def test_each_step_searches_its_times_to_1e_9_whatever_its_bracket(self, overrides,
+                                                                       monkeypatch):
+        experiment = cli.EXPERIMENTS["figure1"]
+        params = cli._merge_params(experiment, overrides)
+        rel_tols, steps, golden, finish = [], [], disc.golden_minimize, met._golden_finish
+
+        def golden_spy(fn, a, b, rel_tol):
+            rel_tols.append(rel_tol)
+            return golden(fn, a, b, rel_tol)
+
+        def finish_spy(fn, a, b, domain):
+            start = len(rel_tols)
+            result = finish(fn, a, b, domain)
+            steps.append(rel_tols[start:])
+            return result
+
+        monkeypatch.setattr(disc, "golden_minimize", golden_spy)
+        monkeypatch.setattr(met, "_golden_finish", finish_spy)
+        _, searches = self.warm_searches(lambda: experiment.runner(params, 7))
+        assert len(steps) == len(searches) >= 4
+        widths = []
+        for (gamma, lower, upper, t, _), step in zip(searches, steps):
+            # Golden section stops at _FINISH_TOL, and the parabolic step, or for the rows
+            # it does not model golden section to _TIME_TOL, ends every row: no step is
+            # given a looser tolerance for its wider bracket.
+            assert step in ([1e-5], [1e-5, 1e-9])
+            assert np.all((lower <= t) & (t <= upper))
+            x = np.log(gamma[:, 0])
+            widths.append((x[-1] - x[0]) * (met.REFINE_POINTS + 1) / (met.REFINE_POINTS - 1))
+        # The steps' log-ratio brackets shrink 32 times each, from two curve steps wide.
+        np.testing.assert_allclose(np.array(widths[1:]) / widths[:-1], 1 / 32, rtol=1e-6)
+        assert disc._FINISH_TOL == 1e-5 and disc._TIME_TOL == 1e-9
+
     @pytest.mark.parametrize("overrides", REFINED_RUNS)
     def test_warm_searches_match_the_grid_search(self, overrides):
         experiment = cli.EXPERIMENTS["figure1"]
